@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import DomainError, MalformedInputError
-from .scalars import OMEGA, QI, Count, QI_ONE, is_finite
+from .scalars import QI, Count, QI_ONE, is_count, is_finite
 
 
 class Atom(NamedTuple):
@@ -26,6 +26,10 @@ class Atom(NamedTuple):
 @dataclass(frozen=True)
 class AtomSet:
     classes: tuple  # tuple[tuple[str, Count], ...]
+    _counts: dict = field(init=False, repr=False, compare=False)  # name -> Count
+
+    def __post_init__(self):
+        object.__setattr__(self, "_counts", dict(self.classes))
 
     @staticmethod
     def of(classes: Iterable) -> "AtomSet":
@@ -34,7 +38,7 @@ class AtomSet:
         if len(set(names)) != len(names):
             raise MalformedInputError(f"duplicate class names in {names}")
         for name, count in items:
-            if not (count is OMEGA or (isinstance(count, int) and count >= 1)):
+            if not is_count(count):
                 raise MalformedInputError(f"class {name} has non-positive count {count!r}")
         return AtomSet(items)
 
@@ -43,10 +47,10 @@ class AtomSet:
         return tuple(name for name, _ in self.classes)
 
     def count_of(self, cls: str) -> Count:
-        for name, count in self.classes:
-            if name == cls:
-                return count
-        raise DomainError(f"unknown class {cls!r}")
+        count = self._counts.get(cls)
+        if count is None:
+            raise DomainError(f"unknown class {cls!r}")
+        return count
 
     def check_atom(self, atom: Atom) -> Atom:
         count = self.count_of(atom.cls)
@@ -67,9 +71,6 @@ class IdealSpec:
         if unknown:
             raise MalformedInputError(f"ideal support {sorted(unknown)} outside the algebra")
         return IdealSpec(parent, supp)
-
-    def contains_class(self, cls: str) -> bool:
-        return cls in self.support
 
 
 def ideal_complement(i: IdealSpec) -> IdealSpec:

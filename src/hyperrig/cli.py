@@ -4,7 +4,9 @@ Four subcommands: decide an instance file, emit a witness record for a
 non-hyperrigid instance, re-verify an emitted witness record against its
 instance, and run a whole directory in batch.  Records go to standard
 output, diagnostics to standard error, and all record output is
-byte-identical across runs and across --jobs counts.
+byte-identical across runs.  batch decides its files one after another:
+the work is pure Python, so worker threads would only contend for the
+interpreter lock; --jobs is accepted and ignored.
 
 Exit codes
   decide   0 hyperrigid, 1 not hyperrigid, 2 error
@@ -18,14 +20,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import (
     BudgetExceededError, HyperrigError, SymbolicOnlyError, WitnessRefusedError,
 )
 from .fock import witness_pipeline
-from .graphs import DiscreteGraphPresentation, decide_hyperrigid, build_correspondence
+from .graphs import DiscreteGraphPresentation, decide_hyperrigid
 from .records import (
     canonical_json, emit_verdict_record, emit_witness_record, instance_digest,
     load_instance, load_witness_record, verdict_record, verify_witness_record,
@@ -112,7 +113,7 @@ def cmd_witness(args) -> int:
               file=sys.stderr)
         return 3
     try:
-        _, _, cert = witness_pipeline(build_correspondence(g),
+        _, _, cert = witness_pipeline(g.correspondence,
                                       args.fock_level, args.basis_budget)
     except SymbolicOnlyError as exc:
         print(f"symbolic verdict only: {exc}", file=sys.stderr)
@@ -160,13 +161,7 @@ def cmd_batch(args) -> int:
     if not root.is_dir():
         print(f"not a directory: {root}", file=sys.stderr)
         return 2
-    paths = sorted(root.glob("*.json"))
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(paths) <= 1:
-        results = [_batch_one(p) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_batch_one, paths))
+    results = [_batch_one(p) for p in sorted(root.glob("*.json"))]
 
     counts = {"hyperrigid": 0, "not-hyperrigid": 0, "error": 0}
     for _, status, _ in results:
@@ -236,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="decide every *.json file in a directory")
     p.add_argument("directory", help="directory of instance files")
     p.add_argument("--jobs", type=int, default=1,
-                   help="number of worker threads (default 1)")
+                   help="accepted for compatibility and ignored: files are "
+                        "always decided one after another")
     add_format(p)
     p.set_defaults(func=cmd_batch)
 

@@ -15,13 +15,13 @@ theta decompositions expand the finitely many relevant copies explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec, ideal_complement, ideal_intersect
 from .errors import DomainError, InternalInconsistencyError, MalformedInputError, SymbolicOnlyError
-from .scalars import OMEGA, QI, QI_ONE, Count, count_mul, count_sum, is_finite
+from .scalars import QI, QI_ONE, Count, count_add, count_mul, is_count, is_finite
 
 
 class EdgeClass(NamedTuple):
@@ -42,6 +42,21 @@ class EdgeCopy(NamedTuple):
 class Correspondence:
     algebra: AtomSet
     generators: tuple  # tuple[EdgeClass, ...]
+    # class-level lookups, built once from the generators (not compared)
+    _edges: dict = field(init=False, repr=False, compare=False)      # name -> EdgeClass
+    _from: dict = field(init=False, repr=False, compare=False)       # src class -> [EdgeClass]
+    _in_degree: dict = field(init=False, repr=False, compare=False)  # dst class -> Count
+
+    def __post_init__(self):
+        edges, out, deg = {}, {}, {}
+        for g in self.generators:
+            edges[g.name] = g
+            out.setdefault(g.src, []).append(g)
+            deg[g.dst] = count_add(deg.get(g.dst, 0),
+                                   count_mul(self.algebra.count_of(g.src), g.mult))
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_from", out)
+        object.__setattr__(self, "_in_degree", deg)
 
     @staticmethod
     def of(algebra: AtomSet, generators: Iterable[EdgeClass]) -> "Correspondence":
@@ -52,15 +67,15 @@ class Correspondence:
         for g in gens:
             algebra.count_of(g.src)
             algebra.count_of(g.dst)
-            if not (g.mult is OMEGA or (isinstance(g.mult, int) and g.mult >= 1)):
+            if not is_count(g.mult):
                 raise MalformedInputError(f"edge class {g.name} has bad multiplicity {g.mult!r}")
         return Correspondence(algebra, gens)
 
     def edge(self, name: str) -> EdgeClass:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise DomainError(f"unknown edge class {name!r}")
+        g = self._edges.get(name)
+        if g is None:
+            raise DomainError(f"unknown edge class {name!r}")
+        return g
 
     def check_copy(self, e: EdgeCopy) -> EdgeCopy:
         g = self.edge(e.cls)
@@ -78,9 +93,7 @@ class Correspondence:
 
     def in_degree(self, cls: str) -> Count:
         """Total incoming multiplicity of one copy of cls."""
-        return count_sum(
-            count_mul(self.algebra.count_of(g.src), g.mult)
-            for g in self.generators if g.dst == cls)
+        return self._in_degree.get(cls, 0)
 
     def edges_from_atom(self, atom: Atom) -> list:
         """All edge copies sourced at the given atom, in canonical order.
@@ -89,9 +102,7 @@ class Correspondence:
         callers that only need a symbolic verdict never ask for this.
         """
         out = []
-        for g in self.generators:
-            if g.src != atom.cls:
-                continue
+        for g in self._from.get(atom.cls, ()):
             dst_count = self.algebra.count_of(g.dst)
             if not is_finite(dst_count) or not is_finite(g.mult):
                 raise SymbolicOnlyError(
@@ -291,6 +302,15 @@ def leading_atom(c: Correspondence, key: TensorKey) -> Atom:
     return c.range_atom(key.path[0]) if key.path else key.atom
 
 
+def successors(c: Correspondence, key: TensorKey) -> list:
+    """The keys one level up that extend key: one per edge copy sourced at
+    its leading atom, prepended as the new leftmost factor, in canonical
+    order.  Every tensor basis grows through this one function; it raises
+    SymbolicOnlyError on an infinite fiber."""
+    return [TensorKey((e,) + key.path, key.atom)
+            for e in c.edges_from_atom(leading_atom(c, key))]
+
+
 def pairing(u: TensorVector, v: TensorVector) -> QI:
     """<u, v> in the interior tensor product: composable elementary tensors
     form an orthonormal family, by iterating
@@ -341,24 +361,16 @@ def interior_tensor(s: Submodule, sigma: EvaluationRep) -> list:
     c = s.parent
     if sigma.parent != c.algebra:
         raise DomainError("evaluation representation over a different algebra")
-    basis = []
-    for atom in sigma.atoms:
-        for e in c.edges_from_atom(atom):
-            if e.cls in s.span:
-                basis.append(TensorKey((e,), atom))
-    return basis
+    return [k for atom in sigma.atoms for k in successors(c, TensorKey((), atom))
+            if k.path[0].cls in s.span]
 
 
 def level_basis(c: Correspondence, sigma: EvaluationRep, level: int) -> list:
     """Ordered basis keys of the level-fold tensor power against sigma."""
-    if level == 0:
-        return [TensorKey((), a) for a in sigma.atoms]
-    prev = level_basis(c, sigma, level - 1)
-    out = []
-    for key in prev:
-        for e in c.edges_from_atom(leading_atom(c, key)):
-            out.append(TensorKey((e,) + key.path, key.atom))
-    return out
+    keys = [TensorKey((), a) for a in sigma.atoms]
+    for _ in range(level):
+        keys = [k for key in keys for k in successors(c, key)]
+    return keys
 
 
 class ReducedSpace(NamedTuple):

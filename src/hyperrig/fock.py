@@ -22,7 +22,7 @@ from .algebra import Atom, CoefFn, EvaluationRep, IdealSpec
 from .correspondence import (
     Correspondence, EdgeCopy, ModuleVector, TensorKey, gram_matrix, inner,
     katsura_ideal, leading_atom, left_action_as_compacts, left_mul,
-    sigma_degeneracy_witness,
+    sigma_degeneracy_witness, successors,
 )
 from .errors import (
     BudgetExceededError, DomainError, InternalInconsistencyError,
@@ -65,10 +65,7 @@ def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = 3,
     bases = [tuple(TensorKey((), a) for a in sigma.atoms)]
     total = len(bases[0])
     for _ in range(n_levels):
-        nxt = []
-        for key in bases[-1]:
-            for e in c.edges_from_atom(leading_atom(c, key)):
-                nxt.append(TensorKey((e,) + key.path, key.atom))
+        nxt = [k for key in bases[-1] for k in successors(c, key)]
         total += len(nxt)
         if total > basis_budget:
             raise BudgetExceededError(
@@ -350,11 +347,7 @@ def build_witness_subspace(fock: TruncatedFock, j: IdealSpec) -> WitnessSubspace
     # pure creation prefixes)
     orbit = {1: set(m0)}
     for n in range(1, fock.n_levels):
-        nxt = set()
-        for key in orbit.get(n, ()):
-            for e in c.edges_from_atom(leading_atom(c, key)):
-                nxt.add(TensorKey((e,) + key.path, key.atom))
-        orbit[n + 1] = nxt
+        orbit[n + 1] = {k for key in orbit[n] for k in successors(c, key)}
     for n in range(fock.n_levels + 1):
         if set(levels[n]) != orbit.get(n, set()):
             raise InternalInconsistencyError(
@@ -403,11 +396,8 @@ def verify_eq_use(fock: TruncatedFock, m0: tuple, j: IdealSpec) -> tuple:
 def complement_of_creation(fock: TruncatedFock, m: WitnessSubspace) -> tuple:
     """Basis keys of M minus the creation image t(X)M, per level."""
     c = fock.parent
-    reached = set()
-    for n in range(fock.n_levels):
-        for key in m.levels[n]:
-            for e in c.edges_from_atom(leading_atom(c, key)):
-                reached.add(TensorKey((e,) + key.path, key.atom))
+    reached = {k for n in range(fock.n_levels) for key in m.levels[n]
+               for k in successors(c, key)}
     return tuple(tuple(k for k in level if k not in reached)
                  for level in m.levels)
 
@@ -484,7 +474,8 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
 
     non_reducing = None
     for h in fock.bases[0]:
-        for e in c.edges_from_atom(h.atom):
+        for up in successors(c, h):
+            e = up.path[0]
             col = t0(fock, ModuleVector.single(c, e)).col(h)
             norm = sum((z.abs2() for kk, z in col.items() if kk in mset),
                        Fraction(0))

@@ -20,7 +20,7 @@ raises InternalInconsistencyError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .algebra import AtomSet, IdealSpec
@@ -34,21 +34,25 @@ from .intervals import (
     image, interior, is_compact, is_local_homeomorphism, is_proper_into,
     is_subset, points, preimage, range_condition, sets_equal,
 )
-from .scalars import is_finite
+from .scalars import OMEGA, is_finite
 
 
 @dataclass(frozen=True)
 class DiscreteGraphPresentation:
     vertices: tuple  # tuple[(name, Count)]
     edges: tuple     # tuple[EdgeClass, ...]
+    # built once at construction, which also runs all structural validation;
+    # every consumer reads this field instead of rebuilding it
+    correspondence: Correspondence = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "correspondence", build_correspondence(self))
 
     @staticmethod
     def of(vertices, edges) -> "DiscreteGraphPresentation":
-        g = DiscreteGraphPresentation(
+        return DiscreteGraphPresentation(
             tuple((n, c) for n, c in vertices),
             tuple(EdgeClass(*e) for e in edges))
-        build_correspondence(g)  # all structural validation lives there
-        return g
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class VertexClassification:
 
 def classify_vertices(g: Presentation) -> VertexClassification:
     if isinstance(g, DiscreteGraphPresentation):
-        c = build_correspondence(g)
+        c = g.correspondence
         names = set(c.algebra.names)
         ranged = {e.dst for e in g.edges}
         sce = names - ranged
@@ -167,7 +171,7 @@ def decide_hyperrigid(g: Presentation) -> Verdict:
 
 
 def _decide_discrete(g: DiscreteGraphPresentation):
-    c = build_correspondence(g)
+    c = g.correspondence
     cls = classify_vertices(g)
     nondeg = is_nondegenerate(c)
     # discrete route via the range map: proper over the image means every
@@ -198,18 +202,17 @@ def compact_base_shortcut(g: IntervalGraphPresentation) -> Optional[bool]:
         return None
     img = image(g.r).with_ambient(g.g0)
     clopen = sets_equal(closure(img), img) and sets_equal(interior(img), img)
-    shortcut = is_compact(g.g1) and clopen
-    if shortcut != decide_hyperrigid(g).hyperrigid:
+    if clopen != decide_hyperrigid(g).hyperrigid:
         raise InternalInconsistencyError(
             "compact-base shortcut disagrees with the decision routes")
-    return shortcut
+    return clopen
 
 
 def vanishing_submodule(g: DiscreteGraphPresentation, s1, s2) -> Submodule:
     """Edge classes vanishing on the given data: outside s2 and not ranging
     in s1.  With s1 the complement of an ideal support and s2 empty this is
     the submodule the ideal reaches."""
-    c = build_correspondence(g)
+    c = g.correspondence
     s1, s2 = set(s1), set(s2)
     unknown = s1 - set(c.algebra.names)
     if unknown:
@@ -222,5 +225,15 @@ def vanishing_submodule(g: DiscreteGraphPresentation, s1, s2) -> Submodule:
 
 
 def check_row_finite(g: DiscreteGraphPresentation) -> bool:
-    c = build_correspondence(g)
-    return all(is_finite(c.in_degree(n)) for n in c.algebra.names)
+    """Row-finiteness counted from the raw vertex and edge lists, sharing no
+    code with the Correspondence in-degree index the decision routes use.
+
+    Counts and multiplicities are positive, so an edge class contributes
+    infinitely many incoming edges to each copy of its range exactly when
+    its multiplicity or its source count is omega; otherwise every copy
+    receives a finite sum of finite products."""
+    count = dict(g.vertices)
+    for e in g.edges:
+        if e.mult is OMEGA or count[e.src] is OMEGA:
+            return False
+    return True

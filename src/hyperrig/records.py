@@ -31,10 +31,10 @@ from .fock import (
 )
 from .graphs import (
     DiscreteGraphPresentation, IntervalGraphPresentation, Presentation,
-    Verdict, build_correspondence,
+    Verdict,
 )
 from .intervals import AffinePiece, Interval, IntervalSet, PiecewiseAffineMap
-from .scalars import OMEGA, QI, is_finite
+from .scalars import OMEGA, QI, is_count, is_finite
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +57,7 @@ def _rational_out(x) -> str:
 def _count(v):
     if v == "omega":
         return OMEGA
-    if isinstance(v, int) and not isinstance(v, bool) and v >= 1:
+    if is_count(v):
         return v
     raise MalformedInputError(f"count must be a positive integer or \"omega\", got {v!r}")
 
@@ -465,7 +465,7 @@ def verify_witness_record(g: Presentation, rec: WitnessRecord,
         # witness records are only ever emitted for discrete instances, so a
         # matching digest here means the record was assembled by hand
         return False, "instance-kind"
-    c = build_correspondence(g)
+    c = g.correspondence
     try:
         sigma = EvaluationRep.of(c.algebra, rec.sigma_atoms)
     except (MalformedInputError, DomainError):

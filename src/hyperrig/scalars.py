@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import MalformedInputError
-
 
 @dataclass(frozen=True)
 class QI:
@@ -88,9 +86,7 @@ class QI:
 
 QILike = Union[QI, int, Fraction]
 
-QI_ZERO = QI()
 QI_ONE = QI(Fraction(1))
-QI_I = QI(Fraction(0), Fraction(1))
 
 
 class _Omega:
@@ -133,45 +129,8 @@ def count_mul(a: Count, b: Count) -> Count:
     return OMEGA
 
 
-def count_sum(items) -> Count:
-    total: Count = 0
-    for c in items:
-        total = count_add(total, c)
-    return total
-
-
-# -- serialization helpers ---------------------------------------------------
-
-def parse_count(obj) -> Count:
-    if obj == "omega":
-        return OMEGA
-    if isinstance(obj, int) and not isinstance(obj, bool) and obj >= 1:
-        return obj
-    raise MalformedInputError(f"count must be a positive integer or \"omega\", got {obj!r}")
-
-
-def emit_count(c: Count):
-    return "omega" if not is_finite(c) else c
-
-
-def parse_fraction(text) -> Fraction:
-    if not isinstance(text, str):
-        raise MalformedInputError(f"rational values must be strings, got {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInputError(f"not a rational: {text!r}") from exc
-
-
-def emit_fraction(f: Fraction) -> str:
-    return str(f)
-
-
-def parse_qi(obj) -> QI:
-    if not (isinstance(obj, list) and len(obj) == 2):
-        raise MalformedInputError(f"scalar must be a [re, im] pair of rational strings, got {obj!r}")
-    return QI(parse_fraction(obj[0]), parse_fraction(obj[1]))
-
-
-def emit_qi(z: QI) -> list:
-    return [emit_fraction(z.re), emit_fraction(z.im)]
+def is_count(value) -> bool:
+    """A valid class count or edge multiplicity: a positive integer (not a
+    bool) or OMEGA."""
+    return value is OMEGA or (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 1)

@@ -18,7 +18,7 @@ from hyperrig.algebra import (
     ideal_intersect,
 )
 from hyperrig.errors import DomainError, MalformedInputError
-from hyperrig.scalars import OMEGA, QI
+from hyperrig.scalars import OMEGA, QI, count_add, count_mul
 
 
 VW = AtomSet.of([("V", 1), ("W", OMEGA)])
@@ -30,8 +30,9 @@ def test_atomset_rejects_duplicates():
 
 
 def test_atomset_rejects_zero_count():
-    with pytest.raises(MalformedInputError):
-        AtomSet.of([("V", 0)])
+    for bad in (0, True):
+        with pytest.raises(MalformedInputError):
+            AtomSet.of([("V", bad)])
 
 
 def test_atom_bounds():
@@ -137,3 +138,22 @@ def test_prop_ideal_lattice(a, b):
     assert ideal_intersect(ia, ib) == ideal_intersect(ib, ia)
     assert ideal_complement(ideal_complement(ia)) == ia
     assert ideal_intersect(ia, ia) == ia
+
+
+# -- Count arithmetic: the Correspondence in-degree index sums these ---------------
+
+counts_st = st.one_of(st.integers(0, 10 ** 6), st.just(OMEGA))
+
+
+@given(counts_st)
+def test_prop_count_absorption(n):
+    assert count_mul(0, n) == 0 and count_mul(n, 0) == 0
+    assert count_add(n, OMEGA) is OMEGA and count_add(OMEGA, n) is OMEGA
+    if n != 0:
+        assert count_mul(n, OMEGA) is OMEGA
+
+
+@given(counts_st, counts_st)
+def test_prop_count_commutative(a, b):
+    assert count_add(a, b) == count_add(b, a)
+    assert count_mul(a, b) == count_mul(b, a)

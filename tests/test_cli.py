@@ -132,6 +132,30 @@ def test_verify_rejects_malformed_witness(tmp_path, capsys):
     assert main(["verify", str(bad), str(CORPUS / "loop.json")]) == 2
 
 
+def test_one_correspondence_build_per_command(tmp_path, monkeypatch, capsys):
+    # each presentation builds its Correspondence once, at parse time, and
+    # every later stage reads that object instead of rebuilding it
+    import hyperrig.graphs as graphs
+    calls = []
+    original = graphs.build_correspondence
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "build_correspondence", counted)
+    instance = str(CORPUS / "star_plus_arm.json")
+    witness_path = tmp_path / "witness.json"
+    for argv, code in ((["decide", instance], 1), (["witness", instance], 0),
+                       (["verify", str(witness_path), instance], 0)):
+        calls.clear()
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        if argv[0] == "witness":
+            witness_path.write_text(out, encoding="utf-8")
+        assert len(calls) == 1, argv[0]
+
+
 def test_batch_summary_and_determinism(capsys):
     assert main(["batch", str(CORPUS)]) == 0
     single = capsys.readouterr().out

@@ -161,8 +161,9 @@ def test_duplicate_edge_names_rejected():
     with pytest.raises(MalformedInputError):
         Correspondence.of(AtomSet.of([("v", 1)]),
                           [EdgeClass("e", "v", "v", 1), EdgeClass("e", "v", "v", 2)])
-    with pytest.raises(MalformedInputError):
-        Correspondence.of(AtomSet.of([("v", 1)]), [EdgeClass("e", "v", "v", 0)])
+    for bad in (0, True):
+        with pytest.raises(MalformedInputError):
+            Correspondence.of(AtomSet.of([("v", 1)]), [EdgeClass("e", "v", "v", bad)])
 
 
 # -- sigma witnesses -------------------------------------------------------------
