@@ -143,8 +143,16 @@ class CoefFn:
         return dict(self.point_part)
 
     def value_at(self, atom: Atom) -> QI:
-        v = dict(self.class_part).get(atom.cls, QI())
-        return v + dict(self.point_part).get(Atom(*atom), QI())
+        # both parts are short sorted tuples; a scan beats building dicts
+        v = QI()
+        for cls, z in self.class_part:
+            if cls == atom.cls:
+                v = z
+                break
+        for a, z in self.point_part:
+            if a == atom:
+                return v + z
+        return v
 
     def support_classes(self) -> frozenset:
         classes = {cls for cls, _ in self.class_part}

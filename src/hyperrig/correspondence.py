@@ -95,6 +95,24 @@ class Correspondence:
         """Total incoming multiplicity of one copy of cls."""
         return self._in_degree.get(cls, 0)
 
+    def _finite_fiber(self, g: EdgeClass, cls: str) -> int:
+        """Range count of g, checked finite together with its multiplicity."""
+        dst_count = self.algebra.count_of(g.dst)
+        if not is_finite(dst_count) or not is_finite(g.mult):
+            raise SymbolicOnlyError(
+                f"edge class {g.name} has an infinite fiber over {cls}: "
+                "explicit bases unavailable, symbolic verdict only")
+        return dst_count
+
+    def fiber_size(self, cls: str) -> int:
+        """Number of edge copies sourced at any one atom of cls, counted at
+        class level: len(edges_from_atom(a)) for every atom a of cls.
+
+        Raises the SymbolicOnlyError edges_from_atom would, for the same
+        first infinite class.
+        """
+        return sum(self._finite_fiber(g, cls) * g.mult for g in self._from.get(cls, ()))
+
     def edges_from_atom(self, atom: Atom) -> list:
         """All edge copies sourced at the given atom, in canonical order.
 
@@ -103,11 +121,7 @@ class Correspondence:
         """
         out = []
         for g in self._from.get(atom.cls, ()):
-            dst_count = self.algebra.count_of(g.dst)
-            if not is_finite(dst_count) or not is_finite(g.mult):
-                raise SymbolicOnlyError(
-                    f"edge class {g.name} has an infinite fiber over {atom.cls}: "
-                    "explicit bases unavailable, symbolic verdict only")
+            dst_count = self._finite_fiber(g, atom.cls)
             for j in range(dst_count):
                 for k in range(g.mult):
                     out.append(EdgeCopy(g.name, atom.index, j, k))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 from .algebra import Atom, CoefFn, EvaluationRep, IdealSpec
@@ -38,6 +39,7 @@ class TruncatedFock:
     n_levels: int  # N; bases cover levels 0..N inclusive
     bases: tuple   # tuple[tuple[TensorKey, ...]]
     index: dict    # TensorKey -> level
+    by_lead: dict  # leading Atom -> tuple[TensorKey, ...], all levels, basis order
 
     def level_dim(self, n: int) -> int:
         return len(self.bases[n])
@@ -53,27 +55,51 @@ class TruncatedFock:
 
 def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = 3,
                basis_budget: int = 10_000) -> TruncatedFock:
-    """Enumerate the path bases of levels 0..n_levels.
+    """Enumerate the path bases of levels 0..n_levels, indexed by leading
+    atom.
 
-    Raises SymbolicOnlyError on an infinite fiber along the way and
-    BudgetExceededError when the total dimension passes the budget.
+    Each level is sized at class level before it is enumerated: level n+1
+    has, for every leading atom of level n, (keys at that atom) x (fiber
+    size of its class) keys.  So a SymbolicOnlyError (the first infinite
+    fiber in key order) or a BudgetExceededError (the running total past
+    the budget) is raised before that level allocates anything.  The
+    enumerated level must then have exactly the computed size.
     """
     if n_levels < 1:
         raise DomainError("truncation level must be at least 1")
     if sigma.parent != c.algebra:
         raise DomainError("evaluation representation over a different algebra")
     bases = [tuple(TensorKey((), a) for a in sigma.atoms)]
+    lead = _group_by_lead(c, bases[0])
+    by_lead = {a: list(keys) for a, keys in lead.items()}
     total = len(bases[0])
-    for _ in range(n_levels):
-        nxt = [k for key in bases[-1] for k in successors(c, key)]
-        total += len(nxt)
+    for n in range(1, n_levels + 1):
+        size = sum(len(keys) * c.fiber_size(a.cls) for a, keys in lead.items())
+        total += size
         if total > basis_budget:
             raise BudgetExceededError(
                 f"Fock basis needs more than {basis_budget} vectors "
-                f"({total} and counting at level {len(bases)})")
-        bases.append(tuple(nxt))
+                f"({total} and counting at level {n})")
+        nxt = tuple(k for key in bases[-1] for k in successors(c, key))
+        if len(nxt) != size:
+            raise InternalInconsistencyError(
+                f"Fock level {n} dimension mismatch: enumerated {len(nxt)}, "
+                f"sized {size}")
+        bases.append(nxt)
+        lead = _group_by_lead(c, nxt)
+        for a, keys in lead.items():
+            by_lead.setdefault(a, []).extend(keys)
     index = {k: n for n, level in enumerate(bases) for k in level}
-    return TruncatedFock(c, sigma, n_levels, tuple(bases), index)
+    return TruncatedFock(c, sigma, n_levels, tuple(bases), index,
+                         {a: tuple(keys) for a, keys in by_lead.items()})
+
+
+def _group_by_lead(c: Correspondence, keys: Iterable) -> dict:
+    """Leading atom -> its keys, both in first-appearance order."""
+    out: dict = {}
+    for k in keys:
+        out.setdefault(leading_atom(c, k), []).append(k)
+    return out
 
 
 # -- graded operators ----------------------------------------------------------
@@ -117,10 +143,14 @@ class GradedOperator:
         if self.fock is not other.fock:
             raise DomainError("composing operators over different Fock spaces")
         cols: dict = {}
+        mine = self.cols
         for j, through in other.cols.items():
             out: dict = {}
             for k, z in through.items():
-                for i, w in self.col(k).items():
+                col = mine.get(k)
+                if col is None:
+                    continue
+                for i, w in col.items():
                     out[i] = out.get(i, QI()) + w * z
             out = {i: v for i, v in out.items() if not v.is_zero()}
             if out:
@@ -154,7 +184,10 @@ def operator_residual(a: GradedOperator, b: GradedOperator,
     source columns (default: everywhere)."""
     if a.degree != b.degree:
         raise DomainError("comparing operators of different degrees")
-    keys = set(a.cols) | set(b.cols) if source_keys is None else source_keys
+    # a column absent from both operands is zero in a - b
+    keys = a.cols.keys() | b.cols.keys()
+    if source_keys is not None:
+        keys = keys.intersection(source_keys)
     worst = Fraction(0)
     for k in keys:
         ca, cb = a.col(k), b.col(k)
@@ -175,37 +208,44 @@ def restrict_to_subspace(op: GradedOperator, keys: Iterable) -> GradedOperator:
 
 def rho0(fock: TruncatedFock, f: CoefFn) -> GradedOperator:
     """Diagonal action: multiply each basis key by f at its leading atom
-    (level 0: at its vacuum atom)."""
-    c = fock.parent
+    (level 0: at its vacuum atom).
+
+    Only the leading atoms in f's support are visited: those of a class in
+    f.class_part, and those listed in f.point_part.  f is evaluated once
+    per atom.
+    """
+    classes = {cls for cls, _ in f.class_part}
+    atoms = {a for a in fock.by_lead if a.cls in classes} if classes else set()
+    atoms.update(a for a, _ in f.point_part if a in fock.by_lead)
     cols = {}
-    for key in fock.all_keys():
-        z = f.value_at(leading_atom(c, key))
+    for a in atoms:
+        z = f.value_at(a)
         if not z.is_zero():
-            cols[key] = {key: z}
+            for key in fock.by_lead[a]:
+                cols[key] = {key: z}
     return GradedOperator(fock, 0, cols)
 
 
 def t0(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
-    """Creation: tensor x on the left; the top level is annihilated."""
+    """Creation: tensor x on the left; the top level is annihilated.
+
+    Each copy e in x only visits the keys led by its source atom.
+    """
     c = fock.parent
     if x.parent != c:
         raise DomainError("vector over a different correspondence")
     cols: dict = {}
-    for n in range(fock.n_levels):
-        for key in fock.bases[n]:
-            lead = leading_atom(c, key)
-            col: dict = {}
-            for e, z in x.coeffs:
-                if c.source_atom(e) == lead:
-                    nk = TensorKey((e,) + key.path, key.atom)
-                    if nk not in fock.index:
-                        raise InternalInconsistencyError(
-                            f"creation left the enumerated basis at {nk}")
-                    col[nk] = col.get(nk, QI()) + z
-            col = {kk: z for kk, z in col.items() if not z.is_zero()}
-            if col:
-                cols[key] = col
-    return GradedOperator(fock, 1, cols)
+    for e, z in x.coeffs:
+        for key in fock.by_lead.get(c.source_atom(e), ()):
+            if fock.index[key] == fock.n_levels:
+                continue
+            nk = TensorKey((e,) + key.path, key.atom)
+            if nk not in fock.index:
+                raise InternalInconsistencyError(
+                    f"creation left the enumerated basis at {nk}")
+            col = cols.setdefault(key, {})
+            col[nk] = col.get(nk, QI()) + z
+    return GradedOperator(fock, 1, _drop_zeros(cols))
 
 
 def psi_t(fock: TruncatedFock, terms: Iterable) -> GradedOperator:
@@ -238,8 +278,7 @@ def generator_functions(fock: TruncatedFock) -> list:
     invisible to indicator functions alone)."""
     c = fock.parent
     fns = [CoefFn.delta_class(nm) for nm in c.algebra.names]
-    leads = sorted({leading_atom(c, k) for k in fock.all_keys()})
-    fns += [CoefFn.delta_atom(a) for a in leads]
+    fns += [CoefFn.delta_atom(a) for a in sorted(fock.by_lead)]
     fns += [CoefFn.delta_class(nm, QI(Fraction(1, 2), Fraction(1, 2)))
             for nm in c.algebra.names]
     return fns
@@ -262,7 +301,10 @@ def verify_isometric_rep(fock: TruncatedFock,
     """Check both defining relations exactly on generator pairs.
 
     rho_of / t_of default to the honest truncated operators; passing
-    corrupted builders turns this into a negative control.
+    corrupted builders turns this into a negative control.  rho_of and
+    t_of are each called once per distinct argument (memoised by value),
+    so a corrupted operator is what every residual sees.  Residuals
+    compare columns at levels 0..N-1 only.
     """
     if rho_of is None:
         rho_of = lambda f: rho0(fock, f)
@@ -272,20 +314,16 @@ def verify_isometric_rep(fock: TruncatedFock,
         fns = generator_functions(fock)
     if vecs is None:
         vecs = generator_vectors(fock)
-    src = [k for n in range(fock.n_levels) for k in fock.bases[n]]
+    src = frozenset(k for n in range(fock.n_levels) for k in fock.bases[n])
 
-    # the same vectors recur across the whole function grid
-    t_memo = {}
-
-    def t_at(x):
-        op = t_memo.get(x)
-        if op is None:
-            op = t_memo[x] = t_of(x)
-        return op
+    # the same vectors recur across the whole function grid, and the same
+    # inner products recur across the Toeplitz grid
+    t_at = cache(t_of)
+    rho_at = cache(rho_of)
 
     mult = Fraction(0)
     for f in fns:
-        rf = rho_of(f)
+        rf = rho_at(f)
         for x in vecs:
             lhs = rf.compose(t_at(x))
             rhs = t_at(left_mul(f, x))
@@ -297,7 +335,7 @@ def verify_isometric_rep(fock: TruncatedFock,
         txa = tx.adjoint()
         for y, ty in ts:
             lhs = txa.compose(ty)
-            rhs = rho_of(inner(x, y))
+            rhs = rho_at(inner(x, y))
             toep = max(toep, operator_residual(lhs, rhs, src))
     return IsometryReport(mult, toep)
 
@@ -365,11 +403,7 @@ def ideal_generator_functions(fock: TruncatedFock, j: IdealSpec) -> list:
         if isinstance(cnt, int):
             fns.append(CoefFn.delta_class(cls))
         else:
-            idx = {0}
-            for k in fock.all_keys():
-                a = leading_atom(c, k)
-                if a.cls == cls:
-                    idx.add(a.index)
+            idx = {0} | {a.index for a in fock.by_lead if a.cls == cls}
             fns += [CoefFn.delta_atom(Atom(cls, i)) for i in sorted(idx)]
     return fns
 

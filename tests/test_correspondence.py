@@ -428,6 +428,22 @@ def test_tensor_power_dimension_identity(c, n):
     assert len(k.basis) == len(level_basis(c, sigma, n - 1))
 
 
+@given(graphs(max_classes=3, max_edges=4, allow_omega=True))
+@settings(max_examples=80, deadline=None)
+def test_fiber_size_matches_edges_from_atom(c):
+    # the class-level count agrees with the enumeration, and on an infinite
+    # fiber both refuse with the same message
+    for nm in c.algebra.names:
+        try:
+            expected = len(c.edges_from_atom(Atom(nm, 0)))
+        except SymbolicOnlyError as exc:
+            with pytest.raises(SymbolicOnlyError) as info:
+                c.fiber_size(nm)
+            assert str(info.value) == str(exc)
+        else:
+            assert c.fiber_size(nm) == expected
+
+
 @given(graphs(max_classes=3, max_edges=4))
 @settings(max_examples=80, deadline=None)
 def test_theta_decomposition_matches_left_action(c):

@@ -4,15 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec
 from hyperrig.correspondence import (
     Correspondence, EdgeClass, EdgeCopy, ModuleVector, TensorKey, inner,
-    katsura_ideal, left_action_as_compacts, sigma_degeneracy_witness, theta,
+    katsura_ideal, leading_atom, left_action_as_compacts,
+    sigma_degeneracy_witness, theta,
 )
 from hyperrig.errors import (
-    BudgetExceededError, DomainError, SymbolicOnlyError, WitnessRefusedError,
+    BudgetExceededError, DomainError, InternalInconsistencyError,
+    SymbolicOnlyError, WitnessRefusedError,
 )
 from hyperrig.fock import (
     build_fock, build_witness_subspace, check_cuntz_pimsner,
@@ -20,7 +22,7 @@ from hyperrig.fock import (
     restrict_to_subspace, rho0, t0, verify_eq_use, verify_isometric_rep,
     witness_pipeline,
 )
-from hyperrig.scalars import QI, QI_ONE
+from hyperrig.scalars import OMEGA, QI, QI_ONE
 
 from instances import (
     arrow_graph, loop_graph, omega_star, random_discrete_graph, star_plus_arm,
@@ -54,20 +56,59 @@ def test_build_fock_dimensions():
     assert [fock.level_dim(n) for n in range(3)] == [1, 0, 0]
 
 
-def test_build_fock_guards():
+def test_build_fock_guards(monkeypatch):
     tl = two_loops()
     with pytest.raises(BudgetExceededError):
         build_fock(tl, sigma_at(tl, "v"), 3, basis_budget=10)
     with pytest.raises(DomainError):
         build_fock(tl, sigma_at(tl, "v"), 0)
 
+    # an over-budget level is refused from its class-level size, before a
+    # single key of it is enumerated
+    import hyperrig.fock as fock_mod
+    calls = [0]
+    real = fock_mod.successors
+
+    def counted(c, key):
+        calls[0] += 1
+        return real(c, key)
+
+    monkeypatch.setattr(fock_mod, "successors", counted)
+    big = Correspondence.of(AtomSet.of([("W", OMEGA), ("V", 20000)]),
+                            [EdgeClass("E", "W", "V", 1)])
+    with pytest.raises(BudgetExceededError) as info:
+        build_fock(big, sigma_at(big, "W"), 3, basis_budget=100)
+    assert str(info.value) == (
+        "Fock basis needs more than 100 vectors (20001 and counting at level 1)")
+    assert calls[0] == 0
+
+
+def test_build_fock_level_size_identity(monkeypatch):
+    # a class-level size that disagrees with the enumeration is reported,
+    # not trusted
+    tl = two_loops()
+    real = Correspondence.fiber_size
+    monkeypatch.setattr(Correspondence, "fiber_size",
+                        lambda self, cls: real(self, cls) + 1)
+    with pytest.raises(InternalInconsistencyError, match="Fock level 1 dimension mismatch"):
+        build_fock(tl, sigma_at(tl, "v"), 2)
+
 
 def test_build_fock_symbolic_only():
-    from hyperrig.scalars import OMEGA
     c = Correspondence.of(AtomSet.of([("V", 1), ("W", OMEGA)]),
                           [EdgeClass("E", "V", "W", 1)])
     with pytest.raises(SymbolicOnlyError):
         build_fock(c, sigma_at(c, "V"), 2)
+    # an infinite fiber wins over the budget, even one the level's finite
+    # part alone already exceeds
+    with pytest.raises(SymbolicOnlyError, match="edge class E has an infinite fiber over V"):
+        build_fock(c, sigma_at(c, "V"), 2, basis_budget=1)
+    mixed = Correspondence.of(
+        AtomSet.of([("A", 1), ("B", 50), ("V", 1), ("W", OMEGA)]),
+        [EdgeClass("F", "A", "B", 1), EdgeClass("E", "V", "W", 1)])
+    sigma = EvaluationRep.of(mixed.algebra, [Atom("A", 0), Atom("V", 0)])
+    with pytest.raises(SymbolicOnlyError, match="edge class E has an infinite fiber over V"):
+        build_fock(mixed, sigma, 2, basis_budget=10)
 
 
 def test_level_gram_is_identity():
@@ -91,6 +132,67 @@ def test_isometric_rep_corpus():
         assert report.toeplitz == 0
 
 
+def dense_rho0_cols(fock, f) -> dict:
+    """rho(f) built the obvious way: every basis key, f at its leading atom."""
+    cols = {}
+    for key in fock.all_keys():
+        z = f.value_at(leading_atom(fock.parent, key))
+        if not z.is_zero():
+            cols[key] = {key: z}
+    return cols
+
+
+def dense_leading_atoms(fock) -> set:
+    return {leading_atom(fock.parent, k) for k in fock.all_keys()}
+
+
+def rho0_test_functions(fock) -> list:
+    c = fock.parent
+    leads = sorted(dense_leading_atoms(fock))
+    odd = QI(Fraction(1, 2), Fraction(-3, 4))
+    fns = [CoefFn.zero()]
+    fns += [CoefFn.delta_class(nm) for nm in c.algebra.names]
+    fns += [CoefFn.delta_class(nm, odd) for nm in c.algebra.names]
+    fns += [CoefFn.delta_atom(a) for a in leads]
+    fns += [CoefFn.delta_atom(a, odd) for a in leads]
+    # mixed: a class part plus point masses inside and outside that class
+    for a in leads:
+        fns.append(CoefFn.of({a.cls: QI(Fraction(2))},
+                             {a: QI(Fraction(-2)), leads[0]: odd}))
+        fns.append(CoefFn.of({nm: QI(Fraction(1), Fraction(1))
+                              for nm in c.algebra.names}, {a: QI_ONE}))
+    # a point mass at an atom that leads no key
+    for nm, cnt in c.algebra.classes:
+        for i in range(cnt if isinstance(cnt, int) else 5):
+            if Atom(nm, i) not in leads:
+                fns.append(CoefFn.delta_atom(Atom(nm, i)))
+                break
+    return fns
+
+
+def test_rho0_matches_dense_reference():
+    spaces = [(c, sigma_at(c, cls)) for c, cls in (
+        (loop_graph(), "v"), (star_plus_arm(), "W"), (omega_star(), "W"),
+        (tower(), "W"), (two_loops(), "v"), (arrow_graph(), "u"))]
+    from hyperrig.graphs import build_correspondence
+    for seed in (3, 17):
+        rng = random.Random(seed)
+        c = build_correspondence(random_discrete_graph(
+            rng, max_classes=4, max_edges=5, all_finite=True))
+        spaces.append((c, EvaluationRep.of(
+            c.algebra, [Atom(nm, 0) for nm in c.algebra.names])))
+    unled = 0
+    for c, sigma in spaces:
+        fock = build_fock(c, sigma, 3, basis_budget=5000)
+        fns = rho0_test_functions(fock)
+        leads = dense_leading_atoms(fock)
+        unled += sum(1 for f in fns if f.point_part and not f.class_part
+                     and f.point_part[0][0] not in leads)
+        for f in fns:
+            assert rho0(fock, f).cols == dense_rho0_cols(fock, f), f
+    assert unled >= 3
+
+
 def test_corrupted_t_detected():
     lo = loop_graph()
     fock = build_fock(lo, sigma_at(lo, "v"), 3)
@@ -109,6 +211,23 @@ def test_corrupted_t_detected():
 
     report = verify_isometric_rep(fock, t_of=sign_flip)
     assert report.multiplication > 0
+
+
+def test_corrupted_rho_detected():
+    # a rho_of wrong on a single function: delta at one source atom,
+    # which is exactly <e, e> for the loop
+    lo = loop_graph()
+    fock = build_fock(lo, sigma_at(lo, "v"), 3)
+    bad = CoefFn.delta_atom(Atom("v", 0))
+    e = ModuleVector.single(lo, EdgeCopy("e", 0, 0, 0))
+    assert inner(e, e) == bad
+
+    def doubled_at_one_atom(f):
+        op = rho0(fock, f)
+        return op.scale(QI(Fraction(2))) if f == bad else op
+
+    report = verify_isometric_rep(fock, rho_of=doubled_at_one_atom)
+    assert report.toeplitz > 0
 
 
 def test_truncation_boundary_excluded():
@@ -305,6 +424,7 @@ def test_toeplitz_relation_random_vectors(seed):
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
+@example(seed=153)  # a 3985-vector space, the slowest draw in 0..10000
 def test_pipeline_on_random_degenerate_graphs(seed):
     rng = random.Random(seed)
     g = random_discrete_graph(rng, max_classes=4, max_edges=6)
