@@ -25,16 +25,13 @@ from pathlib import Path
 from .errors import (
     BudgetExceededError, HyperrigError, SymbolicOnlyError, WitnessRefusedError,
 )
-from .fock import witness_pipeline
+from .fock import DEFAULT_BASIS_BUDGET, DEFAULT_FOCK_LEVEL, witness_pipeline
 from .graphs import DiscreteGraphPresentation, decide_hyperrigid
 from .records import (
     canonical_json, emit_verdict_record, emit_witness_record, instance_digest,
     load_instance, load_witness_record, verdict_record, verify_witness_record,
     witness_record,
 )
-
-DEFAULT_FOCK_LEVEL = 3
-DEFAULT_BASIS_BUDGET = 10_000
 
 
 # -- text rendering ----------------------------------------------------------------
@@ -214,9 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="emit a counterexample certificate")
     p.add_argument("instance", help="path to an instance file")
     p.add_argument("--fock-level", type=int, default=DEFAULT_FOCK_LEVEL,
-                   help="truncation depth of the Fock space (default 3)")
+                   help="truncation depth of the Fock space "
+                        f"(default {DEFAULT_FOCK_LEVEL})")
     p.add_argument("--basis-budget", type=int, default=DEFAULT_BASIS_BUDGET,
-                   help="largest total basis size to enumerate (default 10000)")
+                   help="largest total basis size to enumerate "
+                        f"(default {DEFAULT_BASIS_BUDGET})")
     add_format(p)
     p.set_defaults(func=cmd_witness)
 
@@ -224,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("witness", help="path to a witness record")
     p.add_argument("instance", help="path to the matching instance file")
     p.add_argument("--basis-budget", type=int, default=DEFAULT_BASIS_BUDGET,
-                   help="largest total basis size to enumerate (default 10000)")
+                   help="largest total basis size to enumerate "
+                        f"(default {DEFAULT_BASIS_BUDGET})")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

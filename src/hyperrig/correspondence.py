@@ -425,8 +425,11 @@ def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
     X (x)_sigma H exactly orthogonal to phi(J) X (x)_sigma H.
 
     The vector is a single copy of the first edge class outside phi(J)X,
-    and sigma evaluates at copy 0 of its source class; nonvanishing and
-    orthogonality are checked through the interior-tensor Gram identity.
+    and sigma evaluates at copy 0 of its source class; unit norm and
+    orthogonality are checked by both pairings.  e (x) h has squared norm
+    <h, sigma(<e, e>) h>, zero unless e is sourced at sigma's atom, so the
+    classes of phi(J)X sourced at sigma's class span all of
+    phi(J) X (x)_sigma H, and the loop visits only those.
     """
     j_span = ideal_act_submodule(c, katsura_ideal(c)).span
     outside = [g for g in c.generators if g.name not in j_span]
@@ -435,29 +438,22 @@ def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
     g = outside[0]
     atom = Atom(g.src, 0)
     sigma = EvaluationRep.of(c.algebra, [atom])
-    copy = EdgeCopy(g.name, 0, 0, 0)
-    vec = TensorVector.of(c, 1, {TensorKey((copy,), atom): QI_ONE})
+    key = TensorKey((EdgeCopy(g.name, 0, 0, 0),), atom)
+    vec = TensorVector.of(c, 1, {key: QI_ONE})
     if norm_sq(vec) != 1:
         raise InternalInconsistencyError("witness vector does not have unit norm")
-    sigma_val = evaluate_inner_at(c, copy, copy, atom)
-    if sigma_val != QI_ONE:
+    if pair_by_gram_identity(c, key, key) != QI_ONE:
         raise InternalInconsistencyError("Gram identity disagrees on the witness")
-    for name in sorted(j_span):
-        rep_copy = EdgeCopy(name, 0, 0, 0)
-        cross_key = TensorKey((rep_copy,), atom)
-        by_identity = pair_by_gram_identity(c, cross_key, TensorKey((copy,), atom))
+    for h in c._from[g.src]:
+        if h.name not in j_span:
+            continue
+        cross_key = TensorKey((EdgeCopy(h.name, 0, 0, 0),), atom)
+        by_identity = pair_by_gram_identity(c, cross_key, key)
         cross = TensorVector.of(c, 1, {cross_key: QI_ONE})
         if not by_identity.is_zero() or not pairing(cross, vec).is_zero():
             raise InternalInconsistencyError(
-                f"witness vector is not orthogonal to class {name}")
+                f"witness vector is not orthogonal to class {h.name}")
     return SigmaWitness(sigma, vec, g.name)
-
-
-def evaluate_inner_at(c: Correspondence, x: EdgeCopy, y: EdgeCopy, atom: Atom) -> QI:
-    """<h, sigma(<x, y>) h> for the evaluation at atom: the Gram identity's
-    right-hand side for singleton tensors."""
-    f = inner(ModuleVector.single(c, x), ModuleVector.single(c, y))
-    return f.value_at(atom)
 
 
 # -- compact operators --------------------------------------------------------
@@ -527,16 +523,19 @@ def left_action_as_compacts(c: Correspondence, f: CoefFn) -> list:
 
 
 def _verify_theta_sum(c: Correspondence, f: CoefFn, terms: list) -> None:
-    probes = set()
+    """Check sum(terms) == phi(f) exactly on every copy some term reads and
+    on a representative copy of every class.  theta(x, y) z = x <y, z>, and
+    inner pairs matching copies only, so on a single-copy probe the terms
+    whose y misses it apply to zero and the sum runs over the rest."""
+    meeting: dict = {}  # edge copy -> the terms whose y has it
     for t in terms:
         for e, _ in t.y.coeffs:
-            probes.add(e)
-    for g in c.generators:
-        probes.add(EdgeCopy(g.name, 0, 0, 0))
+            meeting.setdefault(e, []).append(t)
+    probes = set(meeting) | {EdgeCopy(g.name, 0, 0, 0) for g in c.generators}
     for e in sorted(probes):
         z = ModuleVector.single(c, e)
         total = ModuleVector.of(c, {})
-        for t in terms:
+        for t in meeting.get(e, ()):
             total = total + t.apply(z)
         if total != left_mul(f, z):
             raise InternalInconsistencyError(

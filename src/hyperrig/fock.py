@@ -31,6 +31,9 @@ from .errors import (
 )
 from .scalars import QI, QI_ONE
 
+DEFAULT_FOCK_LEVEL = 3
+DEFAULT_BASIS_BUDGET = 10_000
+
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFock:
@@ -53,8 +56,8 @@ class TruncatedFock:
         return gram_matrix(self.parent, list(self.bases[level]))
 
 
-def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = 3,
-               basis_budget: int = 10_000) -> TruncatedFock:
+def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = DEFAULT_FOCK_LEVEL,
+               basis_budget: int = DEFAULT_BASIS_BUDGET) -> TruncatedFock:
     """Enumerate the path bases of levels 0..n_levels, indexed by leading
     atom.
 
@@ -295,9 +298,7 @@ def generator_vectors(fock: TruncatedFock) -> list:
 
 def verify_isometric_rep(fock: TruncatedFock,
                          rho_of: Optional[Callable] = None,
-                         t_of: Optional[Callable] = None,
-                         fns: Optional[list] = None,
-                         vecs: Optional[list] = None) -> IsometryReport:
+                         t_of: Optional[Callable] = None) -> IsometryReport:
     """Check both defining relations exactly on generator pairs.
 
     rho_of / t_of default to the honest truncated operators; passing
@@ -310,10 +311,7 @@ def verify_isometric_rep(fock: TruncatedFock,
         rho_of = lambda f: rho0(fock, f)
     if t_of is None:
         t_of = lambda x: t0(fock, x)
-    if fns is None:
-        fns = generator_functions(fock)
-    if vecs is None:
-        vecs = generator_vectors(fock)
+    vecs = generator_vectors(fock)
     src = frozenset(k for n in range(fock.n_levels) for k in fock.bases[n])
 
     # the same vectors recur across the whole function grid, and the same
@@ -322,7 +320,7 @@ def verify_isometric_rep(fock: TruncatedFock,
     rho_at = cache(rho_of)
 
     mult = Fraction(0)
-    for f in fns:
+    for f in generator_functions(fock):
         rf = rho_at(f)
         for x in vecs:
             lhs = rf.compose(t_at(x))
@@ -529,8 +527,8 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
         inv, eq1, eq2, cov, non_reducing)
 
 
-def witness_pipeline(c: Correspondence, n_levels: int = 3,
-                     basis_budget: int = 10_000):
+def witness_pipeline(c: Correspondence, n_levels: int = DEFAULT_FOCK_LEVEL,
+                     basis_budget: int = DEFAULT_BASIS_BUDGET):
     """End to end: pick the degenerate evaluation, build the truncated Fock
     space, check the representation relations, build M, certify.
 

@@ -488,7 +488,7 @@ def is_proper(f: PiecewiseAffineMap) -> bool:
     Decided by boundary escape: every non-compact end of the source must map
     to an infinite limit or to a point excluded from the target.
     """
-    return all(not f.target.contains(v) for v in finite_end_limits(f))
+    return is_proper_into(f, f.target)
 
 
 def is_proper_into(f: PiecewiseAffineMap, region: IntervalSet) -> bool:

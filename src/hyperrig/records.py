@@ -27,7 +27,8 @@ from .errors import (
     WitnessRefusedError,
 )
 from .fock import (
-    build_fock, build_witness_subspace, check_reducing, verify_isometric_rep,
+    DEFAULT_BASIS_BUDGET, build_fock, build_witness_subspace, check_reducing,
+    verify_isometric_rep,
 )
 from .graphs import (
     DiscreteGraphPresentation, IntervalGraphPresentation, Presentation,
@@ -455,7 +456,8 @@ def load_witness_record(path) -> WitnessRecord:
 # -- re-verification -------------------------------------------------------------------
 
 def verify_witness_record(g: Presentation, rec: WitnessRecord,
-                          basis_budget: int = 10_000) -> Tuple[bool, Optional[str]]:
+                          basis_budget: int = DEFAULT_BASIS_BUDGET,
+                          ) -> Tuple[bool, Optional[str]]:
     """Rebuild everything the record claims and compare.  Returns (ok,
     first failing check name).  Checks run in dependency order, so the
     named failure is the earliest break in the chain."""

@@ -6,6 +6,7 @@ implementation under test is consulted.
 """
 
 import pytest
+import hyperrig.correspondence as corr_mod
 from hypothesis import given, settings, strategies as st
 
 from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep
@@ -15,9 +16,11 @@ from hyperrig.correspondence import (
     interior_tensor, is_nondegenerate, katsura_ideal, kernel_of_left_action,
     left_action_as_compacts, left_mul, level_basis, norm_sq,
     orthogonal_complement, pair_by_gram_identity, pairing, right_mul,
-    sigma_degeneracy_witness, tensor_power_reduction, theta,
+    sigma_degeneracy_witness, tensor_power_reduction, theta, _verify_theta_sum,
 )
-from hyperrig.errors import DomainError, MalformedInputError, SymbolicOnlyError
+from hyperrig.errors import (
+    DomainError, InternalInconsistencyError, MalformedInputError, SymbolicOnlyError,
+)
 from hyperrig.scalars import OMEGA, QI, QI_ONE, is_finite
 
 from instances import arrow_graph, loop_graph, omega_star, star_plus_arm, tower
@@ -193,6 +196,59 @@ def test_witness_star_plus_arm():
     assert cross == QI()
 
 
+def crowded_witness_instance():
+    # the witness class G shares its source X with the ideal-reached F; the
+    # 500 further ideal-reached classes R_i: P_i -> Q_i are sourced elsewhere
+    n = range(500)
+    vertices = [("X", 1), ("V", 1), ("U", 1), ("W", OMEGA)]
+    vertices += [(f"P{i}", 1) for i in n] + [(f"Q{i}", 1) for i in n]
+    edges = [EdgeClass("G", "X", "V", 1), EdgeClass("E", "W", "V", 1),
+             EdgeClass("F", "X", "U", 1)]
+    edges += [EdgeClass(f"R{i}", f"P{i}", f"Q{i}", 1) for i in n]
+    return Correspondence.of(AtomSet.of(vertices), edges)
+
+
+def test_witness_pairs_only_classes_sourced_at_sigma(monkeypatch):
+    c = crowded_witness_instance()
+    calls = []
+    real = corr_mod.pair_by_gram_identity
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(corr_mod, "pair_by_gram_identity", counted)
+    w = sigma_degeneracy_witness(c)
+    assert w.edge_class == "G"
+    assert w.rep.atoms == (Atom("X", 0),)
+    # unit norm and F, two calls each; pairing against every ideal-reached
+    # class (R_i tensors vanish at sigma) would take 1002
+    assert len(calls) <= 8
+
+
+def test_witness_orthogonality_failures_name_the_class(monkeypatch):
+    c = crowded_witness_instance()
+
+    def f_against_g(keys):
+        return [k.path[0].cls for k in keys if k.path] == ["F", "G"]
+
+    real_gram = corr_mod.pair_by_gram_identity
+    monkeypatch.setattr(
+        corr_mod, "pair_by_gram_identity",
+        lambda c_, k1, k2: QI_ONE if f_against_g([k1, k2]) else real_gram(c_, k1, k2))
+    with pytest.raises(InternalInconsistencyError, match="orthogonal to class F$"):
+        sigma_degeneracy_witness(c)
+    monkeypatch.undo()
+
+    real_pairing = corr_mod.pairing
+    monkeypatch.setattr(
+        corr_mod, "pairing",
+        lambda u, v: QI_ONE if f_against_g([k for k, _ in u.terms + v.terms])
+        else real_pairing(u, v))
+    with pytest.raises(InternalInconsistencyError, match="orthogonal to class F$"):
+        sigma_degeneracy_witness(c)
+
+
 # -- interior tensor bases --------------------------------------------------------
 
 def test_interior_tensor_omega_star():
@@ -291,6 +347,18 @@ def test_theta_point_mass_on_range():
     assert len(terms) == 1
     f_copy = ModuleVector.single(c, EdgeCopy("F", 0, 0, 0))
     assert terms[0].apply(f_copy) == f_copy
+
+
+def test_theta_sum_check_catches_a_wrong_term():
+    c = Correspondence.of(AtomSet.of([("X", 3), ("U", 2)]), [EdgeClass("F", "X", "U", 2)])
+    f = CoefFn.delta_class("U")
+    terms = left_action_as_compacts(c, f)
+    assert len(terms) == 12
+    _verify_theta_sum(c, f, terms)
+    bad = list(terms)
+    bad[5] = theta(terms[5].x.scale(QI(2)), terms[5].y)
+    with pytest.raises(InternalInconsistencyError, match="theta decomposition disagrees"):
+        _verify_theta_sum(c, f, bad)
 
 
 def test_theta_parent_mismatch():
