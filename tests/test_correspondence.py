@@ -6,9 +6,9 @@ implementation under test is consulted.
 """
 
 import pytest
-import hyperrig.correspondence as corr_mod
 from hypothesis import given, settings, strategies as st
 
+import hyperrig.correspondence as corr_mod
 from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep
 from hyperrig.correspondence import (
     Correspondence, EdgeClass, EdgeCopy, ModuleVector, Submodule, TensorKey,
