@@ -16,7 +16,7 @@ theta decompositions expand the finitely many relevant copies explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec, ideal_complement, ideal_intersect
@@ -360,7 +360,7 @@ def gram_matrix(c: Correspondence, keys: list) -> list:
     return [[pair_by_gram_identity(c, a, b) for b in keys] for a in keys]
 
 
-def norm_sq(u: TensorVector) -> Fraction:
+def norm_sq(u: TensorVector) -> Rational:
     p = pairing(u, u)
     if p.im != 0:
         raise InternalInconsistencyError("norm squared has an imaginary part")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from numbers import Rational
 from typing import Callable, Iterable, Optional
 
 from .algebra import Atom, CoefFn, EvaluationRep, IdealSpec
@@ -182,7 +183,7 @@ def zero_operator(fock: TruncatedFock, degree: int) -> GradedOperator:
 
 
 def operator_residual(a: GradedOperator, b: GradedOperator,
-                      source_keys: Optional[Iterable] = None) -> Fraction:
+                      source_keys: Optional[Iterable] = None) -> Rational:
     """Max squared modulus of any matrix entry of a - b, over the given
     source columns (default: everywhere)."""
     if a.degree != b.degree:
@@ -191,7 +192,7 @@ def operator_residual(a: GradedOperator, b: GradedOperator,
     keys = a.cols.keys() | b.cols.keys()
     if source_keys is not None:
         keys = keys.intersection(source_keys)
-    worst = Fraction(0)
+    worst = 0
     for k in keys:
         ca, cb = a.col(k), b.col(k)
         for kk in set(ca) | set(cb):
@@ -267,11 +268,11 @@ class IsometryReport:
     checked on levels 0..N-1 (the top level sits past the truncation
     boundary for the adjoint relation)."""
 
-    multiplication: Fraction  # rho(f) t(x) vs t(phi(f) x)
-    toeplitz: Fraction        # t(x)* t(x') vs rho(<x, x'>)
+    multiplication: Rational  # rho(f) t(x) vs t(phi(f) x)
+    toeplitz: Rational        # t(x)* t(x') vs rho(<x, x'>)
 
     @property
-    def max_residual(self) -> Fraction:
+    def max_residual(self) -> Rational:
         return max(self.multiplication, self.toeplitz)
 
 
@@ -319,7 +320,7 @@ def verify_isometric_rep(fock: TruncatedFock,
     t_at = cache(t_of)
     rho_at = cache(rho_of)
 
-    mult = Fraction(0)
+    mult = 0
     for f in generator_functions(fock):
         rf = rho_at(f)
         for x in vecs:
@@ -327,7 +328,7 @@ def verify_isometric_rep(fock: TruncatedFock,
             rhs = t_at(left_mul(f, x))
             mult = max(mult, operator_residual(lhs, rhs, src))
 
-    toep = Fraction(0)
+    toep = 0
     ts = [(x, t_at(x)) for x in vecs]
     for x, tx in ts:
         txa = tx.adjoint()
@@ -411,13 +412,13 @@ def verify_eq_use(fock: TruncatedFock, m0: tuple, j: IdealSpec) -> tuple:
     and the coefficient algebra acts on M0 with full range (each basis key
     is recovered by the point mass at its own leading atom)."""
     c = fock.parent
-    eq1 = Fraction(0)
+    eq1 = 0
     for f in ideal_generator_functions(fock, j):
         op = rho0(fock, f)
         for k in m0:
             for z in op.col(k).values():
                 eq1 = max(eq1, z.abs2())
-    eq2 = Fraction(0)
+    eq2 = 0
     for k in m0:
         op = rho0(fock, CoefFn.delta_atom(leading_atom(c, k)))
         got = op.col(k).get(k, QI())
@@ -435,7 +436,7 @@ def complement_of_creation(fock: TruncatedFock, m: WitnessSubspace) -> tuple:
 
 
 def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace,
-                        j: IdealSpec) -> Fraction:
+                        j: IdealSpec) -> Rational:
     """Covariance residual of the restriction to m: on the complement of
     the creation image, the compact-operator route must reproduce the
     diagonal action of the ideal exactly.
@@ -453,7 +454,7 @@ def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace,
             raise InternalInconsistencyError(
                 "creation complement of the witness subspace is not M0")
     comp_keys = [k for level in comp for k in level]
-    resid = Fraction(0)
+    resid = 0
     for f in ideal_generator_functions(fock, j):
         lhs = psi_t(fock, left_action_as_compacts(fock.parent, f))
         rhs = rho0(fock, f)
@@ -473,11 +474,11 @@ class WitnessCertificate:
     m0: tuple
     m_levels: tuple
     m0_gram: tuple        # tuple[tuple[QI]]
-    residual_invariance: Fraction
-    residual_eq_use1: Fraction
-    residual_eq_use2: Fraction
-    residual_covariance: Fraction
-    non_reducing: tuple   # (vacuum TensorKey, EdgeCopy, Fraction norm squared)
+    residual_invariance: Rational
+    residual_eq_use1: Rational
+    residual_eq_use2: Rational
+    residual_covariance: Rational
+    non_reducing: tuple   # (vacuum TensorKey, EdgeCopy, Rational norm squared)
 
 
 def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificate:
@@ -492,7 +493,7 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
         raise InternalInconsistencyError("witness subspace meets the vacuum level")
     mset = m.key_set()
 
-    inv = Fraction(0)
+    inv = 0
     ops = [rho0(fock, f) for f in generator_functions(fock)]
     ops += [t0(fock, x) for x in generator_vectors(fock)]
     for op in ops:
@@ -509,8 +510,7 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
         for up in successors(c, h):
             e = up.path[0]
             col = t0(fock, ModuleVector.single(c, e)).col(h)
-            norm = sum((z.abs2() for kk, z in col.items() if kk in mset),
-                       Fraction(0))
+            norm = sum(z.abs2() for kk, z in col.items() if kk in mset)
             if norm > 0:
                 non_reducing = (h, e, norm)
                 break

@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Tuple
 
 from .algebra import Atom, EvaluationRep
@@ -35,7 +36,7 @@ from .graphs import (
     Verdict,
 )
 from .intervals import AffinePiece, Interval, IntervalSet, PiecewiseAffineMap
-from .scalars import OMEGA, QI, is_count, is_finite
+from .scalars import OMEGA, QI, exact_part, is_count, is_finite
 
 SCHEMA_VERSION = 1
 
@@ -70,7 +71,7 @@ def _count_out(c):
 def _qi(v) -> QI:
     if not (isinstance(v, list) and len(v) == 2):
         raise MalformedInputError(f"complex entry must be [re, im], got {v!r}")
-    return QI(_rational(v[0]), _rational(v[1]))
+    return QI(exact_part(_rational(v[0])), exact_part(_rational(v[1])))
 
 
 def _qi_out(z: QI) -> list:
@@ -368,11 +369,11 @@ class WitnessRecord:
     m0: tuple               # tuple[TensorKey, ...]
     m_levels: tuple         # tuple[tuple[TensorKey, ...], ...]
     m0_gram: tuple          # tuple[tuple[QI, ...], ...]
-    residual_invariance: Fraction
-    residual_eq_use1: Fraction
-    residual_eq_use2: Fraction
-    residual_covariance: Fraction
-    non_reducing: tuple     # (TensorKey, EdgeCopy, Fraction)
+    residual_invariance: Rational
+    residual_eq_use1: Rational
+    residual_eq_use2: Rational
+    residual_covariance: Rational
+    non_reducing: tuple     # (TensorKey, EdgeCopy, Rational)
 
 
 def witness_record(g: Presentation, cert) -> WitnessRecord:

@@ -2,9 +2,15 @@
 
 Two kinds of numbers appear in the core:
 
-* ``QI`` -- Gaussian rationals a + b*i with a, b plain ``Fraction``s.  All
-  operator entries, inner products and residuals are QI; no floating point
-  is ever introduced, so "residual is zero" is a decidable statement.
+* ``QI`` -- Gaussian rationals a + b*i.  Each part is a Python ``int`` when
+  it is integral and a ``Fraction`` otherwise; never a ``float`` and never a
+  ``bool``.  Python's numeric tower keeps the mix exact (int with int stays
+  int, int with Fraction gives Fraction), so the Gaussian-integer entries
+  that dominate the relation checks (0, +-1, copy multiplicities) run on
+  integer arithmetic, and only division has to build a Fraction itself.
+  All operator entries, inner products and residuals are QI or QI parts;
+  no floating point is ever introduced, so "residual is zero" is a
+  decidable statement.
 * ``Count`` -- cardinalities of vertex/edge classes: a non-negative integer
   or the single infinite value ``OMEGA``.  Addition and multiplication
   follow the usual absorption rules (n + omega = omega, 0 * omega = 0).
@@ -14,23 +20,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Union
+
+
+def exact_part(value: Union[int, Fraction]) -> Rational:
+    """value as a QI part: an integral Fraction becomes its int numerator.
+    Anything but an int or a Fraction, a bool included, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot coerce {value!r} to QI")
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return value
 
 
 @dataclass(frozen=True)
 class QI:
-    """Gaussian rational a + b*i."""
+    """Gaussian rational a + b*i, each part an int or a Fraction."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: Rational = 0
+    im: Rational = 0
 
     @staticmethod
     def of(value: "QILike") -> "QI":
         if isinstance(value, QI):
             return value
-        if isinstance(value, (int, Fraction)):
-            return QI(Fraction(value))
-        raise TypeError(f"cannot coerce {value!r} to QI")
+        return QI(exact_part(value))
 
     def __add__(self, other: "QILike") -> "QI":
         o = QI.of(other)
@@ -56,8 +71,9 @@ class QI:
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero in QI")
-        return QI((self.re * o.re + self.im * o.im) / d,
-                  (self.im * o.re - self.re * o.im) / d)
+        # int / int would be a float: build the quotient as a Fraction
+        return QI(exact_part(Fraction(self.re * o.re + self.im * o.im, d)),
+                  exact_part(Fraction(self.im * o.re - self.re * o.im, d)))
 
     def __neg__(self) -> "QI":
         return QI(-self.re, -self.im)
@@ -65,7 +81,7 @@ class QI:
     def conj(self) -> "QI":
         return QI(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
+    def abs2(self) -> Rational:
         """Squared modulus, an exact non-negative rational."""
         return self.re * self.re + self.im * self.im
 
@@ -86,7 +102,7 @@ class QI:
 
 QILike = Union[QI, int, Fraction]
 
-QI_ONE = QI(Fraction(1))
+QI_ONE = QI(1)
 
 
 class _Omega:

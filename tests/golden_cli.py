@@ -1,0 +1,77 @@
+"""Committed CLI outputs for the corpus, compared byte for byte.
+
+Every corpus file is run through `decide` and `witness` (json and text),
+and every witness record that `witness` emits is run through `verify`
+(json and text) against every corpus file, mismatches included.  The
+stdout of each case is kept as tests/golden/<case>.out, and
+tests/golden/MANIFEST.json holds each case's argv, exit code and stderr.
+`tests/test_cli.py` replays the manifest.
+
+Regenerate only when an output is meant to change, and say why:
+
+    PYTHONPATH=src python tests/golden_cli.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hyperrig.cli import main
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE.parent / "corpus"
+GOLDEN = HERE / "golden"
+MANIFEST = GOLDEN / "MANIFEST.json"
+FORMATS = ("json", "text")
+
+
+def run_cli(argv):
+    """Run the CLI in-process on a manifest argv, its {corpus} and {golden}
+    placeholders filled in; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([a.format(corpus=CORPUS, golden=GOLDEN) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _write(name, argv, manifest):
+    code, out, err = run_cli(argv)
+    with open(GOLDEN / f"{name}.out", "w", encoding="utf-8", newline="") as fh:
+        fh.write(out)
+    manifest[name] = {"argv": argv, "exit": code, "stderr": err}
+    return code
+
+
+def regenerate():
+    GOLDEN.mkdir(exist_ok=True)
+    for old in GOLDEN.iterdir():
+        old.unlink()
+    manifest = {}
+    stems = [p.stem for p in sorted(CORPUS.glob("*.json"))]
+    records = []
+    for stem in stems:
+        for fmt in FORMATS:
+            _write(f"decide_{stem}_{fmt}",
+                   ["decide", f"{{corpus}}/{stem}.json", "--format", fmt],
+                   manifest)
+            code = _write(f"witness_{stem}_{fmt}",
+                          ["witness", f"{{corpus}}/{stem}.json", "--format", fmt],
+                          manifest)
+            if code == 0 and fmt == "json":
+                records.append(stem)
+    for rec in records:
+        for stem in stems:
+            for fmt in FORMATS:
+                _write(f"verify_{rec}_on_{stem}_{fmt}",
+                       ["verify", f"{{golden}}/witness_{rec}_json.out",
+                        f"{{corpus}}/{stem}.json", "--format", fmt],
+                       manifest)
+    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -18,7 +18,7 @@ from hyperrig.algebra import (
     ideal_intersect,
 )
 from hyperrig.errors import DomainError, MalformedInputError
-from hyperrig.scalars import OMEGA, QI, count_add, count_mul
+from hyperrig.scalars import OMEGA, QI, QI_ONE, count_add, count_mul
 
 
 VW = AtomSet.of([("V", 1), ("W", OMEGA)])
@@ -157,3 +157,71 @@ def test_prop_count_absorption(n):
 def test_prop_count_commutative(a, b):
     assert count_add(a, b) == count_add(b, a)
     assert count_mul(a, b) == count_mul(b, a)
+
+
+# -- QI parts: int when integral, Fraction otherwise, never float or bool ----------
+
+def test_qi_of_rejects_bool_and_float():
+    # a bool part would print as True; counts refuse bools the same way
+    for bad in (True, False, 0.5, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            QI.of(bad)
+    with pytest.raises(TypeError):
+        QI_ONE + True
+    with pytest.raises(TypeError):
+        QI_ONE * 2.0
+
+
+def test_qi_of_keeps_integral_parts_as_int():
+    assert type(QI.of(Fraction(6, 2)).re) is int
+    assert type(QI.of(Fraction(1, 2)).re) is Fraction
+    assert type(QI_ONE.re) is int and type(QI().im) is int
+
+
+def test_qi_equality_ignores_part_representation():
+    # records, dict keys and dataclass equality must not see int vs Fraction
+    a, b = QI(3, 0), QI(Fraction(3), Fraction(0))
+    assert a == b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    assert str(a) == str(b) == "3"
+    assert str(QI(0, -2)) == str(QI(Fraction(0), Fraction(-2))) == "-2i"
+
+
+part_st = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+)
+mixed_qi_st = st.builds(QI, part_st, part_st)
+
+
+def _pair(x):
+    """x as the pair of Fractions QI used to store."""
+    if isinstance(x, QI):
+        return Fraction(x.re), Fraction(x.im)
+    return Fraction(x), Fraction(0)
+
+
+def _assert_exact(got, want):
+    for part in (got.re, got.im) if isinstance(got, QI) else (got,):
+        assert type(part) in (int, Fraction), part
+    assert ((got.re, got.im) if isinstance(got, QI) else got) == want
+
+
+@given(mixed_qi_st, st.one_of(mixed_qi_st, part_st))
+def test_prop_qi_matches_fraction_reference(x, y):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    _assert_exact(x + y, (a + c, b + d))
+    _assert_exact(y + x, (a + c, b + d))
+    _assert_exact(x - y, (a - c, b - d))
+    _assert_exact(y - x, (c - a, d - b))
+    _assert_exact(x * y, (a * c - b * d, a * d + b * c))
+    _assert_exact(y * x, (a * c - b * d, a * d + b * c))
+    _assert_exact(-x, (-a, -b))
+    _assert_exact(x.conj(), (a, -b))
+    _assert_exact(x.abs2(), a * a + b * b)
+    n = c * c + d * d
+    if n:
+        _assert_exact(x / y, ((a * c + b * d) / n, (b * c - a * d) / n))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y

@@ -7,6 +7,8 @@ from pathlib import Path
 from hyperrig.cli import main
 from hyperrig.records import parse_verdict_record, parse_witness_record
 
+from golden_cli import GOLDEN, MANIFEST, run_cli
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 EXPECTED = {
@@ -61,6 +63,21 @@ def test_decide_errors(tmp_path, capsys):
     assert "error" in captured.err
 
     assert main(["decide", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_matches_golden_outputs():
+    # the determinism tests compare one version with itself; these committed
+    # outputs pin every byte of stdout and stderr and the exit code across
+    # versions, so a change in how a number is rendered shows up here
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    decided = {case["argv"][1] for case in manifest.values()
+               if case["argv"][0] == "decide"}
+    assert decided == {f"{{corpus}}/{p.name}" for p in CORPUS.glob("*.json")}
+    for name, case in sorted(manifest.items()):
+        code, out, err = run_cli(case["argv"])
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
+        assert err == case["stderr"], name
+        assert code == case["exit"], name
 
 
 def test_witness_emits_verifiable_record(tmp_path, capsys):

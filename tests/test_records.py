@@ -145,6 +145,21 @@ def test_witness_record_round_trip():
     assert ok and failing is None
 
 
+def test_parsed_gram_parts_are_int_when_integral():
+    # parts read back from a record take the same int-or-Fraction form as
+    # parts the pipeline computes, and render back to the same strings
+    g, rec = sa_record()
+    doc = emit_witness_record(rec)
+    doc["m0_gram"][0][0] = ["6/2", "-1/2"]
+    z = parse_witness_record(doc).m0_gram[0][0]
+    assert (type(z.re), type(z.im)) == (int, Fraction)
+    assert z == QI(3, Fraction(-1, 2))
+    assert emit_witness_record(parse_witness_record(doc))["m0_gram"][0][0] \
+        == ["3", "-1/2"]
+    assert all(type(p) is int for row in rec.m0_gram for z in row
+               for p in (z.re, z.im))
+
+
 def test_verification_names_the_first_failing_check():
     g, rec = sa_record()
     lo = as_presentation(loop_graph())
