@@ -99,10 +99,6 @@ class EvaluationRep:
             parent.check_atom(a)
         return EvaluationRep(parent, listed)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.atoms)
-
 
 @dataclass(frozen=True)
 class CoefFn:

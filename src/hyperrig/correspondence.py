@@ -156,11 +156,19 @@ class ModuleVector:
 
     @staticmethod
     def of(parent: Correspondence, coeffs: Mapping[EdgeCopy, QI]) -> "ModuleVector":
-        items = []
-        for e, z in coeffs.items():
-            if not z.is_zero():
-                items.append((parent.check_copy(EdgeCopy(*e)), z))
-        return ModuleVector(parent, tuple(sorted(items)))
+        """The boundary: every copy with a nonzero coefficient is checked
+        against parent."""
+        return ModuleVector._of_valid(
+            parent, ((parent.check_copy(EdgeCopy(*e)), z)
+                     for e, z in coeffs.items() if not z.is_zero()))
+
+    @staticmethod
+    def _of_valid(parent: Correspondence, items: Iterable) -> "ModuleVector":
+        """From (copy, coefficient) pairs whose copies are already valid
+        copies of parent, as they are inside every vector built from
+        vectors over parent: drops zeros and sorts, checks nothing."""
+        return ModuleVector(parent, tuple(sorted(
+            (e, z) for e, z in items if not z.is_zero())))
 
     @staticmethod
     def single(parent: Correspondence, e: EdgeCopy) -> "ModuleVector":
@@ -170,13 +178,15 @@ class ModuleVector:
         return not self.coeffs
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
+        if other.parent != self.parent:
+            raise DomainError("adding vectors over different correspondences")
         acc = dict(self.coeffs)
         for e, z in other.coeffs:
             acc[e] = acc.get(e, QI()) + z
-        return ModuleVector.of(self.parent, acc)
+        return ModuleVector._of_valid(self.parent, acc.items())
 
     def scale(self, z: QI) -> "ModuleVector":
-        return ModuleVector.of(self.parent, {e: z * v for e, v in self.coeffs})
+        return ModuleVector._of_valid(self.parent, ((e, z * v) for e, v in self.coeffs))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         return self + other.scale(QI() - QI_ONE)
@@ -202,13 +212,15 @@ def inner(x: ModuleVector, y: ModuleVector) -> CoefFn:
 def left_mul(f: CoefFn, x: ModuleVector) -> ModuleVector:
     """phi(f) x: scales each copy by f at its range atom."""
     c = x.parent
-    return ModuleVector.of(c, {e: f.value_at(c.range_atom(e)) * z for e, z in x.coeffs})
+    return ModuleVector._of_valid(
+        c, ((e, f.value_at(c.range_atom(e)) * z) for e, z in x.coeffs))
 
 
 def right_mul(x: ModuleVector, f: CoefFn) -> ModuleVector:
     """x . f: scales each copy by f at its source atom."""
     c = x.parent
-    return ModuleVector.of(c, {e: z * f.value_at(c.source_atom(e)) for e, z in x.coeffs})
+    return ModuleVector._of_valid(
+        c, ((e, z * f.value_at(c.source_atom(e))) for e, z in x.coeffs))
 
 
 # -- ideal pipeline -----------------------------------------------------------

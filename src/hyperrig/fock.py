@@ -14,11 +14,11 @@ come out exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from numbers import Rational
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .algebra import Atom, CoefFn, EvaluationRep, IdealSpec
 from .correspondence import (
@@ -128,16 +128,6 @@ class GradedOperator:
                 out[kk] = out.get(kk, QI()) + z * w
         return {k: v for k, v in out.items() if not v.is_zero()}
 
-    def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        if self.fock is not other.fock or self.degree != other.degree:
-            raise DomainError("adding operators of different shapes")
-        cols = {k: dict(v) for k, v in self.cols.items()}
-        for k, c in other.cols.items():
-            tgt = cols.setdefault(k, {})
-            for kk, z in c.items():
-                tgt[kk] = tgt.get(kk, QI()) + z
-        return GradedOperator(self.fock, self.degree, _drop_zeros(cols))
-
     def scale(self, z: QI) -> "GradedOperator":
         cols = {k: {kk: z * w for kk, w in c.items()} for k, c in self.cols.items()}
         return GradedOperator(self.fock, self.degree, _drop_zeros(cols))
@@ -233,7 +223,9 @@ def rho0(fock: TruncatedFock, f: CoefFn) -> GradedOperator:
 def t0(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
     """Creation: tensor x on the left; the top level is annihilated.
 
-    Each copy e in x only visits the keys led by its source atom.
+    Each copy e in x only visits the keys led by its source atom, below
+    the top level: by_lead lists them in basis order, so the top-level
+    keys are a suffix.
     """
     c = fock.parent
     if x.parent != c:
@@ -242,7 +234,7 @@ def t0(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
     for e, z in x.coeffs:
         for key in fock.by_lead.get(c.source_atom(e), ()):
             if fock.index[key] == fock.n_levels:
-                continue
+                break
             nk = TensorKey((e,) + key.path, key.atom)
             if nk not in fock.index:
                 raise InternalInconsistencyError(
@@ -253,23 +245,55 @@ def t0(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
 
 
 def psi_t(fock: TruncatedFock, terms: Iterable) -> GradedOperator:
-    """Image of a finite rank-one decomposition: sum of t(x) t(y)*."""
-    out = zero_operator(fock, 0)
+    """Image of a finite rank-one decomposition: sum of t(x) t(y)*.
+
+    Operators are indexed op[column][row].  The entry of t(x) t(y)* at
+    column k, row i is the sum over basis keys j of t(x)[j][i] times
+    conj(t(y)[j][k]).  A key j that is not a column of both t(x) and t(y)
+    adds a product with a factor exactly 0, so each term joins the columns
+    of t(y) with those of t(x) and the sum runs over the rest.
+    Every term accumulates into one column map, and zero entries are
+    dropped once at the end.
+    """
+    cols: dict = {}
     for term in terms:
-        out = out + t0(fock, term.x).compose(t0(fock, term.y).adjoint())
-    return out
+        tx = t0(fock, term.x).cols
+        for j, ycol in t0(fock, term.y).cols.items():
+            xcol = tx.get(j)
+            if xcol is None:
+                continue
+            for k, z in ycol.items():
+                zc = z.conj()
+                tgt = cols.setdefault(k, {})
+                for i, w in xcol.items():
+                    tgt[i] = tgt.get(i, QI()) + w * zc
+    return GradedOperator(fock, 0, _drop_zeros(cols))
 
 
 # -- relation checks -----------------------------------------------------------
+
+class PairCount(NamedTuple):
+    """How the probe pairs of one relation were covered."""
+
+    joined: int  # residual computed from the pair's own operands
+    zero: int    # empty lhs against the rhs at a zero argument, checked once
+
+    @property
+    def total(self) -> int:
+        return self.joined + self.zero
+
 
 @dataclass(frozen=True)
 class IsometryReport:
     """Max squared-modulus deviations of the two defining relations,
     checked on levels 0..N-1 (the top level sits past the truncation
-    boundary for the adjoint relation)."""
+    boundary for the adjoint relation).  The pair counts record how the
+    residuals were reached, so they take no part in equality."""
 
     multiplication: Rational  # rho(f) t(x) vs t(phi(f) x)
     toeplitz: Rational        # t(x)* t(x') vs rho(<x, x'>)
+    mult_pairs: PairCount = field(compare=False)
+    toeplitz_pairs: PairCount = field(compare=False)
 
     @property
     def max_residual(self) -> Rational:
@@ -300,43 +324,104 @@ def generator_vectors(fock: TruncatedFock) -> list:
 def verify_isometric_rep(fock: TruncatedFock,
                          rho_of: Optional[Callable] = None,
                          t_of: Optional[Callable] = None) -> IsometryReport:
-    """Check both defining relations exactly on generator pairs.
+    """Check both defining relations exactly on every generator pair.
 
     rho_of / t_of default to the honest truncated operators; passing
     corrupted builders turns this into a negative control.  rho_of and
     t_of are each called once per distinct argument (memoised by value),
     so a corrupted operator is what every residual sees.  Residuals
     compare columns at levels 0..N-1 only.
+
+    The pairs are covered by a sparse join (_join_residual), not a grid.
+    A pair the join does not meet has an lhs that is exactly the empty
+    sum.  Its rhs argument is then phi(f) x or <x, y>.  phi(f) x scales
+    each copy of x by f at its range atom, so it is exactly the zero
+    vector unless f has a class part or a point mass where some copy of x
+    ranges.  inner pairs matching copies only, so <x, y> is exactly the
+    zero function unless x and y share a copy.  Pairs that can have a
+    nonzero rhs are compared in full; every other pair compares the empty
+    lhs with t(0) or rho(0), one residual for all of them, built by the
+    same builder.
     """
     if rho_of is None:
         rho_of = lambda f: rho0(fock, f)
     if t_of is None:
         t_of = lambda x: t0(fock, x)
+    c = fock.parent
+    fns = generator_functions(fock)
     vecs = generator_vectors(fock)
     src = frozenset(k for n in range(fock.n_levels) for k in fock.bases[n])
-
-    # the same vectors recur across the whole function grid, and the same
-    # inner products recur across the Toeplitz grid
     t_at = cache(t_of)
     rho_at = cache(rho_of)
+    ts = [t_at(x) for x in vecs]
 
-    mult = 0
-    for f in generator_functions(fock):
-        rf = rho_at(f)
-        for x in vecs:
-            lhs = rf.compose(t_at(x))
-            rhs = t_at(left_mul(f, x))
-            mult = max(mult, operator_residual(lhs, rhs, src))
+    nonzero_at: dict = {}  # class or atom -> functions with a part there
+    for i, f in enumerate(fns):
+        for part, _ in f.class_part + f.point_part:
+            nonzero_at.setdefault(part, set()).add(i)
+    by_copy: dict = {}     # edge copy -> vectors that have it
+    for i, x in enumerate(vecs):
+        for e, _ in x.coeffs:
+            by_copy.setdefault(e, set()).add(i)
 
-    toep = 0
-    ts = [(x, t_at(x)) for x in vecs]
-    for x, tx in ts:
-        txa = tx.adjoint()
-        for y, ty in ts:
-            lhs = txa.compose(ty)
-            rhs = rho_at(inner(x, y))
-            toep = max(toep, operator_residual(lhs, rhs, src))
-    return IsometryReport(mult, toep)
+    def ranged_by(r: int) -> set:
+        out: set = set()
+        for e, _ in vecs[r].coeffs:
+            a = c.range_atom(e)
+            out.update(nonzero_at.get(a.cls, ()), nonzero_at.get(a, ()))
+        return out
+
+    mult, mult_pairs = _join_residual(
+        fock, [rho_at(f) for f in fns], ts, src, ranged_by,
+        lambda i, r: t_at(left_mul(fns[i], vecs[r])),
+        lambda: t_at(ModuleVector.of(c, {})))
+    toep, toeplitz_pairs = _join_residual(
+        fock, [tx.adjoint() for tx in ts], ts, src,
+        lambda r: set().union(*(by_copy[e] for e, _ in vecs[r].coeffs)),
+        lambda i, r: rho_at(inner(vecs[i], vecs[r])),
+        lambda: rho_at(CoefFn.zero()))
+    return IsometryReport(mult, toep, mult_pairs, toeplitz_pairs)
+
+
+def _join_residual(fock: TruncatedFock, lefts: list, rights: list, src: frozenset,
+                   nonzero_rhs: Callable, rhs_at: Callable,
+                   zero_rhs: Callable) -> tuple:
+    """Max residual of lefts[i] after rights[r] against rhs_at(i, r) over
+    every pair (i, r), on the columns in src, and the PairCount.
+
+    With operators indexed op[column][row], the entry of L R at column j,
+    row i is the sum over keys k of L[k][i] times R[j][k], and a term whose
+    k is not both an output of R and a column of L has a factor exactly 0.  So the entries of every left operand are indexed by
+    column key, and each right operand in turn streams its outputs through
+    the index: the pairs it meets get every nonzero term, and no map over
+    all pairs is held.  The pairs met, and those nonzero_rhs(r) lists, are
+    compared with their own rhs.  Every other pair has the empty sum as
+    lhs, and zero_rhs() is its rhs; that one residual covers them all.
+    """
+    index: dict = {}  # key k -> [(left operand, row, entry at column k)]
+    for i, op in enumerate(lefts):
+        for k, col in op.cols.items():
+            index.setdefault(k, []).extend((i, row, w) for row, w in col.items())
+    worst, joined = 0, 0
+    for r, right in enumerate(rights):
+        lhs: dict = {}  # left operand -> {column: {row: value}}
+        for j, col in right.cols.items():
+            if j not in src:
+                continue
+            for k, z in col.items():
+                for i, row, w in index.get(k, ()):
+                    out = lhs.setdefault(i, {}).setdefault(j, {})
+                    out[row] = out.get(row, QI()) + w * z
+        meets = nonzero_rhs(r).union(lhs)
+        for i in meets:
+            got = GradedOperator(fock, lefts[i].degree + right.degree, lhs.get(i, {}))
+            worst = max(worst, operator_residual(got, rhs_at(i, r), src))
+        joined += len(meets)
+    pairs = PairCount(joined, len(lefts) * len(rights) - joined)
+    if pairs.zero:
+        rhs = zero_rhs()
+        worst = max(worst, operator_residual(zero_operator(fock, rhs.degree), rhs, src))
+    return worst, pairs
 
 
 # -- the witness subspace -------------------------------------------------------
@@ -497,8 +582,8 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
     ops = [rho0(fock, f) for f in generator_functions(fock)]
     ops += [t0(fock, x) for x in generator_vectors(fock)]
     for op in ops:
-        for k in mset:
-            for kk, z in op.col(k).items():
+        for k in op.cols.keys() & mset:
+            for kk, z in op.cols[k].items():
                 if kk not in mset:
                     inv = max(inv, z.abs2())
 

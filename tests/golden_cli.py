@@ -3,7 +3,9 @@
 Every corpus file is run through `decide` and `witness` (json and text),
 and every witness record that `witness` emits is run through `verify`
 (json and text) against every corpus file, mismatches included.  The
-stdout of each case is kept as tests/golden/<case>.out, and
+multi-copy inputs under tests/inputs/ (listed in MULTI_COPY) reach Fock
+spaces the corpus does not; each is run through `witness` and its record
+through `verify` against the same input.  The stdout of each case is kept as tests/golden/<case>.out, and
 tests/golden/MANIFEST.json holds each case's argv, exit code and stderr.
 `tests/test_cli.py` replays the manifest.
 
@@ -23,17 +25,23 @@ from hyperrig.cli import main
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"
+INPUTS = HERE / "inputs"
 GOLDEN = HERE / "golden"
 MANIFEST = GOLDEN / "MANIFEST.json"
 FORMATS = ("json", "text")
+# wvx(2, 3): W(omega) -> V(1) -> X(2), X -> X and X -> V, multiplicities
+# 1/3/3/1; a 50-vector Fock space with several copies per edge class
+MULTI_COPY = ("wvx_2_3",)
 
 
 def run_cli(argv):
-    """Run the CLI in-process on a manifest argv, its {corpus} and {golden}
-    placeholders filled in; returns (exit code, stdout, stderr)."""
+    """Run the CLI in-process on a manifest argv, its {corpus}, {inputs}
+    and {golden} placeholders filled in; returns (exit code, stdout,
+    stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([a.format(corpus=CORPUS, golden=GOLDEN) for a in argv])
+        code = main([a.format(corpus=CORPUS, inputs=INPUTS, golden=GOLDEN)
+                     for a in argv])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -69,6 +77,16 @@ def regenerate():
                        ["verify", f"{{golden}}/witness_{rec}_json.out",
                         f"{{corpus}}/{stem}.json", "--format", fmt],
                        manifest)
+    for stem in MULTI_COPY:
+        for fmt in FORMATS:
+            _write(f"witness_{stem}_{fmt}",
+                   ["witness", f"{{inputs}}/{stem}.json", "--format", fmt],
+                   manifest)
+        for fmt in FORMATS:
+            _write(f"verify_{stem}_on_{stem}_{fmt}",
+                   ["verify", f"{{golden}}/witness_{stem}_json.out",
+                    f"{{inputs}}/{stem}.json", "--format", fmt],
+                   manifest)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
 

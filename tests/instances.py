@@ -47,6 +47,16 @@ def tower() -> Correspondence:
         [EdgeClass("E", "W", "V", 1), EdgeClass("F", "V", "U", 1)])
 
 
+def wvx(n: int, m: int) -> Correspondence:
+    # W(omega) -> V(1) -> X(n), X -> X and X -> V, multiplicities 1/m/m/1:
+    # several copies per edge class, and a Fock space of 2 + nm(nm + 2)
+    # vectors at level 3 (tests/inputs/wvx_2_3.json is wvx(2, 3))
+    return Correspondence.of(
+        AtomSet.of([("W", OMEGA), ("V", 1), ("X", n)]),
+        [EdgeClass("WV", "W", "V", 1), EdgeClass("VX", "V", "X", m),
+         EdgeClass("XX", "X", "X", m), EdgeClass("XV", "X", "V", 1)])
+
+
 def as_presentation(c: Correspondence) -> DiscreteGraphPresentation:
     return DiscreteGraphPresentation.of(c.algebra.classes, c.generators)
 

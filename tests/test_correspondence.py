@@ -160,6 +160,20 @@ def test_copy_bounds_checked():
         ModuleVector.single(c, EdgeCopy("nope", 0, 0, 0))
 
 
+def test_adding_vectors_over_different_correspondences_raises():
+    # a sum builds from its operands' copies without checking them again,
+    # so the parents are compared instead: the copy e is valid in both
+    # correspondences, and only the parent check tells them apart
+    e = EdgeCopy("e", 0, 0, 0)
+    x = ModuleVector.single(loop_graph(), e)
+    y = ModuleVector.single(arrow_graph(), e)
+    with pytest.raises(DomainError, match="different correspondences"):
+        x + y
+    with pytest.raises(DomainError, match="different correspondences"):
+        y - x
+    assert (x + x).coeffs == ((e, QI(2)),)
+
+
 def test_duplicate_edge_names_rejected():
     with pytest.raises(MalformedInputError):
         Correspondence.of(AtomSet.of([("v", 1)]),

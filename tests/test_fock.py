@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec
 from hyperrig.correspondence import (
     Correspondence, EdgeClass, EdgeCopy, ModuleVector, TensorKey, inner,
-    katsura_ideal, leading_atom, left_action_as_compacts,
+    katsura_ideal, leading_atom, left_action_as_compacts, left_mul,
     sigma_degeneracy_witness, theta,
 )
 from hyperrig.errors import (
@@ -17,16 +18,17 @@ from hyperrig.errors import (
     SymbolicOnlyError, WitnessRefusedError,
 )
 from hyperrig.fock import (
-    build_fock, build_witness_subspace, check_cuntz_pimsner,
-    complement_of_creation, full_subspace, operator_residual, psi_t,
-    restrict_to_subspace, rho0, t0, verify_eq_use, verify_isometric_rep,
-    witness_pipeline,
+    GradedOperator, IsometryReport, PairCount, build_fock,
+    build_witness_subspace, check_cuntz_pimsner, complement_of_creation,
+    full_subspace, generator_functions, generator_vectors, operator_residual,
+    psi_t, restrict_to_subspace, rho0, t0, verify_eq_use,
+    verify_isometric_rep, witness_pipeline,
 )
 from hyperrig.scalars import OMEGA, QI, QI_ONE
 
 from instances import (
     arrow_graph, loop_graph, omega_star, random_discrete_graph, star_plus_arm,
-    tower,
+    tower, wvx,
 )
 
 
@@ -243,6 +245,166 @@ def test_truncation_boundary_excluded():
     assert verify_isometric_rep(fock).max_residual == 0
 
 
+def dense_isometry_report(fock, rho_of=None, t_of=None) -> IsometryReport:
+    """The relation checks as a pair grid: one composed operator per
+    (function, vector) and per (vector, vector) pair, every pair compared
+    in full against its own rhs."""
+    rho_of = cache(rho_of or (lambda f: rho0(fock, f)))
+    t_of = cache(t_of or (lambda x: t0(fock, x)))
+    fns, vecs = generator_functions(fock), generator_vectors(fock)
+    src = [k for n in range(fock.n_levels) for k in fock.bases[n]]
+    mult = 0
+    for f in fns:
+        for x in vecs:
+            lhs = rho_of(f).compose(t_of(x))
+            mult = max(mult, operator_residual(lhs, t_of(left_mul(f, x)), src))
+    toep = 0
+    for x in vecs:
+        for y in vecs:
+            lhs = t_of(x).adjoint().compose(t_of(y))
+            toep = max(toep, operator_residual(lhs, rho_of(inner(x, y)), src))
+    return IsometryReport(mult, toep, PairCount(len(fns) * len(vecs), 0),
+                          PairCount(len(vecs) ** 2, 0))
+
+
+def leaky_t(fock, leaker, target, amount=QI(Fraction(1, 2))):
+    """t of the copy leaker, plus `amount` on every row that t of the copy
+    target writes: two copies with one source atom share their columns, so
+    t(leaker)* t(target) is no longer 0 = rho(<leaker, target>)."""
+    c = fock.parent
+    x = ModuleVector.single(c, leaker)
+
+    def t_of(v):
+        op = t0(fock, v)
+        if v != x:
+            return op
+        cols = {k: dict(col) for k, col in op.cols.items()}
+        for k, col in t0(fock, ModuleVector.single(c, target)).cols.items():
+            for kk in col:
+                cols.setdefault(k, {})[kk] = amount
+        return GradedOperator(fock, op.degree, cols)
+
+    return t_of
+
+
+def relation_mutants(fock) -> dict:
+    """Corrupted builders: t doubled, t of one vector negated, rho doubled
+    at the point mass <x, x> of the first vector, rho(f) plus a class
+    indicator, rho(0) and t(0) nonzero (seen only by the pairs the join
+    does not meet), and t of one copy leaking onto a sibling copy's
+    rows."""
+    c = fock.parent
+    vecs = generator_vectors(fock)
+    first = vecs[0]
+    at_one_atom = inner(first, first)
+    indicator = CoefFn.delta_class(c.algebra.names[0])
+    out = {
+        "doubled_t": (None, lambda x: t0(fock, x).scale(QI(Fraction(2)))),
+        "sign_flip": (None, lambda x: t0(fock, x).scale(QI(Fraction(-1)))
+                      if x == first else t0(fock, x)),
+        "doubled_rho_at_one_atom": (
+            lambda f: rho0(fock, f).scale(QI(Fraction(2)))
+            if f == at_one_atom else rho0(fock, f), None),
+        "rho_plus_class_indicator": (lambda f: rho0(fock, f + indicator), None),
+        "rho_of_zero": (lambda f: rho0(fock, indicator if f.is_zero() else f), None),
+        "t_of_zero": (None, lambda x: t0(fock, first if x.is_zero() else x)),
+    }
+    by_source: dict = {}
+    for x in vecs:
+        e = x.coeffs[0][0]
+        by_source.setdefault(c.source_atom(e), []).append(e)
+    siblings = [es for es in by_source.values() if len(es) > 1]
+    if siblings:
+        out["leak"] = (None, leaky_t(fock, siblings[0][0], siblings[0][1]))
+    return out
+
+
+def differential_spaces() -> list:
+    """Fock spaces of the degenerate corpus, wvx(2, 3), and seeded random
+    graphs with at least one edge, evaluated at atom 0 of every class."""
+    from hyperrig.graphs import build_correspondence
+    spaces = []
+    for c in degenerate_corpus() + [wvx(2, 3)]:
+        spaces.append(build_fock(c, sigma_degeneracy_witness(c).rep, 3))
+    for seed in range(12):
+        rng = random.Random(seed)
+        c = build_correspondence(random_discrete_graph(
+            rng, max_classes=3, max_edges=4, all_finite=True))
+        if not c.generators:
+            continue
+        sigma = EvaluationRep.of(c.algebra, [Atom(nm, 0) for nm in c.algebra.names])
+        try:
+            spaces.append(build_fock(c, sigma, 2, basis_budget=400))
+        except BudgetExceededError:
+            continue
+    assert len(spaces) >= 10
+    return spaces
+
+
+def test_join_matches_dense_pair_grid():
+    # the sparse join returns the residuals of the pair grid, value for
+    # value, honestly and under every mutant; the mutants are not vacuous
+    caught = set()
+    leaks = 0
+    for fock in differential_spaces():
+        want = dense_isometry_report(fock)
+        assert want.max_residual == 0
+        assert verify_isometric_rep(fock) == want
+        for name, (rho_of, t_of) in relation_mutants(fock).items():
+            got = verify_isometric_rep(fock, rho_of=rho_of, t_of=t_of)
+            want = dense_isometry_report(fock, rho_of=rho_of, t_of=t_of)
+            assert (got.multiplication, got.toeplitz) == (
+                want.multiplication, want.toeplitz), name
+            if got.max_residual > 0:
+                caught.add(name)
+            leaks += name == "leak"
+    assert caught == {"doubled_t", "sign_flip", "doubled_rho_at_one_atom",
+                      "rho_plus_class_indicator", "rho_of_zero", "t_of_zero",
+                      "leak"}
+    assert leaks >= 3
+
+
+def test_leak_onto_a_sibling_copy_detected():
+    # t of one V -> X copy also writes the rows of another: the pair of
+    # the two copies meets in the join, and its residual is nonzero
+    c = wvx(2, 3)
+    fock = build_fock(c, sigma_degeneracy_witness(c).rep, 3)
+    e, f = EdgeCopy("VX", 0, 0, 0), EdgeCopy("VX", 0, 1, 2)
+    t_of = leaky_t(fock, e, f)
+    report = verify_isometric_rep(fock, t_of=t_of)
+    assert report.toeplitz > 0
+    honest = verify_isometric_rep(fock)
+    # both ordered pairs of the two copies join, beyond the diagonal
+    assert report.toeplitz_pairs.joined == honest.toeplitz_pairs.joined + 2
+    x, y = ModuleVector.single(c, e), ModuleVector.single(c, f)
+    src = [k for n in range(fock.n_levels) for k in fock.bases[n]]
+    cross = t_of(x).adjoint().compose(t_of(y))
+    assert cross.cols
+    assert operator_residual(cross, rho0(fock, inner(x, y)), src) > 0
+
+
+def test_pairs_covered_are_the_whole_grid():
+    # joined pairs plus the shared-zero pairs are every pair of the grid;
+    # on honest operators a vector's outputs meet only its own, and a
+    # function joins a vector only where it is nonzero at its range atom
+    zero = []
+    for c in (wvx(2, 3), star_plus_arm(), two_loops()):
+        sigma = sigma_degeneracy_witness(c)
+        sigma = sigma.rep if sigma else sigma_at(c, "v")
+        fock = build_fock(c, sigma, 3)
+        fns, vecs = generator_functions(fock), generator_vectors(fock)
+        report = verify_isometric_rep(fock)
+        assert report.max_residual == 0
+        assert report.mult_pairs.total == len(fns) * len(vecs)
+        assert report.toeplitz_pairs.total == len(vecs) ** 2
+        assert report.toeplitz_pairs.joined == len(vecs)
+        assert report.mult_pairs.joined == sum(
+            1 for f in fns for x in vecs if not left_mul(f, x).is_zero())
+        zero.append((report.mult_pairs.zero, report.toeplitz_pairs.zero))
+    # wvx(2, 3): 10 functions x 21 vectors, 3 joined per vector
+    assert zero[0] == (210 - 63, 21 * 21 - 21)
+
+
 # -- psi_t -----------------------------------------------------------------------
 
 def test_psi_t_examples():
@@ -399,7 +561,10 @@ def test_toeplitz_relation_random_vectors(seed):
     from hyperrig.graphs import build_correspondence
     c = build_correspondence(g)
     sigma = EvaluationRep.of(c.algebra, [Atom(nm, 0) for nm in c.algebra.names])
-    fock = build_fock(c, sigma, 2, basis_budget=2000)
+    try:
+        fock = build_fock(c, sigma, 2, basis_budget=2000)
+    except BudgetExceededError:
+        return  # e.g. seed 1024 needs 2353 vectors; refusing it is correct
 
     def rand_vec():
         coeffs = {}
