@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from numbers import Rational
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
 
 from .algebra import Atom, CoefFn, EvaluationRep, IdealSpec
 from .correspondence import (
@@ -272,28 +272,18 @@ def psi_t(fock: TruncatedFock, terms: Iterable) -> GradedOperator:
 
 # -- relation checks -----------------------------------------------------------
 
-class PairCount(NamedTuple):
-    """How the probe pairs of one relation were covered."""
-
-    joined: int  # residual computed from the pair's own operands
-    zero: int    # empty lhs against the rhs at a zero argument, checked once
-
-    @property
-    def total(self) -> int:
-        return self.joined + self.zero
-
-
 @dataclass(frozen=True)
 class IsometryReport:
     """Max squared-modulus deviations of the two defining relations,
     checked on levels 0..N-1 (the top level sits past the truncation
-    boundary for the adjoint relation).  The pair counts record how the
-    residuals were reached, so they take no part in equality."""
+    boundary for the adjoint relation).  The joined counts record how
+    many pairs were compared against their own rhs, so they take no part
+    in equality."""
 
     multiplication: Rational  # rho(f) t(x) vs t(phi(f) x)
     toeplitz: Rational        # t(x)* t(x') vs rho(<x, x'>)
-    mult_pairs: PairCount = field(compare=False)
-    toeplitz_pairs: PairCount = field(compare=False)
+    mult_joined: int = field(compare=False)
+    toeplitz_joined: int = field(compare=False)
 
     @property
     def max_residual(self) -> Rational:
@@ -371,32 +361,35 @@ def verify_isometric_rep(fock: TruncatedFock,
             out.update(nonzero_at.get(a.cls, ()), nonzero_at.get(a, ()))
         return out
 
-    mult, mult_pairs = _join_residual(
+    mult, mult_joined = _join_residual(
         fock, [rho_at(f) for f in fns], ts, src, ranged_by,
         lambda i, r: t_at(left_mul(fns[i], vecs[r])),
         lambda: t_at(ModuleVector.of(c, {})))
-    toep, toeplitz_pairs = _join_residual(
+    toep, toeplitz_joined = _join_residual(
         fock, [tx.adjoint() for tx in ts], ts, src,
         lambda r: set().union(*(by_copy[e] for e, _ in vecs[r].coeffs)),
         lambda i, r: rho_at(inner(vecs[i], vecs[r])),
         lambda: rho_at(CoefFn.zero()))
-    return IsometryReport(mult, toep, mult_pairs, toeplitz_pairs)
+    return IsometryReport(mult, toep, mult_joined, toeplitz_joined)
 
 
 def _join_residual(fock: TruncatedFock, lefts: list, rights: list, src: frozenset,
                    nonzero_rhs: Callable, rhs_at: Callable,
                    zero_rhs: Callable) -> tuple:
     """Max residual of lefts[i] after rights[r] against rhs_at(i, r) over
-    every pair (i, r), on the columns in src, and the PairCount.
+    every pair (i, r), on the columns in src, and the number of pairs
+    compared against their own rhs.
 
     With operators indexed op[column][row], the entry of L R at column j,
-    row i is the sum over keys k of L[k][i] times R[j][k], and a term whose
-    k is not both an output of R and a column of L has a factor exactly 0.  So the entries of every left operand are indexed by
-    column key, and each right operand in turn streams its outputs through
-    the index: the pairs it meets get every nonzero term, and no map over
-    all pairs is held.  The pairs met, and those nonzero_rhs(r) lists, are
-    compared with their own rhs.  Every other pair has the empty sum as
-    lhs, and zero_rhs() is its rhs; that one residual covers them all.
+    row i is the sum over keys k of L[k][i] times R[j][k], and a term
+    whose k is not both an output of R and a column of L has a factor
+    exactly 0.  So the entries of every left operand are indexed by
+    column key, and each right operand in turn streams its outputs
+    through the index: the pairs it meets get every nonzero term, and no
+    map over all pairs is held.  The pairs met, and those nonzero_rhs(r)
+    lists, are compared with their own rhs.  Every other pair has the
+    empty sum as lhs, of the degree every pair has, and zero_rhs() is its
+    rhs; that one residual covers them all.
     """
     index: dict = {}  # key k -> [(left operand, row, entry at column k)]
     for i, op in enumerate(lefts):
@@ -417,11 +410,10 @@ def _join_residual(fock: TruncatedFock, lefts: list, rights: list, src: frozense
             got = GradedOperator(fock, lefts[i].degree + right.degree, lhs.get(i, {}))
             worst = max(worst, operator_residual(got, rhs_at(i, r), src))
         joined += len(meets)
-    pairs = PairCount(joined, len(lefts) * len(rights) - joined)
-    if pairs.zero:
-        rhs = zero_rhs()
-        worst = max(worst, operator_residual(zero_operator(fock, rhs.degree), rhs, src))
-    return worst, pairs
+    if joined < len(lefts) * len(rights):
+        empty = zero_operator(fock, lefts[0].degree + rights[0].degree)
+        worst = max(worst, operator_residual(empty, zero_rhs(), src))
+    return worst, joined
 
 
 # -- the witness subspace -------------------------------------------------------

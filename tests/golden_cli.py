@@ -5,9 +5,10 @@ and every witness record that `witness` emits is run through `verify`
 (json and text) against every corpus file, mismatches included.  The
 multi-copy inputs under tests/inputs/ (listed in MULTI_COPY) reach Fock
 spaces the corpus does not; each is run through `witness` and its record
-through `verify` against the same input.  The stdout of each case is kept as tests/golden/<case>.out, and
-tests/golden/MANIFEST.json holds each case's argv, exit code and stderr.
-`tests/test_cli.py` replays the manifest.
+through `verify` against the same input.  The stdout of each case is kept
+as tests/golden/<case>.out, and tests/golden/MANIFEST.json holds each
+case's argv, exit code and stderr.  `tests/test_cli.py` replays the
+manifest.
 
 Regenerate only when an output is meant to change, and say why:
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec
 from hyperrig.correspondence import (
@@ -18,7 +18,7 @@ from hyperrig.errors import (
     SymbolicOnlyError, WitnessRefusedError,
 )
 from hyperrig.fock import (
-    GradedOperator, IsometryReport, PairCount, build_fock,
+    GradedOperator, IsometryReport, build_fock,
     build_witness_subspace, check_cuntz_pimsner, complement_of_creation,
     full_subspace, generator_functions, generator_vectors, operator_residual,
     psi_t, restrict_to_subspace, rho0, t0, verify_eq_use,
@@ -263,8 +263,7 @@ def dense_isometry_report(fock, rho_of=None, t_of=None) -> IsometryReport:
         for y in vecs:
             lhs = t_of(x).adjoint().compose(t_of(y))
             toep = max(toep, operator_residual(lhs, rho_of(inner(x, y)), src))
-    return IsometryReport(mult, toep, PairCount(len(fns) * len(vecs), 0),
-                          PairCount(len(vecs) ** 2, 0))
+    return IsometryReport(mult, toep, len(fns) * len(vecs), len(vecs) ** 2)
 
 
 def leaky_t(fock, leaker, target, amount=QI(Fraction(1, 2))):
@@ -375,7 +374,7 @@ def test_leak_onto_a_sibling_copy_detected():
     assert report.toeplitz > 0
     honest = verify_isometric_rep(fock)
     # both ordered pairs of the two copies join, beyond the diagonal
-    assert report.toeplitz_pairs.joined == honest.toeplitz_pairs.joined + 2
+    assert report.toeplitz_joined == honest.toeplitz_joined + 2
     x, y = ModuleVector.single(c, e), ModuleVector.single(c, f)
     src = [k for n in range(fock.n_levels) for k in fock.bases[n]]
     cross = t_of(x).adjoint().compose(t_of(y))
@@ -384,9 +383,11 @@ def test_leak_onto_a_sibling_copy_detected():
 
 
 def test_pairs_covered_are_the_whole_grid():
-    # joined pairs plus the shared-zero pairs are every pair of the grid;
-    # on honest operators a vector's outputs meet only its own, and a
-    # function joins a vector only where it is nonzero at its range atom
+    # the pairs the join compares in full, plus the pairs whose composed
+    # lhs and rhs argument are both zero (counted here from the pair grid),
+    # are every pair; on honest operators a vector's outputs meet only its
+    # own, and a function joins a vector only where it is nonzero at its
+    # range atom
     zero = []
     for c in (wvx(2, 3), star_plus_arm(), two_loops()):
         sigma = sigma_degeneracy_witness(c)
@@ -395,14 +396,36 @@ def test_pairs_covered_are_the_whole_grid():
         fns, vecs = generator_functions(fock), generator_vectors(fock)
         report = verify_isometric_rep(fock)
         assert report.max_residual == 0
-        assert report.mult_pairs.total == len(fns) * len(vecs)
-        assert report.toeplitz_pairs.total == len(vecs) ** 2
-        assert report.toeplitz_pairs.joined == len(vecs)
-        assert report.mult_pairs.joined == sum(
-            1 for f in fns for x in vecs if not left_mul(f, x).is_zero())
-        zero.append((report.mult_pairs.zero, report.toeplitz_pairs.zero))
+        mult_zero = sum(
+            1 for f in fns for x in vecs
+            if not rho0(fock, f).compose(t0(fock, x)).cols
+            and left_mul(f, x).is_zero())
+        toep_zero = sum(
+            1 for x in vecs for y in vecs
+            if not t0(fock, x).adjoint().compose(t0(fock, y)).cols
+            and inner(x, y).is_zero())
+        assert report.mult_joined + mult_zero == len(fns) * len(vecs)
+        assert report.toeplitz_joined + toep_zero == len(vecs) ** 2
+        assert report.toeplitz_joined == len(vecs)
+        zero.append((mult_zero, toep_zero))
     # wvx(2, 3): 10 functions x 21 vectors, 3 joined per vector
     assert zero[0] == (210 - 63, 21 * 21 - 21)
+
+
+def test_shared_zero_residual_keeps_the_degree_check():
+    # the pairs the join does not meet are compared at the degree of the
+    # pair grid, so a builder whose rho(0) has the wrong degree is refused
+    c = wvx(2, 3)
+    fock = build_fock(c, sigma_degeneracy_witness(c).rep, 3)
+
+    def rho_of(f):
+        op = rho0(fock, f)
+        return GradedOperator(fock, 1, op.cols) if f.is_zero() else op
+
+    with pytest.raises(DomainError):
+        dense_isometry_report(fock, rho_of=rho_of)
+    with pytest.raises(DomainError):
+        verify_isometric_rep(fock, rho_of=rho_of)
 
 
 # -- psi_t -----------------------------------------------------------------------
@@ -564,7 +587,9 @@ def test_toeplitz_relation_random_vectors(seed):
     try:
         fock = build_fock(c, sigma, 2, basis_budget=2000)
     except BudgetExceededError:
-        return  # e.g. seed 1024 needs 2353 vectors; refusing it is correct
+        # seeds 1024, 4793 and 7630 need more than 2000 vectors; refusing
+        # them is correct, and hypothesis draws another example instead
+        assume(False)
 
     def rand_vec():
         coeffs = {}
