@@ -28,9 +28,9 @@ from .errors import (
 from .fock import DEFAULT_BASIS_BUDGET, DEFAULT_FOCK_LEVEL, witness_pipeline
 from .graphs import DiscreteGraphPresentation, decide_hyperrigid
 from .records import (
-    canonical_json, emit_verdict_record, emit_witness_record, instance_digest,
-    load_instance, load_witness_record, verdict_record, verify_witness_record,
-    witness_record,
+    SCHEMA_VERSION, canonical_json, emit_verdict_record, emit_witness_record,
+    instance_digest, load_instance, load_witness_record, verdict_record,
+    verify_witness_record, witness_record,
 )
 
 
@@ -131,7 +131,7 @@ def cmd_verify(args) -> int:
     g = load_instance(args.instance)
     ok, failing = verify_witness_record(g, rec, basis_budget=args.basis_budget)
     if args.format == "json":
-        doc = {"record": "verification", "schema": 1, "verified": ok,
+        doc = {"record": "verification", "schema": SCHEMA_VERSION, "verified": ok,
                "instance_digest": instance_digest(g),
                "failing_check": failing}
         sys.stdout.write(canonical_json(doc))
@@ -176,7 +176,7 @@ def cmd_batch(args) -> int:
             else:
                 entry["record"] = emit_verdict_record(payload)
             files.append(entry)
-        doc = {"record": "batch", "schema": 1, "files": files,
+        doc = {"record": "batch", "schema": SCHEMA_VERSION, "files": files,
                "summary": summary}
         sys.stdout.write(canonical_json(doc))
     else:

@@ -179,9 +179,11 @@ def operator_residual(a: GradedOperator, b: GradedOperator,
     if a.degree != b.degree:
         raise DomainError("comparing operators of different degrees")
     # a column absent from both operands is zero in a - b
-    keys = a.cols.keys() | b.cols.keys()
-    if source_keys is not None:
-        keys = keys.intersection(source_keys)
+    if source_keys is None:
+        keys = a.cols.keys() | b.cols.keys()
+    else:
+        src = frozenset(source_keys)
+        keys = src.intersection(a.cols).union(src.intersection(b.cols))
     worst = 0
     for k in keys:
         ca, cb = a.col(k), b.col(k)
@@ -530,7 +532,7 @@ def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace,
         if comp != expected:
             raise InternalInconsistencyError(
                 "creation complement of the witness subspace is not M0")
-    comp_keys = [k for level in comp for k in level]
+    comp_keys = frozenset(k for level in comp for k in level)
     resid = 0
     for f in ideal_generator_functions(fock, j):
         lhs = psi_t(fock, left_action_as_compacts(fock.parent, f))
@@ -625,4 +627,11 @@ def witness_pipeline(c: Correspondence, n_levels: int = DEFAULT_FOCK_LEVEL,
             f"truncated representation violates its defining relations: {report}")
     m = build_witness_subspace(fock, katsura_ideal(c))
     cert = check_reducing(fock, m)
+    for name, value in (("invariance", cert.residual_invariance),
+                        ("eq-use-1", cert.residual_eq_use1),
+                        ("eq-use-2", cert.residual_eq_use2),
+                        ("covariance", cert.residual_covariance)):
+        if value != 0:
+            raise InternalInconsistencyError(
+                f"witness certificate has a nonzero {name} residual: {value}")
     return fock, m, cert

@@ -95,6 +95,9 @@ class VertexClassification:
 
 
 def classify_vertices(g: Presentation) -> VertexClassification:
+    """Ideal specs over the vertex classes for a discrete presentation;
+    for an interval presentation, plain subsets of G0, with every closure
+    taken in the subspace topology of G0."""
     if isinstance(g, DiscreteGraphPresentation):
         c = g.correspondence
         names = set(c.algebra.names)
@@ -108,14 +111,13 @@ def classify_vertices(g: Presentation) -> VertexClassification:
             IdealSpec.of(a, sce), IdealSpec.of(a, fin), IdealSpec.of(a, reg))
 
     img = image(g.r)
-    sce = difference(g.g0, closure(img.with_ambient(g.g0)))
+    sce = difference(g.g0, closure(img, g.g0))
     # a vertex fails the compact-fiber condition exactly when some escaping
     # end of the edge space maps toward it
     bad = points([x for x in finite_end_limits(g.r) if g.g0.contains(x)])
     fin = difference(g.g0, bad)
-    reg = difference(fin, closure(sce.with_ambient(g.g0)))
-    return VertexClassification(
-        sce.with_ambient(g.g0), fin.with_ambient(g.g0), reg.with_ambient(g.g0))
+    reg = difference(fin, closure(sce, g.g0))
+    return VertexClassification(sce, fin, reg)
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,9 @@ def compact_base_shortcut(g: IntervalGraphPresentation) -> Optional[bool]:
     only a shortcut there, not a characterization)."""
     if not is_compact(g.g0) or not is_compact(g.g1):
         return None
-    img = image(g.r).with_ambient(g.g0)
-    clopen = sets_equal(closure(img), img) and sets_equal(interior(img), img)
+    img = image(g.r)
+    clopen = (sets_equal(closure(img, g.g0), img)
+              and sets_equal(interior(img, g.g0), img))
     if clopen != decide_hyperrigid(g).hyperrigid:
         raise InternalInconsistencyError(
             "compact-base shortcut disagrees with the decision routes")

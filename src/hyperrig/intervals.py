@@ -3,9 +3,9 @@
 Sets are finite unions of intervals with rational endpoints (or unbounded
 ends), kept in a canonical normalized form: pieces sorted, pairwise
 disjoint and non-adjacent, so structural equality is set equality.
-Degenerate single-point pieces are allowed.  An ``IntervalSet`` may carry
-an ambient set; ``closure`` and ``interior`` are then taken in the
-subspace topology of the ambient (the real line when absent).
+Degenerate single-point pieces are allowed.  A set is its pieces and
+nothing else: ``closure`` and ``interior`` take the ambient space as an
+argument and work in its subspace topology (the real line by default).
 
 Maps between such sets are piecewise affine with rational slope/offset.
 Everything here is exact: no floats, no tolerance parameters.
@@ -13,7 +13,7 @@ Everything here is exact: no floats, no tolerance parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -96,18 +96,14 @@ def _touches(left: Interval, right: Interval) -> bool:
 @dataclass(frozen=True)
 class IntervalSet:
     pieces: tuple  # tuple[Interval, ...], normalized
-    ambient: Optional["IntervalSet"] = field(default=None, compare=False)
 
     @staticmethod
-    def of(pieces: Iterable[Interval], ambient: Optional["IntervalSet"] = None) -> "IntervalSet":
-        return IntervalSet(_normalize_pieces(pieces), ambient)
+    def of(pieces: Iterable[Interval]) -> "IntervalSet":
+        return IntervalSet(_normalize_pieces(pieces))
 
     @property
     def is_empty(self) -> bool:
         return not self.pieces
-
-    def with_ambient(self, ambient: Optional["IntervalSet"]) -> "IntervalSet":
-        return IntervalSet(self.pieces, ambient)
 
     def contains(self, x: Fraction) -> bool:
         return any(p.contains(x) for p in self.pieces)
@@ -140,21 +136,14 @@ def _normalize_pieces(pieces: Iterable[Interval]) -> tuple:
     return tuple(merged)
 
 
-def normalize(pieces, ambient: Optional[IntervalSet] = None) -> IntervalSet:
-    """Canonical IntervalSet from raw pieces (or an existing set).  Idempotent."""
-    if isinstance(pieces, IntervalSet):
-        return IntervalSet.of(pieces.pieces, ambient if ambient is not None else pieces.ambient)
-    return IntervalSet.of(pieces, ambient)
+def points(values: Iterable[Fraction]) -> IntervalSet:
+    return IntervalSet.of(Interval(v, v, True, True) for v in values)
 
 
-def points(values: Iterable[Fraction], ambient: Optional[IntervalSet] = None) -> IntervalSet:
-    return IntervalSet.of((Interval(v, v, True, True) for v in values), ambient)
-
-
-# -- boolean operations (pieces only; ambient of the left operand is kept) --
+# -- boolean operations ------------------------------------------------------
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return IntervalSet.of(a.pieces + b.pieces, a.ambient)
+    return IntervalSet.of(a.pieces + b.pieces)
 
 
 def _complement_pieces(s: IntervalSet) -> tuple:
@@ -188,7 +177,7 @@ def _maybe_interval(lo: End, hi: End, lc: bool, hc: bool) -> Optional[Interval]:
 
 
 def complement(s: IntervalSet) -> IntervalSet:
-    """Complement within the full real line (ambient dropped)."""
+    """Complement within the full real line."""
     return IntervalSet(_complement_pieces(s))
 
 
@@ -219,11 +208,11 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
             r = _intersect_pair(p, q)
             if r is not None:
                 out.append(r)
-    return IntervalSet.of(out, a.ambient)
+    return IntervalSet.of(out)
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return intersect(a, complement(b)).with_ambient(a.ambient)
+    return intersect(a, complement(b))
 
 
 def is_subset(a: IntervalSet, b: IntervalSet) -> bool:
@@ -255,15 +244,9 @@ def approaches(s: IntervalSet, x: Fraction, side: str) -> bool:
 
 # -- closure and interior ----------------------------------------------------
 
-def _ambient_of(s: IntervalSet) -> IntervalSet:
-    return s.ambient if s.ambient is not None else FULL_LINE
-
-
-def _require_in_ambient(s: IntervalSet, op: str) -> IntervalSet:
-    amb = _ambient_of(s)
-    if not is_subset(s, amb):
-        raise MalformedInputError(f"{op}: set {s} is not contained in its ambient {amb}")
-    return amb
+def _require_in_ambient(s: IntervalSet, ambient: IntervalSet, op: str) -> None:
+    if not is_subset(s, ambient):
+        raise MalformedInputError(f"{op}: set {s} is not contained in its ambient {ambient}")
 
 
 def _closure_in_line(s: IntervalSet) -> IntervalSet:
@@ -272,41 +255,17 @@ def _closure_in_line(s: IntervalSet) -> IntervalSet:
         Interval(p.lo, p.hi, p.lo is not None, p.hi is not None) for p in s.pieces)
 
 
-def closure(s: IntervalSet) -> IntervalSet:
-    """Closure of s in the subspace topology of its ambient."""
-    amb = _require_in_ambient(s, "closure")
-    cl = _closure_in_line(s)
-    return intersect(cl, amb).with_ambient(s.ambient)
+def closure(s: IntervalSet, ambient: IntervalSet = FULL_LINE) -> IntervalSet:
+    """Closure of s in the subspace topology of ambient: cl(s) n ambient."""
+    _require_in_ambient(s, ambient, "closure")
+    return intersect(_closure_in_line(s), ambient)
 
 
-def interior(s: IntervalSet) -> IntervalSet:
-    """Interior of s in the subspace topology of its ambient.
-
-    The open core of each piece is always interior.  A closed finite
-    endpoint x survives exactly when the ambient does not accumulate at x
-    from outside s on the relevant side; this is decided piecewise on the
-    normalized difference ambient minus s.
-    """
-    amb = _require_in_ambient(s, "interior")
-    outside = difference(amb, s)
-    out: list[Interval] = []
-
-    def endpoint_ok(x: Fraction, sides: tuple) -> bool:
-        return not any(approaches(outside, x, side) for side in sides)
-
-    for p in s.pieces:
-        if p.degenerate:
-            if endpoint_ok(p.lo, ("left", "right")):
-                out.append(p)
-            continue
-        core = _maybe_interval(p.lo, p.hi, False, False)
-        if core is not None:
-            out.append(core)
-        if p.lo is not None and p.lo_closed and endpoint_ok(p.lo, ("left",)):
-            out.append(Interval(p.lo, p.lo, True, True))
-        if p.hi is not None and p.hi_closed and endpoint_ok(p.hi, ("right",)):
-            out.append(Interval(p.hi, p.hi, True, True))
-    return IntervalSet.of(out, s.ambient)
+def interior(s: IntervalSet, ambient: IntervalSet = FULL_LINE) -> IntervalSet:
+    """Interior of s in the subspace topology of ambient, by the complement
+    identity int_A(s) = A minus cl(A minus s)."""
+    _require_in_ambient(s, ambient, "interior")
+    return difference(ambient, _closure_in_line(difference(ambient, s)))
 
 
 # -- piecewise affine maps ---------------------------------------------------
@@ -556,6 +515,5 @@ def is_local_homeomorphism(f: PiecewiseAffineMap) -> bool:
 def range_condition(f: PiecewiseAffineMap) -> bool:
     """True iff image(f) is contained in the interior of its closure, both
     taken relative to the target."""
-    img = image(f).with_ambient(f.target)
-    cl = closure(img)
-    return is_subset(img, interior(cl.with_ambient(f.target)))
+    img = image(f)
+    return is_subset(img, interior(closure(img, f.target), f.target))

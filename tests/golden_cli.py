@@ -5,7 +5,9 @@ and every witness record that `witness` emits is run through `verify`
 (json and text) against every corpus file, mismatches included.  The
 multi-copy inputs under tests/inputs/ (listed in MULTI_COPY) reach Fock
 spaces the corpus does not; each is run through `witness` and its record
-through `verify` against the same input.  The stdout of each case is kept
+through `verify` against the same input.  The interval inputs under
+tests/inputs/ (listed in INTERVAL) are run through `decide`, and the
+whole corpus directory through `batch`.  The stdout of each case is kept
 as tests/golden/<case>.out, and tests/golden/MANIFEST.json holds each
 case's argv, exit code and stderr.  `tests/test_cli.py` replays the
 manifest.
@@ -33,6 +35,13 @@ FORMATS = ("json", "text")
 # wvx(2, 3): W(omega) -> V(1) -> X(2), X -> X and X -> V, multiplicities
 # 1/3/3/1; a 50-vector Fock space with several copies per edge class
 MULTI_COPY = ("wvx_2_3",)
+# interval presentations the corpus does not cover, each with identity
+# source map:
+#   isolated_vertex  G0 = [0,1] u {2}, G1 = [0,1], r = id: hyperrigid
+#   open_core        G1 = (0,1) in G0 = [0,1], r = id: hyperrigid
+#   ray_tail         G1 = [1,oo) in G0 = [0,oo), r = id: not hyperrigid
+#   ray_constant     G0 = G1 = [0,oo), r = 0: not hyperrigid
+INTERVAL = ("isolated_vertex", "open_core", "ray_tail", "ray_constant")
 
 
 def run_cli(argv):
@@ -88,6 +97,14 @@ def regenerate():
                    ["verify", f"{{golden}}/witness_{stem}_json.out",
                     f"{{inputs}}/{stem}.json", "--format", fmt],
                    manifest)
+    for stem in INTERVAL:
+        for fmt in FORMATS:
+            _write(f"decide_{stem}_{fmt}",
+                   ["decide", f"{{inputs}}/{stem}.json", "--format", fmt],
+                   manifest)
+    for fmt in FORMATS:
+        _write(f"batch_corpus_{fmt}",
+               ["batch", "{corpus}", "--format", fmt], manifest)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
 

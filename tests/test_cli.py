@@ -7,7 +7,7 @@ from pathlib import Path
 from hyperrig.cli import main
 from hyperrig.records import parse_verdict_record, parse_witness_record
 
-from golden_cli import GOLDEN, MANIFEST, run_cli
+from golden_cli import GOLDEN, INTERVAL, MANIFEST, run_cli
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -72,7 +72,8 @@ def test_cli_matches_golden_outputs():
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     decided = {case["argv"][1] for case in manifest.values()
                if case["argv"][0] == "decide"}
-    assert decided == {f"{{corpus}}/{p.name}" for p in CORPUS.glob("*.json")}
+    assert decided == ({f"{{corpus}}/{p.name}" for p in CORPUS.glob("*.json")}
+                       | {f"{{inputs}}/{stem}.json" for stem in INTERVAL})
     for name, case in sorted(manifest.items()):
         code, out, err = run_cli(case["argv"])
         assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
@@ -115,6 +116,17 @@ def test_witness_symbolic_only_on_interval(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "symbolic" in captured.err
+
+
+def test_witness_refuses_a_certificate_with_a_nonzero_residual(monkeypatch, capsys):
+    # a certificate whose own residuals are nonzero must not be emitted:
+    # verify would reject it (residual-covariance)
+    import hyperrig.fock as fock
+    monkeypatch.setattr(fock, "check_cuntz_pimsner", lambda *args: 1)
+    assert main(["witness", str(CORPUS / "star_plus_arm.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "covariance residual" in captured.err
 
 
 def test_verify_detects_tampering(tmp_path, capsys):

@@ -174,7 +174,7 @@ def test_properness_lemma_split(seed):
     assert sets_equal(preimage(g.r, cls.fin), g.g1) == is_proper_into(g.r, image(g.r))
     # the closure half: the preimage of the closure of sce vanishes iff the
     # range condition holds
-    cl_sce = closure(cls.sce.with_ambient(g.g0))
+    cl_sce = closure(cls.sce, g.g0)
     assert preimage(g.r, cl_sce).is_empty == range_condition(g.r)
 
 

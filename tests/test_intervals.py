@@ -30,7 +30,6 @@ from hyperrig.intervals import (
     is_proper_into,
     is_subset,
     ival,
-    normalize,
     points,
     preimage,
     range_condition,
@@ -39,8 +38,8 @@ from hyperrig.intervals import (
 )
 
 
-def iset(*pieces, ambient=None):
-    return IntervalSet.of(pieces, ambient)
+def iset(*pieces):
+    return IntervalSet.of(pieces)
 
 
 F = Fraction
@@ -64,7 +63,7 @@ def test_normalize_keeps_punctured_pair():
 
 
 def test_normalize_empty():
-    assert normalize([]).is_empty
+    assert IntervalSet.of([]).is_empty
 
 
 def test_normalize_rejects_reversed():
@@ -79,7 +78,7 @@ def test_normalize_rejects_empty_piece():
 
 def test_normalize_idempotent_on_examples():
     s = iset(ival(0, 1, False, True), ival(2, 3), ival(3, 4, False, False))
-    assert normalize(s).pieces == s.pieces
+    assert IntervalSet.of(s.pieces).pieces == s.pieces
 
 
 # -- boolean algebra ----------------------------------------------------------
@@ -104,48 +103,53 @@ def test_subset_and_equal():
 
 def test_interior_relative_endpoint():
     amb = iset(ival(0, 1))
-    s = iset(ival(0, "1/2"), ambient=amb)
-    assert interior(s).pieces == (ival(0, "1/2", True, False),)
+    s = iset(ival(0, "1/2"))
+    assert interior(s, amb).pieces == (ival(0, "1/2", True, False),)
 
 
 def test_interior_full_ambient():
     amb = iset(ival(0, 1))
-    s = iset(ival(0, 1), ambient=amb)
-    assert interior(s).pieces == amb.pieces
+    s = iset(ival(0, 1))
+    assert interior(s, amb).pieces == amb.pieces
 
 
 def test_closure_relative():
     amb = iset(ival(0, 1))
-    s = iset(ival(0, 1, False, False), ambient=amb)
-    assert closure(s).pieces == (ival(0, 1),)
+    s = iset(ival(0, 1, False, False))
+    assert closure(s, amb).pieces == (ival(0, 1),)
 
 
 def test_closure_interior_empty():
     amb = iset(ival(0, 1))
-    s = IntervalSet.of([], ambient=amb)
-    assert interior(closure(s)).is_empty
+    assert interior(closure(EMPTY, amb), amb).is_empty
 
 
 def test_closure_requires_containment():
     amb = iset(ival(0, 1))
-    s = iset(ival(0, 2), ambient=amb)
-    with pytest.raises(MalformedInputError):
-        closure(s)
-    with pytest.raises(MalformedInputError):
-        interior(s)
+    s = iset(ival(0, 2))
+    with pytest.raises(MalformedInputError, match="not contained in its ambient"):
+        closure(s, amb)
+    with pytest.raises(MalformedInputError, match="not contained in its ambient"):
+        interior(s, amb)
 
 
 def test_interior_bridges_ambient_gap():
     # ambient has a hole, so both components are relatively interior
     amb = iset(ival(0, 1), ival(2, 3))
-    s = iset(ival(0, 1), ival(2, 3), ambient=amb)
-    assert sets_equal(interior(s), s)
+    s = iset(ival(0, 1), ival(2, 3))
+    assert sets_equal(interior(s, amb), s)
 
 
 def test_interior_isolated_ambient_point():
     amb = iset(ival(0, 1), ival(2, 2))
-    s = iset(ival(2, 2), ambient=amb)
-    assert interior(s).pieces == (ival(2, 2),)
+    s = iset(ival(2, 2))
+    assert interior(s, amb).pieces == (ival(2, 2),)
+
+
+def test_closure_and_interior_default_to_the_line():
+    s = iset(ival(0, 1, True, False), ival(2, 2))
+    assert closure(s).pieces == (ival(0, 1), ival(2, 2))
+    assert interior(s).pieces == (ival(0, 1, False, False),)
 
 
 # -- images and preimages -----------------------------------------------------
@@ -316,41 +320,75 @@ fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 
 @st.composite
 def interval_sets(draw, max_pieces: int = 4) -> IntervalSet:
+    # each end is unbounded one time in five, so rays and the full line
+    # come up as well as bounded pieces
     n = draw(st.integers(0, max_pieces))
     pieces = []
     for _ in range(n):
-        a = draw(fractions_st)
-        b = draw(fractions_st)
-        lo, hi = (a, b) if a <= b else (b, a)
-        if lo == hi:
+        a, b = sorted((draw(fractions_st), draw(fractions_st)))
+        lo = None if draw(st.integers(0, 4)) == 0 else a
+        hi = None if draw(st.integers(0, 4)) == 0 else b
+        if lo is not None and lo == hi:
             pieces.append(Interval(lo, hi, True, True))
         else:
-            pieces.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+            pieces.append(Interval(lo, hi, lo is not None and draw(st.booleans()),
+                                   hi is not None and draw(st.booleans())))
     return IntervalSet.of(pieces)
+
+
+def interior_by_endpoints(s: IntervalSet, amb: IntervalSet) -> IntervalSet:
+    """Reference interior of s relative to amb by endpoint case analysis.
+
+    The open core of each piece is always interior.  A closed finite
+    endpoint x survives exactly when amb minus s does not accumulate at x
+    on the side facing away from the piece (both sides for a single
+    point)."""
+    outside = difference(amb, s)
+
+    def endpoint_ok(x, sides) -> bool:
+        return not any(approaches(outside, x, side) for side in sides)
+
+    out = []
+    for p in s.pieces:
+        if p.degenerate:
+            if endpoint_ok(p.lo, ("left", "right")):
+                out.append(p)
+            continue
+        out.append(Interval(p.lo, p.hi, False, False))
+        if p.lo is not None and p.lo_closed and endpoint_ok(p.lo, ("left",)):
+            out.append(Interval(p.lo, p.lo, True, True))
+        if p.hi is not None and p.hi_closed and endpoint_ok(p.hi, ("right",)):
+            out.append(Interval(p.hi, p.hi, True, True))
+    return IntervalSet.of(out)
 
 
 @given(interval_sets())
 def test_prop_normalize_idempotent(s):
-    assert normalize(s).pieces == s.pieces
+    assert IntervalSet.of(s.pieces).pieces == s.pieces
 
 
 @given(interval_sets(), interval_sets())
 def test_prop_closure_interior_idempotent(s, amb_extra):
     amb = union(s, amb_extra)
-    rel = s.with_ambient(amb)
-    cl = closure(rel)
-    assert sets_equal(closure(cl.with_ambient(amb)), cl)
-    it = interior(rel)
-    assert sets_equal(interior(it.with_ambient(amb)), it)
-    assert is_subset(it, rel) and is_subset(rel, cl)
+    cl = closure(s, amb)
+    assert sets_equal(closure(cl, amb), cl)
+    it = interior(s, amb)
+    assert sets_equal(interior(it, amb), it)
+    assert is_subset(it, s) and is_subset(s, cl)
 
 
 @given(interval_sets(), interval_sets())
 def test_prop_de_morgan(s, amb_extra):
     amb = union(s, amb_extra)
-    rel = s.with_ambient(amb)
-    rest = difference(amb, s).with_ambient(amb)
-    assert sets_equal(interior(rel), difference(amb, closure(rest)))
+    rest = difference(amb, s)
+    assert sets_equal(interior(s, amb), difference(amb, closure(rest, amb)))
+
+
+@given(interval_sets(), interval_sets())
+def test_prop_interior_matches_endpoint_reference(s, amb_extra):
+    amb = union(s, amb_extra)
+    assert sets_equal(interior(s, amb), interior_by_endpoints(s, amb))
+    assert sets_equal(interior(s), interior_by_endpoints(s, FULL_LINE))
 
 
 @given(interval_sets(), interval_sets())

@@ -7,6 +7,7 @@ import pytest
 
 from hyperrig.algebra import Atom
 from hyperrig.errors import MalformedInputError
+import hyperrig.fock as fock
 from hyperrig.fock import witness_pipeline
 from hyperrig.graphs import build_correspondence, decide_hyperrigid
 from hyperrig.records import (
@@ -160,7 +161,7 @@ def test_parsed_gram_parts_are_int_when_integral():
                for p in (z.re, z.im))
 
 
-def test_verification_names_the_first_failing_check():
+def test_verification_names_the_first_failing_check(monkeypatch):
     g, rec = sa_record()
     lo = as_presentation(loop_graph())
 
@@ -200,6 +201,13 @@ def test_verification_names_the_first_failing_check():
     vacuum, creation, _ = rec.non_reducing
     bad_norm = dataclasses.replace(rec, non_reducing=(vacuum, creation, Fraction(2)))
     assert verify_witness_record(g, bad_norm) == (False, "non-reducing-norm")
+
+    # last, since it corrupts every later rebuild: an honest record against
+    # a doubled creation operator
+    assert verify_witness_record(g, rec) == (True, None)
+    honest = fock.t0
+    monkeypatch.setattr(fock, "t0", lambda fk, x: honest(fk, x).scale(QI(2)))
+    assert verify_witness_record(g, rec) == (False, "isometric-relations")
 
 
 def test_tampered_records_still_round_trip():
