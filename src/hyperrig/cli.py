@@ -2,11 +2,12 @@
 
 Four subcommands: decide an instance file, emit a witness record for a
 non-hyperrigid instance, re-verify an emitted witness record against its
-instance, and run a whole directory in batch.  Records go to standard
-output, diagnostics to standard error, and all record output is
-byte-identical across runs.  batch decides its files one after another:
-the work is pure Python, so worker threads would only contend for the
-interpreter lock; --jobs is accepted and ignored.
+instance, and run a whole directory in batch.  Each writes one document
+from `records` to standard output, as canonical JSON or rendered by
+`records.render_text`; diagnostics go to standard error.  All record
+output is byte-identical across runs.  batch decides its files one after
+another: the work is pure Python, so worker threads would only contend
+for the interpreter lock; --jobs is accepted and ignored.
 
 Exit codes
   decide   0 hyperrigid, 1 not hyperrigid, 2 error
@@ -28,73 +29,25 @@ from .errors import (
 from .fock import DEFAULT_BASIS_BUDGET, DEFAULT_FOCK_LEVEL, witness_pipeline
 from .graphs import DiscreteGraphPresentation, decide_hyperrigid
 from .records import (
-    SCHEMA_VERSION, canonical_json, emit_verdict_record, emit_witness_record,
-    instance_digest, load_instance, load_witness_record, verdict_record,
-    verify_witness_record, witness_record,
+    batch_record, canonical_json, load_instance, load_witness_record,
+    render_text, verdict_record, verification_record, verify_witness_record,
+    witness_record,
 )
 
 
-# -- text rendering ----------------------------------------------------------------
-
-def _fmt_atom(a) -> str:
-    return f"{a.cls}[{a.index}]"
-
-
-def _fmt_copy(e) -> str:
-    return f"{e.cls}[{e.src_i},{e.dst_i},{e.k}]"
-
-
-def _fmt_key(k) -> str:
-    if not k.path:
-        return f"vac {_fmt_atom(k.atom)}"
-    return " * ".join(_fmt_copy(e) for e in k.path) + f" @ {_fmt_atom(k.atom)}"
-
-
-def _verdict_text(rec) -> str:
-    lines = [f"instance: {rec.instance_digest}",
-             f"verdict: {'hyperrigid' if rec.hyperrigid else 'not hyperrigid'}"]
-    for name, value in rec.routes:
-        lines.append(f"route {name}: {'holds' if value else 'fails'}")
-    lines.append(f"certificate: {rec.certificate_kind}")
-    lines.append(f"detail: {rec.certificate_detail}")
-    if rec.sigma_witness is not None:
-        w = rec.sigma_witness
-        atoms = ", ".join(_fmt_atom(a) for a in w.atoms)
-        vec = " + ".join(f"({z.re}+{z.im}i) {_fmt_key(k)}" for k, z in w.vector)
-        lines.append(f"sigma witness: evaluation at {atoms}, "
-                     f"class {w.edge_class}, vector {vec}")
-    return "\n".join(lines) + "\n"
-
-
-def _witness_text(rec) -> str:
-    lines = [f"certificate: sigma-witness",
-             f"instance: {rec.instance_digest}",
-             f"fock levels: {rec.fock_levels}",
-             "sigma: " + ", ".join(_fmt_atom(a) for a in rec.sigma_atoms),
-             f"M0 ({len(rec.m0)} vectors): "
-             + ("; ".join(_fmt_key(k) for k in rec.m0) or "(empty)"),
-             "M dimensions by level: "
-             + ", ".join(str(len(level)) for level in rec.m_levels),
-             f"residual invariance: {rec.residual_invariance}",
-             f"residual eq-use-1: {rec.residual_eq_use1}",
-             f"residual eq-use-2: {rec.residual_eq_use2}",
-             f"residual covariance: {rec.residual_covariance}"]
-    vacuum, creation, norm_sq = rec.non_reducing
-    lines.append(f"non-reducing: creation {_fmt_copy(creation)} applied to "
-                 f"{_fmt_key(vacuum)}, projection norm^2 {norm_sq}")
-    return "\n".join(lines) + "\n"
+def _write(args, doc: dict) -> None:
+    """Write a record document to stdout in the requested format."""
+    sys.stdout.write(canonical_json(doc) if args.format == "json"
+                     else render_text(doc))
 
 
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_decide(args) -> int:
     g = load_instance(args.instance)
-    rec = verdict_record(g, decide_hyperrigid(g))
-    if args.format == "json":
-        sys.stdout.write(canonical_json(emit_verdict_record(rec)))
-    else:
-        sys.stdout.write(_verdict_text(rec))
-    return 0 if rec.hyperrigid else 1
+    verdict = decide_hyperrigid(g)
+    _write(args, verdict_record(g, verdict))
+    return 0 if verdict.hyperrigid else 1
 
 
 def cmd_witness(args) -> int:
@@ -118,39 +71,27 @@ def cmd_witness(args) -> int:
     except WitnessRefusedError as exc:  # decide said degenerate, so unreachable
         print(f"refused: {exc}", file=sys.stderr)
         return 1
-    rec = witness_record(g, cert)
-    if args.format == "json":
-        sys.stdout.write(canonical_json(emit_witness_record(rec)))
-    else:
-        sys.stdout.write(_witness_text(rec))
+    _write(args, witness_record(g, cert))
     return 0
 
 
 def cmd_verify(args) -> int:
-    rec = load_witness_record(args.witness)
+    digest, claimed = load_witness_record(args.witness)
     g = load_instance(args.instance)
-    ok, failing = verify_witness_record(g, rec, basis_budget=args.basis_budget)
-    if args.format == "json":
-        doc = {"record": "verification", "schema": SCHEMA_VERSION, "verified": ok,
-               "instance_digest": instance_digest(g),
-               "failing_check": failing}
-        sys.stdout.write(canonical_json(doc))
-    else:
-        sys.stdout.write(f"verified: {'true' if ok else 'false'}\n")
-        if failing is not None:
-            sys.stdout.write(f"failing check: {failing}\n")
+    ok, failing = verify_witness_record(g, digest, claimed,
+                                        basis_budget=args.basis_budget)
+    _write(args, verification_record(g, ok, failing))
     return 0 if ok else 1
 
 
 def _batch_one(path: Path):
-    """Decide one file; never raises.  Returns (name, status, payload)."""
+    """Decide one file; never raises.  Returns (file name, verdict document
+    or error message)."""
     try:
         g = load_instance(path)
-        rec = verdict_record(g, decide_hyperrigid(g))
+        return path.name, verdict_record(g, decide_hyperrigid(g))
     except (HyperrigError, OSError) as exc:
-        return path.name, "error", f"{type(exc).__name__}: {exc}"
-    status = "hyperrigid" if rec.hyperrigid else "not-hyperrigid"
-    return path.name, status, rec
+        return path.name, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_batch(args) -> int:
@@ -158,35 +99,7 @@ def cmd_batch(args) -> int:
     if not root.is_dir():
         print(f"not a directory: {root}", file=sys.stderr)
         return 2
-    results = [_batch_one(p) for p in sorted(root.glob("*.json"))]
-
-    counts = {"hyperrigid": 0, "not-hyperrigid": 0, "error": 0}
-    for _, status, _ in results:
-        counts[status] += 1
-    summary = {"hyperrigid": counts["hyperrigid"],
-               "not-hyperrigid": counts["not-hyperrigid"],
-               "errors": counts["error"]}
-
-    if args.format == "json":
-        files = []
-        for name, status, payload in results:
-            entry = {"file": name, "status": status}
-            if status == "error":
-                entry["error"] = payload
-            else:
-                entry["record"] = emit_verdict_record(payload)
-            files.append(entry)
-        doc = {"record": "batch", "schema": SCHEMA_VERSION, "files": files,
-               "summary": summary}
-        sys.stdout.write(canonical_json(doc))
-    else:
-        for name, status, payload in results:
-            note = f" ({payload})" if status == "error" else ""
-            sys.stdout.write(f"{name}: {status}{note}\n")
-        sys.stdout.write(
-            f"summary: {counts['hyperrigid']} hyperrigid, "
-            f"{counts['not-hyperrigid']} not hyperrigid, "
-            f"{counts['error']} errors\n")
+    _write(args, batch_record([_batch_one(p) for p in sorted(root.glob("*.json"))]))
     return 0
 
 

@@ -67,7 +67,9 @@ def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = DEFAULT_
     size of its class) keys.  So a SymbolicOnlyError (the first infinite
     fiber in key order) or a BudgetExceededError (the running total past
     the budget) is raised before that level allocates anything.  The
-    enumerated level must then have exactly the computed size.
+    enumerated level must then have exactly the computed size.  An empty
+    level still costs one unit of the budget, so the truncation level is
+    bounded by the budget too.
     """
     if n_levels < 1:
         raise DomainError("truncation level must be at least 1")
@@ -79,11 +81,13 @@ def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = DEFAULT_
     total = len(bases[0])
     for n in range(1, n_levels + 1):
         size = sum(len(keys) * c.fiber_size(a.cls) for a, keys in lead.items())
-        total += size
+        total += max(size, 1)
         if total > basis_budget:
             raise BudgetExceededError(
                 f"Fock basis needs more than {basis_budget} vectors "
-                f"({total} and counting at level {n})")
+                f"({total} and counting at level {n})" if size else
+                f"Fock truncation needs more than {basis_budget} units of basis "
+                f"budget: level {n} is empty but still costs one unit")
         nxt = tuple(k for key in bases[-1] for k in successors(c, key))
         if len(nxt) != size:
             raise InternalInconsistencyError(
@@ -541,14 +545,14 @@ def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace,
     return resid
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WitnessCertificate:
     """Everything a verifier needs to re-check the counterexample: the
     subspace bases, its level-1 Gram, the four exact residuals, and the
     non-reducing vector data.  All residuals must be exactly zero and the
     projection norm exactly positive."""
 
-    sigma: EvaluationRep
+    sigma_atoms: tuple    # tuple[Atom, ...]
     n_levels: int
     m0: tuple
     m_levels: tuple
@@ -601,7 +605,7 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
             "contradicts the construction on a degenerate instance")
 
     return WitnessCertificate(
-        fock.sigma, fock.n_levels, m.m0, m.levels,
+        fock.sigma.atoms, fock.n_levels, m.m0, m.levels,
         tuple(tuple(row) for row in gram_matrix(c, list(m.m0))),
         inv, eq1, eq2, cov, non_reducing)
 

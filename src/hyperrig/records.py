@@ -1,4 +1,10 @@
-"""Instance files, verdict records, witness records.
+"""Instance files and the verdict, witness, verification and batch records.
+
+This is the one module that knows the record formats.  Each record has one
+typed form, the object the pipeline returns (`graphs.Verdict`,
+`fock.WitnessCertificate`), and one document form, the dict built here
+from it.  `render_text` turns a document into the `--format text`
+rendering, so text and JSON output are two renderings of one record.
 
 Everything on disk is UTF-8 JSON with exact rationals encoded as strings
 ("3/4", "-2", "0"), so parse followed by emit is the identity and records
@@ -6,30 +12,28 @@ are byte-identical across runs.  Instances are keyed by a digest of their
 canonical serialization; a witness record names the instance it certifies
 through that digest.
 
-A witness record can be re-checked from scratch: the verifier rebuilds the
-truncated Fock matrices from the instance and the recorded evaluation
-atoms, recomputes every residual, and compares field by field.  The first
-check that fails is reported by name.
+A witness record is re-checked by rerunning the witness construction's own
+functions from the instance and the recorded evaluation atoms and
+truncation level, and comparing the result with the record field by
+field.  The first check that fails is reported by name.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Optional, Tuple
 
 from .algebra import Atom, EvaluationRep
-from .correspondence import EdgeCopy, SigmaWitness, TensorKey, katsura_ideal
+from .correspondence import EdgeCopy, TensorKey, katsura_ideal
 from .errors import (
     BudgetExceededError, DomainError, MalformedInputError, SymbolicOnlyError,
     WitnessRefusedError,
 )
 from .fock import (
-    DEFAULT_BASIS_BUDGET, build_fock, build_witness_subspace, check_reducing,
-    verify_isometric_rep,
+    DEFAULT_BASIS_BUDGET, WitnessCertificate, build_fock, build_witness_subspace,
+    check_reducing, verify_isometric_rep,
 )
 from .graphs import (
     DiscreteGraphPresentation, IntervalGraphPresentation, Presentation,
@@ -43,10 +47,21 @@ SCHEMA_VERSION = 1
 
 # -- primitive encodings ---------------------------------------------------------
 
+# CPython's default limit on int <-> str conversion: a numerator or
+# denominator past it could not be written back out
+_MAX_DIGITS = 4300
+
+
 def _rational(v) -> Fraction:
     if not isinstance(v, str):
         raise MalformedInputError(f"expected a rational string, got {v!r}")
+    # neither part of m * 10**e has more than len(m) + |e| digits; check
+    # that before Fraction computes the power ("1e10000000" is 10 bytes)
+    mantissa, _, exp = v.lower().partition("e")
     try:
+        if exp and len(mantissa) + abs(int(exp)) > _MAX_DIGITS:
+            raise MalformedInputError(
+                f"rational string {v[:40]!r} has more than {_MAX_DIGITS} digits")
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad rational string {v!r}") from exc
@@ -258,7 +273,7 @@ def load_instance(path) -> Presentation:
 def _decode(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past _MAX_DIGITS
         raise MalformedInputError(f"not valid JSON: {exc}") from exc
 
 
@@ -275,133 +290,55 @@ def instance_digest(g: Presentation) -> str:
 
 # -- verdict records ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SigmaWitnessData:
-    """The degenerate evaluation in serializable form: the atoms it
-    evaluates at, the offending edge class, and the unit vector the ideal
-    cannot reach (a level-1 tensor)."""
-
-    atoms: tuple        # tuple[Atom, ...]
-    edge_class: str
-    vector: tuple       # tuple[(TensorKey, QI), ...]
-
-    @staticmethod
-    def from_live(w: SigmaWitness) -> "SigmaWitnessData":
-        return SigmaWitnessData(w.rep.atoms, w.edge_class, w.vector.terms)
-
-
-@dataclass(frozen=True)
-class VerdictRecord:
-    instance_digest: str
-    hyperrigid: bool
-    routes: tuple       # tuple[(name, bool), ...]
-    certificate_kind: str
-    certificate_detail: str
-    sigma_witness: Optional[SigmaWitnessData] = None
-
-
-def verdict_record(g: Presentation, verdict: Verdict) -> VerdictRecord:
+def verdict_record(g: Presentation, verdict: Verdict) -> dict:
+    """The verdict document.  A negative discrete verdict also carries its
+    degenerate evaluation: its atoms, the offending edge class, and the
+    level-1 unit vector the ideal cannot reach."""
     cert = verdict.certificate
-    witness = None
-    if cert.witness is not None:
-        witness = SigmaWitnessData.from_live(cert.witness)
-    return VerdictRecord(instance_digest(g), verdict.hyperrigid, verdict.routes,
-                         cert.kind, cert.detail, witness)
-
-
-def emit_verdict_record(rec: VerdictRecord) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
         "record": "verdict",
-        "instance_digest": rec.instance_digest,
-        "hyperrigid": rec.hyperrigid,
-        "routes": [{"route": name, "holds": value} for name, value in rec.routes],
-        "certificate": {"kind": rec.certificate_kind, "detail": rec.certificate_detail},
+        "instance_digest": instance_digest(g),
+        "hyperrigid": verdict.hyperrigid,
+        "routes": [{"route": name, "holds": value} for name, value in verdict.routes],
+        "certificate": {"kind": cert.kind, "detail": cert.detail},
     }
-    if rec.sigma_witness is not None:
-        w = rec.sigma_witness
+    w = cert.witness
+    if w is not None:
         doc["sigma_witness"] = {
-            "atoms": [_atom_out(a) for a in w.atoms],
+            "atoms": [_atom_out(a) for a in w.rep.atoms],
             "edge_class": w.edge_class,
-            "vector": [[_tensor_key_out(k), _qi_out(z)] for k, z in w.vector],
+            "vector": [[_tensor_key_out(k), _qi_out(z)] for k, z in w.vector.terms],
         }
     return doc
 
 
-def parse_verdict_record(doc) -> VerdictRecord:
-    _expect_fields(doc, {"record", "instance_digest", "hyperrigid", "routes",
-                         "certificate"},
-                   {"schema", "sigma_witness"}, "verdict record")
-    if doc["record"] != "verdict":
-        raise MalformedInputError(f"not a verdict record: {doc['record']!r}")
-    if not isinstance(doc["hyperrigid"], bool):
-        raise MalformedInputError("hyperrigid must be a boolean")
-    routes = []
-    for r in doc["routes"]:
-        _expect_fields(r, {"route", "holds"}, set(), "route entry")
-        if not isinstance(r["holds"], bool):
-            raise MalformedInputError("route value must be a boolean")
-        routes.append((r["route"], r["holds"]))
-    cert = doc["certificate"]
-    _expect_fields(cert, {"kind", "detail"}, set(), "certificate token")
-    witness = None
-    if "sigma_witness" in doc:
-        w = doc["sigma_witness"]
-        _expect_fields(w, {"atoms", "edge_class", "vector"}, set(), "sigma witness")
-        witness = SigmaWitnessData(
-            tuple(_atom(a) for a in w["atoms"]),
-            w["edge_class"],
-            tuple((_tensor_key(k), _qi(z)) for k, z in w["vector"]))
-    return VerdictRecord(doc["instance_digest"], doc["hyperrigid"], tuple(routes),
-                         cert["kind"], cert["detail"], witness)
-
-
 # -- witness records ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessRecord:
-    """A full counterexample certificate in serializable form.  Mirrors the
-    in-memory certificate plus the digest of the instance it belongs to."""
-
-    instance_digest: str
-    fock_levels: int
-    sigma_atoms: tuple      # tuple[Atom, ...]
-    m0: tuple               # tuple[TensorKey, ...]
-    m_levels: tuple         # tuple[tuple[TensorKey, ...], ...]
-    m0_gram: tuple          # tuple[tuple[QI, ...], ...]
-    residual_invariance: Rational
-    residual_eq_use1: Rational
-    residual_eq_use2: Rational
-    residual_covariance: Rational
-    non_reducing: tuple     # (TensorKey, EdgeCopy, Rational)
+_RESIDUALS = ("invariance", "eq-use-1", "eq-use-2", "covariance")
 
 
-def witness_record(g: Presentation, cert) -> WitnessRecord:
-    return WitnessRecord(
-        instance_digest(g), cert.n_levels, cert.sigma.atoms, cert.m0,
-        cert.m_levels, cert.m0_gram, cert.residual_invariance,
-        cert.residual_eq_use1, cert.residual_eq_use2,
-        cert.residual_covariance, cert.non_reducing)
+def _residuals(cert: WitnessCertificate) -> tuple:
+    """The four residuals, in _RESIDUALS order."""
+    return (cert.residual_invariance, cert.residual_eq_use1,
+            cert.residual_eq_use2, cert.residual_covariance)
 
 
-def emit_witness_record(rec: WitnessRecord) -> dict:
-    vacuum, creation, norm_sq = rec.non_reducing
+def witness_record(g: Presentation, cert: WitnessCertificate) -> dict:
+    """The certificate plus the digest of the instance it belongs to."""
+    vacuum, creation, norm_sq = cert.non_reducing
     return {
         "schema": SCHEMA_VERSION,
         "record": "witness",
         "certificate": "sigma-witness",
-        "instance_digest": rec.instance_digest,
-        "fock_levels": rec.fock_levels,
-        "sigma": [_atom_out(a) for a in rec.sigma_atoms],
-        "m0": [_tensor_key_out(k) for k in rec.m0],
-        "m_levels": [[_tensor_key_out(k) for k in level] for level in rec.m_levels],
-        "m0_gram": [[_qi_out(z) for z in row] for row in rec.m0_gram],
-        "residuals": {
-            "invariance": _rational_out(rec.residual_invariance),
-            "eq-use-1": _rational_out(rec.residual_eq_use1),
-            "eq-use-2": _rational_out(rec.residual_eq_use2),
-            "covariance": _rational_out(rec.residual_covariance),
-        },
+        "instance_digest": instance_digest(g),
+        "fock_levels": cert.n_levels,
+        "sigma": [_atom_out(a) for a in cert.sigma_atoms],
+        "m0": [_tensor_key_out(k) for k in cert.m0],
+        "m_levels": [[_tensor_key_out(k) for k in level] for level in cert.m_levels],
+        "m0_gram": [[_qi_out(z) for z in row] for row in cert.m0_gram],
+        "residuals": {name: _rational_out(value)
+                      for name, value in zip(_RESIDUALS, _residuals(cert))},
         "non_reducing": {
             "vacuum": _tensor_key_out(vacuum),
             "creation": _edge_copy_out(creation),
@@ -410,7 +347,8 @@ def emit_witness_record(rec: WitnessRecord) -> dict:
     }
 
 
-def parse_witness_record(doc) -> WitnessRecord:
+def parse_witness_record(doc) -> Tuple[str, WitnessCertificate]:
+    """Validate a decoded witness document; returns (digest, certificate)."""
     _expect_fields(doc, {"record", "certificate", "instance_digest", "fock_levels",
                          "sigma", "m0", "m_levels", "m0_gram", "residuals",
                          "non_reducing"},
@@ -422,47 +360,42 @@ def parse_witness_record(doc) -> WitnessRecord:
     if not isinstance(doc["fock_levels"], int) or isinstance(doc["fock_levels"], bool):
         raise MalformedInputError("fock_levels must be an integer")
     res = doc["residuals"]
-    _expect_fields(res, {"invariance", "eq-use-1", "eq-use-2", "covariance"},
-                   set(), "residuals")
+    _expect_fields(res, set(_RESIDUALS), set(), "residuals")
     nr = doc["non_reducing"]
     _expect_fields(nr, {"vacuum", "creation", "projection_norm_sq"}, set(),
                    "non-reducing data")
     for name in ("sigma", "m0", "m_levels", "m0_gram"):
         if not isinstance(doc[name], list):
             raise MalformedInputError(f"{name} must be a list")
-    return WitnessRecord(
-        doc["instance_digest"],
-        doc["fock_levels"],
+    for name in ("m_levels", "m0_gram"):
+        if not all(isinstance(row, list) for row in doc[name]):
+            raise MalformedInputError(f"each entry of {name} must be a list")
+    return doc["instance_digest"], WitnessCertificate(
         tuple(_atom(a) for a in doc["sigma"]),
+        doc["fock_levels"],
         tuple(_tensor_key(k) for k in doc["m0"]),
         tuple(tuple(_tensor_key(k) for k in level) for level in doc["m_levels"]),
         tuple(tuple(_qi(z) for z in row) for row in doc["m0_gram"]),
-        _rational(res["invariance"]),
-        _rational(res["eq-use-1"]),
-        _rational(res["eq-use-2"]),
-        _rational(res["covariance"]),
+        *(_rational(res[name]) for name in _RESIDUALS),
         (_tensor_key(nr["vacuum"]), _edge_copy(nr["creation"]),
          _rational(nr["projection_norm_sq"])))
 
 
-def parse_witness_record_text(text: str) -> WitnessRecord:
-    return parse_witness_record(_decode(text))
-
-
-def load_witness_record(path) -> WitnessRecord:
+def load_witness_record(path) -> Tuple[str, WitnessCertificate]:
     with open(path, encoding="utf-8") as fh:
-        return parse_witness_record_text(fh.read())
+        return parse_witness_record(_decode(fh.read()))
 
 
 # -- re-verification -------------------------------------------------------------------
 
-def verify_witness_record(g: Presentation, rec: WitnessRecord,
+def verify_witness_record(g: Presentation, digest: str, claimed: WitnessCertificate,
                           basis_budget: int = DEFAULT_BASIS_BUDGET,
                           ) -> Tuple[bool, Optional[str]]:
-    """Rebuild everything the record claims and compare.  Returns (ok,
+    """Rebuild the certificate from the instance, the claimed evaluation
+    atoms and the claimed truncation level, and compare.  Returns (ok,
     first failing check name).  Checks run in dependency order, so the
     named failure is the earliest break in the chain."""
-    if instance_digest(g) != rec.instance_digest:
+    if instance_digest(g) != digest:
         return False, "instance-digest"
     if not isinstance(g, DiscreteGraphPresentation):
         # witness records are only ever emitted for discrete instances, so a
@@ -470,11 +403,11 @@ def verify_witness_record(g: Presentation, rec: WitnessRecord,
         return False, "instance-kind"
     c = g.correspondence
     try:
-        sigma = EvaluationRep.of(c.algebra, rec.sigma_atoms)
+        sigma = EvaluationRep.of(c.algebra, claimed.sigma_atoms)
     except (MalformedInputError, DomainError):
         return False, "sigma-atoms"
     try:
-        fock = build_fock(c, sigma, rec.fock_levels, basis_budget)
+        fock = build_fock(c, sigma, claimed.n_levels, basis_budget)
     except (MalformedInputError, DomainError, SymbolicOnlyError,
             BudgetExceededError):
         return False, "fock-build"
@@ -485,20 +418,109 @@ def verify_witness_record(g: Presentation, rec: WitnessRecord,
     except WitnessRefusedError:
         return False, "witness-subspace"
     fresh = check_reducing(fock, m)
-    checks = (
-        ("m0-basis", rec.m0 == fresh.m0),
-        ("m-levels", rec.m_levels == fresh.m_levels),
-        ("m0-gram", rec.m0_gram == fresh.m0_gram),
-        ("residual-invariance",
-         rec.residual_invariance == fresh.residual_invariance == 0),
-        ("residual-eq-use-1", rec.residual_eq_use1 == fresh.residual_eq_use1 == 0),
-        ("residual-eq-use-2", rec.residual_eq_use2 == fresh.residual_eq_use2 == 0),
-        ("residual-covariance",
-         rec.residual_covariance == fresh.residual_covariance == 0),
-        ("non-reducing-norm",
-         rec.non_reducing == fresh.non_reducing and fresh.non_reducing[2] > 0),
-    )
+    checks = [("m0-basis", claimed.m0 == fresh.m0),
+              ("m-levels", claimed.m_levels == fresh.m_levels),
+              ("m0-gram", claimed.m0_gram == fresh.m0_gram)]
+    checks += [(f"residual-{name}", claim == value == 0) for name, claim, value
+               in zip(_RESIDUALS, _residuals(claimed), _residuals(fresh))]
+    checks.append(("non-reducing-norm", claimed.non_reducing == fresh.non_reducing
+                   and fresh.non_reducing[2] > 0))
     for name, ok in checks:
         if not ok:
             return False, name
     return True, None
+
+
+def verification_record(g: Presentation, ok: bool, failing: Optional[str]) -> dict:
+    return {"record": "verification", "schema": SCHEMA_VERSION, "verified": ok,
+            "instance_digest": instance_digest(g), "failing_check": failing}
+
+
+# -- batch records ---------------------------------------------------------------------
+
+def batch_record(results) -> dict:
+    """The batch document from (file name, verdict document or error
+    message) pairs, in file order."""
+    files = [{"file": name, "status": "error", "error": out} if isinstance(out, str)
+             else {"file": name, "record": out,
+                   "status": "hyperrigid" if out["hyperrigid"] else "not-hyperrigid"}
+             for name, out in results]
+    count = [f["status"] for f in files].count
+    summary = {"hyperrigid": count("hyperrigid"),
+               "not-hyperrigid": count("not-hyperrigid"), "errors": count("error")}
+    return {"record": "batch", "schema": SCHEMA_VERSION, "files": files,
+            "summary": summary}
+
+
+# -- text rendering --------------------------------------------------------------------
+
+def _fmt_atom(a) -> str:
+    return f"{a[0]}[{a[1]}]"
+
+
+def _fmt_copy(e) -> str:
+    return f"{e[0]}[{e[1]},{e[2]},{e[3]}]"
+
+
+def _fmt_key(k) -> str:
+    if not k["path"]:
+        return f"vac {_fmt_atom(k['atom'])}"
+    return " * ".join(_fmt_copy(e) for e in k["path"]) + f" @ {_fmt_atom(k['atom'])}"
+
+
+def _verdict_text(doc) -> list:
+    cert = doc["certificate"]
+    lines = [f"instance: {doc['instance_digest']}",
+             f"verdict: {'hyperrigid' if doc['hyperrigid'] else 'not hyperrigid'}",
+             *(f"route {r['route']}: {'holds' if r['holds'] else 'fails'}"
+               for r in doc["routes"]),
+             f"certificate: {cert['kind']}", f"detail: {cert['detail']}"]
+    w = doc.get("sigma_witness")
+    if w is not None:
+        atoms = ", ".join(_fmt_atom(a) for a in w["atoms"])
+        vec = " + ".join(f"({re}+{im}i) {_fmt_key(k)}" for k, (re, im) in w["vector"])
+        lines.append(f"sigma witness: evaluation at {atoms}, "
+                     f"class {w['edge_class']}, vector {vec}")
+    return lines
+
+
+def _witness_text(doc) -> list:
+    m0, nr = doc["m0"], doc["non_reducing"]
+    return [f"certificate: {doc['certificate']}",
+            f"instance: {doc['instance_digest']}",
+            f"fock levels: {doc['fock_levels']}",
+            "sigma: " + ", ".join(_fmt_atom(a) for a in doc["sigma"]),
+            f"M0 ({len(m0)} vectors): "
+            + ("; ".join(_fmt_key(k) for k in m0) or "(empty)"),
+            "M dimensions by level: "
+            + ", ".join(str(len(level)) for level in doc["m_levels"]),
+            *(f"residual {name}: {doc['residuals'][name]}" for name in _RESIDUALS),
+            f"non-reducing: creation {_fmt_copy(nr['creation'])} applied to "
+            f"{_fmt_key(nr['vacuum'])}, projection norm^2 {nr['projection_norm_sq']}"]
+
+
+def _verification_text(doc) -> list:
+    lines = [f"verified: {'true' if doc['verified'] else 'false'}"]
+    if doc["failing_check"] is not None:
+        lines.append(f"failing check: {doc['failing_check']}")
+    return lines
+
+
+def _batch_text(doc) -> list:
+    lines = [f"{f['file']}: {f['status']}"
+             + (f" ({f['error']})" if f["status"] == "error" else "")
+             for f in doc["files"]]
+    s = doc["summary"]
+    lines.append(f"summary: {s['hyperrigid']} hyperrigid, "
+                 f"{s['not-hyperrigid']} not hyperrigid, {s['errors']} errors")
+    return lines
+
+
+_TEXT = {"verdict": _verdict_text, "witness": _witness_text,
+         "verification": _verification_text, "batch": _batch_text}
+
+
+def render_text(doc: dict) -> str:
+    """The --format text rendering of a verdict, witness, verification or
+    batch document: the same record the JSON output carries."""
+    return "\n".join(_TEXT[doc["record"]](doc)) + "\n"

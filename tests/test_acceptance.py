@@ -25,7 +25,7 @@ from hyperrig.graphs import (
     build_correspondence, check_row_finite, compact_base_shortcut,
     decide_hyperrigid,
 )
-from hyperrig.records import verify_witness_record, witness_record
+from hyperrig.records import instance_digest, verify_witness_record
 from hyperrig.scalars import QI
 
 from instances import (
@@ -245,20 +245,21 @@ def _flip_trial(seed: int):
     return False, None
 
 
-def _gram_trial(seed: int, records):
+def _gram_trial(seed: int, certificates):
     rng = random.Random(seed)
-    g, rec = records[seed % len(records)]
+    g, cert = certificates[seed % len(certificates)]
     wrong = rng.choice([QI(Fraction(1, 2)), QI(Fraction(2)),
                         QI(Fraction(0), Fraction(1)), QI(Fraction(1), Fraction(1)),
                         QI()])
-    row = rng.randrange(len(rec.m0_gram))
-    col = rng.randrange(len(rec.m0_gram))
-    if wrong == rec.m0_gram[row][col]:
+    row = rng.randrange(len(cert.m0_gram))
+    col = rng.randrange(len(cert.m0_gram))
+    if wrong == cert.m0_gram[row][col]:
         wrong = wrong + QI(Fraction(1, 3))
     gram = tuple(tuple(wrong if (i, j) == (row, col) else z
                        for j, z in enumerate(r))
-                 for i, r in enumerate(rec.m0_gram))
-    ok, failing = verify_witness_record(g, dataclasses.replace(rec, m0_gram=gram))
+                 for i, r in enumerate(cert.m0_gram))
+    ok, failing = verify_witness_record(g, instance_digest(g),
+                                        dataclasses.replace(cert, m0_gram=gram))
     return (not ok and failing is not None), failing
 
 
@@ -279,11 +280,10 @@ def _wrong_ideal_trial(seed: int):
 def test_criterion_5_negative_controls():
     """50 seeded mutations: sign flips, Gram perturbations, wrong ideals.
     Every one must be detected with a named failing residual."""
-    sa_records = []
+    sa_certificates = []
     for c in DEGENERATE_CORPUS:
-        g = as_presentation(c)
         _, _, cert = witness_pipeline(c, 3)
-        sa_records.append((g, witness_record(g, cert)))
+        sa_certificates.append((as_presentation(c), cert))
 
     outcomes = {}
     for seed in range(50):
@@ -291,7 +291,7 @@ def test_criterion_5_negative_controls():
         if kind == 0:
             detected, name = _flip_trial(seed)
         elif kind == 1:
-            detected, name = _gram_trial(seed, sa_records)
+            detected, name = _gram_trial(seed, sa_certificates)
         else:
             detected, name = _wrong_ideal_trial(seed)
         assert detected, (seed, kind)

@@ -5,7 +5,7 @@ import shutil
 from pathlib import Path
 
 from hyperrig.cli import main
-from hyperrig.records import parse_verdict_record, parse_witness_record
+from hyperrig.records import parse_witness_record, render_text
 
 from golden_cli import GOLDEN, INTERVAL, MANIFEST, run_cli
 
@@ -34,8 +34,7 @@ def test_decide_exit_codes(capsys):
         code = main(["decide", str(CORPUS / name)])
         out = capsys.readouterr().out
         assert code == (0 if hyperrigid else 1), name
-        rec = parse_verdict_record(json.loads(out))
-        assert rec.hyperrigid is hyperrigid
+        assert json.loads(out)["hyperrigid"] is hyperrigid
 
 
 def test_decide_is_deterministic(capsys):
@@ -54,13 +53,24 @@ def test_decide_text_format(capsys):
     assert "certificate: theorem-3.1" in out
 
 
+OVERSIZED = {
+    # an interval endpoint whose numerator has 5001 digits
+    "exponent.json": '{"kind": "interval", "G0": [["0", "1e5000", "closed", "closed"]],'
+                     ' "G1": [], "r": {"pieces": []}, "s": {"pieces": []}}',
+    # a vertex count past the interpreter's int <-> str digit limit
+    "count.json": '{"kind": "discrete", "vertices": [{"name": "v", "count": '
+                  + "9" * 5000 + '}], "edges": []}',
+}
+
+
 def test_decide_errors(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{", encoding="utf-8")
-    assert main(["decide", str(bad)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error" in captured.err
+    for name, text in {"bad.json": "{", **OVERSIZED}.items():
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
+        assert main(["decide", str(bad)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err.startswith("error: "), name
 
     assert main(["decide", str(tmp_path / "missing.json")]) == 2
 
@@ -81,13 +91,30 @@ def test_cli_matches_golden_outputs():
         assert code == case["exit"], name
 
 
+def test_text_output_renders_the_json_record():
+    # --format text is render_text of the document --format json writes:
+    # every golden json/text pair agrees, and a case with no record on
+    # stdout has none in either format
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    rendered = 0
+    for name in sorted(n for n in manifest if n.endswith("_json")):
+        json_out = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+        text_out = (GOLDEN / f"{name[:-len('json')]}text.out").read_text(encoding="utf-8")
+        if json_out:
+            assert render_text(json.loads(json_out)) == text_out, name
+            rendered += 1
+        else:
+            assert text_out == "", name
+    assert rendered >= 20
+
+
 def test_witness_emits_verifiable_record(tmp_path, capsys):
     code = main(["witness", str(CORPUS / "star_plus_arm.json")])
     out = capsys.readouterr().out
     assert code == 0
-    rec = parse_witness_record(json.loads(out))
-    assert len(rec.m0) == 1
-    assert rec.sigma_atoms[0].cls == "W"
+    _, cert = parse_witness_record(json.loads(out))
+    assert len(cert.m0) == 1
+    assert cert.sigma_atoms[0].cls == "W"
     witness_path = tmp_path / "witness.json"
     witness_path.write_text(out, encoding="utf-8")
 
@@ -100,8 +127,8 @@ def test_witness_emits_verifiable_record(tmp_path, capsys):
 
 def test_witness_on_infinitely_received_star(capsys):
     assert main(["witness", str(CORPUS / "omega_star.json")]) == 0
-    rec = parse_witness_record(json.loads(capsys.readouterr().out))
-    assert rec.residual_covariance == 0
+    _, cert = parse_witness_record(json.loads(capsys.readouterr().out))
+    assert cert.residual_covariance == 0
 
 
 def test_witness_refused_on_hyperrigid(capsys):
@@ -205,12 +232,15 @@ def test_batch_text_format(capsys):
 def test_batch_isolates_per_file_errors(tmp_path, capsys):
     shutil.copy(CORPUS / "loop.json", tmp_path / "loop.json")
     (tmp_path / "broken.json").write_text("{{{", encoding="utf-8")
+    for name, text in OVERSIZED.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     assert main(["batch", str(tmp_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["summary"] == {"hyperrigid": 1, "not-hyperrigid": 0, "errors": 1}
+    assert doc["summary"] == {"hyperrigid": 1, "not-hyperrigid": 0, "errors": 3}
     by_name = {f["file"]: f for f in doc["files"]}
-    assert by_name["broken.json"]["status"] == "error"
-    assert "MalformedInputError" in by_name["broken.json"]["error"]
+    for name in ("broken.json", *OVERSIZED):
+        assert by_name[name]["status"] == "error", name
+        assert by_name[name]["error"].startswith("MalformedInputError: "), name
     assert by_name["loop.json"]["status"] == "hyperrigid"
 
 
@@ -228,12 +258,19 @@ def test_batch_rejects_non_directory(tmp_path, capsys):
 def test_custom_fock_level(capsys):
     assert main(["witness", str(CORPUS / "star_plus_arm.json"),
                  "--fock-level", "4"]) == 0
-    rec = parse_witness_record(json.loads(capsys.readouterr().out))
-    assert rec.fock_levels == 4
-    assert len(rec.m_levels) == 5
+    _, cert = parse_witness_record(json.loads(capsys.readouterr().out))
+    assert cert.n_levels == 4
+    assert len(cert.m_levels) == 5
 
 
 def test_tight_budget_is_an_error(capsys):
     assert main(["witness", str(CORPUS / "star_plus_arm.json"),
                  "--basis-budget", "1"]) == 2
     assert "basis-budget" in capsys.readouterr().err
+    # star_plus_arm's levels past 2 are empty, but each costs one unit of
+    # the basis budget, so a huge truncation stops within 10000 levels
+    assert main(["witness", str(CORPUS / "star_plus_arm.json"),
+                 "--fock-level", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "level 10000 is empty" in captured.err

@@ -549,7 +549,7 @@ def test_full_pipeline_on_degenerate_corpus():
 def test_pipeline_details_star_plus_arm():
     sa = star_plus_arm()
     fock, m, cert = witness_pipeline(sa, 3)
-    assert cert.sigma.atoms == (Atom("W", 0),)
+    assert cert.sigma_atoms == (Atom("W", 0),)
     h, x, norm = cert.non_reducing
     assert h == TensorKey((), Atom("W", 0))
     assert x == EdgeCopy("E", 0, 0, 0)

@@ -11,9 +11,8 @@ import hyperrig.fock as fock
 from hyperrig.fock import witness_pipeline
 from hyperrig.graphs import build_correspondence, decide_hyperrigid
 from hyperrig.records import (
-    canonical_json, emit_verdict_record, emit_witness_record, instance_digest,
-    instance_payload, parse_instance, parse_instance_text,
-    parse_verdict_record, parse_witness_record, verdict_record,
+    canonical_json, instance_digest, instance_payload, parse_instance,
+    parse_instance_text, parse_witness_record, verdict_record,
     verify_witness_record, witness_record,
 )
 from hyperrig.scalars import QI
@@ -29,10 +28,10 @@ def all_presentations():
     return [as_presentation(c) for c in discrete] + [i1_graph(), i2_graph(), ray_graph()]
 
 
-def sa_record():
+def sa_certificate():
     g = as_presentation(star_plus_arm())
     _, _, cert = witness_pipeline(build_correspondence(g), 3)
-    return g, witness_record(g, cert)
+    return g, cert
 
 
 # -- instances -------------------------------------------------------------------
@@ -67,6 +66,11 @@ def test_exact_rationals_and_unbounded_ends_survive():
     assert emitted["r"]["pieces"][0]["offset"] == "-1/6"
 
 
+def _interval_reaching(hi: str) -> str:
+    return ('{"kind": "interval", "G0": [["0", "%s", "closed", "closed"]], "G1": [],'
+            ' "r": {"pieces": []}, "s": {"pieces": []}}' % hi)
+
+
 @pytest.mark.parametrize("text", [
     "not json at all",
     "[1, 2]",
@@ -82,6 +86,14 @@ def test_exact_rationals_and_unbounded_ends_survive():
     ' "r": {"pieces": []}, "s": {"pieces": []}}',
     '{"kind": "interval", "G0": [["0", "one", "closed", "closed"]], "G1": [],'
     ' "r": {"pieces": []}, "s": {"pieces": []}}',
+    # numerators or denominators past 4300 digits could not be written back
+    # out; "1e10000000" (10 bytes) is refused before 10**10000000 is computed
+    _interval_reaching("1e10000000"),
+    _interval_reaching("1e5000"),
+    _interval_reaching("1e-5000"),
+    pytest.param(_interval_reaching("1" * 5000), id="5000-digit endpoint"),
+    pytest.param('{"kind": "discrete", "vertices": [{"name": "v", "count": '
+                 + "9" * 5000 + '}], "edges": []}', id="5000-digit count"),
 ])
 def test_malformed_instances_rejected(text):
     with pytest.raises(MalformedInputError):
@@ -102,37 +114,38 @@ def test_folding_source_map_rejected():
         parse_instance(doc)
 
 
+def test_largest_power_of_ten_that_fits_is_accepted():
+    # 10**4299 has 4300 digits, the most an int can be written back out
+    # with; one digit more is refused (test_malformed_instances_rejected)
+    g = parse_instance_text(_interval_reaching("1e4299"))
+    assert instance_payload(g)["G0"][0][1] == "1" + "0" * 4299
+    assert len(instance_digest(g)) == 64
+
+
 # -- verdict records ---------------------------------------------------------------
-
-def test_verdict_record_round_trip():
-    for g in all_presentations():
-        rec = verdict_record(g, decide_hyperrigid(g))
-        assert parse_verdict_record(emit_verdict_record(rec)) == rec
-
 
 def test_negative_discrete_verdict_carries_witness():
     g = as_presentation(star_plus_arm())
-    rec = verdict_record(g, decide_hyperrigid(g))
-    assert not rec.hyperrigid
-    assert rec.certificate_kind == "sigma-witness"
-    assert rec.sigma_witness is not None
-    assert rec.sigma_witness.atoms == (Atom("W", 0),)
-    assert rec.sigma_witness.edge_class == "E"
+    doc = verdict_record(g, decide_hyperrigid(g))
+    assert doc["hyperrigid"] is False
+    assert doc["instance_digest"] == instance_digest(g)
+    assert doc["certificate"]["kind"] == "sigma-witness"
+    assert doc["sigma_witness"]["atoms"] == [["W", 0]]
+    assert doc["sigma_witness"]["edge_class"] == "E"
 
-    rec = verdict_record(i1_graph(), decide_hyperrigid(i1_graph()))
-    assert not rec.hyperrigid and rec.sigma_witness is None
+    doc = verdict_record(i1_graph(), decide_hyperrigid(i1_graph()))
+    assert doc["hyperrigid"] is False and "sigma_witness" not in doc
 
-    rec = verdict_record(as_presentation(loop_graph()),
+    doc = verdict_record(as_presentation(loop_graph()),
                          decide_hyperrigid(as_presentation(loop_graph())))
-    assert rec.hyperrigid and rec.certificate_kind == "theorem-3.1"
+    assert doc["hyperrigid"] is True
+    assert doc["certificate"]["kind"] == "theorem-3.1"
 
 
 def test_canonical_json_is_stable():
     g = as_presentation(star_plus_arm())
-    rec = verdict_record(g, decide_hyperrigid(g))
-    once = canonical_json(emit_verdict_record(rec))
-    again = canonical_json(emit_verdict_record(
-        verdict_record(g, decide_hyperrigid(g))))
+    once = canonical_json(verdict_record(g, decide_hyperrigid(g)))
+    again = canonical_json(verdict_record(g, decide_hyperrigid(g)))
     assert once == again
     assert once.endswith("\n")
 
@@ -140,95 +153,105 @@ def test_canonical_json_is_stable():
 # -- witness records ---------------------------------------------------------------
 
 def test_witness_record_round_trip():
-    g, rec = sa_record()
-    assert parse_witness_record(emit_witness_record(rec)) == rec
-    ok, failing = verify_witness_record(g, rec)
+    g, cert = sa_certificate()
+    assert parse_witness_record(witness_record(g, cert)) == (instance_digest(g), cert)
+    ok, failing = verify_witness_record(g, instance_digest(g), cert)
     assert ok and failing is None
 
 
 def test_parsed_gram_parts_are_int_when_integral():
     # parts read back from a record take the same int-or-Fraction form as
     # parts the pipeline computes, and render back to the same strings
-    g, rec = sa_record()
-    doc = emit_witness_record(rec)
+    g, cert = sa_certificate()
+    doc = witness_record(g, cert)
     doc["m0_gram"][0][0] = ["6/2", "-1/2"]
-    z = parse_witness_record(doc).m0_gram[0][0]
+    _, parsed = parse_witness_record(doc)
+    z = parsed.m0_gram[0][0]
     assert (type(z.re), type(z.im)) == (int, Fraction)
     assert z == QI(3, Fraction(-1, 2))
-    assert emit_witness_record(parse_witness_record(doc))["m0_gram"][0][0] \
-        == ["3", "-1/2"]
-    assert all(type(p) is int for row in rec.m0_gram for z in row
+    assert witness_record(g, parsed)["m0_gram"][0][0] == ["3", "-1/2"]
+    assert all(type(p) is int for row in cert.m0_gram for z in row
                for p in (z.re, z.im))
 
 
 def test_verification_names_the_first_failing_check(monkeypatch):
-    g, rec = sa_record()
+    g, cert = sa_certificate()
+    digest = instance_digest(g)
     lo = as_presentation(loop_graph())
 
-    assert verify_witness_record(lo, rec) == (False, "instance-digest")
+    assert verify_witness_record(lo, digest, cert) == (False, "instance-digest")
 
-    fake_interval = dataclasses.replace(rec, instance_digest=instance_digest(i1_graph()))
-    assert verify_witness_record(i1_graph(), fake_interval) == (False, "instance-kind")
+    i1 = i1_graph()
+    assert verify_witness_record(i1, instance_digest(i1), cert) \
+        == (False, "instance-kind")
 
-    bad_sigma = dataclasses.replace(rec, sigma_atoms=(Atom("Q", 0),))
-    assert verify_witness_record(g, bad_sigma) == (False, "sigma-atoms")
+    bad_sigma = dataclasses.replace(cert, sigma_atoms=(Atom("Q", 0),))
+    assert verify_witness_record(g, digest, bad_sigma) == (False, "sigma-atoms")
 
-    bad_fock = dataclasses.replace(rec, fock_levels=0)
-    assert verify_witness_record(g, bad_fock) == (False, "fock-build")
+    bad_fock = dataclasses.replace(cert, n_levels=0)
+    assert verify_witness_record(g, digest, bad_fock) == (False, "fock-build")
+    # star_plus_arm's levels past 2 are empty, but each still costs one unit
+    # of the basis budget, so 3,000,000 levels are refused, not enumerated
+    huge = dataclasses.replace(cert, n_levels=3_000_000)
+    assert verify_witness_record(g, digest, huge) == (False, "fock-build")
 
-    refused = dataclasses.replace(rec, instance_digest=instance_digest(lo),
-                                  sigma_atoms=(Atom("v", 0),))
-    assert verify_witness_record(lo, refused) == (False, "witness-subspace")
+    refused = dataclasses.replace(cert, sigma_atoms=(Atom("v", 0),))
+    assert verify_witness_record(lo, instance_digest(lo), refused) \
+        == (False, "witness-subspace")
 
-    assert verify_witness_record(g, dataclasses.replace(rec, m0=())) \
+    assert verify_witness_record(g, digest, dataclasses.replace(cert, m0=())) \
         == (False, "m0-basis")
 
-    swapped = rec.m_levels[1:] + rec.m_levels[:1]
-    assert verify_witness_record(g, dataclasses.replace(rec, m_levels=swapped)) \
-        == (False, "m-levels")
+    swapped = cert.m_levels[1:] + cert.m_levels[:1]
+    assert verify_witness_record(
+        g, digest, dataclasses.replace(cert, m_levels=swapped)) == (False, "m-levels")
 
     bad_gram = ((QI(Fraction(1, 2)),),)
-    assert verify_witness_record(g, dataclasses.replace(rec, m0_gram=bad_gram)) \
-        == (False, "m0-gram")
+    assert verify_witness_record(
+        g, digest, dataclasses.replace(cert, m0_gram=bad_gram)) == (False, "m0-gram")
 
     for field, name in (("residual_invariance", "residual-invariance"),
                         ("residual_eq_use1", "residual-eq-use-1"),
                         ("residual_eq_use2", "residual-eq-use-2"),
                         ("residual_covariance", "residual-covariance")):
-        bad = dataclasses.replace(rec, **{field: Fraction(1)})
-        assert verify_witness_record(g, bad) == (False, name)
+        bad = dataclasses.replace(cert, **{field: Fraction(1)})
+        assert verify_witness_record(g, digest, bad) == (False, name)
 
-    vacuum, creation, _ = rec.non_reducing
-    bad_norm = dataclasses.replace(rec, non_reducing=(vacuum, creation, Fraction(2)))
-    assert verify_witness_record(g, bad_norm) == (False, "non-reducing-norm")
+    vacuum, creation, _ = cert.non_reducing
+    bad_norm = dataclasses.replace(cert, non_reducing=(vacuum, creation, Fraction(2)))
+    assert verify_witness_record(g, digest, bad_norm) == (False, "non-reducing-norm")
 
     # last, since it corrupts every later rebuild: an honest record against
     # a doubled creation operator
-    assert verify_witness_record(g, rec) == (True, None)
+    assert verify_witness_record(g, digest, cert) == (True, None)
     honest = fock.t0
     monkeypatch.setattr(fock, "t0", lambda fk, x: honest(fk, x).scale(QI(2)))
-    assert verify_witness_record(g, rec) == (False, "isometric-relations")
+    assert verify_witness_record(g, digest, cert) == (False, "isometric-relations")
+
 
 
 def test_tampered_records_still_round_trip():
     # serialization is faithful whether or not the content verifies
-    g, rec = sa_record()
-    tampered = dataclasses.replace(rec, residual_covariance=Fraction(3, 7))
-    assert parse_witness_record(emit_witness_record(tampered)) == tampered
+    g, cert = sa_certificate()
+    tampered = dataclasses.replace(cert, residual_covariance=Fraction(3, 7))
+    assert parse_witness_record(witness_record(g, tampered)) \
+        == (instance_digest(g), tampered)
 
 
 def test_witness_record_rejects_malformed_documents():
-    g, rec = sa_record()
-    doc = emit_witness_record(rec)
+    g, cert = sa_certificate()
+    doc = witness_record(g, cert)
     for breakage in (
             lambda d: d.update(record="vibes"),
             lambda d: d.update(certificate="handshake"),
             lambda d: d.update(fock_levels="3"),
             lambda d: d.pop("m0_gram"),
             lambda d: d["residuals"].pop("covariance"),
-            lambda d: d["non_reducing"].update(projection_norm_sq="a lot")):
-        bad = emit_witness_record(rec)
+            lambda d: d["non_reducing"].update(projection_norm_sq="a lot"),
+            lambda d: d["m_levels"].append(1),
+            lambda d: d["m0_gram"].append(5)):
+        bad = witness_record(g, cert)
         breakage(bad)
         with pytest.raises(MalformedInputError):
             parse_witness_record(bad)
-    assert parse_witness_record(doc) == rec
+    assert parse_witness_record(doc) == (instance_digest(g), cert)
