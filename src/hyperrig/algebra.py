@@ -25,26 +25,28 @@ class Atom(NamedTuple):
 
 @dataclass(frozen=True)
 class AtomSet:
+    """Vertex classes with their counts.  `of` is the boundary: it checks
+    that the names are distinct and that every count is a positive integer
+    or OMEGA.  The count index and the name tuple are built once, at
+    construction, and every reader uses them instead of rebuilding them."""
+
     classes: tuple  # tuple[tuple[str, Count], ...]
     _counts: dict = field(init=False, repr=False, compare=False)  # name -> Count
+    names: tuple = field(init=False, repr=False, compare=False)   # class names, in order
 
     def __post_init__(self):
         object.__setattr__(self, "_counts", dict(self.classes))
+        object.__setattr__(self, "names", tuple(name for name, _ in self.classes))
 
     @staticmethod
     def of(classes: Iterable) -> "AtomSet":
-        items = tuple((name, count) for name, count in classes)
-        names = [name for name, _ in items]
-        if len(set(names)) != len(names):
-            raise MalformedInputError(f"duplicate class names in {names}")
-        for name, count in items:
+        a = AtomSet(tuple((name, count) for name, count in classes))
+        if len(a._counts) != len(a.names):
+            raise MalformedInputError(f"duplicate class names in {list(a.names)}")
+        for name, count in a.classes:
             if not is_count(count):
                 raise MalformedInputError(f"class {name} has non-positive count {count!r}")
-        return AtomSet(items)
-
-    @property
-    def names(self) -> tuple:
-        return tuple(name for name, _ in self.classes)
+        return a
 
     def count_of(self, cls: str) -> Count:
         count = self._counts.get(cls)
@@ -67,7 +69,7 @@ class IdealSpec:
     @staticmethod
     def of(parent: AtomSet, support: Iterable[str]) -> "IdealSpec":
         supp = frozenset(support)
-        unknown = supp - set(parent.names)
+        unknown = supp.difference(parent._counts)
         if unknown:
             raise MalformedInputError(f"ideal support {sorted(unknown)} outside the algebra")
         return IdealSpec(parent, supp)

@@ -40,6 +40,15 @@ class EdgeCopy(NamedTuple):
 
 @dataclass(frozen=True)
 class Correspondence:
+    """Edge classes over a vertex AtomSet.
+
+    `of` is the boundary for callers that build one in code: it takes
+    EdgeClass values as they are and any other 4-tuple as EdgeClass fields,
+    and refuses duplicate edge class names before any per-edge check.
+    Construction then walks the generators once, checking each (an unknown
+    source class, then an unknown range class, then a bad multiplicity) in
+    the same loop that builds the class-level indexes."""
+
     algebra: AtomSet
     generators: tuple  # tuple[EdgeClass, ...]
     # class-level lookups, built once from the generators (not compared)
@@ -48,27 +57,30 @@ class Correspondence:
     _in_degree: dict = field(init=False, repr=False, compare=False)  # dst class -> Count
 
     def __post_init__(self):
+        counts = self.algebra._counts
         edges, out, deg = {}, {}, {}
         for g in self.generators:
-            edges[g.name] = g
-            out.setdefault(g.src, []).append(g)
-            deg[g.dst] = count_add(deg.get(g.dst, 0),
-                                   count_mul(self.algebra.count_of(g.src), g.mult))
+            name, src, dst, mult = g
+            src_count = counts.get(src)
+            if src_count is None or dst not in counts:
+                # raises the unknown-class error, source first
+                self.algebra.count_of(src)
+                self.algebra.count_of(dst)
+            if not is_count(mult):
+                raise MalformedInputError(f"edge class {name} has bad multiplicity {mult!r}")
+            edges[name] = g
+            out.setdefault(src, []).append(g)
+            deg[dst] = count_add(deg.get(dst, 0), count_mul(src_count, mult))
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_from", out)
         object.__setattr__(self, "_in_degree", deg)
 
     @staticmethod
     def of(algebra: AtomSet, generators: Iterable[EdgeClass]) -> "Correspondence":
-        gens = tuple(EdgeClass(*g) for g in generators)
-        names = [g.name for g in gens]
-        if len(set(names)) != len(names):
-            raise MalformedInputError(f"duplicate edge class names in {names}")
-        for g in gens:
-            algebra.count_of(g.src)
-            algebra.count_of(g.dst)
-            if not is_count(g.mult):
-                raise MalformedInputError(f"edge class {g.name} has bad multiplicity {g.mult!r}")
+        gens = tuple(g if isinstance(g, EdgeClass) else EdgeClass(*g) for g in generators)
+        if len({g.name for g in gens}) != len(gens):
+            raise MalformedInputError(
+                f"duplicate edge class names in {[g.name for g in gens]}")
         return Correspondence(algebra, gens)
 
     def edge(self, name: str) -> EdgeClass:
@@ -136,13 +148,13 @@ class Submodule:
     @staticmethod
     def of(parent: Correspondence, span: Iterable[str]) -> "Submodule":
         names = frozenset(span)
-        known = {g.name for g in parent.generators}
-        if not names <= known:
-            raise MalformedInputError(f"submodule span {sorted(names - known)} outside generators")
+        unknown = names.difference(parent._edges)
+        if unknown:
+            raise MalformedInputError(f"submodule span {sorted(unknown)} outside generators")
         return Submodule(parent, names)
 
     def is_full(self) -> bool:
-        return self.span == {g.name for g in self.parent.generators}
+        return self.span == self.parent._edges.keys()
 
 
 # -- module vectors -----------------------------------------------------------

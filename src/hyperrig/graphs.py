@@ -50,9 +50,11 @@ class DiscreteGraphPresentation:
 
     @staticmethod
     def of(vertices, edges) -> "DiscreteGraphPresentation":
+        """EdgeClass values are kept as they are; any other 4-tuple is read
+        as EdgeClass fields."""
         return DiscreteGraphPresentation(
             tuple((n, c) for n, c in vertices),
-            tuple(EdgeClass(*e) for e in edges))
+            tuple(e if isinstance(e, EdgeClass) else EdgeClass(*e) for e in edges))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .algebra import Atom, EvaluationRep
-from .correspondence import EdgeCopy, TensorKey, katsura_ideal
+from .correspondence import EdgeClass, EdgeCopy, TensorKey, katsura_ideal
 from .errors import (
     BudgetExceededError, DomainError, MalformedInputError, SymbolicOnlyError,
     WitnessRefusedError,
@@ -40,7 +40,7 @@ from .graphs import (
     Verdict,
 )
 from .intervals import AffinePiece, Interval, IntervalSet, PiecewiseAffineMap
-from .scalars import OMEGA, QI, exact_part, is_count, is_finite
+from .scalars import OMEGA, QI, exact_part, is_count
 
 SCHEMA_VERSION = 1
 
@@ -72,15 +72,11 @@ def _rational_out(x) -> str:
 
 
 def _count(v):
-    if v == "omega":
-        return OMEGA
     if is_count(v):
         return v
+    if v == "omega":
+        return OMEGA
     raise MalformedInputError(f"count must be a positive integer or \"omega\", got {v!r}")
-
-
-def _count_out(c):
-    return int(c) if is_finite(c) else "omega"
 
 
 def _qi(v) -> QI:
@@ -118,7 +114,7 @@ def _edge_copy_out(e: EdgeCopy) -> list:
 
 
 def _tensor_key(v) -> TensorKey:
-    _expect_fields(v, {"path", "atom"}, set(), "tensor key")
+    _expect_fields(v, {"path", "atom"}, "tensor key")
     if not isinstance(v["path"], list):
         raise MalformedInputError("tensor key path must be a list")
     return TensorKey(tuple(_edge_copy(e) for e in v["path"]), _atom(v["atom"]))
@@ -128,7 +124,13 @@ def _tensor_key_out(k: TensorKey) -> dict:
     return {"path": [_edge_copy_out(e) for e in k.path], "atom": _atom_out(k.atom)}
 
 
-def _expect_fields(obj, required, optional, what):
+def _expect_fields(obj, required, what, optional=frozenset()):
+    """Check that obj is an object with every required field and no field
+    outside required and optional.  The common case, exactly the required
+    fields, costs one comparison; the set differences are computed only for
+    the error message."""
+    if isinstance(obj, dict) and obj.keys() == required:
+        return
     if not isinstance(obj, dict):
         raise MalformedInputError(f"{what} must be an object, got {type(obj).__name__}")
     missing = required - obj.keys()
@@ -176,12 +178,12 @@ def _interval_set_out(s: IntervalSet) -> list:
 
 def _affine_map(v, source: IntervalSet, target: IntervalSet,
                 what: str) -> PiecewiseAffineMap:
-    _expect_fields(v, {"pieces"}, set(), what)
+    _expect_fields(v, {"pieces"}, what)
     if not isinstance(v["pieces"], list):
         raise MalformedInputError(f"{what} pieces must be a list")
     pieces = []
     for p in v["pieces"]:
-        _expect_fields(p, {"dom", "slope", "offset"}, set(), f"{what} piece")
+        _expect_fields(p, {"dom", "slope", "offset"}, f"{what} piece")
         pieces.append(AffinePiece(_interval(p["dom"]), _rational(p["slope"]),
                                   _rational(p["offset"])))
     return PiecewiseAffineMap.build(pieces, source, target)
@@ -210,23 +212,34 @@ def parse_instance(doc) -> Presentation:
     raise MalformedInputError(f"instance kind must be discrete or interval, got {kind!r}")
 
 
+_VERTEX_FIELDS = frozenset({"name", "count"})
+_EDGE_FIELDS = frozenset({"name", "source", "range", "mult"})
+_EDGE_STRING_FIELDS = ("name", "source", "range")
+
+
 def _parse_discrete(doc) -> DiscreteGraphPresentation:
-    _expect_fields(doc, {"kind", "vertices", "edges"}, {"schema"}, "discrete instance")
+    """Check each field once, by shape and type, in file order, and build
+    each EdgeClass once.  What needs the whole instance (distinct names,
+    known source and range classes) is checked by the constructors, in the
+    loops that index the vertex and edge classes."""
+    _expect_fields(doc, {"kind", "vertices", "edges"}, "discrete instance", {"schema"})
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise MalformedInputError("vertices and edges must be lists")
     vertices = []
     for v in doc["vertices"]:
-        _expect_fields(v, {"name", "count"}, set(), "vertex")
-        if not isinstance(v["name"], str):
-            raise MalformedInputError(f"vertex name must be a string, got {v['name']!r}")
-        vertices.append((v["name"], _count(v["count"])))
+        _expect_fields(v, _VERTEX_FIELDS, "vertex")
+        name = v["name"]
+        if not isinstance(name, str):
+            raise MalformedInputError(f"vertex name must be a string, got {name!r}")
+        vertices.append((name, _count(v["count"])))
     edges = []
     for e in doc["edges"]:
-        _expect_fields(e, {"name", "source", "range", "mult"}, set(), "edge")
-        for field in ("name", "source", "range"):
-            if not isinstance(e[field], str):
-                raise MalformedInputError(f"edge {field} must be a string, got {e[field]!r}")
-        edges.append((e["name"], e["source"], e["range"], _count(e["mult"])))
+        _expect_fields(e, _EDGE_FIELDS, "edge")
+        name, src, dst = e["name"], e["source"], e["range"]
+        if not (isinstance(name, str) and isinstance(src, str) and isinstance(dst, str)):
+            bad = next(f for f in _EDGE_STRING_FIELDS if not isinstance(e[f], str))
+            raise MalformedInputError(f"edge {bad} must be a string, got {e[bad]!r}")
+        edges.append(EdgeClass(name, src, dst, _count(e["mult"])))
     try:
         return DiscreteGraphPresentation.of(vertices, edges)
     except DomainError as exc:  # unknown class references and the like
@@ -234,7 +247,7 @@ def _parse_discrete(doc) -> DiscreteGraphPresentation:
 
 
 def _parse_interval_instance(doc) -> IntervalGraphPresentation:
-    _expect_fields(doc, {"kind", "G0", "G1", "r", "s"}, {"schema"}, "interval instance")
+    _expect_fields(doc, {"kind", "G0", "G1", "r", "s"}, "interval instance", {"schema"})
     g0 = _interval_set(doc["G0"])
     g1 = _interval_set(doc["G1"])
     r = _affine_map(doc["r"], g1, g0, "range map")
@@ -247,9 +260,11 @@ def instance_payload(g: Presentation) -> dict:
         return {
             "schema": SCHEMA_VERSION,
             "kind": "discrete",
-            "vertices": [{"name": n, "count": _count_out(c)} for n, c in g.vertices],
+            "vertices": [{"name": n, "count": "omega" if c is OMEGA else c}
+                         for n, c in g.vertices],
             "edges": [{"name": e.name, "source": e.src, "range": e.dst,
-                       "mult": _count_out(e.mult)} for e in g.edges],
+                       "mult": "omega" if e.mult is OMEGA else e.mult}
+                      for e in g.edges],
         }
     return {
         "schema": SCHEMA_VERSION,
@@ -273,7 +288,9 @@ def load_instance(path) -> Presentation:
 def _decode(text: str):
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past _MAX_DIGITS
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past _MAX_DIGITS, or nesting past
+        # the decoder's recursion limit
         raise MalformedInputError(f"not valid JSON: {exc}") from exc
 
 
@@ -352,7 +369,7 @@ def parse_witness_record(doc) -> Tuple[str, WitnessCertificate]:
     _expect_fields(doc, {"record", "certificate", "instance_digest", "fock_levels",
                          "sigma", "m0", "m_levels", "m0_gram", "residuals",
                          "non_reducing"},
-                   {"schema"}, "witness record")
+                   "witness record", {"schema"})
     if doc["record"] != "witness":
         raise MalformedInputError(f"not a witness record: {doc['record']!r}")
     if doc["certificate"] != "sigma-witness":
@@ -360,9 +377,9 @@ def parse_witness_record(doc) -> Tuple[str, WitnessCertificate]:
     if not isinstance(doc["fock_levels"], int) or isinstance(doc["fock_levels"], bool):
         raise MalformedInputError("fock_levels must be an integer")
     res = doc["residuals"]
-    _expect_fields(res, set(_RESIDUALS), set(), "residuals")
+    _expect_fields(res, set(_RESIDUALS), "residuals")
     nr = doc["non_reducing"]
-    _expect_fields(nr, {"vacuum", "creation", "projection_norm_sq"}, set(),
+    _expect_fields(nr, {"vacuum", "creation", "projection_norm_sq"},
                    "non-reducing data")
     for name in ("sigma", "m0", "m_levels", "m0_gram"):
         if not isinstance(doc[name], list):

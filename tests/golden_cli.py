@@ -6,11 +6,12 @@ and every witness record that `witness` emits is run through `verify`
 multi-copy inputs under tests/inputs/ (listed in MULTI_COPY) reach Fock
 spaces the corpus does not; each is run through `witness` and its record
 through `verify` against the same input.  The interval inputs under
-tests/inputs/ (listed in INTERVAL) are run through `decide`, and the
-whole corpus directory through `batch`.  The stdout of each case is kept
-as tests/golden/<case>.out, and tests/golden/MANIFEST.json holds each
-case's argv, exit code and stderr.  `tests/test_cli.py` replays the
-manifest.
+tests/inputs/ (listed in INTERVAL) and the generated discrete inputs
+(listed in LARGE) are run through `decide`, and the whole corpus
+directory and tests/inputs/malformed/ through `batch`.  The stdout of
+each case is kept as tests/golden/<case>.out, and
+tests/golden/MANIFEST.json holds each case's argv, exit code and stderr.
+`tests/test_cli.py` replays the manifest.
 
 Regenerate only when an output is meant to change, and say why:
 
@@ -42,6 +43,13 @@ MULTI_COPY = ("wvx_2_3",)
 #   ray_tail         G1 = [1,oo) in G0 = [0,oo), r = id: not hyperrigid
 #   ray_constant     G0 = G1 = [0,oo), r = 0: not hyperrigid
 INTERVAL = ("isolated_vertex", "open_core", "ray_tail", "ray_constant")
+# 300 vertex classes and 900 edge classes each, large enough that the
+# digest and the sigma witness depend on the whole parse and build:
+#   discrete_300_hyperrigid  bench/gen.discrete_doc(random.Random(300), 300, 900, True)
+#   discrete_300_omega       bench/gen.discrete_doc(random.Random(301), 300, 900, False),
+#                            one "omega" multiplicity: not hyperrigid
+# both written with records.canonical_json
+LARGE = ("discrete_300_hyperrigid", "discrete_300_omega")
 
 
 def run_cli(argv):
@@ -97,7 +105,7 @@ def regenerate():
                    ["verify", f"{{golden}}/witness_{stem}_json.out",
                     f"{{inputs}}/{stem}.json", "--format", fmt],
                    manifest)
-    for stem in INTERVAL:
+    for stem in INTERVAL + LARGE:
         for fmt in FORMATS:
             _write(f"decide_{stem}_{fmt}",
                    ["decide", f"{{inputs}}/{stem}.json", "--format", fmt],
@@ -105,6 +113,10 @@ def regenerate():
     for fmt in FORMATS:
         _write(f"batch_corpus_{fmt}",
                ["batch", "{corpus}", "--format", fmt], manifest)
+        # one discrete instance per fault or pair of faults: each error row
+        # pins the message and which fault wins
+        _write(f"batch_malformed_{fmt}",
+               ["batch", "{inputs}/malformed", "--format", fmt], manifest)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 from hyperrig.cli import main
 from hyperrig.records import parse_witness_record, render_text
 
-from golden_cli import GOLDEN, INTERVAL, MANIFEST, run_cli
+from golden_cli import GOLDEN, INTERVAL, LARGE, MANIFEST, run_cli
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -60,6 +60,8 @@ OVERSIZED = {
     # a vertex count past the interpreter's int <-> str digit limit
     "count.json": '{"kind": "discrete", "vertices": [{"name": "v", "count": '
                   + "9" * 5000 + '}], "edges": []}',
+    # nesting past the decoder's recursion limit
+    "deep.json": "[" * 100_000,
 }
 
 
@@ -83,7 +85,7 @@ def test_cli_matches_golden_outputs():
     decided = {case["argv"][1] for case in manifest.values()
                if case["argv"][0] == "decide"}
     assert decided == ({f"{{corpus}}/{p.name}" for p in CORPUS.glob("*.json")}
-                       | {f"{{inputs}}/{stem}.json" for stem in INTERVAL})
+                       | {f"{{inputs}}/{stem}.json" for stem in INTERVAL + LARGE})
     for name, case in sorted(manifest.items()):
         code, out, err = run_cli(case["argv"])
         assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
@@ -236,7 +238,8 @@ def test_batch_isolates_per_file_errors(tmp_path, capsys):
         (tmp_path / name).write_text(text, encoding="utf-8")
     assert main(["batch", str(tmp_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["summary"] == {"hyperrigid": 1, "not-hyperrigid": 0, "errors": 3}
+    assert doc["summary"] == {"hyperrigid": 1, "not-hyperrigid": 0,
+                              "errors": 1 + len(OVERSIZED)}
     by_name = {f["file"]: f for f in doc["files"]}
     for name in ("broken.json", *OVERSIZED):
         assert by_name[name]["status"] == "error", name

@@ -2,20 +2,25 @@
 
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hyperrig.algebra import Atom
-from hyperrig.errors import MalformedInputError
+from hyperrig.algebra import Atom, AtomSet
+from hyperrig.correspondence import Correspondence, EdgeClass
+from hyperrig.errors import DomainError, MalformedInputError
 import hyperrig.fock as fock
 from hyperrig.fock import witness_pipeline
-from hyperrig.graphs import build_correspondence, decide_hyperrigid
-from hyperrig.records import (
-    canonical_json, instance_digest, instance_payload, parse_instance,
-    parse_instance_text, parse_witness_record, verdict_record,
-    verify_witness_record, witness_record,
+from hyperrig.graphs import (
+    DiscreteGraphPresentation, build_correspondence, decide_hyperrigid,
 )
-from hyperrig.scalars import QI
+from hyperrig.records import (
+    canonical_json, instance_digest, instance_payload, load_instance,
+    load_witness_record, parse_instance, parse_instance_text,
+    parse_witness_record, verdict_record, verify_witness_record,
+    witness_record,
+)
+from hyperrig.scalars import OMEGA, QI
 
 from instances import (
     arrow_graph, as_presentation, i1_graph, i2_graph, loop_graph, omega_star,
@@ -98,6 +103,92 @@ def _interval_reaching(hi: str) -> str:
 def test_malformed_instances_rejected(text):
     with pytest.raises(MalformedInputError):
         parse_instance_text(text)
+
+
+MALFORMED = Path(__file__).resolve().parent / "inputs" / "malformed"
+
+# the exact message each file under tests/inputs/malformed/ is rejected
+# with; a file with two faults names the one that wins: a duplicate name
+# wins wherever it sits, edges are checked in file order, source before
+# range, and the parser's count check runs before any class lookup
+MALFORMED_MESSAGES = {
+    "count_true": 'count must be a positive integer or "omega", got True',
+    "count_zero": 'count must be a positive integer or "omega", got 0',
+    "duplicate_edge": "duplicate edge class names in ['e', 'f', 'e']",
+    "duplicate_edge_after_unknown_source":
+        "duplicate edge class names in ['e', 'f', 'f']",
+    "duplicate_vertex": "duplicate class names in ['u', 'v', 'u']",
+    "duplicate_vertex_and_unknown_source": "duplicate class names in ['u', 'u']",
+    "edge_name_and_source_not_strings": "edge name must be a string, got 3",
+    "edge_range_not_string": "edge range must be a string, got None",
+    "extra_field": "edge has unknown fields ['weight']",
+    "missing_field": "vertex is missing fields ['count']",
+    "mult_w": "count must be a positive integer or \"omega\", got 'w'",
+    "mult_zero": 'count must be a positive integer or "omega", got 0',
+    "unknown_range": "unknown class 'y'",
+    "unknown_range_before_unknown_source": "unknown class 'y'",
+    "unknown_source": "unknown class 'x'",
+    "unknown_source_and_range": "unknown class 'x'",
+    "unknown_source_mult_zero": 'count must be a positive integer or "omega", got 0',
+    "vertex_name_not_string": "vertex name must be a string, got 7",
+    "vertex_not_object": "vertex must be an object, got list",
+}
+
+
+def test_malformed_instance_messages():
+    assert {p.stem for p in MALFORMED.glob("*.json")} == set(MALFORMED_MESSAGES)
+    for stem, message in sorted(MALFORMED_MESSAGES.items()):
+        with pytest.raises(MalformedInputError) as info:
+            load_instance(MALFORMED / f"{stem}.json")
+        assert str(info.value) == message, stem
+
+
+UV = [("u", 1), ("v", 2)]
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: AtomSet.of([("u", 0)]),
+     MalformedInputError, "class u has non-positive count 0"),
+    (lambda: AtomSet.of([("u", True)]),
+     MalformedInputError, "class u has non-positive count True"),
+    (lambda: AtomSet.of([("u", "omega")]),
+     MalformedInputError, "class u has non-positive count 'omega'"),
+    (lambda: AtomSet.of([("u", 1), ("v", -1), ("u", 0)]),
+     MalformedInputError, "duplicate class names in ['u', 'v', 'u']"),
+    (lambda: Correspondence.of(AtomSet.of(UV), [("e", "u", "v", 0)]),
+     MalformedInputError, "edge class e has bad multiplicity 0"),
+    (lambda: Correspondence.of(AtomSet.of(UV), [EdgeClass("e", "u", "v", 1.5)]),
+     MalformedInputError, "edge class e has bad multiplicity 1.5"),
+    (lambda: Correspondence.of(AtomSet.of(UV), [("e", "x", "v", 0)]),
+     DomainError, "unknown class 'x'"),
+    (lambda: Correspondence.of(AtomSet.of(UV), [EdgeClass("e", "u", "y", 1)]),
+     DomainError, "unknown class 'y'"),
+    (lambda: Correspondence.of(AtomSet.of(UV),
+                               [("e", "u", "y", 0), ("e", "u", "v", 1)]),
+     MalformedInputError, "duplicate edge class names in ['e', 'e']"),
+    (lambda: DiscreteGraphPresentation.of([("u", 0)], []),
+     MalformedInputError, "class u has non-positive count 0"),
+    (lambda: DiscreteGraphPresentation.of(UV, [("e", "u", "v", False)]),
+     MalformedInputError, "edge class e has bad multiplicity False"),
+    (lambda: DiscreteGraphPresentation.of(UV, [EdgeClass("e", "u", "v", True)]),
+     MalformedInputError, "edge class e has bad multiplicity True"),
+    (lambda: DiscreteGraphPresentation.of(UV, [("e", "x", "v", 1)]),
+     DomainError, "unknown class 'x'"),
+    (lambda: DiscreteGraphPresentation.of(UV, [EdgeClass("e", "u", "y", "omega")]),
+     DomainError, "unknown class 'y'"),
+    (lambda: DiscreteGraphPresentation.of(UV + [("u", 3)], [("e", "x", "v", 1)]),
+     MalformedInputError, "duplicate class names in ['u', 'v', 'u']"),
+    (lambda: DiscreteGraphPresentation.of(
+        UV, [("e", "u", "v", OMEGA), EdgeClass("e", "v", "u", 0)]),
+     MalformedInputError, "duplicate edge class names in ['e', 'e']"),
+])
+def test_constructors_reject_bad_classes(build, error, message):
+    # instances built in code are checked by the constructors, not by the
+    # parser: bad counts, multiplicities and class references still raise
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_folding_source_map_rejected():
@@ -238,7 +329,12 @@ def test_tampered_records_still_round_trip():
         == (instance_digest(g), tampered)
 
 
-def test_witness_record_rejects_malformed_documents():
+def test_witness_record_rejects_malformed_documents(tmp_path):
+    # nesting past the decoder's recursion limit is malformed input too
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    with pytest.raises(MalformedInputError):
+        load_witness_record(deep)
     g, cert = sa_certificate()
     doc = witness_record(g, cert)
     for breakage in (
