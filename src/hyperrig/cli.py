@@ -80,7 +80,7 @@ def cmd_verify(args) -> int:
     g = load_instance(args.instance)
     ok, failing = verify_witness_record(g, digest, claimed,
                                         basis_budget=args.basis_budget)
-    _write(args, verification_record(g, ok, failing))
+    _write(args, verification_record(g, digest, ok, failing))
     return 0 if ok else 1
 
 

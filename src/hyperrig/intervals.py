@@ -7,20 +7,44 @@ Degenerate single-point pieces are allowed.  A set is its pieces and
 nothing else: ``closure`` and ``interior`` take the ambient space as an
 argument and work in its subspace topology (the real line by default).
 
+Every endpoint and every query point is a *cut*, a key in one total
+order: ``_NEG`` and ``_POS`` lie below and above every value, and
+``(0, x, -1)``, ``(0, x, 0)`` and ``(0, x, 1)`` lie just below x, at x and
+just above x.  A lower end at x is ``(0, x, 0)`` when closed and
+``(0, x, 1)`` when open; an upper end at x is ``(0, x, 1)`` when closed and
+``(0, x, 0)`` when open.  A piece holds exactly the positions c with
+``lo_cut <= c < hi_cut``, so every relation between endpoints and points is
+a tuple comparison: set operations are merges of sorted cut sequences and
+point lookups are bisects.
+
 Maps between such sets are piecewise affine with rational slope/offset.
 Everything here is exact: no floats, no tolerance parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedInputError
 
 # Endpoint value None means an unbounded end (-oo for lo, +oo for hi).
 End = Optional[Fraction]
+
+_NEG = (-1,)
+_POS = (1,)
+
+
+def _beside(x: Fraction, side: str) -> tuple:
+    """The cut just left or just right of x."""
+    if side == "left":
+        return (0, x, -1)
+    if side == "right":
+        return (0, x, 1)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 @dataclass(frozen=True)
@@ -29,30 +53,31 @@ class Interval:
     hi: End
     lo_closed: bool
     hi_closed: bool
+    lo_cut: tuple = field(init=False, repr=False, compare=False)
+    hi_cut: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lo is None and self.lo_closed:
             raise MalformedInputError("interval cannot be closed at -oo")
         if self.hi is None and self.hi_closed:
             raise MalformedInputError("interval cannot be closed at +oo")
-        if self.lo is not None and self.hi is not None:
+        lo_cut = _NEG if self.lo is None else (0, self.lo, 0 if self.lo_closed else 1)
+        hi_cut = _POS if self.hi is None else (0, self.hi, 1 if self.hi_closed else 0)
+        if lo_cut >= hi_cut:
             if self.lo > self.hi:
                 raise MalformedInputError(
                     f"reversed endpoints: lower {self.lo} > upper {self.hi}")
-            if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-                raise MalformedInputError(
-                    f"empty piece at {self.lo}: a degenerate interval must be closed on both sides")
+            raise MalformedInputError(
+                f"empty piece at {self.lo}: a degenerate interval must be closed on both sides")
+        object.__setattr__(self, "lo_cut", lo_cut)
+        object.__setattr__(self, "hi_cut", hi_cut)
 
     @property
     def degenerate(self) -> bool:
         return self.lo is not None and self.lo == self.hi
 
     def contains(self, x: Fraction) -> bool:
-        if self.lo is not None and (x < self.lo or (x == self.lo and not self.lo_closed)):
-            return False
-        if self.hi is not None and (x > self.hi or (x == self.hi and not self.hi_closed)):
-            return False
-        return True
+        return self.lo_cut <= (0, x, 0) < self.hi_cut
 
     def is_compact_piece(self) -> bool:
         return (self.lo is not None and self.hi is not None
@@ -72,25 +97,40 @@ def ival(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> Interval:
     return Interval(conv(lo), conv(hi), lo_closed, hi_closed)
 
 
-def _lo_sort_key(p: Interval):
-    # -oo first; at equal finite lo a closed start precedes an open one.
-    if p.lo is None:
-        return (0, Fraction(0), 0)
-    return (1, p.lo, 0 if p.lo_closed else 1)
+def _span(lo: tuple, hi: tuple) -> Optional[Interval]:
+    """The interval of the positions c with lo <= c < hi, or None when there
+    are none."""
+    if lo >= hi:
+        return None
+    return Interval(None if lo == _NEG else lo[1], None if hi == _POS else hi[1],
+                    lo != _NEG and lo[2] == 0, hi != _POS and hi[2] == 1)
 
 
-def _touches(left: Interval, right: Interval) -> bool:
-    """True when left and right overlap or are adjacent (their union is one
-    interval).  Assumes left starts no later than right."""
-    if left.hi is None:
-        return True
-    if right.lo is None:
-        return True
-    if right.lo < left.hi:
-        return True
-    if right.lo == left.hi:
-        return left.hi_closed or right.lo_closed
-    return False
+_lo_cut = attrgetter("lo_cut")
+_hi_cut = attrgetter("hi_cut")
+_dom = attrgetter("dom")
+
+
+def _holding(pieces: Sequence, cut: tuple, dom=lambda p: p):
+    """The piece whose interval dom(piece) holds the position cut, or None.
+    The intervals must be sorted and pairwise disjoint."""
+    i = bisect_right(pieces, cut, key=lambda p: dom(p).lo_cut) - 1
+    return pieces[i] if i >= 0 and cut < dom(pieces[i]).hi_cut else None
+
+
+def _meet(xs: Sequence[Interval], ys: Sequence[Interval]):
+    """(i, xs[i] n ys[j]) for every pair that meets, in order, by one merge
+    pass; xs and ys must each be sorted and pairwise disjoint."""
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        p, q = xs[i], ys[j]
+        both = _span(max(p.lo_cut, q.lo_cut), min(p.hi_cut, q.hi_cut))
+        if both is not None:
+            yield i, both
+        if p.hi_cut < q.hi_cut:
+            i += 1
+        else:
+            j += 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +146,7 @@ class IntervalSet:
         return not self.pieces
 
     def contains(self, x: Fraction) -> bool:
-        return any(p.contains(x) for p in self.pieces)
+        return _holding(self.pieces, (0, x, 0)) is not None
 
     def __str__(self) -> str:
         return " u ".join(str(p) for p in self.pieces) if self.pieces else "{}"
@@ -117,20 +157,11 @@ FULL_LINE = IntervalSet((Interval(None, None, False, False),))
 
 
 def _normalize_pieces(pieces: Iterable[Interval]) -> tuple:
-    items = sorted(pieces, key=_lo_sort_key)
     merged: list[Interval] = []
-    for p in items:
-        if merged and _touches(merged[-1], p):
-            prev = merged[-1]
-            if prev.hi is None or p.hi is None:
-                hi, hc = None, False
-            elif p.hi > prev.hi:
-                hi, hc = p.hi, p.hi_closed
-            elif p.hi == prev.hi:
-                hi, hc = prev.hi, prev.hi_closed or p.hi_closed
-            else:
-                hi, hc = prev.hi, prev.hi_closed
-            merged[-1] = Interval(prev.lo, hi, prev.lo_closed, hc)
+    for p in sorted(pieces, key=_lo_cut):
+        if merged and p.lo_cut <= merged[-1].hi_cut:
+            if p.hi_cut > merged[-1].hi_cut:
+                merged[-1] = _span(merged[-1].lo_cut, p.hi_cut)
         else:
             merged.append(p)
     return tuple(merged)
@@ -146,69 +177,17 @@ def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return IntervalSet.of(a.pieces + b.pieces)
 
 
-def _complement_pieces(s: IntervalSet) -> tuple:
-    """Pieces of the complement of s in the full real line."""
-    out: list[Interval] = []
-    cur_lo: End = None  # lower end of the pending gap
-    cur_lc = False
-    for p in s.pieces:
-        if p.lo is not None:
-            gap = _maybe_interval(cur_lo, p.lo, cur_lc, not p.lo_closed)
-            if gap is not None:
-                out.append(gap)
-        if p.hi is None:
-            return tuple(out)  # this piece runs to +oo: nothing after it
-        cur_lo, cur_lc = p.hi, not p.hi_closed
-    if cur_lo is None:
-        out.append(Interval(None, None, False, False))
-    else:
-        out.append(Interval(cur_lo, None, cur_lc, False))
-    return tuple(out)
-
-
-def _maybe_interval(lo: End, hi: End, lc: bool, hc: bool) -> Optional[Interval]:
-    """Interval(lo, hi, lc, hc) or None when that would be empty."""
-    if lo is not None and hi is not None:
-        if lo > hi:
-            return None
-        if lo == hi and not (lc and hc):
-            return None
-    return Interval(lo, hi, lc, hc)
-
-
 def complement(s: IntervalSet) -> IntervalSet:
-    """Complement within the full real line."""
-    return IntervalSet(_complement_pieces(s))
-
-
-def _intersect_pair(a: Interval, b: Interval) -> Optional[Interval]:
-    if a.lo is None:
-        lo, lc = b.lo, b.lo_closed
-    elif b.lo is None or a.lo > b.lo:
-        lo, lc = a.lo, a.lo_closed
-    elif a.lo < b.lo:
-        lo, lc = b.lo, b.lo_closed
-    else:
-        lo, lc = a.lo, a.lo_closed and b.lo_closed
-    if a.hi is None:
-        hi, hc = b.hi, b.hi_closed
-    elif b.hi is None or a.hi < b.hi:
-        hi, hc = a.hi, a.hi_closed
-    elif a.hi > b.hi:
-        hi, hc = b.hi, b.hi_closed
-    else:
-        hi, hc = a.hi, a.hi_closed and b.hi_closed
-    return _maybe_interval(lo, hi, lc, hc)
+    """Complement within the full real line: the cut sequence of s, paired
+    the other way round."""
+    cuts = [_NEG, *(c for p in s.pieces for c in (p.lo_cut, p.hi_cut)), _POS]
+    gaps = (_span(lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]))
+    return IntervalSet(tuple(g for g in gaps if g is not None))
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    out = []
-    for p in a.pieces:
-        for q in b.pieces:
-            r = _intersect_pair(p, q)
-            if r is not None:
-                out.append(r)
-    return IntervalSet.of(out)
+    # pieces of the meet come out sorted and separated by the gaps of a or b
+    return IntervalSet(tuple(piece for _, piece in _meet(a.pieces, b.pieces)))
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -216,7 +195,7 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 
 
 def is_subset(a: IntervalSet, b: IntervalSet) -> bool:
-    return difference(a, b).is_empty
+    return intersect(a, b).pieces == a.pieces
 
 
 def sets_equal(a: IntervalSet, b: IntervalSet) -> bool:
@@ -230,16 +209,7 @@ def is_compact(s: IntervalSet) -> bool:
 def approaches(s: IntervalSet, x: Fraction, side: str) -> bool:
     """True when s has points arbitrarily close to x strictly on the given
     side ('left' or 'right')."""
-    for p in s.pieces:
-        if side == "left":
-            if (p.lo is None or p.lo < x) and (p.hi is None or p.hi >= x):
-                return True
-        elif side == "right":
-            if (p.hi is None or p.hi > x) and (p.lo is None or p.lo <= x):
-                return True
-        else:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return False
+    return _holding(s.pieces, _beside(x, side)) is not None
 
 
 # -- closure and interior ----------------------------------------------------
@@ -306,40 +276,43 @@ class PiecewiseAffineMap:
     @staticmethod
     def build(pieces: Sequence[AffinePiece], source: IntervalSet,
               target: IntervalSet) -> "PiecewiseAffineMap":
-        ordered = tuple(sorted(pieces, key=lambda ap: _lo_sort_key(ap.dom)))
+        ordered = tuple(sorted(pieces, key=lambda ap: ap.dom.lo_cut))
+        neighbours = tuple(zip(ordered, ordered[1:]))
         # domains must tile the source without overlap
-        for i in range(len(ordered) - 1):
-            d1, d2 = ordered[i].dom, ordered[i + 1].dom
-            if d1.hi is None or d2.lo is None:
-                raise MalformedInputError("overlapping affine piece domains")
-            if d2.lo < d1.hi or (d2.lo == d1.hi and d1.hi_closed and d2.lo_closed):
+        for a_p, b_p in neighbours:
+            d1, d2 = a_p.dom, b_p.dom
+            if d2.lo_cut < d1.hi_cut:
+                if d1.hi is None or d2.lo is None:
+                    raise MalformedInputError("overlapping affine piece domains")
                 raise MalformedInputError(
                     f"overlapping affine piece domains at {d2.lo}")
         covered = IntervalSet.of(ap.dom for ap in ordered)
         if covered.pieces != source.pieces:
             raise MalformedInputError(
                 f"affine piece domains cover {covered}, declared source is {source}")
-        # continuity at junction points shared by consecutive domains
-        for i in range(len(ordered) - 1):
-            a_p, b_p = ordered[i], ordered[i + 1]
-            x = a_p.dom.hi
-            if x is not None and b_p.dom.lo == x and (a_p.dom.hi_closed or b_p.dom.lo_closed):
+        # continuity where consecutive domains meet at a point of the source
+        for a_p, b_p in neighbours:
+            if a_p.dom.hi_cut == b_p.dom.lo_cut:
+                x = a_p.dom.hi
                 if a_p.value(x) != b_p.value(x):
                     raise MalformedInputError(
                         f"map is not well-defined at shared endpoint {x}: "
                         f"{a_p.value(x)} != {b_p.value(x)}")
-        # every piece must map into the target
+        # every piece must map into the target, so into the one target piece
+        # that holds the lower end of its image
         for ap in ordered:
-            if not is_subset(IntervalSet.of([ap.image()]), target):
+            img = ap.image()
+            holder = _holding(target.pieces, img.lo_cut)
+            if holder is None or img.hi_cut > holder.hi_cut:
                 raise MalformedInputError(
-                    f"piece {ap.dom} maps onto {ap.image()}, outside the target {target}")
+                    f"piece {ap.dom} maps onto {img}, outside the target {target}")
         return PiecewiseAffineMap(ordered, source, target)
 
     def value_at(self, x: Fraction) -> Fraction:
-        for ap in self.pieces:
-            if ap.dom.contains(x):
-                return ap.value(x)
-        raise MalformedInputError(f"{x} is not in the source")
+        ap = _holding(self.pieces, (0, x, 0), _dom)
+        if ap is None:
+            raise MalformedInputError(f"{x} is not in the source")
+        return ap.value(x)
 
 
 def identity_map(s: IntervalSet, target: Optional[IntervalSet] = None) -> PiecewiseAffineMap:
@@ -354,62 +327,46 @@ def image(f: PiecewiseAffineMap, s: Optional[IntervalSet] = None) -> IntervalSet
         s = f.source
     elif not is_subset(s, f.source):
         raise MalformedInputError(f"image: {s} is not contained in the source {f.source}")
-    out = []
-    for ap in f.pieces:
-        for q in s.pieces:
-            d = _intersect_pair(ap.dom, q)
-            if d is not None:
-                out.append(AffinePiece(d, ap.slope, ap.offset).image())
-    return IntervalSet.of(out)
+    doms = [ap.dom for ap in f.pieces]
+    return IntervalSet.of(AffinePiece(d, f.pieces[i].slope, f.pieces[i].offset).image()
+                          for i, d in _meet(doms, s.pieces))
 
 
-def _preimage_of_interval(ap: AffinePiece, t: Interval) -> Optional[Interval]:
-    if ap.slope == 0:
-        return ap.dom if t.contains(ap.offset) else None
+def _pull_back(ap: AffinePiece, t: Interval) -> Interval:
+    """The points of ap.dom that ap maps into t; ap.slope is nonzero and t
+    meets ap.image()."""
     inv_slope = 1 / ap.slope
     lo_v = None if t.lo is None else (t.lo - ap.offset) * inv_slope
     hi_v = None if t.hi is None else (t.hi - ap.offset) * inv_slope
     if ap.slope > 0:
-        cand = _maybe_interval(lo_v, hi_v, t.lo_closed, t.hi_closed)
+        cand = Interval(lo_v, hi_v, t.lo_closed, t.hi_closed)
     else:
-        cand = _maybe_interval(hi_v, lo_v, t.hi_closed, t.lo_closed)
-    if cand is None:
-        return None
-    return _intersect_pair(ap.dom, cand)
+        cand = Interval(hi_v, lo_v, t.hi_closed, t.lo_closed)
+    return _span(max(cand.lo_cut, ap.dom.lo_cut), min(cand.hi_cut, ap.dom.hi_cut))
 
 
 def preimage(f: PiecewiseAffineMap, t: IntervalSet) -> IntervalSet:
     out = []
     for ap in f.pieces:
-        for q in t.pieces:
-            r = _preimage_of_interval(ap, q)
-            if r is not None:
-                out.append(r)
+        # the pieces of t that meet the image of ap, found by bisection
+        img = ap.image()
+        j = bisect_right(t.pieces, img.lo_cut, key=_hi_cut)
+        while j < len(t.pieces) and t.pieces[j].lo_cut < img.hi_cut:
+            out.append(ap.dom if ap.slope == 0 else _pull_back(ap, t.pieces[j]))
+            j += 1
     return IntervalSet.of(out)
 
 
 # -- properness --------------------------------------------------------------
 
-def _piece_covering_right_of(f: PiecewiseAffineMap, a: Fraction) -> AffinePiece:
-    """The affine piece whose domain contains (a, a+eps)."""
-    for ap in f.pieces:
-        d = ap.dom
-        if d.degenerate:
-            continue
-        if (d.lo is None or d.lo <= a) and (d.hi is None or d.hi > a):
-            return ap
-    raise MalformedInputError(f"no affine piece covers points just above {a}")
-
-
-def _piece_covering_left_of(f: PiecewiseAffineMap, b: Fraction) -> AffinePiece:
-    """The affine piece whose domain contains (b-eps, b)."""
-    for ap in f.pieces:
-        d = ap.dom
-        if d.degenerate:
-            continue
-        if (d.lo is None or d.lo < b) and (d.hi is None or d.hi >= b):
-            return ap
-    raise MalformedInputError(f"no affine piece covers points just below {b}")
+def _piece_beside(f: PiecewiseAffineMap, x: Fraction, side: str) -> AffinePiece:
+    """The affine piece whose domain contains (x-eps, x) for side 'left',
+    or (x, x+eps) for side 'right'."""
+    ap = _holding(f.pieces, _beside(x, side), _dom)
+    if ap is None:
+        word = "below" if side == "left" else "above"
+        raise MalformedInputError(f"no affine piece covers points just {word} {x}")
+    return ap
 
 
 def finite_end_limits(f: PiecewiseAffineMap) -> tuple:
@@ -425,19 +382,17 @@ def finite_end_limits(f: PiecewiseAffineMap) -> tuple:
     limits = set()
     for p in f.source.pieces:
         if p.lo is None:
-            ap = next(a for a in f.pieces if a.dom.lo is None)
+            ap = f.pieces[0]  # the domains are sorted: the one from -oo is first
             if ap.slope == 0:
                 limits.add(ap.offset)
         elif not p.lo_closed:
-            ap = _piece_covering_right_of(f, p.lo)
-            limits.add(ap.value(p.lo))
+            limits.add(_piece_beside(f, p.lo, "right").value(p.lo))
         if p.hi is None:
-            ap = next(a for a in f.pieces if a.dom.hi is None)
+            ap = f.pieces[-1]
             if ap.slope == 0:
                 limits.add(ap.offset)
         elif not p.hi_closed:
-            ap = _piece_covering_left_of(f, p.hi)
-            limits.add(ap.value(p.hi))
+            limits.add(_piece_beside(f, p.hi, "left").value(p.hi))
     return tuple(sorted(limits))
 
 
@@ -482,33 +437,26 @@ def is_local_homeomorphism(f: PiecewiseAffineMap) -> bool:
                 return False
             continue
         if p.lo is not None and p.lo_closed:
-            ap = _piece_covering_right_of(f, p.lo)
+            ap = _piece_beside(f, p.lo, "right")
             uncovered = "left" if ap.slope > 0 else "right"
             if approaches(img, f.value_at(p.lo), uncovered):
                 return False
         if p.hi is not None and p.hi_closed:
-            ap = _piece_covering_left_of(f, p.hi)
+            ap = _piece_beside(f, p.hi, "left")
             uncovered = "right" if ap.slope > 0 else "left"
             if approaches(img, f.value_at(p.hi), uncovered):
                 return False
-        # interior junctions between consecutive affine domains inside p
-        for i in range(len(f.pieces) - 1):
-            d1, d2 = f.pieces[i].dom, f.pieces[i + 1].dom
-            x = d1.hi
-            if x is None or d2.lo != x:
-                continue
-            if not (d1.hi_closed or d2.lo_closed):
-                continue  # x is not in the source: two separate components
-            if p.lo is not None and x == p.lo:
-                continue
-            if p.hi is not None and x == p.hi:
-                continue
-            if not p.contains(x):
-                continue
-            left = _piece_covering_left_of(f, x)
-            right = _piece_covering_right_of(f, x)
-            if (left.slope > 0) != (right.slope > 0):
-                return False
+    # junctions: consecutive domains meeting at a point x of the source; x
+    # is interior to the source exactly when pieces cover both sides of it
+    for a_p, b_p in zip(f.pieces, f.pieces[1:]):
+        if a_p.dom.hi_cut != b_p.dom.lo_cut:
+            continue
+        x = a_p.dom.hi
+        left = _holding(f.pieces, _beside(x, "left"), _dom)
+        right = _holding(f.pieces, _beside(x, "right"), _dom)
+        if left is not None and right is not None \
+                and (left.slope > 0) != (right.slope > 0):
+            return False
     return True
 
 

@@ -152,7 +152,8 @@ def _interval(v) -> Interval:
             f"interval must be [lo, hi, lo-end, hi-end], got {v!r}")
     lo_s, hi_s, lc_s, hc_s = v
     for t in (lc_s, hc_s):
-        if t not in _CLOSEDNESS:
+        # a list or an object is unhashable, so test the type before the lookup
+        if not isinstance(t, str) or t not in _CLOSEDNESS:
             raise MalformedInputError(f"interval ends must be closed or open, got {t!r}")
     lo = None if lo_s == "-inf" else _rational(lo_s)
     hi = None if hi_s == "inf" else _rational(hi_s)
@@ -448,9 +449,16 @@ def verify_witness_record(g: Presentation, digest: str, claimed: WitnessCertific
     return True, None
 
 
-def verification_record(g: Presentation, ok: bool, failing: Optional[str]) -> dict:
+def verification_record(g: Presentation, digest: str, ok: bool,
+                        failing: Optional[str]) -> dict:
+    """The verification document for the outcome of
+    `verify_witness_record(g, digest, ...)`.  It names g's own digest.  That
+    is the record's digest unless the check failed on "instance-digest",
+    so only then is g digested again."""
+    if failing == "instance-digest":
+        digest = instance_digest(g)
     return {"record": "verification", "schema": SCHEMA_VERSION, "verified": ok,
-            "instance_digest": instance_digest(g), "failing_check": failing}
+            "instance_digest": digest, "failing_check": failing}
 
 
 # -- batch records ---------------------------------------------------------------------

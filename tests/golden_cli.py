@@ -8,7 +8,8 @@ spaces the corpus does not; each is run through `witness` and its record
 through `verify` against the same input.  The interval inputs under
 tests/inputs/ (listed in INTERVAL) and the generated discrete inputs
 (listed in LARGE) are run through `decide`, and the whole corpus
-directory and tests/inputs/malformed/ through `batch`.  The stdout of
+directory, tests/inputs/malformed/ and tests/inputs/malformed_interval/
+through `batch`.  The stdout of
 each case is kept as tests/golden/<case>.out, and
 tests/golden/MANIFEST.json holds each case's argv, exit code and stderr.
 `tests/test_cli.py` replays the manifest.
@@ -42,7 +43,13 @@ MULTI_COPY = ("wvx_2_3",)
 #   open_core        G1 = (0,1) in G0 = [0,1], r = id: hyperrigid
 #   ray_tail         G1 = [1,oo) in G0 = [0,oo), r = id: not hyperrigid
 #   ray_constant     G0 = G1 = [0,oo), r = 0: not hyperrigid
-INTERVAL = ("isolated_vertex", "open_core", "ray_tail", "ray_constant")
+# and two 200-piece families from instances.unit_pieces_doc, large enough
+# that a pass pairing every piece with every piece shows:
+#   interval_200_hyperrigid  G0 = G1 = union of [3i, 3i+1], r = id: hyperrigid
+#   interval_200_half        G1 = union of [3i, 3i+1/2] in G0, r = id:
+#                            not hyperrigid
+INTERVAL = ("isolated_vertex", "open_core", "ray_tail", "ray_constant",
+            "interval_200_hyperrigid", "interval_200_half")
 # 300 vertex classes and 900 edge classes each, large enough that the
 # digest and the sigma witness depend on the whole parse and build:
 #   discrete_300_hyperrigid  bench/gen.discrete_doc(random.Random(300), 300, 900, True)
@@ -117,6 +124,9 @@ def regenerate():
         # pins the message and which fault wins
         _write(f"batch_malformed_{fmt}",
                ["batch", "{inputs}/malformed", "--format", fmt], manifest)
+        # one interval instance per fault or pair of faults, the same way
+        _write(f"batch_malformed_interval_{fmt}",
+               ["batch", "{inputs}/malformed_interval", "--format", fmt], manifest)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
 

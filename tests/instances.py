@@ -175,3 +175,21 @@ def random_discrete_graph(rng, max_classes: int = 8, max_edges: int = 20,
     edges = [EdgeClass(f"E{j}", rng.choice(names), rng.choice(names), count())
              for j in range(rng.randint(0, max_edges))]
     return DiscreteGraphPresentation.of(vertices, edges)
+
+
+def unit_pieces_doc(n: int, half: bool = False) -> dict:
+    """Instance document with G0 the union of [3i, 3i+1] for i < n and
+    identity range and source maps.  G1 is G0, which is hyperrigid, or with
+    half=True the union of [3i, 3i+1/2], which is not (the range condition
+    fails at each 3i+1/2, as in corpus/half_interval.json).  Written with
+    records.canonical_json this is tests/inputs/interval_200_hyperrigid.json
+    and interval_200_half.json at n = 200."""
+    def piece(lo, hi):
+        return [str(lo), str(hi), "closed", "closed"]
+
+    width = Fraction(1, 2) if half else 1
+    g0 = [piece(3 * i, 3 * i + 1) for i in range(n)]
+    g1 = [piece(3 * i, 3 * i + width) for i in range(n)]
+    identity = {"pieces": [{"dom": p, "slope": "1", "offset": "0"} for p in g1]}
+    return {"schema": 1, "kind": "interval", "G0": g0, "G1": g1,
+            "r": identity, "s": identity}

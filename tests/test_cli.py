@@ -7,7 +7,7 @@ from pathlib import Path
 from hyperrig.cli import main
 from hyperrig.records import parse_witness_record, render_text
 
-from golden_cli import GOLDEN, INTERVAL, LARGE, MANIFEST, run_cli
+from golden_cli import GOLDEN, INPUTS, INTERVAL, LARGE, MANIFEST, run_cli
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -27,6 +27,15 @@ def test_corpus_files_are_canonical():
     for path in sorted(CORPUS.glob("*.json")):
         assert path.read_text(encoding="utf-8") \
             == canonical_json(instance_payload(load_instance(path)))
+
+
+def test_interval_family_inputs_match_their_generator():
+    # CI writes the same two families at 2000 pieces for its scale step
+    from hyperrig.records import canonical_json
+    from instances import unit_pieces_doc
+    for stem, half in (("interval_200_hyperrigid", False), ("interval_200_half", True)):
+        assert (INPUTS / f"{stem}.json").read_text(encoding="utf-8") \
+            == canonical_json(unit_pieces_doc(200, half))
 
 
 def test_decide_exit_codes(capsys):
@@ -64,9 +73,17 @@ OVERSIZED = {
     "deep.json": "[" * 100_000,
 }
 
+UNHASHABLE_END = {
+    # an interval end that is a JSON list or object, not "closed" or "open"
+    "list_end.json": '{"kind": "interval", "G0": [["0", "1", ["closed"], "closed"]],'
+                     ' "G1": [], "r": {"pieces": []}, "s": {"pieces": []}}',
+    "dict_end.json": '{"kind": "interval", "G0": [], "G1": [["0", "1", "closed", {}]],'
+                     ' "r": {"pieces": []}, "s": {"pieces": []}}',
+}
+
 
 def test_decide_errors(tmp_path, capsys):
-    for name, text in {"bad.json": "{", **OVERSIZED}.items():
+    for name, text in {"bad.json": "{", **OVERSIZED, **UNHASHABLE_END}.items():
         bad = tmp_path / name
         bad.write_text(text, encoding="utf-8")
         assert main(["decide", str(bad)]) == 2, name
@@ -214,6 +231,25 @@ def test_one_correspondence_build_per_command(tmp_path, monkeypatch, capsys):
         assert len(calls) == 1, argv[0]
 
 
+def test_verify_computes_the_instance_digest_once(monkeypatch, capsys):
+    # an honest verify checks the record's digest against the instance and
+    # writes that same digest into its record: one digest of the instance
+    import hyperrig.records as records
+    calls = []
+    original = records.instance_digest
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(records, "instance_digest", counted)
+    code, out, _ = run_cli(["verify", "{golden}/witness_wvx_2_3_json.out",
+                            "{inputs}/wvx_2_3.json"])
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+    assert len(calls) == 1
+
+
 def test_batch_summary_and_determinism(capsys):
     assert main(["batch", str(CORPUS)]) == 0
     single = capsys.readouterr().out
@@ -234,14 +270,14 @@ def test_batch_text_format(capsys):
 def test_batch_isolates_per_file_errors(tmp_path, capsys):
     shutil.copy(CORPUS / "loop.json", tmp_path / "loop.json")
     (tmp_path / "broken.json").write_text("{{{", encoding="utf-8")
-    for name, text in OVERSIZED.items():
+    for name, text in {**OVERSIZED, **UNHASHABLE_END}.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     assert main(["batch", str(tmp_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"] == {"hyperrigid": 1, "not-hyperrigid": 0,
-                              "errors": 1 + len(OVERSIZED)}
+                              "errors": 1 + len(OVERSIZED) + len(UNHASHABLE_END)}
     by_name = {f["file"]: f for f in doc["files"]}
-    for name in ("broken.json", *OVERSIZED):
+    for name in ("broken.json", *OVERSIZED, *UNHASHABLE_END):
         assert by_name[name]["status"] == "error", name
         assert by_name[name]["error"].startswith("MalformedInputError: "), name
     assert by_name["loop.json"]["status"] == "hyperrigid"

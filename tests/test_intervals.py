@@ -336,17 +336,53 @@ def interval_sets(draw, max_pieces: int = 4) -> IntervalSet:
     return IntervalSet.of(pieces)
 
 
+# -- references by endpoint case analysis ---------------------------------------
+# The module orders endpoints and points as cut keys; these helpers decide the
+# same questions by comparing values and closedness branch by branch, and
+# share no code with the cut order, so a wrong cut convention cannot pass on
+# both sides of a property.
+
+def piece_contains_by_cases(p: Interval, x) -> bool:
+    if p.lo is not None and (x < p.lo or (x == p.lo and not p.lo_closed)):
+        return False
+    if p.hi is not None and (x > p.hi or (x == p.hi and not p.hi_closed)):
+        return False
+    return True
+
+
+def contains_by_cases(s: IntervalSet, x) -> bool:
+    return any(piece_contains_by_cases(p, x) for p in s.pieces)
+
+
+def approaches_by_cases(s: IntervalSet, x, side: str) -> bool:
+    for p in s.pieces:
+        if side == "left":
+            if (p.lo is None or p.lo < x) and (p.hi is None or p.hi >= x):
+                return True
+        elif (p.hi is None or p.hi > x) and (p.lo is None or p.lo <= x):
+            return True
+    return False
+
+
+def value_at_by_cases(f: PiecewiseAffineMap, x):
+    for ap in f.pieces:
+        if piece_contains_by_cases(ap.dom, x):
+            return ap.value(x)
+    return None
+
+
 def interior_by_endpoints(s: IntervalSet, amb: IntervalSet) -> IntervalSet:
     """Reference interior of s relative to amb by endpoint case analysis.
 
     The open core of each piece is always interior.  A closed finite
     endpoint x survives exactly when amb minus s does not accumulate at x
     on the side facing away from the piece (both sides for a single
-    point)."""
-    outside = difference(amb, s)
-
+    point).  Near x each finite union is all or nothing on either side, so
+    amb minus s accumulates on a side exactly when amb does and s does
+    not."""
     def endpoint_ok(x, sides) -> bool:
-        return not any(approaches(outside, x, side) for side in sides)
+        return not any(approaches_by_cases(amb, x, side)
+                       and not approaches_by_cases(s, x, side) for side in sides)
 
     out = []
     for p in s.pieces:
@@ -418,12 +454,35 @@ def test_prop_compact_source_is_proper(s):
 def test_prop_membership_after_normalize(s, x):
     # normalization preserves pointwise membership
     rebuilt = IntervalSet.of(list(s.pieces) + list(s.pieces))
-    assert rebuilt.contains(x) == s.contains(x)
+    assert contains_by_cases(rebuilt, x) == contains_by_cases(s, x)
 
 
 @given(interval_sets(), interval_sets(), fractions_st)
 def test_prop_boolean_ops_pointwise(a, b, x):
-    assert union(a, b).contains(x) == (a.contains(x) or b.contains(x))
-    assert intersect(a, b).contains(x) == (a.contains(x) and b.contains(x))
-    assert difference(a, b).contains(x) == (a.contains(x) and not b.contains(x))
-    assert complement(a).contains(x) == (not a.contains(x))
+    def has(s):
+        return contains_by_cases(s, x)
+    assert has(union(a, b)) == (has(a) or has(b))
+    assert has(intersect(a, b)) == (has(a) and has(b))
+    assert has(difference(a, b)) == (has(a) and not has(b))
+    assert has(complement(a)) == (not has(a))
+
+
+@given(interval_sets(), st.lists(st.fractions(-4, 4, max_denominator=4), min_size=4,
+                                 max_size=4))
+def test_prop_point_queries_match_case_analysis(s, coeffs):
+    # at every endpoint and just beside it; distinct endpoints drawn with
+    # denominators up to 16 are more than 1/1000 apart
+    f = PiecewiseAffineMap.build(
+        [AffinePiece(p, coeffs[i % 2], coeffs[2 + i % 2])
+         for i, p in enumerate(s.pieces)], s, FULL_LINE)
+    ends = {v for p in s.pieces for v in (p.lo, p.hi) if v is not None}
+    for x in sorted({e + d for e in ends | {F(0)} for d in (F(-1, 1000), 0, F(1, 1000))}):
+        assert s.contains(x) == contains_by_cases(s, x), x
+        for side in ("left", "right"):
+            assert approaches(s, x, side) == approaches_by_cases(s, x, side), (x, side)
+        expected = value_at_by_cases(f, x)
+        if expected is None:
+            with pytest.raises(MalformedInputError, match="is not in the source"):
+                f.value_at(x)
+        else:
+            assert f.value_at(x) == expected, x

@@ -99,6 +99,16 @@ def _interval_reaching(hi: str) -> str:
     pytest.param(_interval_reaching("1" * 5000), id="5000-digit endpoint"),
     pytest.param('{"kind": "discrete", "vertices": [{"name": "v", "count": '
                  + "9" * 5000 + '}], "edges": []}', id="5000-digit count"),
+    # an end that is a list or an object is not a closedness string (and
+    # cannot be looked up as one: it is unhashable)
+    pytest.param('{"kind": "interval", "G0": [["0", "1", ["closed"], "closed"]],'
+                 ' "G1": [], "r": {"pieces": []}, "s": {"pieces": []}}',
+                 id="list end in G0"),
+    pytest.param('{"kind": "interval", "G0": [["0", "1", "closed", "closed"]],'
+                 ' "G1": [["0", "1", "closed", "closed"]],'
+                 ' "r": {"pieces": [{"dom": ["0", "1", "closed", {}],'
+                 ' "slope": "1", "offset": "0"}]}, "s": {"pieces": []}}',
+                 id="object end in a dom"),
 ])
 def test_malformed_instances_rejected(text):
     with pytest.raises(MalformedInputError):
