@@ -4,8 +4,9 @@ Every corpus file is run through `decide` and `witness` (json and text),
 and every witness record that `witness` emits is run through `verify`
 (json and text) against every corpus file, mismatches included.  The
 multi-copy inputs under tests/inputs/ (listed in MULTI_COPY) reach Fock
-spaces the corpus does not; each is run through `witness` and its record
-through `verify` against the same input.  The interval inputs under
+spaces the corpus does not, and the generated omega input (listed in
+WITNESSED) reaches a covariance check the corpus does not; each is run
+through `witness` and its record through `verify` against the same input.  The interval inputs under
 tests/inputs/ (listed in INTERVAL) and the generated discrete inputs
 (listed in LARGE) are run through `decide`, and the whole corpus
 directory, tests/inputs/malformed/ and tests/inputs/malformed_interval/
@@ -57,6 +58,10 @@ INTERVAL = ("isolated_vertex", "open_core", "ray_tail", "ray_constant",
 #                            one "omega" multiplicity: not hyperrigid
 # both written with records.canonical_json
 LARGE = ("discrete_300_hyperrigid", "discrete_300_omega")
+# witnessed and verified like MULTI_COPY: discrete_300_omega is the one
+# input whose covariance check runs hundreds of ideal generators (287)
+# over hundreds of edge classes (900)
+WITNESSED = MULTI_COPY + ("discrete_300_omega",)
 
 
 def run_cli(argv):
@@ -102,7 +107,7 @@ def regenerate():
                        ["verify", f"{{golden}}/witness_{rec}_json.out",
                         f"{{corpus}}/{stem}.json", "--format", fmt],
                        manifest)
-    for stem in MULTI_COPY:
+    for stem in WITNESSED:
         for fmt in FORMATS:
             _write(f"witness_{stem}_{fmt}",
                    ["witness", f"{{inputs}}/{stem}.json", "--format", fmt],
