@@ -10,7 +10,14 @@ the left action is multiplication by f(range(e)).
 
 Everything a verdict depends on is computed at class granularity (which
 keeps OMEGA-classes finite data), while witness vectors, tensor bases and
-theta decompositions expand the finitely many relevant copies explicitly.
+compact decompositions expand the finitely many relevant copies explicitly.
+
+For f in the Katsura ideal, phi(f) is compact and diagonal in the copies:
+    phi(f) = sum over single edge copies e of f(r(e)) theta_{e,e},
+a finite sum because f lives on atoms of finite in-degree.  It is kept as
+the map e -> f(r(e)) over the copies where that is nonzero, and each map is
+checked exactly against left_mul on every copy it names and on copy 0 of
+every edge class.
 """
 
 from __future__ import annotations
@@ -482,85 +489,74 @@ def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
 
 # -- compact operators --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThetaTerm:
-    """Rank-one module operator z -> x <y, z>."""
+def left_action_as_compacts(c: Correspondence, fns: Iterable[CoefFn]) -> list:
+    """phi(f) as a compact operator for each f in fns, in order: a map from
+    each single edge copy e to f(r(e)), one entry per copy whose range atom
+    f does not vanish at, so phi(f) = sum_e f(r(e)) theta_{e,e}.  Each map
+    is checked exactly against left_mul on every copy it names and on copy
+    0 of every edge class (_verify_theta_sum); the compact preimage, the
+    range-class index and those representative vectors are built once per
+    call.
 
-    x: ModuleVector
-    y: ModuleVector
-
-    def apply(self, z: ModuleVector) -> ModuleVector:
-        return right_mul(self.x, inner(self.y, z))
-
-
-def theta(x: ModuleVector, y: ModuleVector) -> ThetaTerm:
-    if x.parent != y.parent:
-        raise DomainError("theta of vectors over different correspondences")
-    return ThetaTerm(x, y)
-
-
-def left_action_as_compacts(c: Correspondence, f: CoefFn) -> list:
-    """Finite list of theta terms with sum phi(f), verified on representative
-    copies of every generator class.
-
-    Requires f to be an actual algebra element supported inside the compact
-    preimage: class-constant parts only over finite classes that lie in the
-    ideal, point masses over atoms of classes in the ideal.
+    Requires each f to be an actual algebra element supported inside the
+    compact preimage: class-constant parts only over finite classes that
+    lie in the ideal, point masses over atoms of classes in the ideal.
     """
     fin = compacts_preimage(c)
-    if not f.supported_in(fin):
-        raise DomainError(
-            f"function supported on {sorted(f.support_classes() - fin.support)} "
-            "outside the compact preimage")
-    point_masses: dict = {}
-    for cls, z in f.class_part:
-        n = c.algebra.count_of(cls)
-        if not is_finite(n):
+    into: dict = {}  # range class -> the edge classes ranging in it
+    for g in c.generators:
+        into.setdefault(g.dst, []).append(g)
+    reps = {e: ModuleVector.single(c, e)
+            for e in (EdgeCopy(g.name, 0, 0, 0) for g in c.generators)}
+    maps = []
+    for f in fns:
+        if not f.supported_in(fin):
             raise DomainError(
-                f"class-constant value on infinite class {cls} is not an algebra element")
-        for j in range(n):
-            a = Atom(cls, j)
+                f"function supported on {sorted(f.support_classes() - fin.support)} "
+                "outside the compact preimage")
+        point_masses: dict = {}
+        for cls, z in f.class_part:
+            n = c.algebra.count_of(cls)
+            if not is_finite(n):
+                raise DomainError(
+                    f"class-constant value on infinite class {cls} is not an algebra element")
+            for j in range(n):
+                a = Atom(cls, j)
+                point_masses[a] = point_masses.get(a, QI()) + z
+        for a, z in f.point_part:
+            a = Atom(*a)
             point_masses[a] = point_masses.get(a, QI()) + z
-    for a, z in f.point_part:
-        a = Atom(*a)
-        point_masses[a] = point_masses.get(a, QI()) + z
 
-    terms = []
-    for a in sorted(point_masses):
-        z = point_masses[a]
-        if z.is_zero():
-            continue
-        for g in c.generators:
-            if g.dst != a.cls:
+        phi = {}
+        for a in sorted(point_masses):
+            z = point_masses[a]
+            if z.is_zero():
                 continue
-            src_count = c.algebra.count_of(g.src)
-            # finite because a.cls lies in the compact preimage
-            assert is_finite(src_count) and is_finite(g.mult)
-            for i in range(src_count):
-                for k in range(g.mult):
-                    e = EdgeCopy(g.name, i, a.index, k)
-                    terms.append(theta(ModuleVector.single(c, e).scale(z),
-                                       ModuleVector.single(c, e)))
+            for g in into.get(a.cls, ()):
+                src_count = c.algebra.count_of(g.src)
+                # finite because a.cls lies in the compact preimage
+                assert is_finite(src_count) and is_finite(g.mult)
+                for i in range(src_count):
+                    for k in range(g.mult):
+                        phi[EdgeCopy(g.name, i, a.index, k)] = z
+        _verify_theta_sum(c, f, phi, reps)
+        maps.append(phi)
+    return maps
 
-    _verify_theta_sum(c, f, terms)
-    return terms
 
-
-def _verify_theta_sum(c: Correspondence, f: CoefFn, terms: list) -> None:
-    """Check sum(terms) == phi(f) exactly on every copy some term reads and
-    on a representative copy of every class.  theta(x, y) z = x <y, z>, and
-    inner pairs matching copies only, so on a single-copy probe the terms
-    whose y misses it apply to zero and the sum runs over the rest."""
-    meeting: dict = {}  # edge copy -> the terms whose y has it
-    for t in terms:
-        for e, _ in t.y.coeffs:
-            meeting.setdefault(e, []).append(t)
-    probes = set(meeting) | {EdgeCopy(g.name, 0, 0, 0) for g in c.generators}
-    for e in sorted(probes):
+def _verify_theta_sum(c: Correspondence, f: CoefFn, phi: Mapping[EdgeCopy, QI],
+                      reps: Mapping[EdgeCopy, ModuleVector]) -> None:
+    """Check sum_e phi[e] theta_{e,e} == phi(f) exactly on every copy phi
+    names and on every representative copy in reps (copy 0 of each class,
+    as its single vector).  theta_{e,e} z = e <e, z>, and inner pairs
+    matching copies only, so on the single-copy probe e the sum is
+    phi[e] e, or zero when phi does not name e."""
+    for e, w in phi.items():
         z = ModuleVector.single(c, e)
-        total = ModuleVector.of(c, {})
-        for t in meeting.get(e, ()):
-            total = total + t.apply(z)
-        if total != left_mul(f, z):
+        if z.scale(w) != left_mul(f, z):
+            raise InternalInconsistencyError(
+                f"theta decomposition disagrees with the left action on {e}")
+    for e, z in reps.items():
+        if e not in phi and not left_mul(f, z).is_zero():
             raise InternalInconsistencyError(
                 f"theta decomposition disagrees with the left action on {e}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from numbers import Rational
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import Atom, CoefFn, EvaluationRep, IdealSpec
 from .correspondence import (
@@ -250,29 +250,26 @@ def t0(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
     return GradedOperator(fock, 1, _drop_zeros(cols))
 
 
-def psi_t(fock: TruncatedFock, terms: Iterable) -> GradedOperator:
-    """Image of a finite rank-one decomposition: sum of t(x) t(y)*.
+def psi_t(fock: TruncatedFock, phi: Mapping[EdgeCopy, QI]) -> GradedOperator:
+    """Image of phi(f) = sum_e f(r(e)) theta_{e,e}, given as the map
+    phi: e -> f(r(e)) over single edge copies that left_action_as_compacts
+    returns: the sum of phi[e] t(e) t(e)*, with one t(e) per copy.
 
-    Operators are indexed op[column][row].  The entry of t(x) t(y)* at
-    column k, row i is the sum over basis keys j of t(x)[j][i] times
-    conj(t(y)[j][k]).  A key j that is not a column of both t(x) and t(y)
-    adds a product with a factor exactly 0, so each term joins the columns
-    of t(y) with those of t(x) and the sum runs over the rest.
-    Every term accumulates into one column map, and zero entries are
+    Operators are indexed op[column][row].  The entry of t(e) t(e)* at
+    column k, row i is the sum over basis keys j of t(e)[j][i] times
+    conj(t(e)[j][k]), so each column j of t(e) pairs its own entries.
+    Every copy accumulates into one column map, and zero entries are
     dropped once at the end.
     """
+    c = fock.parent
     cols: dict = {}
-    for term in terms:
-        tx = t0(fock, term.x).cols
-        for j, ycol in t0(fock, term.y).cols.items():
-            xcol = tx.get(j)
-            if xcol is None:
-                continue
-            for k, z in ycol.items():
-                zc = z.conj()
+    for e, z in phi.items():
+        for col in t0(fock, ModuleVector.single(c, e)).cols.values():
+            for k, y in col.items():
+                zy = z * y.conj()
                 tgt = cols.setdefault(k, {})
-                for i, w in xcol.items():
-                    tgt[i] = tgt.get(i, QI()) + w * zc
+                for i, x in col.items():
+                    tgt[i] = tgt.get(i, QI()) + x * zy
     return GradedOperator(fock, 0, _drop_zeros(cols))
 
 
@@ -537,11 +534,10 @@ def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace,
             raise InternalInconsistencyError(
                 "creation complement of the witness subspace is not M0")
     comp_keys = frozenset(k for level in comp for k in level)
+    fns = ideal_generator_functions(fock, j)
     resid = 0
-    for f in ideal_generator_functions(fock, j):
-        lhs = psi_t(fock, left_action_as_compacts(fock.parent, f))
-        rhs = rho0(fock, f)
-        resid = max(resid, operator_residual(lhs, rhs, comp_keys))
+    for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns)):
+        resid = max(resid, operator_residual(psi_t(fock, phi), rho0(fock, f), comp_keys))
     return resid
 
 

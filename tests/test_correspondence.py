@@ -16,7 +16,7 @@ from hyperrig.correspondence import (
     interior_tensor, is_nondegenerate, katsura_ideal, kernel_of_left_action,
     left_action_as_compacts, left_mul, level_basis, norm_sq,
     orthogonal_complement, pair_by_gram_identity, pairing, right_mul,
-    sigma_degeneracy_witness, tensor_power_reduction, theta, _verify_theta_sum,
+    sigma_degeneracy_witness, tensor_power_reduction, _verify_theta_sum,
 )
 from hyperrig.errors import (
     DomainError, InternalInconsistencyError, MalformedInputError, SymbolicOnlyError,
@@ -325,60 +325,58 @@ def test_tensor_power_reduction_examples():
 
 def test_theta_decomposition_star_plus_arm():
     c = star_plus_arm()
-    terms = left_action_as_compacts(c, CoefFn.delta_class("U"))
-    assert len(terms) == 1
-    f_copy = ModuleVector.single(c, EdgeCopy("F", 0, 0, 0))
-    e_copy = ModuleVector.single(c, EdgeCopy("E", 0, 0, 0))
-    assert terms[0].apply(e_copy).is_zero()
-    assert terms[0].apply(f_copy) == f_copy
+    assert left_action_as_compacts(c, [CoefFn.delta_class("U")]) \
+        == [{EdgeCopy("F", 0, 0, 0): QI_ONE}]
 
 
 def test_theta_decomposition_loop_and_zero():
     lo = loop_graph()
-    terms = left_action_as_compacts(lo, CoefFn.delta_class("v"))
-    assert len(terms) == 1
-    e = ModuleVector.single(lo, EdgeCopy("e", 0, 0, 0))
-    assert terms[0].apply(e) == e
-    assert left_action_as_compacts(lo, CoefFn.of()) == []
+    assert left_action_as_compacts(lo, [CoefFn.delta_class("v"), CoefFn.of()]) \
+        == [{EdgeCopy("e", 0, 0, 0): QI_ONE}, {}]
+    assert left_action_as_compacts(lo, []) == []
 
 
 def test_theta_rejects_outside_compacts():
     om = omega_star()
     with pytest.raises(DomainError):
-        left_action_as_compacts(om, CoefFn.delta_class("V"))
+        left_action_as_compacts(om, [CoefFn.delta_class("V")])
     # W lies in the compact preimage, but a class-constant value over an
     # infinite class is not an algebra element
     with pytest.raises(DomainError):
-        left_action_as_compacts(om, CoefFn.delta_class("W"))
+        left_action_as_compacts(om, [CoefFn.delta_class("W")])
     # a point mass on one W copy is fine and decomposes to nothing (no edge
     # ranges at W)
-    assert left_action_as_compacts(om, CoefFn.delta_atom(Atom("W", 3))) == []
+    assert left_action_as_compacts(om, [CoefFn.delta_atom(Atom("W", 3))]) == [{}]
 
 
 def test_theta_point_mass_on_range():
     c = tower()
-    terms = left_action_as_compacts(c, CoefFn.delta_atom(Atom("U", 0)))
-    assert len(terms) == 1
-    f_copy = ModuleVector.single(c, EdgeCopy("F", 0, 0, 0))
-    assert terms[0].apply(f_copy) == f_copy
+    assert left_action_as_compacts(c, [CoefFn.delta_atom(Atom("U", 0))]) \
+        == [{EdgeCopy("F", 0, 0, 0): QI_ONE}]
 
 
 def test_theta_sum_check_catches_a_wrong_term():
-    c = Correspondence.of(AtomSet.of([("X", 3), ("U", 2)]), [EdgeClass("F", "X", "U", 2)])
-    f = CoefFn.delta_class("U")
-    terms = left_action_as_compacts(c, f)
-    assert len(terms) == 12
-    _verify_theta_sum(c, f, terms)
-    bad = list(terms)
-    bad[5] = theta(terms[5].x.scale(QI(2)), terms[5].y)
-    with pytest.raises(InternalInconsistencyError, match="theta decomposition disagrees"):
-        _verify_theta_sum(c, f, bad)
-
-
-def test_theta_parent_mismatch():
-    with pytest.raises(DomainError):
-        theta(ModuleVector.single(loop_graph(), EdgeCopy("e", 0, 0, 0)),
-              ModuleVector.single(arrow_graph(), EdgeCopy("e", 0, 0, 0)))
+    c = Correspondence.of(AtomSet.of([("X", 3), ("U", 2), ("Y", 1)]),
+                          [EdgeClass("F", "X", "U", 2), EdgeClass("G", "X", "Y", 1)])
+    f = CoefFn.delta_class("U", QI(3))
+    [phi] = left_action_as_compacts(c, [f])
+    assert phi == {EdgeCopy("F", i, j, k): QI(3)
+                   for i in range(3) for j in range(2) for k in range(2)}
+    reps = {e: ModuleVector.single(c, e)
+            for e in (EdgeCopy("F", 0, 0, 0), EdgeCopy("G", 0, 0, 0))}
+    _verify_theta_sum(c, f, phi, reps)
+    doubled = dict(phi)
+    doubled[EdgeCopy("F", 2, 1, 0)] = QI(6)
+    # the probes are the copies the map names plus copy 0 of every class,
+    # so the copy left out is a representative
+    missing = dict(phi)
+    del missing[EdgeCopy("F", 0, 0, 0)]
+    # G ranges at Y, outside supp f
+    extra = {**phi, EdgeCopy("G", 1, 0, 0): QI(3)}
+    for bad in (doubled, missing, extra):
+        with pytest.raises(InternalInconsistencyError,
+                           match="theta decomposition disagrees"):
+            _verify_theta_sum(c, f, bad, reps)
 
 
 # -- strategies -------------------------------------------------------------------
@@ -529,13 +527,24 @@ def test_fiber_size_matches_edges_from_atom(c):
 @given(graphs(max_classes=3, max_edges=4))
 @settings(max_examples=80, deadline=None)
 def test_theta_decomposition_matches_left_action(c):
+    # each map is f(r(e)) on every copy where that is nonzero, found by
+    # enumerating every copy of every class, and phi[e] e is phi(f) e on
+    # each class representative
     fin = compacts_preimage(c)
-    for nm in sorted(fin.support):
-        f = CoefFn.delta_class(nm)
-        terms = left_action_as_compacts(c, f)
+    fns = [CoefFn.delta_class(nm) for nm in sorted(fin.support)]
+    for f, phi in zip(fns, left_action_as_compacts(c, fns), strict=True):
+        expected = {}
         for g in c.generators:
-            z = ModuleVector.single(c, EdgeCopy(g.name, 0, 0, 0))
-            total = ModuleVector.of(c, {})
-            for t in terms:
-                total = total + t.apply(z)
+            for i in range(c.algebra.count_of(g.src)):
+                for j in range(c.algebra.count_of(g.dst)):
+                    for k in range(g.mult):
+                        e = EdgeCopy(g.name, i, j, k)
+                        z = f.value_at(c.range_atom(e))
+                        if not z.is_zero():
+                            expected[e] = z
+        assert phi == expected
+        for g in c.generators:
+            e = EdgeCopy(g.name, 0, 0, 0)
+            z = ModuleVector.single(c, e)
+            total = z.scale(phi[e]) if e in phi else ModuleVector.of(c, {})
             assert total == left_mul(f, z)

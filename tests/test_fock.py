@@ -7,11 +7,13 @@ from functools import cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import hyperrig.correspondence as corr_mod
+import hyperrig.fock as fock_mod
 from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec
 from hyperrig.correspondence import (
     Correspondence, EdgeClass, EdgeCopy, ModuleVector, TensorKey, inner,
     katsura_ideal, leading_atom, left_action_as_compacts, left_mul,
-    sigma_degeneracy_witness, theta,
+    sigma_degeneracy_witness,
 )
 from hyperrig.errors import (
     BudgetExceededError, DomainError, InternalInconsistencyError,
@@ -20,12 +22,15 @@ from hyperrig.errors import (
 from hyperrig.fock import (
     GradedOperator, IsometryReport, build_fock,
     build_witness_subspace, check_cuntz_pimsner, complement_of_creation,
-    full_subspace, generator_functions, generator_vectors, operator_residual,
-    psi_t, restrict_to_subspace, rho0, t0, verify_eq_use,
-    verify_isometric_rep, witness_pipeline,
+    full_subspace, generator_functions, generator_vectors,
+    ideal_generator_functions, operator_residual, psi_t, restrict_to_subspace,
+    rho0, t0, verify_eq_use, verify_isometric_rep, witness_pipeline,
 )
+from hyperrig.graphs import build_correspondence
+from hyperrig.records import load_instance
 from hyperrig.scalars import OMEGA, QI, QI_ONE
 
+from golden_cli import INPUTS
 from instances import (
     arrow_graph, loop_graph, omega_star, random_discrete_graph, star_plus_arm,
     tower, wvx,
@@ -67,7 +72,6 @@ def test_build_fock_guards(monkeypatch):
 
     # an over-budget level is refused from its class-level size, before a
     # single key of it is enumerated
-    import hyperrig.fock as fock_mod
     calls = [0]
     real = fock_mod.successors
 
@@ -176,7 +180,6 @@ def test_rho0_matches_dense_reference():
     spaces = [(c, sigma_at(c, cls)) for c, cls in (
         (loop_graph(), "v"), (star_plus_arm(), "W"), (omega_star(), "W"),
         (tower(), "W"), (two_loops(), "v"), (arrow_graph(), "u"))]
-    from hyperrig.graphs import build_correspondence
     for seed in (3, 17):
         rng = random.Random(seed)
         c = build_correspondence(random_discrete_graph(
@@ -321,7 +324,6 @@ def relation_mutants(fock) -> dict:
 def differential_spaces() -> list:
     """Fock spaces of the degenerate corpus, wvx(2, 3), and seeded random
     graphs with at least one edge, evaluated at atom 0 of every class."""
-    from hyperrig.graphs import build_correspondence
     spaces = []
     for c in degenerate_corpus() + [wvx(2, 3)]:
         spaces.append(build_fock(c, sigma_degeneracy_witness(c).rep, 3))
@@ -434,30 +436,50 @@ def test_psi_t_examples():
     sa = star_plus_arm()
     fock = build_fock(sa, sigma_at(sa, "W"), 3)
     f_copy = ModuleVector.single(sa, EdgeCopy("F", 0, 0, 0))
-    lhs = psi_t(fock, [theta(f_copy, f_copy)])
+    lhs = psi_t(fock, {EdgeCopy("F", 0, 0, 0): QI_ONE})
     rhs = t0(fock, f_copy).compose(t0(fock, f_copy).adjoint())
     assert operator_residual(lhs, rhs) == 0
 
-    assert psi_t(fock, []).cols == {}
+    assert psi_t(fock, {}).cols == {}
 
     lo = loop_graph()
     fock = build_fock(lo, sigma_at(lo, "v"), 3)
-    e = ModuleVector.single(lo, EdgeCopy("e", 0, 0, 0))
     lvl1 = fock.bases[1][0]
-    out = psi_t(fock, [theta(e, e)]).apply({lvl1: QI_ONE})
+    out = psi_t(fock, {EdgeCopy("e", 0, 0, 0): QI_ONE}).apply({lvl1: QI_ONE})
     assert out == {lvl1: QI_ONE}
+    # a scalar that is neither real nor 1 sits on the left factor once
+    e = ModuleVector.single(lo, EdgeCopy("e", 0, 0, 0))
+    odd = QI(Fraction(1, 2), Fraction(-3, 4))
+    lhs = psi_t(fock, {EdgeCopy("e", 0, 0, 0): odd})
+    rhs = t0(fock, e.scale(odd)).compose(t0(fock, e).adjoint())
+    assert len(lhs.cols) == 3 and operator_residual(lhs, rhs) == 0
+
+
+def op_sum(a, b):
+    cols = {k: dict(col) for k, col in a.cols.items()}
+    for k, col in b.cols.items():
+        tgt = cols.setdefault(k, {})
+        for i, z in col.items():
+            tgt[i] = tgt.get(i, QI()) + z
+    return GradedOperator(a.fock, a.degree, cols)
 
 
 def test_psi_t_decomposition_independence():
+    # phi(delta_v) on two loops is theta(e, e) + theta(f, f), and also
+    # theta(u/2, u) + theta(w/2, w) for u = e + f, w = e - f; the rotated
+    # form is built here as t(u/2) t(u)* + t(w/2) t(w)*
     tl = two_loops()
     fock = build_fock(tl, sigma_at(tl, "v"), 2, basis_budget=100)
     e = ModuleVector.single(tl, EdgeCopy("e", 0, 0, 0))
     f = ModuleVector.single(tl, EdgeCopy("f", 0, 0, 0))
-    plain = left_action_as_compacts(tl, CoefFn.delta_class("v"))
+    [plain] = left_action_as_compacts(tl, [CoefFn.delta_class("v")])
     half = QI(Fraction(1, 2))
     u, w = e + f, e - f
-    rotated = [theta(u.scale(half), u), theta(w.scale(half), w)]
-    assert operator_residual(psi_t(fock, plain), psi_t(fock, rotated)) == 0
+    rotated = op_sum(t0(fock, u.scale(half)).compose(t0(fock, u).adjoint()),
+                     t0(fock, w.scale(half)).compose(t0(fock, w).adjoint()))
+    assert operator_residual(psi_t(fock, plain), rotated) == 0
+    doubled = {copy: z * QI(2) for copy, z in plain.items()}
+    assert operator_residual(psi_t(fock, doubled), rotated) > 0
 
 
 # -- witness subspace -------------------------------------------------------------
@@ -515,6 +537,43 @@ def test_cuntz_pimsner_on_witness_and_control():
     fock_lo = build_fock(lo, sigma_at(lo, "v"), 3)
     resid = check_cuntz_pimsner(fock_lo, full_subspace(fock_lo), katsura_ideal(lo))
     assert resid == 1
+
+
+def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
+    # 287 ideal generators over 900 edge classes.  Every f probes, with one
+    # left_mul each, every copy its map names and one copy of every edge
+    # class; each copy of a map is checked once as a probe and once as a
+    # creation operator, each class representative once for the whole
+    # check, and psi_t builds one t(e) per copy of a map
+    c = build_correspondence(load_instance(INPUTS / "discrete_300_omega.json"))
+    j = katsura_ideal(c)
+    fock = build_fock(c, sigma_degeneracy_witness(c).rep)
+    m = build_witness_subspace(fock, j)
+    named = 0  # sum over f of the copies whose range atom f does not vanish at
+    for f in ideal_generator_functions(fock, j):
+        for g in c.generators:
+            hits = sum(c.algebra.count_of(cls) for cls, _ in f.class_part if cls == g.dst)
+            hits += sum(1 for a, _ in f.point_part if a.cls == g.dst)
+            if hits:
+                named += hits * c.algebra.count_of(g.src) * g.mult
+    assert (len(c.generators), named) == (900, 6984)
+
+    calls = {"left_mul": 0, "check_copy": 0, "t0": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(corr_mod, "left_mul", counted("left_mul", corr_mod.left_mul))
+    monkeypatch.setattr(Correspondence, "check_copy",
+                        counted("check_copy", Correspondence.check_copy))
+    monkeypatch.setattr(fock_mod, "t0", counted("t0", fock_mod.t0))
+    assert check_cuntz_pimsner(fock, m, j) == 0
+    assert calls["left_mul"] == 264_387
+    assert calls["check_copy"] <= len(c.generators) + 2 * named
+    assert calls["t0"] == named
 
 
 def test_complement_of_creation_full_space():
@@ -581,7 +640,6 @@ def test_restriction_lemma_on_witness_subspaces():
 def test_toeplitz_relation_random_vectors(seed):
     rng = random.Random(seed)
     g = random_discrete_graph(rng, max_classes=3, max_edges=3, all_finite=True)
-    from hyperrig.graphs import build_correspondence
     c = build_correspondence(g)
     sigma = EvaluationRep.of(c.algebra, [Atom(nm, 0) for nm in c.algebra.names])
     try:
@@ -618,7 +676,6 @@ def test_toeplitz_relation_random_vectors(seed):
 def test_pipeline_on_random_degenerate_graphs(seed):
     rng = random.Random(seed)
     g = random_discrete_graph(rng, max_classes=4, max_edges=6)
-    from hyperrig.graphs import build_correspondence
     c = build_correspondence(g)
     if sigma_degeneracy_witness(c) is None:
         return
