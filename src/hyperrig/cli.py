@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .errors import (
@@ -105,7 +106,10 @@ def cmd_batch(args) -> int:
 
 # -- argument parsing ----------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args fills a new
+    namespace on every call, so one parser serves every call of main."""
     parser = argparse.ArgumentParser(
         prog="hyperrig",
         description="Decide hyperrigidity of graph correspondences and "

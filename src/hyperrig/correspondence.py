@@ -16,8 +16,8 @@ For f in the Katsura ideal, phi(f) is compact and diagonal in the copies:
     phi(f) = sum over single edge copies e of f(r(e)) theta_{e,e},
 a finite sum because f lives on atoms of finite in-degree.  It is kept as
 the map e -> f(r(e)) over the copies where that is nonzero, and each map is
-checked exactly against left_mul on every copy it names and on copy 0 of
-every edge class.
+checked exactly against left_mul on every copy ranging at an atom where f
+has a part, on every copy it names and on copy 0 of every edge class.
 """
 
 from __future__ import annotations
@@ -493,10 +493,10 @@ def left_action_as_compacts(c: Correspondence, fns: Iterable[CoefFn]) -> list:
     """phi(f) as a compact operator for each f in fns, in order: a map from
     each single edge copy e to f(r(e)), one entry per copy whose range atom
     f does not vanish at, so phi(f) = sum_e f(r(e)) theta_{e,e}.  Each map
-    is checked exactly against left_mul on every copy it names and on copy
-    0 of every edge class (_verify_theta_sum); the compact preimage, the
-    range-class index and those representative vectors are built once per
-    call.
+    is checked exactly against left_mul on every copy ranging where f has a
+    part, on every copy it names and on copy 0 of every edge class
+    (_verify_theta_sum); the compact preimage, the range-class index and
+    those representative vectors are built once per call.
 
     Requires each f to be an actual algebra element supported inside the
     compact preimage: class-constant parts only over finite classes that
@@ -539,24 +539,41 @@ def left_action_as_compacts(c: Correspondence, fns: Iterable[CoefFn]) -> list:
                 for i in range(src_count):
                     for k in range(g.mult):
                         phi[EdgeCopy(g.name, i, a.index, k)] = z
-        _verify_theta_sum(c, f, phi, reps)
+        _verify_theta_sum(c, f, phi, into, reps)
         maps.append(phi)
     return maps
 
 
 def _verify_theta_sum(c: Correspondence, f: CoefFn, phi: Mapping[EdgeCopy, QI],
+                      into: Mapping[str, list],
                       reps: Mapping[EdgeCopy, ModuleVector]) -> None:
-    """Check sum_e phi[e] theta_{e,e} == phi(f) exactly on every copy phi
-    names and on every representative copy in reps (copy 0 of each class,
-    as its single vector).  theta_{e,e} z = e <e, z>, and inner pairs
-    matching copies only, so on the single-copy probe e the sum is
-    phi[e] e, or zero when phi does not name e."""
-    for e, w in phi.items():
+    """Check sum_e phi[e] theta_{e,e} == phi(f) exactly on every probe.
+
+    The probes are single edge copies, each probed once: every copy of
+    every edge class that into (range class -> edge classes) lists at an
+    atom where f has a part (each atom of the class of a class part, the
+    atom of a point mass), enumerated from f and into, not from phi; then
+    every copy phi names; then every representative copy in reps (copy 0
+    of each class, as its single vector).  On an honest map the first two
+    sets are equal, and a copy the map leaves out is still probed.
+    theta_{e,e} z = e <e, z>, and inner pairs matching copies only, so on
+    the probe e the sum is phi[e] e, or zero when phi does not name e.
+    """
+    atoms = [Atom(cls, j) for cls, _ in f.class_part
+             for j in range(c.algebra.count_of(cls))]
+    atoms += [Atom(*a) for a, _ in f.point_part]
+    named = dict.fromkeys(
+        EdgeCopy(g.name, i, a.index, k) for a in atoms for g in into.get(a.cls, ())
+        for i in range(c.algebra.count_of(g.src)) for k in range(g.mult))
+    named.update(dict.fromkeys(phi))
+    for e in named:
         z = ModuleVector.single(c, e)
-        if z.scale(w) != left_mul(f, z):
+        w = phi.get(e)
+        got = left_mul(f, z)
+        if not (got.is_zero() if w is None else got == z.scale(w)):
             raise InternalInconsistencyError(
                 f"theta decomposition disagrees with the left action on {e}")
     for e, z in reps.items():
-        if e not in phi and not left_mul(f, z).is_zero():
+        if e not in named and not left_mul(f, z).is_zero():
             raise InternalInconsistencyError(
                 f"theta decomposition disagrees with the left action on {e}")

@@ -9,13 +9,13 @@ truncation boundary rather than an approximation.
 
 All operators are stored column-sparse over basis keys, all scalars are
 Gaussian rationals, and every residual is a max squared modulus that must
-come out exactly zero.
+come out exactly zero.  The generators the pipeline builds are Gaussian
+integers, so on the witness path every entry and residual is an int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from numbers import Rational
 from typing import Callable, Iterable, Mapping, Optional
@@ -294,14 +294,21 @@ class IsometryReport:
 
 
 def generator_functions(fock: TruncatedFock) -> list:
-    """Class indicators, point masses at every leading atom, and one
-    non-unimodular multiple per class (gauge-style corruptions of t are
-    invisible to indicator functions alone)."""
+    """Class indicators, point masses at every leading atom, and the probe
+    (1 + i) delta_C for every class C.
+
+    Indicators and point masses are real and take only the values 0 and 1,
+    so a corruption of t or rho in how it treats a scalar (a conjugation,
+    a dropped imaginary part, a scalar ignored or squared, a sign on one
+    generator) passes them.  The probe is neither real nor of modulus 1,
+    so it sees those; and it is a Gaussian integer, so every entry of
+    every rho(f), t(x), psi_t(phi(f)), join product and residual stays in
+    int arithmetic.
+    """
     c = fock.parent
     fns = [CoefFn.delta_class(nm) for nm in c.algebra.names]
     fns += [CoefFn.delta_atom(a) for a in sorted(fock.by_lead)]
-    fns += [CoefFn.delta_class(nm, QI(Fraction(1, 2), Fraction(1, 2)))
-            for nm in c.algebra.names]
+    fns += [CoefFn.delta_class(nm, QI(1, 1)) for nm in c.algebra.names]
     return fns
 
 

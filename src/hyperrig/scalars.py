@@ -5,11 +5,15 @@ Two kinds of numbers appear in the core:
 * ``QI`` -- Gaussian rationals a + b*i.  Each part is a Python ``int`` when
   it is integral and a ``Fraction`` otherwise; never a ``float`` and never a
   ``bool``.  Python's numeric tower keeps the mix exact (int with int stays
-  int, int with Fraction gives Fraction), so the Gaussian-integer entries
-  that dominate the relation checks (0, +-1, copy multiplicities) run on
-  integer arithmetic, and only division has to build a Fraction itself.
-  All operator entries, inner products and residuals are QI or QI parts;
-  no floating point is ever introduced, so "residual is zero" is a
+  int, int with Fraction gives Fraction), and only division has to build a
+  Fraction itself.  On the witness path every entry is a Gaussian integer:
+  discrete instances carry no scalars, and every generator function and
+  vector the pipeline builds, the (1 + i) probe included, has Gaussian
+  integer coefficients, so every operator entry, inner product and
+  residual the pipeline computes, in `witness` and in the replay of
+  `verify`, runs on int arithmetic.  Fractions arise only from inputs that
+  carry them, such as interval endpoints or scalars a caller passes in.
+  No floating point is ever introduced, so "residual is zero" is a
   decidable statement.
 * ``Count`` -- cardinalities of vertex/edge classes: a non-negative integer
   or the single infinite value ``OMEGA``.  Addition and multiplication

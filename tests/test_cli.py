@@ -110,6 +110,29 @@ def test_cli_matches_golden_outputs():
         assert code == case["exit"], name
 
 
+def test_one_parser_serves_every_call():
+    # main builds its parser once per process; no option of one call may
+    # leak into the next, whatever the subcommand or --format before it
+    from hyperrig.cli import build_parser
+    assert build_parser() is build_parser()
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    before = run_cli(["witness", "{corpus}/star_plus_arm.json", "--fock-level", "4",
+                      "--basis-budget", "50", "--format", "text"])
+    assert before[0] == 0 and not before[1].startswith("{")
+    for name in ("witness_star_plus_arm_json", "decide_loop_text",
+                 "verify_star_plus_arm_on_star_plus_arm_json",
+                 "batch_corpus_text", "witness_star_plus_arm_text",
+                 "decide_omega_star_json"):
+        # the goldens run on the defaults --fock-level 3 and --basis-budget
+        # 10000; the json cases drop their --format and take the default
+        argv = manifest[name]["argv"]
+        if argv[-2:] == ["--format", "json"]:
+            argv = argv[:-2]
+        code, out, err = run_cli(argv)
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
+        assert (code, err) == (manifest[name]["exit"], manifest[name]["stderr"]), name
+
+
 def test_text_output_renders_the_json_record():
     # --format text is render_text of the document --format json writes:
     # every golden json/text pair agrees, and a case with no record on

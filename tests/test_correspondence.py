@@ -5,6 +5,8 @@ oracles (explicit copy enumeration, direct left-action probing) before the
 implementation under test is consulted.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -355,20 +357,26 @@ def test_theta_point_mass_on_range():
         == [{EdgeCopy("F", 0, 0, 0): QI_ONE}]
 
 
-def test_theta_sum_check_catches_a_wrong_term():
+def theta_probe_instance():
+    # X(3) -> U(2) with multiplicity 2 (12 copies of F), and X -> Y
     c = Correspondence.of(AtomSet.of([("X", 3), ("U", 2), ("Y", 1)]),
                           [EdgeClass("F", "X", "U", 2), EdgeClass("G", "X", "Y", 1)])
+    into = {"U": [c.edge("F")], "Y": [c.edge("G")]}
+    reps = {e: ModuleVector.single(c, e)
+            for e in (EdgeCopy("F", 0, 0, 0), EdgeCopy("G", 0, 0, 0))}
+    return c, into, reps
+
+
+def test_theta_sum_check_catches_a_wrong_term():
+    c, into, reps = theta_probe_instance()
     f = CoefFn.delta_class("U", QI(3))
     [phi] = left_action_as_compacts(c, [f])
     assert phi == {EdgeCopy("F", i, j, k): QI(3)
                    for i in range(3) for j in range(2) for k in range(2)}
-    reps = {e: ModuleVector.single(c, e)
-            for e in (EdgeCopy("F", 0, 0, 0), EdgeCopy("G", 0, 0, 0))}
-    _verify_theta_sum(c, f, phi, reps)
+    _verify_theta_sum(c, f, phi, into, reps)
     doubled = dict(phi)
     doubled[EdgeCopy("F", 2, 1, 0)] = QI(6)
-    # the probes are the copies the map names plus copy 0 of every class,
-    # so the copy left out is a representative
+    # copy 0 of its class, a representative
     missing = dict(phi)
     del missing[EdgeCopy("F", 0, 0, 0)]
     # G ranges at Y, outside supp f
@@ -376,7 +384,24 @@ def test_theta_sum_check_catches_a_wrong_term():
     for bad in (doubled, missing, extra):
         with pytest.raises(InternalInconsistencyError,
                            match="theta decomposition disagrees"):
-            _verify_theta_sum(c, f, bad, reps)
+            _verify_theta_sum(c, f, bad, into, reps)
+
+
+def test_theta_sum_check_probes_every_copy_where_f_has_a_part():
+    # a map that leaves out a copy other than copy 0 of its class: neither
+    # a copy the map names nor a representative probes it, so the probes
+    # are enumerated from f, over every copy ranging where f has a part
+    c, into, reps = theta_probe_instance()
+    for f, left_out in ((CoefFn.delta_class("U"), EdgeCopy("F", 2, 1, 1)),
+                        (CoefFn.delta_atom(Atom("U", 1)), EdgeCopy("F", 1, 1, 1))):
+        [phi] = left_action_as_compacts(c, [f])
+        _verify_theta_sum(c, f, phi, into, reps)
+        missing = dict(phi)
+        del missing[left_out]
+        assert len(missing) == len(phi) - 1
+        with pytest.raises(InternalInconsistencyError,
+                           match="theta decomposition disagrees .* on " + re.escape(str(left_out))):
+            _verify_theta_sum(c, f, missing, into, reps)
 
 
 # -- strategies -------------------------------------------------------------------

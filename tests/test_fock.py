@@ -30,7 +30,7 @@ from hyperrig.graphs import build_correspondence
 from hyperrig.records import load_instance
 from hyperrig.scalars import OMEGA, QI, QI_ONE
 
-from golden_cli import INPUTS
+from golden_cli import CORPUS, INPUTS
 from instances import (
     arrow_graph, loop_graph, omega_star, random_discrete_graph, star_plus_arm,
     tower, wvx,
@@ -216,6 +216,39 @@ def test_corrupted_t_detected():
 
     report = verify_isometric_rep(fock, t_of=sign_flip)
     assert report.multiplication > 0
+
+
+SCALAR_MUTANTS = {
+    "conjugate": QI.conj,
+    "drop the imaginary part": lambda z: QI(z.re),
+    "ignore the scalar": lambda z: QI_ONE,
+    "square the scalar": lambda z: z * z,
+}
+
+
+def test_probe_catches_scalar_corruptions():
+    # each mutant agrees with the honest operators on every indicator
+    # function and every single copy, whose scalars are 1; only the probe
+    # (1 + i) delta_C, non-real and not of modulus 1, tells them apart
+    for c, cls in ((loop_graph(), "v"), (wvx(2, 3), "W")):
+        fock = build_fock(c, sigma_at(c, cls), 3)
+        for name, mutate in SCALAR_MUTANTS.items():
+            def t_of(x):
+                return t0(fock, ModuleVector._of_valid(
+                    c, ((e, mutate(z)) for e, z in x.coeffs)))
+
+            report = verify_isometric_rep(fock, t_of=t_of)
+            assert report.multiplication > 0, ("t", name)
+        for name in ("conjugate", "drop the imaginary part"):
+            mutate = SCALAR_MUTANTS[name]
+
+            def rho_of(f):
+                op = rho0(fock, f)
+                return GradedOperator(fock, 0, {k: {kk: mutate(z) for kk, z in col.items()}
+                                                for k, col in op.cols.items()})
+
+            report = verify_isometric_rep(fock, rho_of=rho_of)
+            assert report.multiplication > 0, ("rho", name)
 
 
 def test_corrupted_rho_detected():
@@ -541,7 +574,8 @@ def test_cuntz_pimsner_on_witness_and_control():
 
 def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
     # 287 ideal generators over 900 edge classes.  Every f probes, with one
-    # left_mul each, every copy its map names and one copy of every edge
+    # left_mul each, every copy ranging where f has a part (on an honest
+    # map, exactly the copies the map names) and one copy of every edge
     # class; each copy of a map is checked once as a probe and once as a
     # creation operator, each class representative once for the whole
     # check, and psi_t builds one t(e) per copy of a map
@@ -603,6 +637,34 @@ def test_full_pipeline_on_degenerate_corpus():
         assert cert.m0_gram == tuple(
             tuple(QI_ONE if i == j else QI() for j in range(len(cert.m0)))
             for i in range(len(cert.m0)))
+
+
+def test_witness_path_stays_on_int_arithmetic():
+    # the discrete instances carry no scalars and every generator is a
+    # Gaussian integer, so no entry of an operator the witness path builds,
+    # and no residual it reports, is a Fraction (an int-valued Fraction
+    # included)
+    def ints(z):
+        return type(z.re) is int and type(z.im) is int
+
+    def op_ints(op):
+        return all(ints(z) for col in op.cols.values() for z in col.values())
+
+    cs = [wvx(2, 3), build_correspondence(load_instance(INPUTS / "discrete_300_omega.json"))]
+    cs += [build_correspondence(load_instance(CORPUS / f"{stem}.json"))
+           for stem in ("star_plus_arm", "omega_star")]
+    for c in cs:
+        fock, m, cert = witness_pipeline(c)
+        assert all(op_ints(rho0(fock, f)) for f in generator_functions(fock))
+        assert all(op_ints(t0(fock, x)) for x in generator_vectors(fock))
+        fns = ideal_generator_functions(fock, m.ideal)
+        assert all(op_ints(psi_t(fock, phi)) for phi in left_action_as_compacts(c, fns))
+        report = verify_isometric_rep(fock)
+        residuals = (report.multiplication, report.toeplitz, cert.residual_invariance,
+                     cert.residual_eq_use1, cert.residual_eq_use2,
+                     cert.residual_covariance, cert.non_reducing[2])
+        assert all(type(r) is int for r in residuals)
+        assert all(ints(z) for row in cert.m0_gram for z in row)
 
 
 def test_pipeline_details_star_plus_arm():
