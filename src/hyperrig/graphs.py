@@ -70,7 +70,8 @@ class IntervalGraphPresentation:
         for name, f in (("range", r), ("source", s)):
             if not sets_equal(f.source, g1):
                 raise MalformedInputError(f"{name} map is not defined on the edge space")
-            if not is_subset(image(f), g0):
+            # build already put every piece image inside the map's target
+            if not sets_equal(f.target, g0) and not is_subset(image(f), g0):
                 raise MalformedInputError(f"{name} map does not land in the vertex space")
         if not is_local_homeomorphism(s):
             raise MalformedInputError("source map is not a local homeomorphism")
@@ -191,7 +192,7 @@ def _decide_discrete(g: DiscreteGraphPresentation):
 
 
 def _decide_interval(g: IntervalGraphPresentation):
-    route_iii = is_proper_into(g.r, image(g.r)) and range_condition(g.r)
+    route_iii = is_proper_into(g.r, image(g.r)) and range_condition(g.r, g.g0)
     cls = classify_vertices(g)
     route_reg = sets_equal(preimage(g.r, cls.reg), g.g1)
     return (("range_condition", route_iii),

@@ -9,13 +9,19 @@ argument and work in its subspace topology (the real line by default).
 
 Every endpoint and every query point is a *cut*, a key in one total
 order: ``_NEG`` and ``_POS`` lie below and above every value, and
-``(0, x, -1)``, ``(0, x, 0)`` and ``(0, x, 1)`` lie just below x, at x and
-just above x.  A lower end at x is ``(0, x, 0)`` when closed and
-``(0, x, 1)`` when open; an upper end at x is ``(0, x, 1)`` when closed and
-``(0, x, 0)`` when open.  A piece holds exactly the positions c with
-``lo_cut <= c < hi_cut``, so every relation between endpoints and points is
-a tuple comparison: set operations are merges of sorted cut sequences and
-point lookups are bisects.
+``(0, k, x, -1)``, ``(0, k, x, 0)`` and ``(0, k, x, 1)`` lie just below x,
+at x and just above x, where ``k = floor(x * 2**32)`` is an integer prefix.
+A lower end at x has side 0 when closed and 1 when open; an upper end at x
+has side 1 when closed and 0 when open.  A piece holds exactly the
+positions c with ``lo_cut <= c < hi_cut``, so every relation between
+endpoints and points is a tuple comparison: set operations are merges of
+sorted cut sequences and point lookups are bisects.
+
+The prefix is exact: k never decreases as x grows, so k(x) < k(y) implies
+x < y and equal values get equal k, and the keys order exactly as the
+pairs (x, side) do.  It makes the order cheap: values more than 2**-32
+apart compare as ints, and only values closer than that, or equal values
+held in different objects, reach a ``Fraction`` comparison.
 
 Maps between such sets are piecewise affine with rational slope/offset.
 Everything here is exact: no floats, no tolerance parameters.
@@ -37,14 +43,42 @@ End = Optional[Fraction]
 _NEG = (-1,)
 _POS = (1,)
 
+# bits of the integer prefix of a cut
+_PREFIX_BITS = 32
+
+# CPython's default limit on int <-> str conversion: the parser refuses a
+# number past it, and messages show a computed value past it by its size
+MAX_DIGITS = 4300
+
+
+def _cut(x: Fraction, side: int) -> tuple:
+    """The cut at x (side 0), just below it (-1) or just above it (1)."""
+    return (0, (x.numerator << _PREFIX_BITS) // x.denominator, x, side)
+
 
 def _beside(x: Fraction, side: str) -> tuple:
     """The cut just left or just right of x."""
     if side == "left":
-        return (0, x, -1)
+        return _cut(x, -1)
     if side == "right":
-        return (0, x, 1)
+        return _cut(x, 1)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _int_text(n: int) -> str:
+    # an int of b bits has at most floor(b * log10(2)) + 1 digits, and
+    # 0.30103 > log10(2)
+    if n.bit_length() * 30103 // 100000 + 1 <= MAX_DIGITS:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
+def _fmt(x: Fraction) -> str:
+    """x for a message, as str(x) writes it, but with a numerator or
+    denominator too long for str shown by its size in bits."""
+    if x.denominator == 1:
+        return _int_text(x.numerator)
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -61,14 +95,15 @@ class Interval:
             raise MalformedInputError("interval cannot be closed at -oo")
         if self.hi is None and self.hi_closed:
             raise MalformedInputError("interval cannot be closed at +oo")
-        lo_cut = _NEG if self.lo is None else (0, self.lo, 0 if self.lo_closed else 1)
-        hi_cut = _POS if self.hi is None else (0, self.hi, 1 if self.hi_closed else 0)
+        lo_cut = _NEG if self.lo is None else _cut(self.lo, 0 if self.lo_closed else 1)
+        hi_cut = _POS if self.hi is None else _cut(self.hi, 1 if self.hi_closed else 0)
         if lo_cut >= hi_cut:
             if self.lo > self.hi:
                 raise MalformedInputError(
-                    f"reversed endpoints: lower {self.lo} > upper {self.hi}")
+                    f"reversed endpoints: lower {_fmt(self.lo)} > upper {_fmt(self.hi)}")
             raise MalformedInputError(
-                f"empty piece at {self.lo}: a degenerate interval must be closed on both sides")
+                f"empty piece at {_fmt(self.lo)}: "
+                "a degenerate interval must be closed on both sides")
         object.__setattr__(self, "lo_cut", lo_cut)
         object.__setattr__(self, "hi_cut", hi_cut)
 
@@ -77,7 +112,7 @@ class Interval:
         return self.lo is not None and self.lo == self.hi
 
     def contains(self, x: Fraction) -> bool:
-        return self.lo_cut <= (0, x, 0) < self.hi_cut
+        return self.lo_cut <= _cut(x, 0) < self.hi_cut
 
     def is_compact_piece(self) -> bool:
         return (self.lo is not None and self.hi is not None
@@ -86,8 +121,8 @@ class Interval:
     def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"
-        lo = "-oo" if self.lo is None else str(self.lo)
-        hi = "+oo" if self.hi is None else str(self.hi)
+        lo = "-oo" if self.lo is None else _fmt(self.lo)
+        hi = "+oo" if self.hi is None else _fmt(self.hi)
         return f"{lb}{lo}, {hi}{rb}"
 
 
@@ -99,11 +134,16 @@ def ival(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> Interval:
 
 def _span(lo: tuple, hi: tuple) -> Optional[Interval]:
     """The interval of the positions c with lo <= c < hi, or None when there
-    are none."""
+    are none.  The cuts are already ordered, so the interval is made from
+    them without the checks of ``Interval(...)``."""
     if lo >= hi:
         return None
-    return Interval(None if lo == _NEG else lo[1], None if hi == _POS else hi[1],
-                    lo != _NEG and lo[2] == 0, hi != _POS and hi[2] == 1)
+    p = object.__new__(Interval)
+    p.__dict__.update(lo=None if lo == _NEG else lo[2], hi=None if hi == _POS else hi[2],
+                      lo_closed=lo != _NEG and lo[3] == 0,
+                      hi_closed=hi != _POS and hi[3] == 1,
+                      lo_cut=lo, hi_cut=hi)
+    return p
 
 
 _lo_cut = attrgetter("lo_cut")
@@ -146,7 +186,7 @@ class IntervalSet:
         return not self.pieces
 
     def contains(self, x: Fraction) -> bool:
-        return _holding(self.pieces, (0, x, 0)) is not None
+        return _holding(self.pieces, _cut(x, 0)) is not None
 
     def __str__(self) -> str:
         return " u ".join(str(p) for p in self.pieces) if self.pieces else "{}"
@@ -272,6 +312,10 @@ class PiecewiseAffineMap:
     pieces: tuple  # tuple[AffinePiece, ...] sorted by domain
     source: IntervalSet
     target: IntervalSet
+    # the image of each piece, in piece order, and their union; build
+    # computes them once for its target check
+    piece_images: tuple = field(repr=False, compare=False)
+    full_image: IntervalSet = field(repr=False, compare=False)
 
     @staticmethod
     def build(pieces: Sequence[AffinePiece], source: IntervalSet,
@@ -285,7 +329,7 @@ class PiecewiseAffineMap:
                 if d1.hi is None or d2.lo is None:
                     raise MalformedInputError("overlapping affine piece domains")
                 raise MalformedInputError(
-                    f"overlapping affine piece domains at {d2.lo}")
+                    f"overlapping affine piece domains at {_fmt(d2.lo)}")
         covered = IntervalSet.of(ap.dom for ap in ordered)
         if covered.pieces != source.pieces:
             raise MalformedInputError(
@@ -296,22 +340,22 @@ class PiecewiseAffineMap:
                 x = a_p.dom.hi
                 if a_p.value(x) != b_p.value(x):
                     raise MalformedInputError(
-                        f"map is not well-defined at shared endpoint {x}: "
-                        f"{a_p.value(x)} != {b_p.value(x)}")
+                        f"map is not well-defined at shared endpoint {_fmt(x)}: "
+                        f"{_fmt(a_p.value(x))} != {_fmt(b_p.value(x))}")
         # every piece must map into the target, so into the one target piece
         # that holds the lower end of its image
-        for ap in ordered:
-            img = ap.image()
+        images = tuple(ap.image() for ap in ordered)
+        for ap, img in zip(ordered, images):
             holder = _holding(target.pieces, img.lo_cut)
             if holder is None or img.hi_cut > holder.hi_cut:
                 raise MalformedInputError(
                     f"piece {ap.dom} maps onto {img}, outside the target {target}")
-        return PiecewiseAffineMap(ordered, source, target)
+        return PiecewiseAffineMap(ordered, source, target, images, IntervalSet.of(images))
 
     def value_at(self, x: Fraction) -> Fraction:
-        ap = _holding(self.pieces, (0, x, 0), _dom)
+        ap = _holding(self.pieces, _cut(x, 0), _dom)
         if ap is None:
-            raise MalformedInputError(f"{x} is not in the source")
+            raise MalformedInputError(f"{_fmt(x)} is not in the source")
         return ap.value(x)
 
 
@@ -324,8 +368,8 @@ def identity_map(s: IntervalSet, target: Optional[IntervalSet] = None) -> Piecew
 def image(f: PiecewiseAffineMap, s: Optional[IntervalSet] = None) -> IntervalSet:
     """Exact image of s (default: the whole source) under f."""
     if s is None:
-        s = f.source
-    elif not is_subset(s, f.source):
+        return f.full_image
+    if not is_subset(s, f.source):
         raise MalformedInputError(f"image: {s} is not contained in the source {f.source}")
     doms = [ap.dom for ap in f.pieces]
     return IntervalSet.of(AffinePiece(d, f.pieces[i].slope, f.pieces[i].offset).image()
@@ -334,7 +378,7 @@ def image(f: PiecewiseAffineMap, s: Optional[IntervalSet] = None) -> IntervalSet
 
 def _pull_back(ap: AffinePiece, t: Interval) -> Interval:
     """The points of ap.dom that ap maps into t; ap.slope is nonzero and t
-    meets ap.image()."""
+    meets the image of ap."""
     inv_slope = 1 / ap.slope
     lo_v = None if t.lo is None else (t.lo - ap.offset) * inv_slope
     hi_v = None if t.hi is None else (t.hi - ap.offset) * inv_slope
@@ -347,9 +391,8 @@ def _pull_back(ap: AffinePiece, t: Interval) -> Interval:
 
 def preimage(f: PiecewiseAffineMap, t: IntervalSet) -> IntervalSet:
     out = []
-    for ap in f.pieces:
+    for ap, img in zip(f.pieces, f.piece_images):
         # the pieces of t that meet the image of ap, found by bisection
-        img = ap.image()
         j = bisect_right(t.pieces, img.lo_cut, key=_hi_cut)
         while j < len(t.pieces) and t.pieces[j].lo_cut < img.hi_cut:
             out.append(ap.dom if ap.slope == 0 else _pull_back(ap, t.pieces[j]))
@@ -365,7 +408,7 @@ def _piece_beside(f: PiecewiseAffineMap, x: Fraction, side: str) -> AffinePiece:
     ap = _holding(f.pieces, _beside(x, side), _dom)
     if ap is None:
         word = "below" if side == "left" else "above"
-        raise MalformedInputError(f"no affine piece covers points just {word} {x}")
+        raise MalformedInputError(f"no affine piece covers points just {word} {_fmt(x)}")
     return ap
 
 
@@ -460,8 +503,11 @@ def is_local_homeomorphism(f: PiecewiseAffineMap) -> bool:
     return True
 
 
-def range_condition(f: PiecewiseAffineMap) -> bool:
+def range_condition(f: PiecewiseAffineMap, ambient: Optional[IntervalSet] = None) -> bool:
     """True iff image(f) is contained in the interior of its closure, both
-    taken relative to the target."""
+    taken relative to ambient (default: the target of f), which must hold
+    image(f)."""
+    if ambient is None:
+        ambient = f.target
     img = image(f)
-    return is_subset(img, interior(closure(img, f.target), f.target))
+    return is_subset(img, interior(closure(img, ambient), ambient))

@@ -39,7 +39,7 @@ from .graphs import (
     DiscreteGraphPresentation, IntervalGraphPresentation, Presentation,
     Verdict,
 )
-from .intervals import AffinePiece, Interval, IntervalSet, PiecewiseAffineMap
+from .intervals import MAX_DIGITS, AffinePiece, Interval, IntervalSet, PiecewiseAffineMap
 from .scalars import OMEGA, QI, exact_part, is_count
 
 SCHEMA_VERSION = 1
@@ -47,21 +47,17 @@ SCHEMA_VERSION = 1
 
 # -- primitive encodings ---------------------------------------------------------
 
-# CPython's default limit on int <-> str conversion: a numerator or
-# denominator past it could not be written back out
-_MAX_DIGITS = 4300
-
-
 def _rational(v) -> Fraction:
     if not isinstance(v, str):
         raise MalformedInputError(f"expected a rational string, got {v!r}")
-    # neither part of m * 10**e has more than len(m) + |e| digits; check
-    # that before Fraction computes the power ("1e10000000" is 10 bytes)
+    # a numerator or denominator past MAX_DIGITS could not be written back
+    # out; neither part of m * 10**e has more than len(m) + |e| digits, so
+    # check that before Fraction computes the power ("1e10000000" is 10 bytes)
     mantissa, _, exp = v.lower().partition("e")
     try:
-        if exp and len(mantissa) + abs(int(exp)) > _MAX_DIGITS:
+        if exp and len(mantissa) + abs(int(exp)) > MAX_DIGITS:
             raise MalformedInputError(
-                f"rational string {v[:40]!r} has more than {_MAX_DIGITS} digits")
+                f"rational string {v[:40]!r} has more than {MAX_DIGITS} digits")
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad rational string {v!r}") from exc
@@ -146,7 +142,7 @@ def _expect_fields(obj, required, what, optional=frozenset()):
 _CLOSEDNESS = {"closed": True, "open": False}
 
 
-def _interval(v) -> Interval:
+def _interval(v, rational) -> Interval:
     if not (isinstance(v, list) and len(v) == 4):
         raise MalformedInputError(
             f"interval must be [lo, hi, lo-end, hi-end], got {v!r}")
@@ -155,8 +151,8 @@ def _interval(v) -> Interval:
         # a list or an object is unhashable, so test the type before the lookup
         if not isinstance(t, str) or t not in _CLOSEDNESS:
             raise MalformedInputError(f"interval ends must be closed or open, got {t!r}")
-    lo = None if lo_s == "-inf" else _rational(lo_s)
-    hi = None if hi_s == "inf" else _rational(hi_s)
+    lo = None if lo_s == "-inf" else rational(lo_s)
+    hi = None if hi_s == "inf" else rational(hi_s)
     return Interval(lo, hi, _CLOSEDNESS[lc_s], _CLOSEDNESS[hc_s])
 
 
@@ -167,26 +163,26 @@ def _interval_out(p: Interval) -> list:
             "closed" if p.hi_closed else "open"]
 
 
-def _interval_set(v) -> IntervalSet:
+def _interval_set(v, rational) -> IntervalSet:
     if not isinstance(v, list):
         raise MalformedInputError(f"interval set must be a list, got {v!r}")
-    return IntervalSet.of([_interval(p) for p in v])
+    return IntervalSet.of([_interval(p, rational) for p in v])
 
 
 def _interval_set_out(s: IntervalSet) -> list:
     return [_interval_out(p) for p in s.pieces]
 
 
-def _affine_map(v, source: IntervalSet, target: IntervalSet,
-                what: str) -> PiecewiseAffineMap:
+def _affine_map(v, source: IntervalSet, target: IntervalSet, what: str,
+                rational) -> PiecewiseAffineMap:
     _expect_fields(v, {"pieces"}, what)
     if not isinstance(v["pieces"], list):
         raise MalformedInputError(f"{what} pieces must be a list")
     pieces = []
     for p in v["pieces"]:
         _expect_fields(p, {"dom", "slope", "offset"}, f"{what} piece")
-        pieces.append(AffinePiece(_interval(p["dom"]), _rational(p["slope"]),
-                                  _rational(p["offset"])))
+        pieces.append(AffinePiece(_interval(p["dom"], rational), rational(p["slope"]),
+                                  rational(p["offset"])))
     return PiecewiseAffineMap.build(pieces, source, target)
 
 
@@ -249,10 +245,23 @@ def _parse_discrete(doc) -> DiscreteGraphPresentation:
 
 def _parse_interval_instance(doc) -> IntervalGraphPresentation:
     _expect_fields(doc, {"kind", "G0", "G1", "r", "s"}, "interval instance", {"schema"})
-    g0 = _interval_set(doc["G0"])
-    g1 = _interval_set(doc["G1"])
-    r = _affine_map(doc["r"], g1, g0, "range map")
-    s = _affine_map(doc["s"], g1, g0, "source map")
+    # each distinct rational string of the document is parsed once, so equal
+    # values share one Fraction and cut comparisons between them stop at
+    # the identity test
+    seen = {}
+
+    def rational(v) -> Fraction:
+        if not isinstance(v, str):
+            return _rational(v)
+        x = seen.get(v)
+        if x is None:
+            x = seen[v] = _rational(v)
+        return x
+
+    g0 = _interval_set(doc["G0"], rational)
+    g1 = _interval_set(doc["G1"], rational)
+    r = _affine_map(doc["r"], g1, g0, "range map", rational)
+    s = _affine_map(doc["s"], g1, g0, "source map", rational)
     return IntervalGraphPresentation.of(g0, g1, r, s)
 
 
@@ -290,7 +299,7 @@ def _decode(text: str):
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, an integer past _MAX_DIGITS, or nesting past
+        # a JSONDecodeError, an integer past MAX_DIGITS, or nesting past
         # the decoder's recursion limit
         raise MalformedInputError(f"not valid JSON: {exc}") from exc
 

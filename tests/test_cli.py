@@ -306,6 +306,59 @@ def test_batch_isolates_per_file_errors(tmp_path, capsys):
     assert by_name["loop.json"]["status"] == "hyperrigid"
 
 
+OVERSIZED_IMAGE = INPUTS / "malformed_interval" / "oversized_image_endpoint.json"
+
+
+def test_oversized_computed_endpoint_is_malformed_input(tmp_path, capsys):
+    # every number in the file is within the parser's limit, but the image
+    # of r reaches 10**8598, which the message shows by its size in bits
+    assert main(["decide", str(OVERSIZED_IMAGE)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: piece [0, 1" + "0" * 4299 + "]")
+    assert "maps onto [0, <28562-bit integer>], outside the target [0, 1]" in err
+    # one such file in a batch directory leaves the others decided
+    shutil.copy(OVERSIZED_IMAGE, tmp_path / OVERSIZED_IMAGE.name)
+    for name in ("loop.json", "half_interval.json", "full_interval.json"):
+        shutil.copy(CORPUS / name, tmp_path / name)
+    assert main(["batch", str(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"] == {"hyperrigid": 2, "not-hyperrigid": 1, "errors": 1}
+    by_name = {f["file"]: f["status"] for f in doc["files"]}
+    assert by_name == {"full_interval.json": "hyperrigid", "half_interval.json": "not-hyperrigid",
+                       "loop.json": "hyperrigid", OVERSIZED_IMAGE.name: "error"}
+
+
+def test_interval_decide_computes_each_piece_image_once(monkeypatch, capsys):
+    # build computes the image of every piece of r and s for its target
+    # check and keeps them; nothing later recomputes one, and the
+    # presentation does not re-check images its maps' target already bounds
+    import hyperrig.graphs as graphs
+    from hyperrig.intervals import AffinePiece
+    from hyperrig.records import load_instance
+    calls = {"image": 0, "is_subset": 0}
+    image, is_subset = AffinePiece.image, graphs.is_subset
+
+    def counted_image(ap):
+        calls["image"] += 1
+        return image(ap)
+
+    def counted_is_subset(a, b):
+        calls["is_subset"] += 1
+        return is_subset(a, b)
+
+    for path, pieces in ((CORPUS / "half_interval.json", 2),
+                         (INPUTS / "interval_200_half.json", 400)):
+        g = load_instance(path)
+        assert len(g.r.pieces) + len(g.s.pieces) == pieces
+        monkeypatch.setattr(AffinePiece, "image", counted_image)
+        monkeypatch.setattr(graphs, "is_subset", counted_is_subset)
+        calls.update(image=0, is_subset=0)
+        assert main(["decide", str(path)]) == 1
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert calls == {"image": pieces, "is_subset": 0}, path.name
+
+
 def test_batch_empty_dir(tmp_path, capsys):
     assert main(["batch", str(tmp_path)]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hyperrig import intervals as iv
 from hyperrig.errors import MalformedInputError
 from hyperrig.intervals import (
     EMPTY,
@@ -43,6 +44,66 @@ def iset(*pieces):
 
 
 F = Fraction
+
+
+# -- cut keys -----------------------------------------------------------------
+# A cut at x carries an integer prefix floor(x * 2**32) ahead of x; the keys
+# must order exactly as the reference pairs (x, side) do.
+
+SIDES = (-1, 0, 1)
+
+
+def assert_cuts_order_like_pairs(x, y):
+    for s in SIDES:
+        for t in SIDES:
+            key, other = iv._cut(x, s), iv._cut(y, t)
+            assert (key < other) == ((x, s) < (y, t)), (x, s, y, t)
+            assert (key == other) == ((x, s) == (y, t)), (x, s, y, t)
+
+
+# integers, small fractions, and numerators of up to 4300 digits
+rationals_st = st.one_of(
+    st.integers(-40, 40).map(Fraction),
+    st.fractions(-8, 8, max_denominator=64),
+    st.builds(Fraction, st.integers(-(10**4300 - 1), 10**4300 - 1),
+              st.integers(1, 10**40)),
+)
+
+
+@given(rationals_st, rationals_st)
+def test_prop_cut_keys_order_like_value_side_pairs(x, y):
+    assert_cuts_order_like_pairs(x, y)
+    assert_cuts_order_like_pairs(x, x)
+
+
+@given(rationals_st, st.integers(2**32 + 1, 2**200), st.booleans())
+def test_prop_cut_keys_order_values_closer_than_the_prefix_step(x, d, below):
+    y = x - Fraction(1, d) if below else x + Fraction(1, d)
+    assert_cuts_order_like_pairs(x, y)
+    assert_cuts_order_like_pairs(y, x)
+
+
+@pytest.mark.parametrize("x, y", [
+    (F(1, 2**40), F(2, 2**40)),
+    (F(-1, 2**40), F(-2, 2**40)),
+    (F(0), F(1, 2**33)),
+    (F(5, 3), F(5, 3) + F(1, 10**30)),
+    (F(1, 3), F(2, 6)),  # equal values held in different objects
+])
+def test_cut_keys_fall_back_to_the_value_within_one_prefix_step(x, y):
+    # the prefixes tie, so the order comes from the exact values
+    assert iv._cut(x, 0)[1] == iv._cut(y, 0)[1]
+    assert_cuts_order_like_pairs(x, y)
+    assert_cuts_order_like_pairs(y, x)
+
+
+def test_messages_bound_rationals_too_long_to_print():
+    assert iv._fmt(F(-3, 4)) == "-3/4" and iv._fmt(F(7)) == "7"
+    # 10**4299 has 4300 digits, the most str writes
+    assert iv._fmt(F(-10**4299)) == "-1" + "0" * 4299
+    assert iv._fmt(F(10**8598)) == "<28562-bit integer>"
+    assert iv._fmt(F(-1, 10**5000)) == "-1/<16610-bit integer>"
+    assert str(ival(0, 10**8598)) == "[0, <28562-bit integer>]"
 
 
 # -- normalize ----------------------------------------------------------------

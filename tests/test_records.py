@@ -223,6 +223,18 @@ def test_largest_power_of_ten_that_fits_is_accepted():
     assert len(instance_digest(g)) == 64
 
 
+def test_oversized_computed_endpoint_message():
+    # every number parses, but r maps [0, 10**4299] onto [0, 10**8598]: the
+    # message shows that endpoint by its size in bits, since str cannot
+    # write an int of 8599 digits
+    path = (Path(__file__).resolve().parent / "inputs" / "malformed_interval"
+            / "oversized_image_endpoint.json")
+    with pytest.raises(MalformedInputError) as info:
+        load_instance(path)
+    assert str(info.value) == (f"piece [0, 1{'0' * 4299}] maps onto [0, <28562-bit integer>], "
+                               "outside the target [0, 1]")
+
+
 # -- verdict records ---------------------------------------------------------------
 
 def test_negative_discrete_verdict_carries_witness():
