@@ -44,7 +44,8 @@ class AtomSet:
         if len(a._counts) != len(a.names):
             raise MalformedInputError(f"duplicate class names in {list(a.names)}")
         for name, count in a.classes:
-            if not is_count(count):
+            # a positive plain int is a count; is_count decides the rest
+            if not (type(count) is int and count >= 1 or is_count(count)):
                 raise MalformedInputError(f"class {name} has non-positive count {count!r}")
         return a
 

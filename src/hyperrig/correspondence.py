@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec, ideal_complement, ideal_intersect
 from .errors import DomainError, InternalInconsistencyError, MalformedInputError, SymbolicOnlyError
-from .scalars import QI, QI_ONE, Count, count_add, count_mul, is_count, is_finite
+from .scalars import OMEGA, QI, QI_ONE, Count, count_add, count_mul, is_count, is_finite
 
 
 class EdgeClass(NamedTuple):
@@ -50,11 +50,11 @@ class Correspondence:
     """Edge classes over a vertex AtomSet.
 
     `of` is the boundary for callers that build one in code: it takes
-    EdgeClass values as they are and any other 4-tuple as EdgeClass fields,
-    and refuses duplicate edge class names before any per-edge check.
-    Construction then walks the generators once, checking each (an unknown
-    source class, then an unknown range class, then a bad multiplicity) in
-    the same loop that builds the class-level indexes."""
+    EdgeClass values as they are and any other 4-tuple as EdgeClass fields.
+    Construction, from EdgeClass values, refuses duplicate edge class names
+    before any per-edge check, then walks the generators once, checking
+    each (an unknown source class, then an unknown range class, then a bad
+    multiplicity) in the same loop that builds the class-level indexes."""
 
     algebra: AtomSet
     generators: tuple  # tuple[EdgeClass, ...]
@@ -64,31 +64,37 @@ class Correspondence:
     _in_degree: dict = field(init=False, repr=False, compare=False)  # dst class -> Count
 
     def __post_init__(self):
+        gens = self.generators
+        edges = {g.name: g for g in gens}
+        if len(edges) != len(gens):
+            raise MalformedInputError(
+                f"duplicate edge class names in {[g.name for g in gens]}")
         counts = self.algebra._counts
-        edges, out, deg = {}, {}, {}
-        for g in self.generators:
+        out, deg = {}, {}
+        for g in gens:
             name, src, dst, mult = g
             src_count = counts.get(src)
             if src_count is None or dst not in counts:
                 # raises the unknown-class error, source first
                 self.algebra.count_of(src)
                 self.algebra.count_of(dst)
-            if not is_count(mult):
+            # a positive plain int is a count; is_count decides the rest
+            if not (type(mult) is int and mult >= 1 or is_count(mult)):
                 raise MalformedInputError(f"edge class {name} has bad multiplicity {mult!r}")
-            edges[name] = g
             out.setdefault(src, []).append(g)
-            deg[dst] = count_add(deg.get(dst, 0), count_mul(src_count, mult))
+            d = deg.get(dst, 0)
+            if type(d) is int and type(src_count) is int and type(mult) is int:
+                deg[dst] = d + src_count * mult
+            else:
+                deg[dst] = count_add(d, count_mul(src_count, mult))
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_from", out)
         object.__setattr__(self, "_in_degree", deg)
 
     @staticmethod
     def of(algebra: AtomSet, generators: Iterable[EdgeClass]) -> "Correspondence":
-        gens = tuple(g if isinstance(g, EdgeClass) else EdgeClass(*g) for g in generators)
-        if len({g.name for g in gens}) != len(gens):
-            raise MalformedInputError(
-                f"duplicate edge class names in {[g.name for g in gens]}")
-        return Correspondence(algebra, gens)
+        return Correspondence(algebra, tuple(
+            g if isinstance(g, EdgeClass) else EdgeClass(*g) for g in generators))
 
     def edge(self, name: str) -> EdgeClass:
         g = self._edges.get(name)
@@ -113,6 +119,11 @@ class Correspondence:
     def in_degree(self, cls: str) -> Count:
         """Total incoming multiplicity of one copy of cls."""
         return self._in_degree.get(cls, 0)
+
+    def infinite_in_degree(self) -> set:
+        """The classes whose copies receive infinitely many edges: every cls
+        with in_degree(cls) OMEGA, read off the in-degree index in one pass."""
+        return {cls for cls, d in self._in_degree.items() if d is OMEGA}
 
     def _finite_fiber(self, g: EdgeClass, cls: str) -> int:
         """Range count of g, checked finite together with its multiplicity."""
@@ -254,8 +265,7 @@ def kernel_of_left_action(c: Correspondence) -> IdealSpec:
 def compacts_preimage(c: Correspondence) -> IdealSpec:
     """Classes whose copies have finite total incoming multiplicity, so the
     left action there decomposes into finitely many rank-one operators."""
-    return IdealSpec.of(
-        c.algebra, {name for name in c.algebra.names if is_finite(c.in_degree(name))})
+    return IdealSpec.of(c.algebra, set(c.algebra.names) - c.infinite_in_degree())
 
 
 def katsura_ideal(c: Correspondence) -> IdealSpec:

@@ -34,7 +34,7 @@ from .intervals import (
     image, interior, is_compact, is_local_homeomorphism, is_proper_into,
     is_subset, points, preimage, range_condition, sets_equal,
 )
-from .scalars import OMEGA, is_finite
+from .scalars import OMEGA
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,10 @@ class DiscreteGraphPresentation:
 
     @staticmethod
     def of(vertices, edges) -> "DiscreteGraphPresentation":
-        """EdgeClass values are kept as they are; any other 4-tuple is read
-        as EdgeClass fields."""
+        """The boundary for callers that build one in code: EdgeClass values
+        are kept as they are; any other 4-tuple is read as EdgeClass
+        fields.  Constructing the dataclass directly takes a tuple of
+        (name, count) pairs and a tuple of EdgeClass values."""
         return DiscreteGraphPresentation(
             tuple((n, c) for n, c in vertices),
             tuple(e if isinstance(e, EdgeClass) else EdgeClass(*e) for e in edges))
@@ -83,8 +85,8 @@ Presentation = Union[DiscreteGraphPresentation, IntervalGraphPresentation]
 
 def build_correspondence(g: DiscreteGraphPresentation) -> Correspondence:
     """The graph correspondence: Gram over source atoms, left action by
-    evaluation at range atoms."""
-    return Correspondence.of(AtomSet.of(g.vertices), g.edges)
+    evaluation at range atoms.  g.edges are EdgeClass values already."""
+    return Correspondence(AtomSet.of(g.vertices), g.edges)
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ def classify_vertices(g: Presentation) -> VertexClassification:
         names = set(c.algebra.names)
         ranged = {e.dst for e in g.edges}
         sce = names - ranged
-        fin = {n for n in names if is_finite(c.in_degree(n))}
+        fin = names - c.infinite_in_degree()
         # discrete closure is trivial
         reg = fin - sce
         a = c.algebra
@@ -184,7 +186,7 @@ def _decide_discrete(g: DiscreteGraphPresentation):
     # because every subset of a discrete space is clopen
     ranged = {e.dst for e in g.edges}
     route_iii = ranged <= cls.fin.support
-    route_reg = all(e.dst in cls.reg.support for e in g.edges)
+    route_reg = ranged <= cls.reg.support
     witness = sigma_degeneracy_witness(c) if not nondeg else None
     return (("nondegeneracy", nondeg),
             ("range_condition", route_iii),

@@ -285,8 +285,18 @@ class AffinePiece:
     dom: Interval
     slope: Fraction
     offset: Fraction
+    # slope 1 and offset 0, tested once: the identity gives back x itself,
+    # so an identity map's image and preimage endpoints are the very
+    # endpoint objects it was given, and a cut comparison between equal
+    # endpoints stops at the identity test
+    identity: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "identity", self.slope == 1 and self.offset == 0)
 
     def value(self, x: Fraction) -> Fraction:
+        if self.identity:
+            return x
         return self.slope * x + self.offset
 
     def image(self) -> Interval:
@@ -379,6 +389,8 @@ def image(f: PiecewiseAffineMap, s: Optional[IntervalSet] = None) -> IntervalSet
 def _pull_back(ap: AffinePiece, t: Interval) -> Interval:
     """The points of ap.dom that ap maps into t; ap.slope is nonzero and t
     meets the image of ap."""
+    if ap.identity:
+        return _span(max(t.lo_cut, ap.dom.lo_cut), min(t.hi_cut, ap.dom.hi_cut))
     inv_slope = 1 / ap.slope
     lo_v = None if t.lo is None else (t.lo - ap.offset) * inv_slope
     hi_v = None if t.hi is None else (t.hi - ap.offset) * inv_slope

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Optional, Tuple
 
 from .algebra import Atom, EvaluationRep
@@ -218,29 +219,56 @@ def _parse_discrete(doc) -> DiscreteGraphPresentation:
     """Check each field once, by shape and type, in file order, and build
     each EdgeClass once.  What needs the whole instance (distinct names,
     known source and range classes) is checked by the constructors, in the
-    loops that index the vertex and edge classes."""
+    loops that index the vertex and edge classes.
+
+    A vertex or edge that is a plain dict with exactly its fields, plain
+    str names and a positive int count passes every check, so it is taken
+    as it is.  Anything else (an "omega" count, a str or dict subclass
+    from a caller in code, a fault) goes through the checks one by one,
+    `_vertex` and `_edge`, so it is accepted or refused, with the same
+    message, as if no vertex or edge had been taken as it is."""
     _expect_fields(doc, {"kind", "vertices", "edges"}, "discrete instance", {"schema"})
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise MalformedInputError("vertices and edges must be lists")
     vertices = []
     for v in doc["vertices"]:
-        _expect_fields(v, _VERTEX_FIELDS, "vertex")
-        name = v["name"]
-        if not isinstance(name, str):
-            raise MalformedInputError(f"vertex name must be a string, got {name!r}")
-        vertices.append((name, _count(v["count"])))
+        if type(v) is dict and len(v) == 2:
+            name, count = v.get("name"), v.get("count")
+            if type(name) is str and type(count) is int and count >= 1:
+                vertices.append((name, count))
+                continue
+        vertices.append(_vertex(v))
     edges = []
     for e in doc["edges"]:
-        _expect_fields(e, _EDGE_FIELDS, "edge")
-        name, src, dst = e["name"], e["source"], e["range"]
-        if not (isinstance(name, str) and isinstance(src, str) and isinstance(dst, str)):
-            bad = next(f for f in _EDGE_STRING_FIELDS if not isinstance(e[f], str))
-            raise MalformedInputError(f"edge {bad} must be a string, got {e[bad]!r}")
-        edges.append(EdgeClass(name, src, dst, _count(e["mult"])))
+        if type(e) is dict and len(e) == 4:
+            name, src, dst, mult = e.get("name"), e.get("source"), e.get("range"), e.get("mult")
+            if (type(name) is str and type(src) is str and type(dst) is str
+                    and type(mult) is int and mult >= 1):
+                # what EdgeClass(...) does, without its Python-level __new__
+                edges.append(tuple.__new__(EdgeClass, (name, src, dst, mult)))
+                continue
+        edges.append(_edge(e))
     try:
-        return DiscreteGraphPresentation.of(vertices, edges)
+        return DiscreteGraphPresentation(tuple(vertices), tuple(edges))
     except DomainError as exc:  # unknown class references and the like
         raise MalformedInputError(str(exc)) from exc
+
+
+def _vertex(v) -> tuple:
+    _expect_fields(v, _VERTEX_FIELDS, "vertex")
+    name = v["name"]
+    if not isinstance(name, str):
+        raise MalformedInputError(f"vertex name must be a string, got {name!r}")
+    return name, _count(v["count"])
+
+
+def _edge(e) -> EdgeClass:
+    _expect_fields(e, _EDGE_FIELDS, "edge")
+    name, src, dst = e["name"], e["source"], e["range"]
+    if not (isinstance(name, str) and isinstance(src, str) and isinstance(dst, str)):
+        bad = next(f for f in _EDGE_STRING_FIELDS if not isinstance(e[f], str))
+        raise MalformedInputError(f"edge {bad} must be a string, got {e[bad]!r}")
+    return EdgeClass(name, src, dst, _count(e["mult"]))
 
 
 def _parse_interval_instance(doc) -> IntervalGraphPresentation:
@@ -310,9 +338,45 @@ def canonical_json(doc) -> str:
 
 
 def instance_digest(g: Presentation) -> str:
-    compact = json.dumps(instance_payload(g), sort_keys=True,
-                         separators=(",", ":"), ensure_ascii=False)
+    """SHA-256, as hex, of the instance's compact document in UTF-8: by
+    definition `instance_payload(g)` dumped with sorted keys, "," and ":"
+    as separators and non-ASCII characters unescaped.
+
+    A discrete presentation's document is written directly, one string per
+    vertex and per edge, with each name escaped by the string encoder that
+    json.dumps uses; that is the same string without the payload dicts.
+    A name that is not a str makes the writer fall back to json.dumps of
+    the payload, and interval presentations always take that route."""
+    compact = None
+    if isinstance(g, DiscreteGraphPresentation):
+        try:
+            compact = _discrete_document(g)
+        except TypeError:  # a name that is not a str
+            pass
+    if compact is None:
+        compact = json.dumps(instance_payload(g), sort_keys=True,
+                             separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()
+
+
+def _count_json(c) -> str:
+    # json.dumps writes any int, a subclass included, with int.__repr__
+    return '"omega"' if c is OMEGA else int.__repr__(c)
+
+
+def _discrete_document(g: DiscreteGraphPresentation) -> str:
+    """instance_payload(g) as compact, key-sorted JSON; raises TypeError on
+    a name that is not a str."""
+    q = encode_basestring
+    vertices = ",".join([
+        f'{{"count":{c if type(c) is int else _count_json(c)},"name":{q(n)}}}'
+        for n, c in g.vertices])
+    edges = ",".join([
+        f'{{"mult":{m if type(m) is int else _count_json(m)},"name":{q(n)},'
+        f'"range":{q(dst)},"source":{q(src)}}}'
+        for n, src, dst, m in g.edges])
+    return (f'{{"edges":[{edges}],"kind":"discrete","schema":{SCHEMA_VERSION},'
+            f'"vertices":[{vertices}]}}')
 
 
 # -- verdict records ------------------------------------------------------------------

@@ -547,3 +547,57 @@ def test_prop_point_queries_match_case_analysis(s, coeffs):
                 f.value_at(x)
         else:
             assert f.value_at(x) == expected, x
+
+
+def identity_family_doc(rng, family: str) -> dict:
+    """One to three separated closed pieces [a, b] as G0 and the identity
+    as both maps, over G1 = G0 ("full-identity"), one piece cut to
+    [a, (a+b)/2] ("half-piece-identity") or every piece opened
+    ("open-core"): the interval families of the batch-mixed benchmark."""
+    pieces, x = [], Fraction(rng.randint(-5, 5))
+    for _ in range(rng.randint(1, 3)):
+        a = x + Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        x = a + Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        pieces.append((a, x))
+    g0 = [[str(a), str(b), "closed", "closed"] for a, b in pieces]
+    g1 = [list(p) for p in g0]
+    if family == "open-core":
+        g1 = [[a, b, "open", "open"] for a, b, _, _ in g0]
+    elif family == "half-piece-identity":
+        cut = rng.randrange(len(pieces))
+        a, b = pieces[cut]
+        g1[cut] = [str(a), str((a + b) / 2), "closed", "closed"]
+    ident = {"pieces": [{"dom": p, "slope": "1", "offset": "0"} for p in g1]}
+    return {"kind": "interval", "G0": g0, "G1": g1, "r": ident, "s": ident}
+
+
+@pytest.mark.parametrize("family", ["full-identity", "half-piece-identity", "open-core"])
+def test_identity_maps_compare_equal_endpoints_by_identity(family, monkeypatch):
+    # an identity piece gives back the endpoint objects it is given, so no
+    # cut comparison between equal endpoints reaches Fraction.__eq__: the
+    # only equal __eq__ calls left are the slope-1, offset-0 test of each
+    # affine piece
+    import random
+
+    from hyperrig.graphs import decide_hyperrigid
+    from hyperrig.records import parse_instance, verdict_record
+
+    equal = 0
+    fraction_eq = Fraction.__eq__
+
+    def counted(a, b):
+        nonlocal equal
+        result = fraction_eq(a, b)
+        equal += result is True
+        return result
+
+    rng = random.Random(family)
+    docs = [identity_family_doc(rng, family) for _ in range(20)]
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    n_pieces = 0
+    for doc in docs:
+        g = parse_instance(doc)
+        verdict_record(g, decide_hyperrigid(g))
+        n_pieces += len(g.r.pieces) + len(g.s.pieces)
+    monkeypatch.undo()
+    assert equal <= 2 * n_pieces

@@ -1,6 +1,8 @@
 """Serialization round trips and certificate re-verification."""
 
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +54,108 @@ def test_instance_round_trip():
 def test_digests_distinguish_instances():
     digests = [instance_digest(g) for g in all_presentations()]
     assert len(set(digests)) == len(digests)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def payload_digest(g) -> str:
+    """instance_digest by its definition: json.dumps of the payload."""
+    compact = json.dumps(instance_payload(g), sort_keys=True,
+                         separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(compact.encode()).hexdigest()
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+# every character json.dumps escapes (the quote, the backslash and the
+# controls), the slash it leaves alone, a line separator, non-ASCII and a
+# character outside the BMP
+ODD_CHARACTERS = ['"', "\\", "/", *map(chr, range(0x20)), "\u2028", "\u00e9",
+                  "\U0001f600"]
+
+
+def test_digest_writer_matches_its_definition():
+    paths = sorted((ROOT / "corpus").glob("*.json"))
+    paths += sorted((ROOT / "tests" / "inputs").glob("*.json"))
+    files = [g for g in map(load_instance, paths)
+             if isinstance(g, DiscreteGraphPresentation)]
+    assert len(files) >= 8
+    # omega and multi-digit counts and multiplicities around names with
+    # each character; a str and an int subclass and names that are not
+    # strings, as callers in code may pass them
+    odd = [DiscreteGraphPresentation.of(
+        [(f"v{ch}", OMEGA), ("w", 12345678901234567890), (ch, 10)],
+        [EdgeClass(f"e{ch}x", f"v{ch}", ch, OMEGA), EdgeClass(ch * 2, ch, "w", 100)])
+        for ch in ODD_CHARACTERS]
+    odd.append(DiscreteGraphPresentation.of(
+        [(Name("u\n"), Count(3)), ("v", 1)], [(Name("e"), "u\n", Name("v"), Count(22))]))
+    odd.append(DiscreteGraphPresentation.of([(7, 1), (("a", 1), OMEGA)],
+                                            [("e", 7, ("a", 1), 2)]))
+    for g in files + odd:
+        assert instance_digest(g) == payload_digest(g)
+
+
+def test_digest_of_a_lone_surrogate_raises_as_its_definition_does():
+    g = DiscreteGraphPresentation.of([("\ud800", 1)], [("e", "\ud800", "\ud800", 1)])
+
+    def raised(digest):
+        with pytest.raises(Exception) as info:
+            digest(g)
+        return type(info.value)
+
+    assert raised(instance_digest) is raised(payload_digest) is UnicodeEncodeError
+
+
+class Obj(dict):
+    pass
+
+
+def subclassed(doc):
+    """doc with every object an Obj, every string a Name and every int a
+    Count, as a caller in code might build it."""
+    if isinstance(doc, dict):
+        return Obj({Name(k): subclassed(v) for k, v in doc.items()})
+    if isinstance(doc, list):
+        return [subclassed(v) for v in doc]
+    if isinstance(doc, str):
+        return Name(doc)
+    if isinstance(doc, int) and not isinstance(doc, bool):
+        return Count(doc)
+    return doc
+
+
+def parse_outcome(doc):
+    try:
+        g = parse_instance(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g, instance_digest(g)
+
+
+def test_parser_fast_paths_fall_back_on_subclasses():
+    # the parser takes plain dicts, strs and ints as they are; a subclass
+    # from a caller in code must go through the per-field checks and come
+    # out as its plain twin does, not be refused
+    paths = sorted((ROOT / "corpus").glob("*.json"))
+    paths += sorted((ROOT / "tests" / "inputs" / "malformed").glob("*.json"))
+    docs = [json.loads(p.read_text(encoding="utf-8")) for p in paths]
+    docs.append({"kind": "discrete", "vertices": [{"name": "u", "count": "omega"}],
+                 "edges": [{"name": "e", "source": "u", "range": "u", "mult": 1}]})
+    docs.append({"kind": "discrete", "vertices": [{"name": "u", "count": 1.0}],
+                 "edges": []})
+    accepted = 0
+    for doc in docs:
+        plain, sub = parse_outcome(doc), parse_outcome(subclassed(doc))
+        assert sub == plain, doc
+        accepted += isinstance(plain[0], DiscreteGraphPresentation)
+    assert accepted >= 5
 
 
 def test_exact_rationals_and_unbounded_ends_survive():
