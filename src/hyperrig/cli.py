@@ -24,9 +24,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .errors import (
-    BudgetExceededError, HyperrigError, SymbolicOnlyError, WitnessRefusedError,
-)
+from .errors import BudgetExceededError, HyperrigError, SymbolicOnlyError
 from .fock import DEFAULT_BASIS_BUDGET, DEFAULT_FOCK_LEVEL, witness_pipeline
 from .graphs import DiscreteGraphPresentation, decide_hyperrigid
 from .records import (
@@ -64,14 +62,11 @@ def cmd_witness(args) -> int:
               file=sys.stderr)
         return 3
     try:
-        _, _, cert = witness_pipeline(g.correspondence,
+        _, _, cert = witness_pipeline(verdict.certificate.witness,
                                       args.fock_level, args.basis_budget)
     except SymbolicOnlyError as exc:
         print(f"symbolic verdict only: {exc}", file=sys.stderr)
         return 3
-    except WitnessRefusedError as exc:  # decide said degenerate, so unreachable
-        print(f"refused: {exc}", file=sys.stderr)
-        return 1
     _write(args, witness_record(g, cert))
     return 0
 

@@ -459,11 +459,13 @@ class SigmaWitness(NamedTuple):
     rep: EvaluationRep
     vector: TensorVector
     edge_class: str
+    ideal: IdealSpec  # the Katsura ideal J the witness was built against
 
 
 def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
     """For a degenerate instance: an evaluation sigma and a unit vector in
-    X (x)_sigma H exactly orthogonal to phi(J) X (x)_sigma H.
+    X (x)_sigma H exactly orthogonal to phi(J) X (x)_sigma H; None exactly
+    when phi(J)X = X, so it also answers is_nondegenerate(c).
 
     The vector is a single copy of the first edge class outside phi(J)X,
     and sigma evaluates at copy 0 of its source class; unit norm and
@@ -472,11 +474,11 @@ def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
     classes of phi(J)X sourced at sigma's class span all of
     phi(J) X (x)_sigma H, and the loop visits only those.
     """
-    j_span = ideal_act_submodule(c, katsura_ideal(c)).span
-    outside = [g for g in c.generators if g.name not in j_span]
-    if not outside:
+    j = katsura_ideal(c)
+    j_span = ideal_act_submodule(c, j).span
+    g = next((g for g in c.generators if g.name not in j_span), None)
+    if g is None:
         return None
-    g = outside[0]
     atom = Atom(g.src, 0)
     sigma = EvaluationRep.of(c.algebra, [atom])
     key = TensorKey((EdgeCopy(g.name, 0, 0, 0),), atom)
@@ -494,7 +496,7 @@ def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
         if not by_identity.is_zero() or not pairing(cross, vec).is_zero():
             raise InternalInconsistencyError(
                 f"witness vector is not orthogonal to class {h.name}")
-    return SigmaWitness(sigma, vec, g.name)
+    return SigmaWitness(sigma, vec, g.name, j)
 
 
 # -- compact operators --------------------------------------------------------

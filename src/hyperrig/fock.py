@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import Atom, CoefFn, EvaluationRep, IdealSpec
 from .correspondence import (
-    Correspondence, EdgeCopy, ModuleVector, TensorKey, gram_matrix, inner,
-    katsura_ideal, leading_atom, left_action_as_compacts, left_mul,
-    sigma_degeneracy_witness, successors,
+    Correspondence, EdgeCopy, ModuleVector, SigmaWitness, TensorKey,
+    gram_matrix, inner, leading_atom, left_action_as_compacts, left_mul,
+    successors,
 )
 from .errors import (
     BudgetExceededError, DomainError, InternalInconsistencyError,
@@ -613,26 +613,24 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
         inv, eq1, eq2, cov, non_reducing)
 
 
-def witness_pipeline(c: Correspondence, n_levels: int = DEFAULT_FOCK_LEVEL,
+def witness_pipeline(w: SigmaWitness, n_levels: int = DEFAULT_FOCK_LEVEL,
                      basis_budget: int = DEFAULT_BASIS_BUDGET):
-    """End to end: pick the degenerate evaluation, build the truncated Fock
-    space, check the representation relations, build M, certify.
+    """End to end from a sigma-witness (sigma_degeneracy_witness, or the
+    one a negative discrete verdict carries): build the truncated Fock
+    space over its evaluation, check the representation relations, build
+    M against the Katsura ideal the witness was built against, certify.
 
-    Returns (fock, subspace, certificate).  Raises WitnessRefusedError on a
-    non-degenerate instance, SymbolicOnlyError / BudgetExceededError when
-    the bases cannot be enumerated, InternalInconsistencyError if any exact
-    check that the construction guarantees fails.
+    Returns (fock, subspace, certificate).  Raises SymbolicOnlyError /
+    BudgetExceededError when the bases cannot be enumerated,
+    InternalInconsistencyError if any exact check that the construction
+    guarantees fails.
     """
-    w = sigma_degeneracy_witness(c)
-    if w is None:
-        raise WitnessRefusedError(
-            "instance is not degenerate; there is no counterexample to build")
-    fock = build_fock(c, w.rep, n_levels, basis_budget)
+    fock = build_fock(w.vector.parent, w.rep, n_levels, basis_budget)
     report = verify_isometric_rep(fock)
     if report.max_residual != 0:
         raise InternalInconsistencyError(
             f"truncated representation violates its defining relations: {report}")
-    m = build_witness_subspace(fock, katsura_ideal(c))
+    m = build_witness_subspace(fock, w.ideal)
     cert = check_reducing(fock, m)
     for name, value in (("invariance", cert.residual_invariance),
                         ("eq-use-1", cert.residual_eq_use1),

@@ -9,9 +9,10 @@ The decision runs every route available for the presentation style and
 demands that they agree:
 
   nondegeneracy   the Katsura ideal acts with full range on the module
-                  (discrete only: it needs the correspondence machinery)
+                  (discrete only: no sigma-witness exists)
   range_condition the range map is proper over its image and the image
-                  sits inside the interior of its closure
+                  sits inside the interior of its closure (discrete:
+                  check_row_finite, counted from the raw edges)
   reg_preimage    the range map lands in the regular vertex set
 
 A disagreement is a toolkit defect, never a property of the input, and
@@ -25,8 +26,7 @@ from typing import Optional, Union
 
 from .algebra import AtomSet, IdealSpec
 from .correspondence import (
-    Correspondence, EdgeClass, SigmaWitness, Submodule, is_nondegenerate,
-    sigma_degeneracy_witness,
+    Correspondence, EdgeClass, SigmaWitness, Submodule, sigma_degeneracy_witness,
 )
 from .errors import InternalInconsistencyError, MalformedInputError
 from .intervals import (
@@ -178,19 +178,16 @@ def decide_hyperrigid(g: Presentation) -> Verdict:
 
 
 def _decide_discrete(g: DiscreteGraphPresentation):
-    c = g.correspondence
     cls = classify_vertices(g)
-    nondeg = is_nondegenerate(c)
+    witness = sigma_degeneracy_witness(g.correspondence)
     # discrete route via the range map: proper over the image means every
-    # reached class keeps finite in-degree; the range condition is automatic
-    # because every subset of a discrete space is clopen
+    # reached class keeps finite in-degree, which for positive counts is
+    # row-finiteness; the range condition is automatic because every
+    # subset of a discrete space is clopen
     ranged = {e.dst for e in g.edges}
-    route_iii = ranged <= cls.fin.support
-    route_reg = ranged <= cls.reg.support
-    witness = sigma_degeneracy_witness(c) if not nondeg else None
-    return (("nondegeneracy", nondeg),
-            ("range_condition", route_iii),
-            ("reg_preimage", route_reg)), witness
+    return (("nondegeneracy", witness is None),
+            ("range_condition", check_row_finite(g)),
+            ("reg_preimage", ranged <= cls.reg.support)), witness
 
 
 def _decide_interval(g: IntervalGraphPresentation):
@@ -233,8 +230,9 @@ def vanishing_submodule(g: DiscreteGraphPresentation, s1, s2) -> Submodule:
 
 
 def check_row_finite(g: DiscreteGraphPresentation) -> bool:
-    """Row-finiteness counted from the raw vertex and edge lists, sharing no
-    code with the Correspondence in-degree index the decision routes use.
+    """Row-finiteness counted from the raw vertex and edge lists: the
+    discrete range_condition route, sharing no code with the
+    Correspondence in-degree index the other two routes read.
 
     Counts and multiplicities are positive, so an edge class contributes
     infinitely many incoming edges to each copy of its range exactly when

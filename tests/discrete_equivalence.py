@@ -12,7 +12,11 @@ an object; a duplicate vertex or edge name; an unknown source or range.
 A mutated document has one or two such faults, so which fault is reported
 first is compared too.
 For each document it writes the error message, or the canonical verdict
-record and the instance digest.
+record and the instance digest.  Each valid document is then written to a
+file and run through `hyperrig witness`, and a record it emits (exit 0)
+through `hyperrig verify` against the same file; both run in-process
+through `cli.main` on the default options, and each writes its exit code,
+stdout and stderr.
 
 Run it once per checkout and compare the outputs:
 
@@ -21,16 +25,22 @@ Run it once per checkout and compare the outputs:
     cmp a.txt b.txt
 
 Each checkout is imported from its own src/ only.  The counts of valid,
-rejected and mutated documents go to stderr.
+rejected and mutated documents, and of witness exit codes, go to stderr.
 """
 
+import io
+import json
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 root, out_path = sys.argv[1], sys.argv[2]
 N = int(sys.argv[3]) if len(sys.argv) > 3 else 1000
 sys.path[:0] = [f"{root}/src"]
 
+from hyperrig.cli import main as cli_main  # noqa: E402
 from hyperrig.graphs import decide_hyperrigid  # noqa: E402
 from hyperrig.records import (  # noqa: E402
     canonical_json, instance_digest, parse_instance, verdict_record,
@@ -103,9 +113,34 @@ def mutate(doc, rng) -> None:
         item["name"] = "nowhere"  # every edge naming it now names an unknown class
 
 
+def run_cli(argv) -> tuple:
+    """Exit code, stdout and stderr of one in-process CLI run, and the
+    lines that write them."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    return code, out, [f"{argv[0]} exit {code}", f"{argv[0]} stdout {out!r}",
+                       f"{argv[0]} stderr {err!r}"]
+
+
+def witness_lines(doc, tmp: Path, exits: dict) -> list:
+    """witness on the document, then verify on a record it emits."""
+    instance, record = str(tmp / "instance.json"), str(tmp / "witness.json")
+    Path(instance).write_text(json.dumps(doc), encoding="utf-8")
+    code, out, lines = run_cli(["witness", instance])
+    exits[code] = exits.get(code, 0) + 1
+    if code == 0:
+        Path(record).write_text(out, encoding="utf-8")
+        lines += run_cli(["verify", record, instance])[2]
+    return lines
+
+
 def main():
     counts = {"valid": 0, "rejected": 0, "mutated": 0}
-    with open(out_path, "w", encoding="utf-8") as out:
+    exits = {}  # witness exit code -> documents
+    with open(out_path, "w", encoding="utf-8") as out, \
+            tempfile.TemporaryDirectory() as tmp:
         for seed in range(N):
             rng = random.Random(seed)
             doc = draw(rng)
@@ -124,8 +159,9 @@ def main():
                 counts["valid"] += 1
                 lines.append(canonical_json(verdict_record(g, decide_hyperrigid(g))))
                 lines.append(f"digest {instance_digest(g)}")
+                lines += witness_lines(doc, Path(tmp), exits)
             out.write("\n".join(lines) + "\n")
-    print(counts, file=sys.stderr)
+    print(counts, {"witness exits": dict(sorted(exits.items()))}, file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -254,6 +254,41 @@ def test_one_correspondence_build_per_command(tmp_path, monkeypatch, capsys):
         assert len(calls) == 1, argv[0]
 
 
+def test_one_katsura_derivation_per_command(monkeypatch):
+    # decide derives J and phi(J)X once, in the sigma-witness search that
+    # also answers its nondegeneracy route; witness starts from the
+    # verdict's witness and the ideal it carries; verify derives J once
+    import sys
+    import hyperrig.correspondence as correspondence
+    calls = {}
+    for name in ("katsura_ideal", "compacts_preimage", "sigma_degeneracy_witness"):
+        original = getattr(correspondence, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        # replaced at every module that bound it, the calls inside
+        # correspondence included
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("hyperrig") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    instance = "{inputs}/discrete_300_omega.json"
+    record = "{golden}/witness_discrete_300_omega_json.out"
+    counts = {}
+    for argv, code in ((["decide", instance], 1), (["witness", instance], 0),
+                       (["verify", record, instance], 0)):
+        calls.clear()
+        assert run_cli(argv)[0] == code
+        counts[argv[0]] = dict(calls)
+    assert counts["decide"]["katsura_ideal"] == 1
+    assert counts["witness"]["katsura_ideal"] == 1
+    assert counts["witness"]["sigma_degeneracy_witness"] == 1
+    assert counts["witness"]["compacts_preimage"] <= 2
+    assert counts["verify"]["katsura_ideal"] == 1
+
+
 def test_verify_computes_the_instance_digest_once(monkeypatch, capsys):
     # an honest verify checks the record's digest against the instance and
     # writes that same digest into its record: one digest of the instance

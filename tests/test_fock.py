@@ -626,7 +626,7 @@ def degenerate_corpus():
 
 def test_full_pipeline_on_degenerate_corpus():
     for c in degenerate_corpus():
-        fock, m, cert = witness_pipeline(c, 3)
+        fock, m, cert = witness_pipeline(sigma_degeneracy_witness(c), 3)
         assert cert.residual_invariance == 0
         assert cert.residual_eq_use1 == 0
         assert cert.residual_eq_use2 == 0
@@ -654,7 +654,7 @@ def test_witness_path_stays_on_int_arithmetic():
     cs += [build_correspondence(load_instance(CORPUS / f"{stem}.json"))
            for stem in ("star_plus_arm", "omega_star")]
     for c in cs:
-        fock, m, cert = witness_pipeline(c)
+        fock, m, cert = witness_pipeline(sigma_degeneracy_witness(c))
         assert all(op_ints(rho0(fock, f)) for f in generator_functions(fock))
         assert all(op_ints(t0(fock, x)) for x in generator_vectors(fock))
         fns = ideal_generator_functions(fock, m.ideal)
@@ -669,7 +669,7 @@ def test_witness_path_stays_on_int_arithmetic():
 
 def test_pipeline_details_star_plus_arm():
     sa = star_plus_arm()
-    fock, m, cert = witness_pipeline(sa, 3)
+    fock, m, cert = witness_pipeline(sigma_degeneracy_witness(sa), 3)
     assert cert.sigma_atoms == (Atom("W", 0),)
     h, x, norm = cert.non_reducing
     assert h == TensorKey((), Atom("W", 0))
@@ -677,16 +677,9 @@ def test_pipeline_details_star_plus_arm():
     assert norm == 1
 
 
-def test_pipeline_refuses_hyperrigid():
-    with pytest.raises(WitnessRefusedError):
-        witness_pipeline(loop_graph())
-    with pytest.raises(WitnessRefusedError):
-        witness_pipeline(arrow_graph())
-
-
 def test_restriction_lemma_on_witness_subspaces():
     for c in degenerate_corpus():
-        fock, m, _ = witness_pipeline(c, 3)
+        fock, m, _ = witness_pipeline(sigma_degeneracy_witness(c), 3)
         keys = m.key_set()
         report = verify_isometric_rep(
             fock,
@@ -739,10 +732,11 @@ def test_pipeline_on_random_degenerate_graphs(seed):
     rng = random.Random(seed)
     g = random_discrete_graph(rng, max_classes=4, max_edges=6)
     c = build_correspondence(g)
-    if sigma_degeneracy_witness(c) is None:
+    w = sigma_degeneracy_witness(c)
+    if w is None:
         return
     try:
-        fock, m, cert = witness_pipeline(c, 3, basis_budget=4000)
+        fock, m, cert = witness_pipeline(w, 3, basis_budget=4000)
     except (SymbolicOnlyError, BudgetExceededError):
         return
     assert cert.residual_invariance == 0

@@ -160,6 +160,18 @@ def test_check_row_finite():
     assert check_row_finite(as_presentation(star_plus_arm())) is False
 
 
+def test_range_route_counts_in_degree_from_the_raw_edges(monkeypatch):
+    # an in-degree index that sees no infinite class fools the two routes
+    # that read it; range_condition counts from the raw edges and disagrees
+    from hyperrig.correspondence import Correspondence
+    monkeypatch.setattr(Correspondence, "infinite_in_degree", lambda self: set())
+    for c in (omega_star(), star_plus_arm()):
+        with pytest.raises(InternalInconsistencyError) as err:
+            decide_hyperrigid(as_presentation(c))
+        assert "'nondegeneracy': True, 'range_condition': False, " \
+               "'reg_preimage': True" in str(err.value)
+
+
 # -- seeded fuzz properties -------------------------------------------------------
 
 @given(st.integers(0, 10_000))

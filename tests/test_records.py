@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hyperrig.algebra import Atom, AtomSet
-from hyperrig.correspondence import Correspondence, EdgeClass
+from hyperrig.correspondence import Correspondence, EdgeClass, sigma_degeneracy_witness
 from hyperrig.errors import DomainError, MalformedInputError
 import hyperrig.fock as fock
 from hyperrig.fock import witness_pipeline
@@ -37,7 +37,7 @@ def all_presentations():
 
 def sa_certificate():
     g = as_presentation(star_plus_arm())
-    _, _, cert = witness_pipeline(build_correspondence(g), 3)
+    _, _, cert = witness_pipeline(sigma_degeneracy_witness(build_correspondence(g)), 3)
     return g, cert
 
 
