@@ -12,7 +12,7 @@ granularity, which keeps OMEGA-classes finitely representable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, MalformedInputError
 from .scalars import QI, Count, QI_ONE, is_count, is_finite
@@ -200,11 +200,3 @@ class CoefFn:
     def supported_in(self, ideal: IdealSpec) -> bool:
         return self.support_classes() <= ideal.support
 
-
-def evaluate(rep: EvaluationRep, f: CoefFn) -> list:
-    """Diagonal of the evaluation of f in rep, as a list of QI entries."""
-    for atom, _ in f.point_part:
-        rep.parent.check_atom(atom)
-    for cls, _ in f.class_part:
-        rep.parent.count_of(cls)
-    return [f.value_at(a) for a in rep.atoms]

@@ -246,13 +246,6 @@ def left_mul(f: CoefFn, x: ModuleVector) -> ModuleVector:
         c, ((e, f.value_at(c.range_atom(e)) * z) for e, z in x.coeffs))
 
 
-def right_mul(x: ModuleVector, f: CoefFn) -> ModuleVector:
-    """x . f: scales each copy by f at its source atom."""
-    c = x.parent
-    return ModuleVector._of_valid(
-        c, ((e, z * f.value_at(c.source_atom(e))) for e, z in x.coeffs))
-
-
 # -- ideal pipeline -----------------------------------------------------------
 
 def kernel_of_left_action(c: Correspondence) -> IdealSpec:
@@ -281,19 +274,6 @@ def ideal_act_submodule(c: Correspondence, j: IdealSpec) -> Submodule:
 
 def is_nondegenerate(c: Correspondence) -> bool:
     return ideal_act_submodule(c, katsura_ideal(c)).is_full()
-
-
-def orthogonal_complement(s: Submodule) -> Submodule:
-    c = s.parent
-    comp = Submodule.of(c, {g.name for g in c.generators} - s.span)
-    for a in s.span:
-        for b in comp.span:
-            pa = ModuleVector.single(c, EdgeCopy(a, 0, 0, 0))
-            pb = ModuleVector.single(c, EdgeCopy(b, 0, 0, 0))
-            if not inner(pa, pb).is_zero():
-                raise InternalInconsistencyError(
-                    f"edge classes {a} and {b} are not orthogonal")
-    return comp
 
 
 # -- tensor vectors -----------------------------------------------------------
@@ -406,51 +386,6 @@ def norm_sq(u: TensorVector) -> Rational:
     if p.im != 0:
         raise InternalInconsistencyError("norm squared has an imaginary part")
     return p.re
-
-
-# -- interior tensor bases ----------------------------------------------------
-
-def interior_tensor(s: Submodule, sigma: EvaluationRep) -> list:
-    """Ordered basis keys of s (x)_sigma H: one elementary tensor e (x) h
-    for every edge copy e in the span sourced at a sigma-atom."""
-    c = s.parent
-    if sigma.parent != c.algebra:
-        raise DomainError("evaluation representation over a different algebra")
-    return [k for atom in sigma.atoms for k in successors(c, TensorKey((), atom))
-            if k.path[0].cls in s.span]
-
-
-def level_basis(c: Correspondence, sigma: EvaluationRep, level: int) -> list:
-    """Ordered basis keys of the level-fold tensor power against sigma."""
-    keys = [TensorKey((), a) for a in sigma.atoms]
-    for _ in range(level):
-        keys = [k for key in keys for k in successors(c, key)]
-    return keys
-
-
-class ReducedSpace(NamedTuple):
-    """X^{(n-1)} (x)_sigma H repackaged as an evaluation-like space: one
-    slot per basis path, evaluated at the range atom of its leading factor
-    (atoms may repeat across slots)."""
-
-    basis: tuple  # tuple[TensorKey, ...]
-    atoms: tuple  # tuple[Atom, ...], aligned with basis
-
-
-def tensor_power_reduction(c: Correspondence, n: int, sigma: EvaluationRep) -> ReducedSpace:
-    if n < 1:
-        raise DomainError("tensor power must be >= 1")
-    basis = level_basis(c, sigma, n - 1)
-    atoms = tuple(leading_atom(c, k) for k in basis)
-    reduced = ReducedSpace(tuple(basis), atoms)
-    # dimension identity: X (x) K enumerated fiberwise over K must match the
-    # direct level-n enumeration
-    via_k = sum(len(c.edges_from_atom(a)) for a in atoms)
-    direct = len(level_basis(c, sigma, n))
-    if via_k != direct:
-        raise InternalInconsistencyError(
-            f"tensor power dimension mismatch: {via_k} != {direct}")
-    return reduced
 
 
 # -- sigma-degeneracy witness -------------------------------------------------

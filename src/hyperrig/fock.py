@@ -45,17 +45,8 @@ class TruncatedFock:
     index: dict    # TensorKey -> level
     by_lead: dict  # leading Atom -> tuple[TensorKey, ...], all levels, basis order
 
-    def level_dim(self, n: int) -> int:
-        return len(self.bases[n])
-
     def all_keys(self) -> list:
         return [k for level in self.bases for k in level]
-
-    def gram(self, level: int) -> list:
-        """Gram matrix of one level via the identity-unwinding pairing
-        (the basis is orthonormal, so this must come out the identity)."""
-        return gram_matrix(self.parent, list(self.bases[level]))
-
 
 def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = DEFAULT_FOCK_LEVEL,
                basis_budget: int = DEFAULT_BASIS_BUDGET) -> TruncatedFock:
@@ -125,13 +116,6 @@ class GradedOperator:
     def col(self, key: TensorKey) -> dict:
         return self.cols.get(key, {})
 
-    def apply(self, vec: dict) -> dict:
-        out: dict = {}
-        for k, z in vec.items():
-            for kk, w in self.col(k).items():
-                out[kk] = out.get(kk, QI()) + z * w
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
     def scale(self, z: QI) -> "GradedOperator":
         cols = {k: {kk: z * w for kk, w in c.items()} for k, c in self.cols.items()}
         return GradedOperator(self.fock, self.degree, _drop_zeros(cols))
@@ -194,14 +178,6 @@ def operator_residual(a: GradedOperator, b: GradedOperator,
         for kk in set(ca) | set(cb):
             worst = max(worst, (ca.get(kk, QI()) - cb.get(kk, QI())).abs2())
     return worst
-
-
-def restrict_to_subspace(op: GradedOperator, keys: Iterable) -> GradedOperator:
-    """Compression P op P onto the span of the given basis keys."""
-    keyset = set(keys)
-    cols = {k: {kk: z for kk, z in c.items() if kk in keyset}
-            for k, c in op.cols.items() if k in keyset}
-    return GradedOperator(op.fock, op.degree, _drop_zeros(cols))
 
 
 # -- the representation --------------------------------------------------------
@@ -440,10 +416,6 @@ class WitnessSubspace:
 
     def key_set(self) -> set:
         return {k for level in self.levels for k in level}
-
-
-def full_subspace(fock: TruncatedFock) -> WitnessSubspace:
-    return WitnessSubspace(tuple(fock.bases), None, None)
 
 
 def build_witness_subspace(fock: TruncatedFock, j: IdealSpec) -> WitnessSubspace:

@@ -26,13 +26,13 @@ from typing import Optional, Union
 
 from .algebra import AtomSet, IdealSpec
 from .correspondence import (
-    Correspondence, EdgeClass, SigmaWitness, Submodule, sigma_degeneracy_witness,
+    Correspondence, EdgeClass, SigmaWitness, sigma_degeneracy_witness,
 )
 from .errors import InternalInconsistencyError, MalformedInputError
 from .intervals import (
     IntervalSet, PiecewiseAffineMap, closure, difference, finite_end_limits,
-    image, interior, is_compact, is_local_homeomorphism, is_proper_into,
-    is_subset, points, preimage, range_condition, sets_equal,
+    image, is_local_homeomorphism, is_proper_into, is_subset, points,
+    preimage, range_condition, sets_equal,
 )
 from .scalars import OMEGA
 
@@ -138,10 +138,6 @@ class Verdict:
     routes: tuple  # tuple[(route name, bool)]
     certificate: CertificateToken
 
-    @property
-    def route_map(self) -> dict:
-        return dict(self.routes)
-
 
 def decide_hyperrigid(g: Presentation) -> Verdict:
     if isinstance(g, DiscreteGraphPresentation):
@@ -196,37 +192,6 @@ def _decide_interval(g: IntervalGraphPresentation):
     route_reg = sets_equal(preimage(g.r, cls.reg), g.g1)
     return (("range_condition", route_iii),
             ("reg_preimage", route_reg)), None
-
-
-def compact_base_shortcut(g: IntervalGraphPresentation) -> Optional[bool]:
-    """For compact vertex and edge spaces: hyperrigid iff the image of the
-    range map is clopen.  Returns None outside that scope (the criterion is
-    only a shortcut there, not a characterization)."""
-    if not is_compact(g.g0) or not is_compact(g.g1):
-        return None
-    img = image(g.r)
-    clopen = (sets_equal(closure(img, g.g0), img)
-              and sets_equal(interior(img, g.g0), img))
-    if clopen != decide_hyperrigid(g).hyperrigid:
-        raise InternalInconsistencyError(
-            "compact-base shortcut disagrees with the decision routes")
-    return clopen
-
-
-def vanishing_submodule(g: DiscreteGraphPresentation, s1, s2) -> Submodule:
-    """Edge classes vanishing on the given data: outside s2 and not ranging
-    in s1.  With s1 the complement of an ideal support and s2 empty this is
-    the submodule the ideal reaches."""
-    c = g.correspondence
-    s1, s2 = set(s1), set(s2)
-    unknown = s1 - set(c.algebra.names)
-    if unknown:
-        raise MalformedInputError(f"unknown vertex classes {sorted(unknown)}")
-    unknown = s2 - {e.name for e in c.generators}
-    if unknown:
-        raise MalformedInputError(f"unknown edge classes {sorted(unknown)}")
-    return Submodule.of(
-        c, {e.name for e in c.generators if e.name not in s2 and e.dst not in s1})
 
 
 def check_row_finite(g: DiscreteGraphPresentation) -> bool:

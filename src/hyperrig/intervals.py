@@ -111,25 +111,12 @@ class Interval:
     def degenerate(self) -> bool:
         return self.lo is not None and self.lo == self.hi
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo_cut <= _cut(x, 0) < self.hi_cut
-
-    def is_compact_piece(self) -> bool:
-        return (self.lo is not None and self.hi is not None
-                and self.lo_closed and self.hi_closed)
-
     def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"
         lo = "-oo" if self.lo is None else _fmt(self.lo)
         hi = "+oo" if self.hi is None else _fmt(self.hi)
         return f"{lb}{lo}, {hi}{rb}"
-
-
-def ival(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> Interval:
-    """Convenience constructor accepting ints/strings for endpoints."""
-    conv = lambda v: None if v is None else Fraction(v)
-    return Interval(conv(lo), conv(hi), lo_closed, hi_closed)
 
 
 def _span(lo: tuple, hi: tuple) -> Optional[Interval]:
@@ -181,10 +168,6 @@ class IntervalSet:
     def of(pieces: Iterable[Interval]) -> "IntervalSet":
         return IntervalSet(_normalize_pieces(pieces))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.pieces
-
     def contains(self, x: Fraction) -> bool:
         return _holding(self.pieces, _cut(x, 0)) is not None
 
@@ -213,10 +196,6 @@ def points(values: Iterable[Fraction]) -> IntervalSet:
 
 # -- boolean operations ------------------------------------------------------
 
-def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return IntervalSet.of(a.pieces + b.pieces)
-
-
 def complement(s: IntervalSet) -> IntervalSet:
     """Complement within the full real line: the cut sequence of s, paired
     the other way round."""
@@ -240,10 +219,6 @@ def is_subset(a: IntervalSet, b: IntervalSet) -> bool:
 
 def sets_equal(a: IntervalSet, b: IntervalSet) -> bool:
     return a.pieces == b.pieces
-
-
-def is_compact(s: IntervalSet) -> bool:
-    return all(p.is_compact_piece() for p in s.pieces)
 
 
 def approaches(s: IntervalSet, x: Fraction, side: str) -> bool:
@@ -369,12 +344,6 @@ class PiecewiseAffineMap:
         return ap.value(x)
 
 
-def identity_map(s: IntervalSet, target: Optional[IntervalSet] = None) -> PiecewiseAffineMap:
-    tgt = target if target is not None else s
-    pieces = [AffinePiece(p, Fraction(1), Fraction(0)) for p in s.pieces]
-    return PiecewiseAffineMap.build(pieces, s, tgt)
-
-
 def image(f: PiecewiseAffineMap, s: Optional[IntervalSet] = None) -> IntervalSet:
     """Exact image of s (default: the whole source) under f."""
     if s is None:
@@ -449,15 +418,6 @@ def finite_end_limits(f: PiecewiseAffineMap) -> tuple:
         elif not p.hi_closed:
             limits.add(_piece_beside(f, p.hi, "left").value(p.hi))
     return tuple(sorted(limits))
-
-
-def is_proper(f: PiecewiseAffineMap) -> bool:
-    """True iff the preimage of every compact subset of the target is compact.
-
-    Decided by boundary escape: every non-compact end of the source must map
-    to an infinite limit or to a point excluded from the target.
-    """
-    return is_proper_into(f, f.target)
 
 
 def is_proper_into(f: PiecewiseAffineMap, region: IntervalSet) -> bool:

@@ -319,8 +319,16 @@ def parse_instance_text(text: str) -> Presentation:
 
 
 def load_instance(path) -> Presentation:
+    return parse_instance_text(_read(path))
+
+
+def _read(path) -> str:
+    """The text of a UTF-8 file; any other bytes are malformed input."""
     with open(path, encoding="utf-8") as fh:
-        return parse_instance_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(f"not valid UTF-8: {exc}") from exc
 
 
 def _decode(text: str):
@@ -473,8 +481,7 @@ def parse_witness_record(doc) -> Tuple[str, WitnessCertificate]:
 
 
 def load_witness_record(path) -> Tuple[str, WitnessCertificate]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_witness_record(_decode(fh.read()))
+    return parse_witness_record(_decode(_read(path)))
 
 
 # -- re-verification -------------------------------------------------------------------

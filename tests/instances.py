@@ -1,15 +1,91 @@
-"""Shared instances and seeded fuzzers used across test modules."""
+"""Shared instances, seeded fuzzers and test-side helpers used across test
+modules."""
 
 from fractions import Fraction
+from typing import Optional
 
-from hyperrig.algebra import AtomSet
-from hyperrig.correspondence import Correspondence, EdgeClass
+from hyperrig.algebra import AtomSet, EvaluationRep
+from hyperrig.correspondence import (
+    Correspondence, EdgeClass, EdgeCopy, ModuleVector, Submodule, inner,
+)
+from hyperrig.fock import build_fock
 from hyperrig.graphs import DiscreteGraphPresentation, IntervalGraphPresentation
 from hyperrig.intervals import (
-    AffinePiece, Interval, IntervalSet, PiecewiseAffineMap, identity_map,
-    ival, union,
+    AffinePiece, Interval, IntervalSet, PiecewiseAffineMap, closure, image,
+    interior, sets_equal,
 )
-from hyperrig.scalars import OMEGA
+from hyperrig.scalars import OMEGA, is_finite
+
+
+# -- interval helpers ---------------------------------------------------------
+
+def ival(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> Interval:
+    """An interval from int, str or Fraction endpoints (None for unbounded)."""
+    conv = lambda v: None if v is None else Fraction(v)
+    return Interval(conv(lo), conv(hi), lo_closed, hi_closed)
+
+
+def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return IntervalSet.of(a.pieces + b.pieces)
+
+
+def identity_map(s: IntervalSet, target: Optional[IntervalSet] = None) -> PiecewiseAffineMap:
+    pieces = [AffinePiece(p, Fraction(1), Fraction(0)) for p in s.pieces]
+    return PiecewiseAffineMap.build(pieces, s, s if target is None else target)
+
+
+def is_compact(s: IntervalSet) -> bool:
+    return all(p.lo is not None and p.hi is not None and p.lo_closed and p.hi_closed
+               for p in s.pieces)
+
+
+def compact_base_shortcut(g: IntervalGraphPresentation) -> Optional[bool]:
+    """The compact-base corollary: for compact vertex and edge spaces the
+    instance is hyperrigid iff the image of the range map is clopen in G0.
+    None outside that scope, where clopenness is no characterization."""
+    if not is_compact(g.g0) or not is_compact(g.g1):
+        return None
+    img = image(g.r)
+    return (sets_equal(closure(img, g.g0), img)
+            and sets_equal(interior(img, g.g0), img))
+
+
+# -- discrete oracles -----------------------------------------------------------
+
+def fock_bases(c: Correspondence, sigma: EvaluationRep, n: int) -> tuple:
+    """The path bases of levels 0..max(n, 1), from build_fock, the one path
+    enumerator, under a budget no test instance reaches."""
+    return build_fock(c, sigma, max(n, 1), basis_budget=10**6).bases
+
+
+def orthogonal_complement(s: Submodule) -> Submodule:
+    """The classes outside s, after checking with `inner` that each of them
+    is orthogonal to each class of s."""
+    c = s.parent
+    comp = Submodule.of(c, {g.name for g in c.generators} - s.span)
+    for a in s.span:
+        for b in comp.span:
+            assert inner(ModuleVector.single(c, EdgeCopy(a, 0, 0, 0)),
+                         ModuleVector.single(c, EdgeCopy(b, 0, 0, 0))).is_zero(), (a, b)
+    return comp
+
+
+def oracle_fin(c: Correspondence) -> set:
+    """Classes whose single copy receives finitely many explicit edges,
+    found by brute-force enumeration rather than count arithmetic."""
+    out = set()
+    for v in c.algebra.names:
+        incoming = [g for g in c.generators if g.dst == v]
+        if any(not is_finite(c.algebra.count_of(g.src)) or not is_finite(g.mult)
+               for g in incoming):
+            continue
+        explicit = [(g.name, i, k)
+                    for g in incoming
+                    for i in range(c.algebra.count_of(g.src))
+                    for k in range(g.mult)]
+        assert len(explicit) == c.in_degree(v)
+        out.add(v)
+    return out
 
 
 def loop_graph() -> Correspondence:

@@ -9,8 +9,8 @@ it writes the error message or the verdict record, the
 `classify_vertices` sets, and closure, interior, complement, difference,
 intersection, image and preimage sets built from it, each probed with
 `contains` and `approaches` at every endpoint and 1/7 to either side;
-`value_at`, `finite_end_limits`, `is_proper`, `is_local_homeomorphism`
-and `range_condition` of both maps.  The second part draws free-standing
+`value_at`, `finite_end_limits`, `is_proper_into` the target,
+`is_local_homeomorphism` and `range_condition` of both maps.  The second part draws free-standing
 pairs of sets with rays, the full line and single points and writes their
 boolean operations, closure and interior, probed the same way.
 
@@ -139,7 +139,8 @@ def instance_lines(g):
             except Exception as exc:
                 values.append(f"E:{exc}")
         lines.append(" ".join(values))
-        lines.append(f"limits {iv.finite_end_limits(f)} proper {iv.is_proper(f)} "
+        lines.append(f"limits {iv.finite_end_limits(f)} "
+                     f"proper {iv.is_proper_into(f, f.target)} "
                      f"lh {iv.is_local_homeomorphism(f)} rc {iv.range_condition(f)}")
     return lines
 
@@ -186,7 +187,7 @@ def main():
         for seed in range(N):
             rng = random.Random(10**6 + seed)
             a, b = random_set(rng), random_set(rng)
-            amb = iv.union(a, b)
+            amb = iv.IntervalSet.of(a.pieces + b.pieces)
             named = {"a": a, "b": b, "union": amb, "meet": iv.intersect(a, b),
                      "diff": iv.difference(a, b), "comp": iv.complement(a),
                      "cl": iv.closure(a, amb), "int": iv.interior(a, amb),

@@ -13,7 +13,6 @@ from hyperrig.algebra import (
     CoefFn,
     EvaluationRep,
     IdealSpec,
-    evaluate,
     ideal_complement,
     ideal_intersect,
 )
@@ -22,6 +21,16 @@ from hyperrig.scalars import OMEGA, QI, QI_ONE, count_add, count_mul
 
 
 VW = AtomSet.of([("V", 1), ("W", OMEGA)])
+
+
+def evaluate(rep: EvaluationRep, f: CoefFn) -> list:
+    """The diagonal of f in the evaluation representation rep, after checking
+    that every atom and class f names belongs to rep's atom set."""
+    for atom, _ in f.point_part:
+        rep.parent.check_atom(atom)
+    for cls, _ in f.class_part:
+        rep.parent.count_of(cls)
+    return [f.value_at(a) for a in rep.atoms]
 
 
 def test_atomset_rejects_duplicates():

@@ -341,6 +341,30 @@ def test_batch_isolates_per_file_errors(tmp_path, capsys):
     assert by_name["loop.json"]["status"] == "hyperrigid"
 
 
+
+def test_non_utf8_file_is_malformed_input(tmp_path, capsys):
+    # a file holding a byte that is not UTF-8 is an input error (exit 2), not
+    # a verdict, a refusal or a failed check, and one error row in a batch
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"schema": 1, "kind": "discrete", "vertices": [["v\xff", 1]], '
+                    b'"edges": []}')
+    instance = CORPUS / "star_plus_arm.json"
+    main(["witness", str(instance)])
+    witness = tmp_path / "witness.out"  # not *.json, so batch skips it
+    witness.write_text(capsys.readouterr().out, encoding="utf-8")
+    for argv in (["decide", bad], ["witness", bad], ["verify", bad, instance],
+                 ["verify", witness, bad]):
+        assert main([str(a) for a in argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: not valid UTF-8: "), argv
+
+    shutil.copy(CORPUS / "loop.json", tmp_path / "loop.json")
+    assert main(["batch", str(tmp_path)]) == 0
+    by_name = {f["file"]: f for f in json.loads(capsys.readouterr().out)["files"]}
+    assert by_name["latin1.json"]["error"].startswith("MalformedInputError: not valid UTF-8: ")
+    assert by_name["loop.json"]["status"] == "hyperrigid"
+
 OVERSIZED_IMAGE = INPUTS / "malformed_interval" / "oversized_image_endpoint.json"
 
 

@@ -15,17 +15,20 @@ from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep
 from hyperrig.correspondence import (
     Correspondence, EdgeClass, EdgeCopy, ModuleVector, Submodule, TensorKey,
     TensorVector, compacts_preimage, gram_matrix, ideal_act_submodule, inner,
-    interior_tensor, is_nondegenerate, katsura_ideal, kernel_of_left_action,
-    left_action_as_compacts, left_mul, level_basis, norm_sq,
-    orthogonal_complement, pair_by_gram_identity, pairing, right_mul,
-    sigma_degeneracy_witness, tensor_power_reduction, _verify_theta_sum,
+    is_nondegenerate, katsura_ideal, kernel_of_left_action, leading_atom,
+    left_action_as_compacts, left_mul, norm_sq, pair_by_gram_identity, pairing,
+    sigma_degeneracy_witness, _verify_theta_sum,
 )
 from hyperrig.errors import (
     DomainError, InternalInconsistencyError, MalformedInputError, SymbolicOnlyError,
 )
+from hyperrig.fock import build_fock
 from hyperrig.scalars import OMEGA, QI, QI_ONE, is_finite
 
-from instances import arrow_graph, loop_graph, omega_star, star_plus_arm, tower
+from instances import (
+    arrow_graph, fock_bases, loop_graph, omega_star, oracle_fin,
+    orthogonal_complement, star_plus_arm, tower,
+)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -44,22 +47,11 @@ def oracle_kernel(c):
     return dead
 
 
-def oracle_fin(c):
-    """Classes whose single copy receives finitely many explicit edges,
-    found by brute-force enumeration rather than count arithmetic."""
-    out = set()
-    for v in c.algebra.names:
-        incoming = [g for g in c.generators if g.dst == v]
-        if any(not is_finite(c.algebra.count_of(g.src)) or not is_finite(g.mult)
-               for g in incoming):
-            continue
-        explicit = [(g.name, i, k)
-                    for g in incoming
-                    for i in range(c.algebra.count_of(g.src))
-                    for k in range(g.mult)]
-        assert len(explicit) == c.in_degree(v)
-        out.add(v)
-    return out
+def right_mul(x, f):
+    """x . f, the right module action: scales each copy by f at its source
+    atom."""
+    c = x.parent
+    return ModuleVector.of(c, {e: z * f.value_at(c.source_atom(e)) for e, z in x.coeffs})
 
 
 def oracle_katsura(c):
@@ -266,25 +258,33 @@ def test_witness_orthogonality_failures_name_the_class(monkeypatch):
 
 
 # -- interior tensor bases --------------------------------------------------------
+# The basis of S (x)_sigma H is one elementary tensor e (x) h for every copy e
+# of a class of S sourced at a sigma-atom: the level-1 keys of build_fock
+# whose factor lies in S.
+
+def interior_tensor_keys(c, span, sigma):
+    return [k for k in fock_bases(c, sigma, 1)[1] if k.path[0].cls in span]
+
 
 def test_interior_tensor_omega_star():
     c = omega_star()
     sigma = EvaluationRep.of(c.algebra, [Atom("W", 0)])
-    basis = interior_tensor(Submodule.of(c, {"E"}), sigma)
+    basis = interior_tensor_keys(c, {"E"}, sigma)
     assert basis == [TensorKey((EdgeCopy("E", 0, 0, 0),), Atom("W", 0))]
 
 
 def test_interior_tensor_empty_cases():
     sa = star_plus_arm()
     sigma = EvaluationRep.of(sa.algebra, [Atom("W", 0)])
-    assert interior_tensor(ideal_act_submodule(sa, katsura_ideal(sa)), sigma) == []
+    assert interior_tensor_keys(sa, ideal_act_submodule(sa, katsura_ideal(sa)).span,
+                                sigma) == []
     # the would-be tensor F (x) 1 is the zero vector: its norm evaluates to 0
     key = TensorKey((EdgeCopy("F", 0, 0, 0),), Atom("W", 0))
     assert pair_by_gram_identity(sa, key, key) == QI()
 
     a = arrow_graph()
     sig_v = EvaluationRep.of(a.algebra, [Atom("v", 0)])
-    assert interior_tensor(Submodule.of(a, {"e"}), sig_v) == []
+    assert interior_tensor_keys(a, {"e"}, sig_v) == []
 
 
 def test_interior_tensor_infinite_fiber_is_symbolic_only():
@@ -292,35 +292,35 @@ def test_interior_tensor_infinite_fiber_is_symbolic_only():
                           [EdgeClass("E", "V", "W", 1)])
     sigma = EvaluationRep.of(c.algebra, [Atom("V", 0)])
     with pytest.raises(SymbolicOnlyError):
-        interior_tensor(Submodule.of(c, {"E"}), sigma)
+        interior_tensor_keys(c, {"E"}, sigma)
     c2 = Correspondence.of(AtomSet.of([("V", 1)]),
                            [EdgeClass("E", "V", "V", OMEGA)])
     sigma2 = EvaluationRep.of(c2.algebra, [Atom("V", 0)])
     with pytest.raises(SymbolicOnlyError):
-        interior_tensor(Submodule.of(c2, {"E"}), sigma2)
+        interior_tensor_keys(c2, {"E"}, sigma2)
 
 
 def test_tensor_power_reduction_examples():
+    # X^(n) (x)_sigma H = X (x) K with K = X^(n-1) (x)_sigma H evaluated, slot
+    # by slot, at the leading atom of each level-(n-1) key
     sa = star_plus_arm()
     sigma = EvaluationRep.of(sa.algebra, [Atom("W", 0)])
-    k1 = tensor_power_reduction(sa, 1, sigma)
-    assert k1.basis == (TensorKey((), Atom("W", 0)),)
-    assert k1.atoms == (Atom("W", 0),)
-
-    k2 = tensor_power_reduction(sa, 2, sigma)
-    assert k2.basis == (TensorKey((EdgeCopy("E", 0, 0, 0),), Atom("W", 0)),)
-    assert k2.atoms == (Atom("V", 0),)
-    assert level_basis(sa, sigma, 2) == []  # X (x) K is zero
+    bases = fock_bases(sa, sigma, 2)
+    assert bases[0] == (TensorKey((), Atom("W", 0)),)
+    assert [leading_atom(sa, k) for k in bases[0]] == [Atom("W", 0)]
+    assert bases[1] == (TensorKey((EdgeCopy("E", 0, 0, 0),), Atom("W", 0)),)
+    assert [leading_atom(sa, k) for k in bases[1]] == [Atom("V", 0)]
+    assert bases[2] == ()  # X (x) K is zero
 
     lo = loop_graph()
     sig_v = EvaluationRep.of(lo.algebra, [Atom("v", 0)])
-    k3 = tensor_power_reduction(lo, 3, sig_v)
-    assert len(k3.basis) == 1
-    assert k3.basis[0].path == (EdgeCopy("e", 0, 0, 0), EdgeCopy("e", 0, 0, 0))
-    assert len(level_basis(lo, sig_v, 3)) == 1
+    bases = fock_bases(lo, sig_v, 3)
+    assert len(bases[2]) == 1
+    assert bases[2][0].path == (EdgeCopy("e", 0, 0, 0), EdgeCopy("e", 0, 0, 0))
+    assert len(bases[3]) == 1
 
     with pytest.raises(DomainError):
-        tensor_power_reduction(lo, 0, sig_v)
+        build_fock(lo, sig_v, 0)
 
 
 # -- compact decompositions -------------------------------------------------------
@@ -514,7 +514,7 @@ def test_ideal_oracles_agree(c):
 def test_gram_identity_two_ways(c, level):
     # evaluate sigma at copy 0 of every class
     sigma = EvaluationRep.of(c.algebra, [Atom(nm, 0) for nm in c.algebra.names])
-    keys = level_basis(c, sigma, level)[:12]
+    keys = list(fock_bases(c, sigma, level)[level][:12])
     g = gram_matrix(c, keys)
     for i, a in enumerate(keys):
         for j, b in enumerate(keys):
@@ -527,10 +527,11 @@ def test_gram_identity_two_ways(c, level):
 @given(graphs(max_classes=3, max_edges=3), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_tensor_power_dimension_identity(c, n):
+    # X (x) K enumerated fiberwise over the slots of K matches level n
     sigma = EvaluationRep.of(c.algebra, [Atom(nm, 0) for nm in c.algebra.names])
-    k = tensor_power_reduction(c, n, sigma)
-    assert len(k.basis) == len(k.atoms)
-    assert len(k.basis) == len(level_basis(c, sigma, n - 1))
+    bases = fock_bases(c, sigma, n)
+    fiberwise = sum(len(c.edges_from_atom(leading_atom(c, k))) for k in bases[n - 1])
+    assert fiberwise == len(bases[n])
 
 
 @given(graphs(max_classes=3, max_edges=4, allow_omega=True))

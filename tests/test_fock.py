@@ -11,8 +11,8 @@ import hyperrig.correspondence as corr_mod
 import hyperrig.fock as fock_mod
 from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec
 from hyperrig.correspondence import (
-    Correspondence, EdgeClass, EdgeCopy, ModuleVector, TensorKey, inner,
-    katsura_ideal, leading_atom, left_action_as_compacts, left_mul,
+    Correspondence, EdgeClass, EdgeCopy, ModuleVector, TensorKey, gram_matrix,
+    inner, katsura_ideal, leading_atom, left_action_as_compacts, left_mul,
     sigma_degeneracy_witness,
 )
 from hyperrig.errors import (
@@ -20,11 +20,11 @@ from hyperrig.errors import (
     SymbolicOnlyError, WitnessRefusedError,
 )
 from hyperrig.fock import (
-    GradedOperator, IsometryReport, build_fock,
+    GradedOperator, IsometryReport, WitnessSubspace, build_fock,
     build_witness_subspace, check_cuntz_pimsner, complement_of_creation,
-    full_subspace, generator_functions, generator_vectors,
-    ideal_generator_functions, operator_residual, psi_t, restrict_to_subspace,
-    rho0, t0, verify_eq_use, verify_isometric_rep, witness_pipeline,
+    generator_functions, generator_vectors, ideal_generator_functions,
+    operator_residual, psi_t, rho0, t0, verify_eq_use, verify_isometric_rep,
+    witness_pipeline,
 )
 from hyperrig.graphs import build_correspondence
 from hyperrig.records import load_instance
@@ -47,20 +47,25 @@ def two_loops():
         [EdgeClass("e", "v", "v", 1), EdgeClass("f", "v", "v", 1)])
 
 
+def full_subspace(fock):
+    # the whole truncated Fock space, a negative control for covariance
+    return WitnessSubspace(tuple(fock.bases), None, None)
+
+
 # -- basis enumeration ----------------------------------------------------------
 
 def test_build_fock_dimensions():
     sa = star_plus_arm()
     fock = build_fock(sa, sigma_at(sa, "W"), 3)
-    assert [fock.level_dim(n) for n in range(4)] == [1, 1, 0, 0]
+    assert [len(level) for level in fock.bases] == [1, 1, 0, 0]
 
     lo = loop_graph()
     fock = build_fock(lo, sigma_at(lo, "v"), 3)
-    assert [fock.level_dim(n) for n in range(4)] == [1, 1, 1, 1]
+    assert [len(level) for level in fock.bases] == [1, 1, 1, 1]
 
     a = arrow_graph()
     fock = build_fock(a, sigma_at(a, "v"), 2)
-    assert [fock.level_dim(n) for n in range(3)] == [1, 0, 0]
+    assert [len(level) for level in fock.bases] == [1, 0, 0]
 
 
 def test_build_fock_guards(monkeypatch):
@@ -121,7 +126,8 @@ def test_level_gram_is_identity():
     lo = loop_graph()
     fock = build_fock(lo, sigma_at(lo, "v"), 3)
     for n in range(4):
-        g = fock.gram(n)
+        # via the identity-unwinding pairing; the basis is orthonormal
+        g = gram_matrix(lo, list(fock.bases[n]))
         for i in range(len(g)):
             for j in range(len(g)):
                 assert g[i][j] == (QI_ONE if i == j else QI())
@@ -478,7 +484,7 @@ def test_psi_t_examples():
     lo = loop_graph()
     fock = build_fock(lo, sigma_at(lo, "v"), 3)
     lvl1 = fock.bases[1][0]
-    out = psi_t(fock, {EdgeCopy("e", 0, 0, 0): QI_ONE}).apply({lvl1: QI_ONE})
+    out = psi_t(fock, {EdgeCopy("e", 0, 0, 0): QI_ONE}).col(lvl1)
     assert out == {lvl1: QI_ONE}
     # a scalar that is neither real nor 1 sits on the left factor once
     e = ModuleVector.single(lo, EdgeCopy("e", 0, 0, 0))
@@ -677,14 +683,23 @@ def test_pipeline_details_star_plus_arm():
     assert norm == 1
 
 
+def compress(op, keys):
+    """P op P, the compression onto the span of the given basis keys."""
+    cols = {k: {kk: z for kk, z in col.items() if kk in keys}
+            for k, col in op.cols.items() if k in keys}
+    return GradedOperator(op.fock, op.degree, {k: col for k, col in cols.items() if col})
+
+
 def test_restriction_lemma_on_witness_subspaces():
+    # the compression of the Fock representation to the co-invariant
+    # subspace M is again an isometric representation
     for c in degenerate_corpus():
         fock, m, _ = witness_pipeline(sigma_degeneracy_witness(c), 3)
         keys = m.key_set()
         report = verify_isometric_rep(
             fock,
-            rho_of=lambda f: restrict_to_subspace(rho0(fock, f), keys),
-            t_of=lambda x: restrict_to_subspace(t0(fock, x), keys))
+            rho_of=lambda f: compress(rho0(fock, f), keys),
+            t_of=lambda x: compress(t0(fock, x), keys))
         assert report.max_residual == 0
 
 

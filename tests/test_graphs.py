@@ -1,4 +1,5 @@
-"""Presentations, vertex classification, decision routes, shortcut."""
+"""Presentations, vertex classification, decision routes, the compact-base
+corollary."""
 
 import random
 from fractions import Fraction
@@ -6,22 +7,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperrig.correspondence import ideal_act_submodule, katsura_ideal
+from hyperrig.correspondence import Submodule, ideal_act_submodule, katsura_ideal
 from hyperrig.errors import InternalInconsistencyError, MalformedInputError
 from hyperrig.graphs import (
-    DiscreteGraphPresentation, IntervalGraphPresentation, build_correspondence,
-    check_row_finite, classify_vertices, compact_base_shortcut,
-    decide_hyperrigid, vanishing_submodule,
+    IntervalGraphPresentation, build_correspondence, check_row_finite,
+    classify_vertices, decide_hyperrigid,
 )
 from hyperrig.intervals import (
-    AffinePiece, IntervalSet, PiecewiseAffineMap, closure, identity_map,
-    image, is_proper_into, ival, preimage, range_condition, sets_equal,
+    EMPTY, AffinePiece, IntervalSet, PiecewiseAffineMap, closure, image,
+    is_proper_into, preimage, range_condition, sets_equal,
 )
 
 from instances import (
-    arrow_graph, as_presentation, i1_graph, i2_graph, loop_graph,
-    omega_star, open_core_graph, random_discrete_graph, random_interval_graph,
-    ray_graph, star_plus_arm, tower,
+    arrow_graph, as_presentation, compact_base_shortcut, i1_graph, i2_graph,
+    identity_map, ival, loop_graph, omega_star, open_core_graph, oracle_fin,
+    random_discrete_graph, random_interval_graph, ray_graph, star_plus_arm,
+    tower,
 )
 
 
@@ -79,7 +80,7 @@ def test_decide_corpus_interval():
 
 def test_verdict_routes_and_certificates():
     v = decide_hyperrigid(as_presentation(loop_graph()))
-    assert set(v.route_map) == {"nondegeneracy", "range_condition", "reg_preimage"}
+    assert set(dict(v.routes)) == {"nondegeneracy", "range_condition", "reg_preimage"}
     assert v.certificate.kind == "theorem-3.1"
     assert v.certificate.witness is None
 
@@ -89,7 +90,7 @@ def test_verdict_routes_and_certificates():
     assert v.certificate.witness.edge_class == "E"
 
     v = decide_hyperrigid(i1_graph())
-    assert set(v.route_map) == {"range_condition", "reg_preimage"}
+    assert set(dict(v.routes)) == {"range_condition", "reg_preimage"}
     assert v.certificate.kind == "sigma-witness"
     assert v.certificate.witness is None
 
@@ -125,7 +126,8 @@ def test_map_built_against_another_target_must_land_in_the_vertex_space():
     # a map into a wider target whose image lies in G0 is accepted, and its
     # range condition is taken in G0, where the image [0, 1] is clopen
     g = IntervalGraphPresentation.of(g0, g1, halve, halve)
-    assert decide_hyperrigid(g).route_map == {"range_condition": True, "reg_preimage": True}
+    assert dict(decide_hyperrigid(g).routes) == {"range_condition": True,
+                                                 "reg_preimage": True}
     assert not range_condition(halve)  # in its own target [0, 2] it is not
 
 
@@ -137,6 +139,22 @@ def test_shortcut_examples():
     # and the instance is hyperrigid even though its image is not clopen-with-
     # compact-edges, which is why the scope gate exists
     assert compact_base_shortcut(open_core_graph()) is None
+    assert decide_hyperrigid(i2_graph()).hyperrigid is True
+    assert decide_hyperrigid(i1_graph()).hyperrigid is False
+
+
+def vanishing_submodule(g, s1, s2):
+    """Edge classes vanishing on the given data: outside s2 and not ranging
+    in s1.  With s1 the complement of an ideal support and s2 empty this is
+    the submodule the ideal reaches."""
+    c = g.correspondence
+    s1, s2 = set(s1), set(s2)
+    if not s1 <= set(c.algebra.names):
+        raise MalformedInputError(f"unknown vertex classes {sorted(s1)}")
+    if not s2 <= {e.name for e in c.generators}:
+        raise MalformedInputError(f"unknown edge classes {sorted(s2)}")
+    return Submodule.of(
+        c, {e.name for e in c.generators if e.name not in s2 and e.dst not in s1})
 
 
 def test_vanishing_submodule():
@@ -179,7 +197,8 @@ def test_range_route_counts_in_degree_from_the_raw_edges(monkeypatch):
 def test_discrete_routes_agree_and_match_row_finiteness(seed):
     g = random_discrete_graph(random.Random(seed))
     v = decide_hyperrigid(g)  # raises on route disagreement
-    assert v.hyperrigid == check_row_finite(g)
+    # row-finiteness counted outside the routes, by enumerating the edges
+    assert v.hyperrigid == ({e.dst for e in g.edges} <= oracle_fin(g.correspondence))
 
 
 @given(st.integers(0, 10_000))
@@ -207,13 +226,13 @@ def test_properness_lemma_split(seed):
     # the closure half: the preimage of the closure of sce vanishes iff the
     # range condition holds
     cl_sce = closure(cls.sce, g.g0)
-    assert preimage(g.r, cl_sce).is_empty == range_condition(g.r)
+    assert sets_equal(preimage(g.r, cl_sce), EMPTY) == range_condition(g.r)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=80, deadline=None)
 def test_shortcut_agrees_when_applicable(seed):
     g = random_interval_graph(random.Random(seed), compact=True)
-    sc = compact_base_shortcut(g)  # raises if it disagrees with the routes
+    sc = compact_base_shortcut(g)
     assert sc is not None
     assert sc == decide_hyperrigid(g).hyperrigid
