@@ -17,7 +17,8 @@ For f in the Katsura ideal, phi(f) is compact and diagonal in the copies:
 a finite sum because f lives on atoms of finite in-degree.  It is kept as
 the map e -> f(r(e)) over the copies where that is nonzero, and each map is
 checked exactly against left_mul on every copy ranging at an atom where f
-has a part, on every copy it names and on copy 0 of every edge class.
+has a part and on every copy it names, one left_mul each, and on copy 0 of
+every other edge class, one left_mul on their sum.
 """
 
 from __future__ import annotations
@@ -201,6 +202,13 @@ class ModuleVector:
             (e, z) for e, z in items if not z.is_zero())))
 
     @staticmethod
+    def _of_sorted(parent: Correspondence, items: Iterable) -> "ModuleVector":
+        """From (copy, coefficient) pairs already in sorted copy order, as a
+        copy-wise map over a vector's coeffs leaves them: drops zeros,
+        checks and sorts nothing."""
+        return ModuleVector(parent, tuple((e, z) for e, z in items if not z.is_zero()))
+
+    @staticmethod
     def single(parent: Correspondence, e: EdgeCopy) -> "ModuleVector":
         return ModuleVector.of(parent, {e: QI_ONE})
 
@@ -216,7 +224,7 @@ class ModuleVector:
         return ModuleVector._of_valid(self.parent, acc.items())
 
     def scale(self, z: QI) -> "ModuleVector":
-        return ModuleVector._of_valid(self.parent, ((e, z * v) for e, v in self.coeffs))
+        return ModuleVector._of_sorted(self.parent, ((e, z * v) for e, v in self.coeffs))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         return self + other.scale(QI() - QI_ONE)
@@ -242,7 +250,7 @@ def inner(x: ModuleVector, y: ModuleVector) -> CoefFn:
 def left_mul(f: CoefFn, x: ModuleVector) -> ModuleVector:
     """phi(f) x: scales each copy by f at its range atom."""
     c = x.parent
-    return ModuleVector._of_valid(
+    return ModuleVector._of_sorted(
         c, ((e, f.value_at(c.range_atom(e)) * z) for e, z in x.coeffs))
 
 
@@ -436,30 +444,32 @@ def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
 
 # -- compact operators --------------------------------------------------------
 
-def left_action_as_compacts(c: Correspondence, fns: Iterable[CoefFn]) -> list:
+def left_action_as_compacts(c: Correspondence, fns: Iterable[CoefFn],
+                            ideal: IdealSpec) -> list:
     """phi(f) as a compact operator for each f in fns, in order: a map from
     each single edge copy e to f(r(e)), one entry per copy whose range atom
     f does not vanish at, so phi(f) = sum_e f(r(e)) theta_{e,e}.  Each map
     is checked exactly against left_mul on every copy ranging where f has a
     part, on every copy it names and on copy 0 of every edge class
-    (_verify_theta_sum); the compact preimage, the range-class index and
-    those representative vectors are built once per call.
+    (_verify_theta_sum); the range-class index and those representative
+    copies are built once per call.
 
-    Requires each f to be an actual algebra element supported inside the
-    compact preimage: class-constant parts only over finite classes that
-    lie in the ideal, point masses over atoms of classes in the ideal.
+    ideal is an ideal inside the compact preimage that the caller already
+    holds: compacts_preimage(c) itself, or the Katsura ideal J, which
+    check_cuntz_pimsner passes.  Requires each f to be an actual algebra
+    element supported inside it: class-constant parts only over finite
+    classes that lie in the ideal, point masses over atoms of classes in
+    the ideal.
     """
-    fin = compacts_preimage(c)
     into: dict = {}  # range class -> the edge classes ranging in it
     for g in c.generators:
         into.setdefault(g.dst, []).append(g)
-    reps = {e: ModuleVector.single(c, e)
-            for e in (EdgeCopy(g.name, 0, 0, 0) for g in c.generators)}
+    reps = tuple(sorted(c.check_copy(EdgeCopy(g.name, 0, 0, 0)) for g in c.generators))
     maps = []
     for f in fns:
-        if not f.supported_in(fin):
+        if not f.supported_in(ideal):
             raise DomainError(
-                f"function supported on {sorted(f.support_classes() - fin.support)} "
+                f"function supported on {sorted(f.support_classes() - ideal.support)} "
                 "outside the compact preimage")
         point_masses: dict = {}
         for cls, z in f.class_part:
@@ -492,19 +502,26 @@ def left_action_as_compacts(c: Correspondence, fns: Iterable[CoefFn]) -> list:
 
 
 def _verify_theta_sum(c: Correspondence, f: CoefFn, phi: Mapping[EdgeCopy, QI],
-                      into: Mapping[str, list],
-                      reps: Mapping[EdgeCopy, ModuleVector]) -> None:
+                      into: Mapping[str, list], reps: tuple) -> None:
     """Check sum_e phi[e] theta_{e,e} == phi(f) exactly on every probe.
 
     The probes are single edge copies, each probed once: every copy of
     every edge class that into (range class -> edge classes) lists at an
     atom where f has a part (each atom of the class of a class part, the
     atom of a point mass), enumerated from f and into, not from phi; then
-    every copy phi names; then every representative copy in reps (copy 0
-    of each class, as its single vector).  On an honest map the first two
-    sets are equal, and a copy the map leaves out is still probed.
-    theta_{e,e} z = e <e, z>, and inner pairs matching copies only, so on
-    the probe e the sum is phi[e] e, or zero when phi does not name e.
+    every copy phi names; then every representative copy in reps (valid
+    copies of c, copy 0 of each class, sorted).  On an honest map the
+    first two sets are equal, and a copy the map leaves out is still
+    probed.  theta_{e,e} z = e <e, z>, and inner pairs matching copies
+    only, so on the probe e the sum is phi[e] e, or zero when phi does
+    not name e.
+
+    Each copy in the first two sets takes its own left_mul.  The
+    representatives outside them, where the sum is zero, take one
+    left_mul on their sum, the vector with coefficient 1 on each: left_mul
+    scales each copy on its own and the copies are distinct, so the image
+    is zero exactly when each representative's image is.  A nonzero image
+    names the first representative it keeps in generator order.
     """
     atoms = [Atom(cls, j) for cls, _ in f.class_part
              for j in range(c.algebra.count_of(cls))]
@@ -520,7 +537,10 @@ def _verify_theta_sum(c: Correspondence, f: CoefFn, phi: Mapping[EdgeCopy, QI],
         if not (got.is_zero() if w is None else got == z.scale(w)):
             raise InternalInconsistencyError(
                 f"theta decomposition disagrees with the left action on {e}")
-    for e, z in reps.items():
-        if e not in named and not left_mul(f, z).is_zero():
-            raise InternalInconsistencyError(
-                f"theta decomposition disagrees with the left action on {e}")
+    got = left_mul(f, ModuleVector._of_sorted(
+        c, ((e, QI_ONE) for e in reps if e not in named)))
+    if not got.is_zero():
+        kept = {e.cls: e for e, _ in got.coeffs}
+        first = next(kept[g.name] for g in c.generators if g.name in kept)
+        raise InternalInconsistencyError(
+            f"theta decomposition disagrees with the left action on {first}")

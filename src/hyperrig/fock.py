@@ -11,6 +11,13 @@ All operators are stored column-sparse over basis keys, all scalars are
 Gaussian rationals, and every residual is a max squared modulus that must
 come out exactly zero.  The generators the pipeline builds are Gaussian
 integers, so on the witness path every entry and residual is an int.
+
+Each space builds every operator of the pipeline once: t0 and rho0 read
+through a memo on the TruncatedFock keyed by their argument's value, and
+the generator lists and single-copy vectors are kept there too, so the
+relation checks, the invariance and covariance checks and the
+non-reducing search share one operator per argument.  Every residual is
+still computed in full from those operators.
 """
 
 from __future__ import annotations
@@ -44,6 +51,13 @@ class TruncatedFock:
     bases: tuple   # tuple[tuple[TensorKey, ...]]
     index: dict    # TensorKey -> level
     by_lead: dict  # leading Atom -> tuple[TensorKey, ...], all levels, basis order
+    # built over this space once each and shared read-only: t(x) keyed by
+    # x.coeffs, rho(f) by f, the single-copy vector of e by e, and the two
+    # generator lists by their function's name
+    _t: dict = field(default_factory=dict, init=False, repr=False)
+    _rho: dict = field(default_factory=dict, init=False, repr=False)
+    _single: dict = field(default_factory=dict, init=False, repr=False)
+    _generators: dict = field(default_factory=dict, init=False, repr=False)
 
     def all_keys(self) -> list:
         return [k for level in self.bases for k in level]
@@ -107,7 +121,12 @@ def _group_by_lead(c: Correspondence, keys: Iterable) -> dict:
 class GradedOperator:
     """Column-sparse operator between Fock levels: cols maps a basis key at
     level n to its image, a vector supported at level n + degree.  A key
-    without a column is sent to zero."""
+    without a column is sent to zero.
+
+    Operators are read-only.  t0 and rho0 hand every caller the one
+    operator their space's memo holds for an argument, so a caller that
+    wants a changed operator builds a new one (scale, compose, adjoint do)
+    and never writes into cols or a column."""
 
     fock: TruncatedFock
     degree: int
@@ -163,7 +182,12 @@ def zero_operator(fock: TruncatedFock, degree: int) -> GradedOperator:
 def operator_residual(a: GradedOperator, b: GradedOperator,
                       source_keys: Optional[Iterable] = None) -> Rational:
     """Max squared modulus of any matrix entry of a - b, over the given
-    source columns (default: everywhere)."""
+    source columns (default: everywhere).
+
+    A column equal in a and in b, as dicts of exact scalars, has every
+    entry of a - b exactly 0 there and is skipped.  A column that holds an
+    explicit zero entry is not equal to one that lacks the key, so it
+    takes the entrywise loop."""
     if a.degree != b.degree:
         raise DomainError("comparing operators of different degrees")
     # a column absent from both operands is zero in a - b
@@ -175,6 +199,8 @@ def operator_residual(a: GradedOperator, b: GradedOperator,
     worst = 0
     for k in keys:
         ca, cb = a.col(k), b.col(k)
+        if ca == cb:
+            continue
         for kk in set(ca) | set(cb):
             worst = max(worst, (ca.get(kk, QI()) - cb.get(kk, QI())).abs2())
     return worst
@@ -188,8 +214,15 @@ def rho0(fock: TruncatedFock, f: CoefFn) -> GradedOperator:
 
     Only the leading atoms in f's support are visited: those of a class in
     f.class_part, and those listed in f.point_part.  f is evaluated once
-    per atom.
+    per atom.  Built once per space and f (see TruncatedFock).
     """
+    op = fock._rho.get(f)
+    if op is None:
+        op = fock._rho[f] = _build_rho(fock, f)
+    return op
+
+
+def _build_rho(fock: TruncatedFock, f: CoefFn) -> GradedOperator:
     classes = {cls for cls, _ in f.class_part}
     atoms = {a for a in fock.by_lead if a.cls in classes} if classes else set()
     atoms.update(a for a, _ in f.point_part if a in fock.by_lead)
@@ -207,11 +240,18 @@ def t0(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
 
     Each copy e in x only visits the keys led by its source atom, below
     the top level: by_lead lists them in basis order, so the top-level
-    keys are a suffix.
+    keys are a suffix.  Built once per space and x (see TruncatedFock).
     """
-    c = fock.parent
-    if x.parent != c:
+    if x.parent != fock.parent:
         raise DomainError("vector over a different correspondence")
+    op = fock._t.get(x.coeffs)
+    if op is None:
+        op = fock._t[x.coeffs] = _build_t(fock, x)
+    return op
+
+
+def _build_t(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
+    c = fock.parent
     cols: dict = {}
     for e, z in x.coeffs:
         for key in fock.by_lead.get(c.source_atom(e), ()):
@@ -226,6 +266,14 @@ def t0(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
     return GradedOperator(fock, 1, _drop_zeros(cols))
 
 
+def _single_copy(fock: TruncatedFock, e: EdgeCopy) -> ModuleVector:
+    """ModuleVector.single(fock.parent, e), built once per space."""
+    x = fock._single.get(e)
+    if x is None:
+        x = fock._single[e] = ModuleVector.single(fock.parent, e)
+    return x
+
+
 def psi_t(fock: TruncatedFock, phi: Mapping[EdgeCopy, QI]) -> GradedOperator:
     """Image of phi(f) = sum_e f(r(e)) theta_{e,e}, given as the map
     phi: e -> f(r(e)) over single edge copies that left_action_as_compacts
@@ -237,10 +285,9 @@ def psi_t(fock: TruncatedFock, phi: Mapping[EdgeCopy, QI]) -> GradedOperator:
     Every copy accumulates into one column map, and zero entries are
     dropped once at the end.
     """
-    c = fock.parent
     cols: dict = {}
     for e, z in phi.items():
-        for col in t0(fock, ModuleVector.single(c, e)).cols.values():
+        for col in t0(fock, _single_copy(fock, e)).cols.values():
             for k, y in col.items():
                 zy = z * y.conj()
                 tgt = cols.setdefault(k, {})
@@ -269,7 +316,7 @@ class IsometryReport:
         return max(self.multiplication, self.toeplitz)
 
 
-def generator_functions(fock: TruncatedFock) -> list:
+def generator_functions(fock: TruncatedFock) -> tuple:
     """Class indicators, point masses at every leading atom, and the probe
     (1 + i) delta_C for every class C.
 
@@ -279,22 +326,29 @@ def generator_functions(fock: TruncatedFock) -> list:
     generator) passes them.  The probe is neither real nor of modulus 1,
     so it sees those; and it is a Gaussian integer, so every entry of
     every rho(f), t(x), psi_t(phi(f)), join product and residual stays in
-    int arithmetic.
+    int arithmetic.  Built once per space, as a tuple.
     """
-    c = fock.parent
-    fns = [CoefFn.delta_class(nm) for nm in c.algebra.names]
-    fns += [CoefFn.delta_atom(a) for a in sorted(fock.by_lead)]
-    fns += [CoefFn.delta_class(nm, QI(1, 1)) for nm in c.algebra.names]
+    fns = fock._generators.get("functions")
+    if fns is None:
+        names = fock.parent.algebra.names
+        fns = fock._generators["functions"] = (
+            tuple(CoefFn.delta_class(nm) for nm in names)
+            + tuple(CoefFn.delta_atom(a) for a in sorted(fock.by_lead))
+            + tuple(CoefFn.delta_class(nm, QI(1, 1)) for nm in names))
     return fns
 
 
-def generator_vectors(fock: TruncatedFock) -> list:
+def generator_vectors(fock: TruncatedFock) -> tuple:
     """One singleton per edge copy that can appear as a first tensor factor,
-    plus a representative copy of every class."""
-    c = fock.parent
-    copies = {k.path[0] for k in fock.all_keys() if k.path}
-    copies |= {EdgeCopy(g.name, 0, 0, 0) for g in c.generators}
-    return [ModuleVector.single(c, e) for e in sorted(copies)]
+    plus a representative copy of every class.  Built once per space, as a
+    tuple."""
+    vecs = fock._generators.get("vectors")
+    if vecs is None:
+        copies = {k.path[0] for k in fock.all_keys() if k.path}
+        copies |= {EdgeCopy(g.name, 0, 0, 0) for g in fock.parent.generators}
+        vecs = fock._generators["vectors"] = tuple(
+            _single_copy(fock, e) for e in sorted(copies))
+    return vecs
 
 
 def verify_isometric_rep(fock: TruncatedFock,
@@ -302,11 +356,12 @@ def verify_isometric_rep(fock: TruncatedFock,
                          t_of: Optional[Callable] = None) -> IsometryReport:
     """Check both defining relations exactly on every generator pair.
 
-    rho_of / t_of default to the honest truncated operators; passing
-    corrupted builders turns this into a negative control.  rho_of and
-    t_of are each called once per distinct argument (memoised by value),
-    so a corrupted operator is what every residual sees.  Residuals
-    compare columns at levels 0..N-1 only.
+    rho_of / t_of default to the honest truncated operators, read through
+    the space's memo; passing corrupted builders turns this into a
+    negative control.  A builder passed in is called once per distinct
+    argument, memoised by value in a cache of this call alone, so a
+    corrupted operator is what every residual sees and never enters the
+    space's memo.  Residuals compare columns at levels 0..N-1 only.
 
     The pairs are covered by a sparse join (_join_residual), not a grid.
     A pair the join does not meet has an lhs that is exactly the empty
@@ -319,16 +374,12 @@ def verify_isometric_rep(fock: TruncatedFock,
     lhs with t(0) or rho(0), one residual for all of them, built by the
     same builder.
     """
-    if rho_of is None:
-        rho_of = lambda f: rho0(fock, f)
-    if t_of is None:
-        t_of = lambda x: t0(fock, x)
+    rho_at = (lambda f: rho0(fock, f)) if rho_of is None else cache(rho_of)
+    t_at = (lambda x: t0(fock, x)) if t_of is None else cache(t_of)
     c = fock.parent
     fns = generator_functions(fock)
     vecs = generator_vectors(fock)
     src = frozenset(k for n in range(fock.n_levels) for k in fock.bases[n])
-    t_at = cache(t_of)
-    rho_at = cache(rho_of)
     ts = [t_at(x) for x in vecs]
 
     nonzero_at: dict = {}  # class or atom -> functions with a part there
@@ -515,7 +566,7 @@ def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace,
     comp_keys = frozenset(k for level in comp for k in level)
     fns = ideal_generator_functions(fock, j)
     resid = 0
-    for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns)):
+    for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, j)):
         resid = max(resid, operator_residual(psi_t(fock, phi), rho0(fock, f), comp_keys))
     return resid
 
@@ -567,7 +618,7 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
     for h in fock.bases[0]:
         for up in successors(c, h):
             e = up.path[0]
-            col = t0(fock, ModuleVector.single(c, e)).col(h)
+            col = t0(fock, _single_copy(fock, e)).col(h)
             norm = sum(z.abs2() for kk, z in col.items() if kk in mset)
             if norm > 0:
                 non_reducing = (h, e, norm)

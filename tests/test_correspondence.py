@@ -327,33 +327,36 @@ def test_tensor_power_reduction_examples():
 
 def test_theta_decomposition_star_plus_arm():
     c = star_plus_arm()
-    assert left_action_as_compacts(c, [CoefFn.delta_class("U")]) \
+    assert left_action_as_compacts(c, [CoefFn.delta_class("U")], compacts_preimage(c)) \
         == [{EdgeCopy("F", 0, 0, 0): QI_ONE}]
 
 
 def test_theta_decomposition_loop_and_zero():
     lo = loop_graph()
-    assert left_action_as_compacts(lo, [CoefFn.delta_class("v"), CoefFn.of()]) \
+    fin = compacts_preimage(lo)
+    assert left_action_as_compacts(lo, [CoefFn.delta_class("v"), CoefFn.of()], fin) \
         == [{EdgeCopy("e", 0, 0, 0): QI_ONE}, {}]
-    assert left_action_as_compacts(lo, []) == []
+    assert left_action_as_compacts(lo, [], fin) == []
 
 
 def test_theta_rejects_outside_compacts():
     om = omega_star()
-    with pytest.raises(DomainError):
-        left_action_as_compacts(om, [CoefFn.delta_class("V")])
+    fin = compacts_preimage(om)
+    with pytest.raises(DomainError, match="outside the compact preimage"):
+        left_action_as_compacts(om, [CoefFn.delta_class("V")], fin)
     # W lies in the compact preimage, but a class-constant value over an
     # infinite class is not an algebra element
     with pytest.raises(DomainError):
-        left_action_as_compacts(om, [CoefFn.delta_class("W")])
+        left_action_as_compacts(om, [CoefFn.delta_class("W")], fin)
     # a point mass on one W copy is fine and decomposes to nothing (no edge
     # ranges at W)
-    assert left_action_as_compacts(om, [CoefFn.delta_atom(Atom("W", 3))]) == [{}]
+    assert left_action_as_compacts(om, [CoefFn.delta_atom(Atom("W", 3))], fin) == [{}]
 
 
 def test_theta_point_mass_on_range():
     c = tower()
-    assert left_action_as_compacts(c, [CoefFn.delta_atom(Atom("U", 0))]) \
+    assert left_action_as_compacts(c, [CoefFn.delta_atom(Atom("U", 0))],
+                                   compacts_preimage(c)) \
         == [{EdgeCopy("F", 0, 0, 0): QI_ONE}]
 
 
@@ -362,15 +365,14 @@ def theta_probe_instance():
     c = Correspondence.of(AtomSet.of([("X", 3), ("U", 2), ("Y", 1)]),
                           [EdgeClass("F", "X", "U", 2), EdgeClass("G", "X", "Y", 1)])
     into = {"U": [c.edge("F")], "Y": [c.edge("G")]}
-    reps = {e: ModuleVector.single(c, e)
-            for e in (EdgeCopy("F", 0, 0, 0), EdgeCopy("G", 0, 0, 0))}
+    reps = (EdgeCopy("F", 0, 0, 0), EdgeCopy("G", 0, 0, 0))
     return c, into, reps
 
 
 def test_theta_sum_check_catches_a_wrong_term():
     c, into, reps = theta_probe_instance()
     f = CoefFn.delta_class("U", QI(3))
-    [phi] = left_action_as_compacts(c, [f])
+    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c))
     assert phi == {EdgeCopy("F", i, j, k): QI(3)
                    for i in range(3) for j in range(2) for k in range(2)}
     _verify_theta_sum(c, f, phi, into, reps)
@@ -394,7 +396,7 @@ def test_theta_sum_check_probes_every_copy_where_f_has_a_part():
     c, into, reps = theta_probe_instance()
     for f, left_out in ((CoefFn.delta_class("U"), EdgeCopy("F", 2, 1, 1)),
                         (CoefFn.delta_atom(Atom("U", 1)), EdgeCopy("F", 1, 1, 1))):
-        [phi] = left_action_as_compacts(c, [f])
+        [phi] = left_action_as_compacts(c, [f], compacts_preimage(c))
         _verify_theta_sum(c, f, phi, into, reps)
         missing = dict(phi)
         del missing[left_out]
@@ -402,6 +404,42 @@ def test_theta_sum_check_probes_every_copy_where_f_has_a_part():
         with pytest.raises(InternalInconsistencyError,
                            match="theta decomposition disagrees .* on " + re.escape(str(left_out))):
             _verify_theta_sum(c, f, missing, into, reps)
+
+
+def test_theta_sum_check_probes_the_representatives_together(monkeypatch):
+    # the representatives outside the copies f reaches take one left_mul on
+    # their sum.  An into that misses the classes ranging where f has a
+    # part leaves their representatives to that probe, and the error names
+    # the first offending one in generator order, not in copy order
+    c, _, reps = theta_probe_instance()
+    flipped = Correspondence.of(c.algebra, c.generators[::-1])
+    f = CoefFn.delta_class("U") + CoefFn.delta_class("Y")
+    for d, first in ((c, reps[0]), (flipped, reps[1])):
+        with pytest.raises(InternalInconsistencyError,
+                           match="disagrees .* on " + re.escape(str(first)) + "$"):
+            _verify_theta_sum(d, f, {}, {}, reps)
+        # only G's representative offends: the sum holds more than its
+        # first term
+        with pytest.raises(InternalInconsistencyError,
+                           match="disagrees .* on " + re.escape(str(reps[1])) + "$"):
+            _verify_theta_sum(d, CoefFn.delta_class("Y"), {}, {}, reps)
+
+    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c))
+    _verify_theta_sum(c, f, phi, {"U": [c.edge("F")], "Y": [c.edge("G")]}, reps)
+    on_f = {e: z for e, z in phi.items() if e.cls == "F"}
+    calls = []
+
+    def counted(g, x):
+        calls.append(x)
+        return left_mul(g, x)
+
+    monkeypatch.setattr(corr_mod, "left_mul", counted)
+    with pytest.raises(InternalInconsistencyError,
+                       match="disagrees .* on " + re.escape(str(reps[1])) + "$"):
+        _verify_theta_sum(c, f, on_f, {"U": [c.edge("F")]}, reps)
+    # one left_mul per copy of F, then one on the sum of the rest: G's copy 0
+    assert len(calls) == len(on_f) + 1 == 13
+    assert calls[-1] == ModuleVector.single(c, reps[1])
 
 
 # -- strategies -------------------------------------------------------------------
@@ -558,7 +596,7 @@ def test_theta_decomposition_matches_left_action(c):
     # each class representative
     fin = compacts_preimage(c)
     fns = [CoefFn.delta_class(nm) for nm in sorted(fin.support)]
-    for f, phi in zip(fns, left_action_as_compacts(c, fns), strict=True):
+    for f, phi in zip(fns, left_action_as_compacts(c, fns, fin), strict=True):
         expected = {}
         for g in c.generators:
             for i in range(c.algebra.count_of(g.src)):

@@ -21,7 +21,8 @@ from hyperrig.errors import (
 )
 from hyperrig.fock import (
     GradedOperator, IsometryReport, WitnessSubspace, build_fock,
-    build_witness_subspace, check_cuntz_pimsner, complement_of_creation,
+    build_witness_subspace, check_cuntz_pimsner, check_reducing,
+    complement_of_creation,
     generator_functions, generator_vectors, ideal_generator_functions,
     operator_residual, psi_t, rho0, t0, verify_eq_use, verify_isometric_rep,
     witness_pipeline,
@@ -469,6 +470,94 @@ def test_shared_zero_residual_keeps_the_degree_check():
         verify_isometric_rep(fock, rho_of=rho_of)
 
 
+# -- one operator per argument ------------------------------------------------------
+
+def full_loop_residual(a, b):
+    """operator_residual without the equal-column skip: every entry of
+    every column either operand has."""
+    worst = 0
+    for k in a.cols.keys() | b.cols.keys():
+        ca, cb = a.col(k), b.col(k)
+        for kk in set(ca) | set(cb):
+            worst = max(worst, (ca.get(kk, QI()) - cb.get(kk, QI())).abs2())
+    return worst
+
+
+def test_equal_column_skip_is_exact():
+    # a column pair equal in value but built separately, one that differs
+    # only by an explicit zero entry, and one with the same keys and
+    # different values: the residual is the full loop's on each
+    lo = loop_graph()
+    fock = build_fock(lo, sigma_at(lo, "v"), 2)
+    k0, k1, k2 = (level[0] for level in fock.bases)
+    a = GradedOperator(fock, 0, {k0: {k0: QI(Fraction(1, 2)), k1: QI(2, 1)},
+                                 k1: {k1: QI(1), k2: QI()},
+                                 k2: {k2: QI(3)}})
+    b = GradedOperator(fock, 0, {k0: {k1: QI(2, 1), k0: QI(Fraction(2, 4))},
+                                 k1: {k1: QI(1)},
+                                 k2: {k2: QI(1, 1)}})
+    assert a.col(k0) == b.col(k0) and a.col(k0) is not b.col(k0)
+    assert a.col(k1) != b.col(k1)
+    for keys in ([k0], [k1], [k0, k1]):
+        assert operator_residual(a, b, keys) == full_loop_residual(
+            GradedOperator(fock, 0, {k: a.col(k) for k in keys}),
+            GradedOperator(fock, 0, {k: b.col(k) for k in keys})) == 0
+    assert operator_residual(a, b) == full_loop_residual(a, b) == 5
+    assert operator_residual(a, b, [k2]) == 5
+
+
+def test_witness_pipeline_builds_each_operator_once(monkeypatch):
+    # every t(x) and rho(f) the pipeline asks for is built once per space,
+    # and every later request for an equal argument gets that same operator
+    for c in (wvx(2, 3),
+              build_correspondence(load_instance(INPUTS / "discrete_300_omega.json"))):
+        built, served = [], {}  # served: argument -> the operators handed out
+
+        def wrap(public, builder, key):
+            def build(fock, arg):
+                built.append(key(arg))
+                return builder(fock, arg)
+
+            def serve(fock, arg):
+                op = public(fock, arg)
+                served.setdefault(key(arg), []).append(op)
+                return op
+            monkeypatch.setattr(fock_mod, builder.__name__, build)
+            monkeypatch.setattr(fock_mod, public.__name__, serve)
+
+        wrap(fock_mod.t0, fock_mod._build_t, lambda x: ("t", x.coeffs))
+        wrap(fock_mod.rho0, fock_mod._build_rho, lambda f: ("rho", f))
+        cert = witness_pipeline(sigma_degeneracy_witness(c))[2]
+        monkeypatch.undo()
+        assert sorted(built, key=repr) == sorted(served, key=repr)
+        assert all(op is ops[0] for ops in served.values() for op in ops)
+        # the checks ask for many operators more than once
+        assert sum(map(len, served.values())) > 1.5 * len(served)
+        assert cert.residual_covariance == 0
+
+
+def test_corrupted_builders_do_not_reach_the_shared_operators():
+    # a builder passed to verify_isometric_rep keeps its own cache: after
+    # every mutant has run on a space, the honest checks on that same space
+    # still report 0 and certify what a fresh space certifies
+    caught = set()
+    for c in degenerate_corpus() + [wvx(2, 3)]:
+        w = sigma_degeneracy_witness(c)
+        fock = build_fock(c, w.rep, 3)
+        assert verify_isometric_rep(fock).max_residual == 0
+        for name, (rho_of, t_of) in relation_mutants(fock).items():
+            if verify_isometric_rep(fock, rho_of=rho_of, t_of=t_of).max_residual > 0:
+                caught.add(name)
+        assert verify_isometric_rep(fock).max_residual == 0
+        cert = check_reducing(fock, build_witness_subspace(fock, w.ideal))
+        fresh = build_fock(c, w.rep, 3)
+        assert cert == check_reducing(fresh, build_witness_subspace(fresh, w.ideal))
+        assert (cert.residual_invariance, cert.residual_eq_use1,
+                cert.residual_eq_use2, cert.residual_covariance) == (0, 0, 0, 0)
+    assert caught == {"doubled_t", "sign_flip", "doubled_rho_at_one_atom",
+                      "rho_plus_class_indicator", "rho_of_zero", "t_of_zero", "leak"}
+
+
 # -- psi_t -----------------------------------------------------------------------
 
 def test_psi_t_examples():
@@ -511,7 +600,7 @@ def test_psi_t_decomposition_independence():
     fock = build_fock(tl, sigma_at(tl, "v"), 2, basis_budget=100)
     e = ModuleVector.single(tl, EdgeCopy("e", 0, 0, 0))
     f = ModuleVector.single(tl, EdgeCopy("f", 0, 0, 0))
-    [plain] = left_action_as_compacts(tl, [CoefFn.delta_class("v")])
+    [plain] = left_action_as_compacts(tl, [CoefFn.delta_class("v")], katsura_ideal(tl))
     half = QI(Fraction(1, 2))
     u, w = e + f, e - f
     rotated = op_sum(t0(fock, u.scale(half)).compose(t0(fock, u).adjoint()),
@@ -581,10 +670,11 @@ def test_cuntz_pimsner_on_witness_and_control():
 def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
     # 287 ideal generators over 900 edge classes.  Every f probes, with one
     # left_mul each, every copy ranging where f has a part (on an honest
-    # map, exactly the copies the map names) and one copy of every edge
-    # class; each copy of a map is checked once as a probe and once as a
-    # creation operator, each class representative once for the whole
-    # check, and psi_t builds one t(e) per copy of a map
+    # map, exactly the copies the map names), and the class representatives
+    # outside those with one left_mul on their sum; each copy of a map is
+    # checked once as a probe and once as a creation operator, each class
+    # representative once for the whole check, and psi_t builds one t(e)
+    # per copy of a map
     c = build_correspondence(load_instance(INPUTS / "discrete_300_omega.json"))
     j = katsura_ideal(c)
     fock = build_fock(c, sigma_degeneracy_witness(c).rep)
@@ -611,7 +701,8 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
                         counted("check_copy", Correspondence.check_copy))
     monkeypatch.setattr(fock_mod, "t0", counted("t0", fock_mod.t0))
     assert check_cuntz_pimsner(fock, m, j) == 0
-    assert calls["left_mul"] == 264_387
+    fns = ideal_generator_functions(fock, j)
+    assert calls["left_mul"] == named + len(fns) == 7_271
     assert calls["check_copy"] <= len(c.generators) + 2 * named
     assert calls["t0"] == named
 
@@ -664,7 +755,7 @@ def test_witness_path_stays_on_int_arithmetic():
         assert all(op_ints(rho0(fock, f)) for f in generator_functions(fock))
         assert all(op_ints(t0(fock, x)) for x in generator_vectors(fock))
         fns = ideal_generator_functions(fock, m.ideal)
-        assert all(op_ints(psi_t(fock, phi)) for phi in left_action_as_compacts(c, fns))
+        assert all(op_ints(psi_t(fock, phi)) for phi in left_action_as_compacts(c, fns, m.ideal))
         report = verify_isometric_rep(fock)
         residuals = (report.multiplication, report.toeplitz, cert.residual_invariance,
                      cert.residual_eq_use1, cert.residual_eq_use2,
