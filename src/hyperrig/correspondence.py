@@ -516,6 +516,12 @@ def _verify_theta_sum(c: Correspondence, f: CoefFn, phi: Mapping[EdgeCopy, QI],
     only, so on the probe e the sum is phi[e] e, or zero when phi does
     not name e.
 
+    A copy enumerated from f and into is a copy of an edge class of c,
+    with source index below its source count, multiplicity index below
+    its multiplicity and a range atom of c (a point mass's atom is checked
+    once), so its probe is built without a check; a copy only phi names
+    goes through ModuleVector.single, which checks it against c.
+
     Each copy in the first two sets takes its own left_mul.  The
     representatives outside them, where the sum is zero, take one
     left_mul on their sum, the vector with coefficient 1 on each: left_mul
@@ -525,13 +531,20 @@ def _verify_theta_sum(c: Correspondence, f: CoefFn, phi: Mapping[EdgeCopy, QI],
     """
     atoms = [Atom(cls, j) for cls, _ in f.class_part
              for j in range(c.algebra.count_of(cls))]
-    atoms += [Atom(*a) for a, _ in f.point_part]
+    for a, _ in f.point_part:
+        a = Atom(*a)
+        if a.cls in into:
+            # a is the range atom of every copy probed at it
+            c.algebra.check_atom(a)
+        atoms.append(a)
+    # copy -> whether it is a valid copy of c by construction
     named = dict.fromkeys(
-        EdgeCopy(g.name, i, a.index, k) for a in atoms for g in into.get(a.cls, ())
-        for i in range(c.algebra.count_of(g.src)) for k in range(g.mult))
-    named.update(dict.fromkeys(phi))
-    for e in named:
-        z = ModuleVector.single(c, e)
+        (EdgeCopy(g.name, i, a.index, k) for a in atoms for g in into.get(a.cls, ())
+         for i in range(c.algebra.count_of(g.src)) for k in range(g.mult)), True)
+    for e in phi:
+        named.setdefault(e, False)
+    for e, valid in named.items():
+        z = ModuleVector(c, ((e, QI_ONE),)) if valid else ModuleVector.single(c, e)
         w = phi.get(e)
         got = left_mul(f, z)
         if not (got.is_zero() if w is None else got == z.scale(w)):

@@ -17,7 +17,10 @@ through a memo on the TruncatedFock keyed by their argument's value, and
 the generator lists and single-copy vectors are kept there too, so the
 relation checks, the invariance and covariance checks and the
 non-reducing search share one operator per argument.  Every residual is
-still computed in full from those operators.
+still computed in full from those operators.  The relation checks compare
+each joined pair in place, its accumulated columns against the rhs
+operator's, on the same columns and after the same degree check as
+operator_residual, without building an operator per pair.
 """
 
 from __future__ import annotations
@@ -175,35 +178,43 @@ def _drop_zeros(cols: dict) -> dict:
     return out
 
 
-def zero_operator(fock: TruncatedFock, degree: int) -> GradedOperator:
-    return GradedOperator(fock, degree, {})
-
-
 def operator_residual(a: GradedOperator, b: GradedOperator,
                       source_keys: Optional[Iterable] = None) -> Rational:
     """Max squared modulus of any matrix entry of a - b, over the given
-    source columns (default: everywhere).
-
-    A column equal in a and in b, as dicts of exact scalars, has every
-    entry of a - b exactly 0 there and is skipped.  A column that holds an
-    explicit zero entry is not equal to one that lacks the key, so it
-    takes the entrywise loop."""
+    source columns (default: everywhere)."""
     if a.degree != b.degree:
         raise DomainError("comparing operators of different degrees")
-    # a column absent from both operands is zero in a - b
-    if source_keys is None:
-        keys = a.cols.keys() | b.cols.keys()
-    else:
-        src = frozenset(source_keys)
-        keys = src.intersection(a.cols).union(src.intersection(b.cols))
+    src = None if source_keys is None else frozenset(source_keys)
+    return _cols_residual(a.cols, b.cols, src)
+
+
+def _cols_residual(a: dict, b: dict, src: Optional[frozenset]) -> Rational:
+    """Max squared modulus of any entry of a - b, for two column maps
+    {column: {row: value}}, over the columns in src (None: every column).
+
+    A column absent from both is zero in a - b.  A column equal in a and
+    in b, as dicts of exact scalars, has every entry of a - b exactly 0
+    there and is skipped.  A column that holds an explicit zero entry is
+    not equal to one that lacks the key, so it takes the entrywise loop."""
     worst = 0
-    for k in keys:
-        ca, cb = a.col(k), b.col(k)
-        if ca == cb:
+    for k, ca in a.items():
+        if src is not None and k not in src:
             continue
-        for kk in set(ca) | set(cb):
-            worst = max(worst, (ca.get(kk, QI()) - cb.get(kk, QI())).abs2())
+        cb = b.get(k, _EMPTY)
+        if ca != cb:
+            worst = max(worst, _column_residual(ca, cb))
+    for k, cb in b.items():
+        if k in a or (src is not None and k not in src) or not cb:
+            continue
+        worst = max(worst, _column_residual(_EMPTY, cb))
     return worst
+
+
+def _column_residual(ca: dict, cb: dict) -> Rational:
+    return max((ca.get(kk, QI()) - cb.get(kk, QI())).abs2() for kk in ca.keys() | cb.keys())
+
+
+_EMPTY: dict = {}  # read-only: the column of a key an operator lacks, an empty lhs
 
 
 # -- the representation --------------------------------------------------------
@@ -242,7 +253,7 @@ def t0(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
     the top level: by_lead lists them in basis order, so the top-level
     keys are a suffix.  Built once per space and x (see TruncatedFock).
     """
-    if x.parent != fock.parent:
+    if x.parent is not fock.parent and x.parent != fock.parent:
         raise DomainError("vector over a different correspondence")
     op = fock._t.get(x.coeffs)
     if op is None:
@@ -262,7 +273,8 @@ def _build_t(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
                 raise InternalInconsistencyError(
                     f"creation left the enumerated basis at {nk}")
             col = cols.setdefault(key, {})
-            col[nk] = col.get(nk, QI()) + z
+            v = col.get(nk)
+            col[nk] = z if v is None else v + z
     return GradedOperator(fock, 1, _drop_zeros(cols))
 
 
@@ -283,16 +295,23 @@ def psi_t(fock: TruncatedFock, phi: Mapping[EdgeCopy, QI]) -> GradedOperator:
     column k, row i is the sum over basis keys j of t(e)[j][i] times
     conj(t(e)[j][k]), so each column j of t(e) pairs its own entries.
     Every copy accumulates into one column map, and zero entries are
-    dropped once at the end.
+    dropped once at the end.  A copy whose source atom leads no basis key
+    is skipped: its t(e) is exactly the empty operator, since creation by
+    e only visits the keys its source atom leads, so it adds nothing and
+    is neither built nor kept in the space's memo.
     """
+    by_lead, source_atom = fock.by_lead, fock.parent.source_atom
     cols: dict = {}
     for e, z in phi.items():
+        if source_atom(e) not in by_lead:
+            continue
         for col in t0(fock, _single_copy(fock, e)).cols.values():
             for k, y in col.items():
                 zy = z * y.conj()
                 tgt = cols.setdefault(k, {})
                 for i, x in col.items():
-                    tgt[i] = tgt.get(i, QI()) + x * zy
+                    v = tgt.get(i)
+                    tgt[i] = x * zy if v is None else v + x * zy
     return GradedOperator(fock, 0, _drop_zeros(cols))
 
 
@@ -399,18 +418,18 @@ def verify_isometric_rep(fock: TruncatedFock,
         return out
 
     mult, mult_joined = _join_residual(
-        fock, [rho_at(f) for f in fns], ts, src, ranged_by,
+        [rho_at(f) for f in fns], ts, src, ranged_by,
         lambda i, r: t_at(left_mul(fns[i], vecs[r])),
         lambda: t_at(ModuleVector.of(c, {})))
     toep, toeplitz_joined = _join_residual(
-        fock, [tx.adjoint() for tx in ts], ts, src,
+        [tx.adjoint() for tx in ts], ts, src,
         lambda r: set().union(*(by_copy[e] for e, _ in vecs[r].coeffs)),
         lambda i, r: rho_at(inner(vecs[i], vecs[r])),
         lambda: rho_at(CoefFn.zero()))
     return IsometryReport(mult, toep, mult_joined, toeplitz_joined)
 
 
-def _join_residual(fock: TruncatedFock, lefts: list, rights: list, src: frozenset,
+def _join_residual(lefts: list, rights: list, src: frozenset,
                    nonzero_rhs: Callable, rhs_at: Callable,
                    zero_rhs: Callable) -> tuple:
     """Max residual of lefts[i] after rights[r] against rhs_at(i, r) over
@@ -424,9 +443,12 @@ def _join_residual(fock: TruncatedFock, lefts: list, rights: list, src: frozense
     column key, and each right operand in turn streams its outputs
     through the index: the pairs it meets get every nonzero term, and no
     map over all pairs is held.  The pairs met, and those nonzero_rhs(r)
-    lists, are compared with their own rhs.  Every other pair has the
-    empty sum as lhs, of the degree every pair has, and zero_rhs() is its
-    rhs; that one residual covers them all.
+    lists, are compared with their own rhs in place: the accumulated
+    {column: {row: value}} against the rhs's cols, on the columns of src
+    that either has, as operator_residual compares two operators, after
+    the same degree check.  Every other pair has the empty sum as lhs, of
+    the degree every pair has, and zero_rhs() is its rhs; that one
+    residual covers them all.
     """
     index: dict = {}  # key k -> [(left operand, row, entry at column k)]
     for i, op in enumerate(lefts):
@@ -440,17 +462,31 @@ def _join_residual(fock: TruncatedFock, lefts: list, rights: list, src: frozense
                 continue
             for k, z in col.items():
                 for i, row, w in index.get(k, ()):
-                    out = lhs.setdefault(i, {}).setdefault(j, {})
-                    out[row] = out.get(row, QI()) + w * z
+                    cols = lhs.get(i)
+                    if cols is None:
+                        cols = lhs[i] = {}
+                    out = cols.get(j)
+                    if out is None:
+                        out = cols[j] = {}
+                    v = out.get(row)
+                    out[row] = w * z if v is None else v + w * z
         meets = nonzero_rhs(r).union(lhs)
         for i in meets:
-            got = GradedOperator(fock, lefts[i].degree + right.degree, lhs.get(i, {}))
-            worst = max(worst, operator_residual(got, rhs_at(i, r), src))
+            worst = max(worst, _pair_residual(
+                lhs.get(i, _EMPTY), lefts[i].degree + right.degree, rhs_at(i, r), src))
         joined += len(meets)
     if joined < len(lefts) * len(rights):
-        empty = zero_operator(fock, lefts[0].degree + rights[0].degree)
-        worst = max(worst, operator_residual(empty, zero_rhs(), src))
+        worst = max(worst, _pair_residual(
+            _EMPTY, lefts[0].degree + rights[0].degree, zero_rhs(), src))
     return worst, joined
+
+
+def _pair_residual(got: dict, degree: int, rhs: GradedOperator, src: frozenset) -> Rational:
+    """operator_residual of an lhs of this degree with these columns, all
+    in src, against rhs on src, without building the lhs operator."""
+    if rhs.degree != degree:
+        raise DomainError("comparing operators of different degrees")
+    return _cols_residual(got, rhs.cols, src)
 
 
 # -- the witness subspace -------------------------------------------------------

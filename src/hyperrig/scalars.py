@@ -2,19 +2,20 @@
 
 Two kinds of numbers appear in the core:
 
-* ``QI`` -- Gaussian rationals a + b*i.  Each part is a Python ``int`` when
-  it is integral and a ``Fraction`` otherwise; never a ``float`` and never a
-  ``bool``.  Python's numeric tower keeps the mix exact (int with int stays
-  int, int with Fraction gives Fraction), and only division has to build a
-  Fraction itself.  On the witness path every entry is a Gaussian integer:
-  discrete instances carry no scalars, and every generator function and
-  vector the pipeline builds, the (1 + i) probe included, has Gaussian
-  integer coefficients, so every operator entry, inner product and
-  residual the pipeline computes, in `witness` and in the replay of
-  `verify`, runs on int arithmetic.  Fractions arise only from inputs that
-  carry them, such as interval endpoints or scalars a caller passes in.
-  No floating point is ever introduced, so "residual is zero" is a
-  decidable statement.
+* ``QI`` -- Gaussian rationals a + b*i, an immutable pair (re, im): a
+  NamedTuple, so each arithmetic result is one tuple allocation.  Each
+  part is a Python ``int`` when it is integral and a ``Fraction``
+  otherwise; never a ``float`` and never a ``bool``.  Python's numeric
+  tower keeps the mix exact (int with int stays int, int with Fraction
+  gives Fraction), and only division has to build a Fraction itself.  On
+  the witness path every entry is a Gaussian integer: discrete instances
+  carry no scalars, and every generator function and vector the pipeline
+  builds, the (1 + i) probe included, has Gaussian integer coefficients,
+  so every operator entry, inner product and residual the pipeline
+  computes, in `witness` and in the replay of `verify`, runs on int
+  arithmetic.  Fractions arise only from inputs that carry them, such as
+  interval endpoints or scalars a caller passes in.  No floating point is
+  ever introduced, so "residual is zero" is a decidable statement.
 * ``Count`` -- cardinalities of vertex/edge classes: a non-negative integer
   or the single infinite value ``OMEGA``.  Addition and multiplication
   follow the usual absorption rules (n + omega = omega, 0 * omega = 0).
@@ -22,10 +23,11 @@ Two kinds of numbers appear in the core:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Union
+from typing import NamedTuple, Union
+
+_new = tuple.__new__
 
 
 def exact_part(value: Union[int, Fraction]) -> Rational:
@@ -38,9 +40,15 @@ def exact_part(value: Union[int, Fraction]) -> Rational:
     return value
 
 
-@dataclass(frozen=True)
-class QI:
-    """Gaussian rational a + b*i, each part an int or a Fraction."""
+class QI(NamedTuple):
+    """Gaussian rational a + b*i, each part an int or a Fraction.
+
+    An immutable pair: a QI equals, and hashes as, the plain tuple
+    (re, im), so a QI compared with a tuple could be equal to it.  Nothing
+    in the package compares a QI with anything but a QI; arithmetic takes
+    QI, int and Fraction operands only (see QI.of).  Each operation unpacks
+    the two parts and builds its result with tuple.__new__, coercing an
+    operand through QI.of only when it is not a QI."""
 
     re: Rational = 0
     im: Rational = 0
@@ -49,48 +57,58 @@ class QI:
     def of(value: "QILike") -> "QI":
         if isinstance(value, QI):
             return value
-        return QI(exact_part(value))
+        return _new(QI, (exact_part(value), 0))
 
     def __add__(self, other: "QILike") -> "QI":
-        o = QI.of(other)
-        return QI(self.re + o.re, self.im + o.im)
+        a, b = self
+        c, d = other if type(other) is QI else QI.of(other)
+        return _new(QI, (a + c, b + d))
 
     __radd__ = __add__
 
     def __sub__(self, other: "QILike") -> "QI":
-        o = QI.of(other)
-        return QI(self.re - o.re, self.im - o.im)
+        a, b = self
+        c, d = other if type(other) is QI else QI.of(other)
+        return _new(QI, (a - c, b - d))
 
     def __rsub__(self, other: "QILike") -> "QI":
-        return QI.of(other) - self
+        a, b = self
+        c, d = QI.of(other)
+        return _new(QI, (c - a, d - b))
 
     def __mul__(self, other: "QILike") -> "QI":
-        o = QI.of(other)
-        return QI(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        a, b = self
+        c, d = other if type(other) is QI else QI.of(other)
+        return _new(QI, (a * c - b * d, a * d + b * c))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "QILike") -> "QI":
-        o = QI.of(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        a, b = self
+        c, d = QI.of(other)
+        n = c * c + d * d
+        if n == 0:
             raise ZeroDivisionError("division by zero in QI")
         # int / int would be a float: build the quotient as a Fraction
-        return QI(exact_part(Fraction(self.re * o.re + self.im * o.im, d)),
-                  exact_part(Fraction(self.im * o.re - self.re * o.im, d)))
+        return _new(QI, (exact_part(Fraction(a * c + b * d, n)),
+                         exact_part(Fraction(b * c - a * d, n))))
 
     def __neg__(self) -> "QI":
-        return QI(-self.re, -self.im)
+        a, b = self
+        return _new(QI, (-a, -b))
 
     def conj(self) -> "QI":
-        return QI(self.re, -self.im)
+        a, b = self
+        return _new(QI, (a, -b))
 
     def abs2(self) -> Rational:
         """Squared modulus, an exact non-negative rational."""
-        return self.re * self.re + self.im * self.im
+        a, b = self
+        return a * a + b * b
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        a, b = self
+        return a == 0 and b == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()

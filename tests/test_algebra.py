@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -234,3 +235,65 @@ def test_prop_qi_matches_fraction_reference(x, y):
     else:
         with pytest.raises(ZeroDivisionError):
             x / y
+
+
+def _seeded_part(rng):
+    """An int, a Fraction, or a Fraction that normalises to an int."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-9, 9)
+    d = rng.randint(1, 6)
+    n = rng.randint(-9, 9) * (d if kind == 2 else 1)
+    return Fraction(n, d)
+
+
+def test_qi_matches_pair_of_fractions_on_seeded_values():
+    # no hypothesis draws: 400 seeded operand pairs, each QI part built as
+    # it comes (int, Fraction, or an integral Fraction), the other operand
+    # a QI or a plain part
+    rng = random.Random(19)
+    for _ in range(400):
+        x = QI(_seeded_part(rng), _seeded_part(rng))
+        y = QI(_seeded_part(rng), _seeded_part(rng)) if rng.randrange(4) else _seeded_part(rng)
+        (a, b), (c, d) = _pair(x), _pair(y)
+        _assert_exact(x + y, (a + c, b + d))
+        _assert_exact(y + x, (a + c, b + d))
+        _assert_exact(x - y, (a - c, b - d))
+        _assert_exact(y - x, (c - a, d - b))
+        _assert_exact(x * y, (a * c - b * d, a * d + b * c))
+        _assert_exact(y * x, (a * c - b * d, a * d + b * c))
+        _assert_exact(x.conj(), (a, -b))
+        _assert_exact(-x, (-a, -b))
+        _assert_exact(x.abs2(), a * a + b * b)
+        assert x.is_zero() == (a == b == 0) == (not x)
+        n = c * c + d * d
+        if n:
+            q = x / y
+            _assert_exact(q, ((a * c + b * d) / n, (b * c - a * d) / n))
+            # a quotient part is an int exactly when it is integral
+            assert all(type(p) is int or p.denominator != 1 for p in (q.re, q.im))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        # equal values hash equal, whatever their parts' types
+        same = QI(Fraction(x.re), Fraction(x.im))
+        assert same == x and hash(same) == hash(x)
+
+
+def test_qi_is_an_immutable_pair_with_its_old_faces():
+    # a QI is a pair: it unpacks to (re, im) and equals that plain tuple
+    # (nothing in the package compares the two); its str, repr, truth and
+    # coercion refusals are the ones the dataclass had
+    z = QI(Fraction(1, 2), -3)
+    assert tuple(z) == (Fraction(1, 2), -3) and z == (Fraction(1, 2), -3)
+    with pytest.raises(AttributeError):
+        z.re = 1
+    assert repr(z) == "QI(re=Fraction(1, 2), im=-3)"
+    assert repr(QI()) == "QI(re=0, im=0)" and repr(QI_ONE) == "QI(re=1, im=0)"
+    assert [str(w) for w in (z, QI(), QI(0, 1), QI(2, -1), QI(Fraction(-1, 3)))] == [
+        "1/2-3i", "0", "1i", "2-1i", "-1/3"]
+    assert bool(QI()) is False and bool(QI(0, 1)) is True
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            QI.of(bad)
+    assert QI.of(Fraction(4, 2)) == QI(2) and type(QI.of(Fraction(4, 2)).re) is int

@@ -406,6 +406,23 @@ def test_theta_sum_check_probes_every_copy_where_f_has_a_part():
             _verify_theta_sum(c, f, missing, into, reps)
 
 
+def test_theta_sum_check_refuses_a_copy_outside_the_correspondence():
+    # the probes enumerated from f and into are valid copies by
+    # construction and are built unchecked; a copy that only the map names
+    # is still checked against c, and so is the atom of a point mass
+    c, into, reps = theta_probe_instance()
+    f = CoefFn.delta_class("U")
+    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c))
+    for bad, msg in ((EdgeCopy("F", 0, 0, 2), "outside multiplicity 2"),
+                     (EdgeCopy("F", 3, 0, 0), "outside class of count 3"),
+                     (EdgeCopy("F", 0, 2, 0), "outside class of count 2"),
+                     (EdgeCopy("H", 0, 0, 0), "unknown edge class")):
+        with pytest.raises(DomainError, match=msg):
+            _verify_theta_sum(c, f, {**phi, bad: QI_ONE}, into, reps)
+    with pytest.raises(DomainError, match="outside class of count 2"):
+        _verify_theta_sum(c, CoefFn.delta_atom(Atom("U", 2)), {}, into, reps)
+
+
 def test_theta_sum_check_probes_the_representatives_together(monkeypatch):
     # the representatives outside the copies f reaches take one left_mul on
     # their sum.  An into that misses the classes ranging where f has a

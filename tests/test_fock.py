@@ -470,6 +470,71 @@ def test_shared_zero_residual_keeps_the_degree_check():
         verify_isometric_rep(fock, rho_of=rho_of)
 
 
+def test_in_place_join_keeps_the_degree_check_on_met_pairs():
+    # t(phi(f) x) of the wrong degree for the met pairs of the probe
+    # functions (the only rhs vectors whose coefficients are not all 1, so
+    # no right operand is touched): the in-place comparison refuses it as
+    # operator_residual refuses it in the pair grid
+    c = wvx(2, 3)
+    fock = build_fock(c, sigma_degeneracy_witness(c).rep, 3)
+
+    def t_of(x):
+        op = t0(fock, x)
+        if any(z != QI_ONE for _, z in x.coeffs):
+            return GradedOperator(fock, 2, op.cols)
+        return op
+
+    assert t_of(left_mul(generator_functions(fock)[-1], generator_vectors(fock)[0])).degree == 2
+    with pytest.raises(DomainError, match="different degrees"):
+        dense_isometry_report(fock, t_of=t_of)
+    with pytest.raises(DomainError, match="different degrees"):
+        verify_isometric_rep(fock, t_of=t_of)
+
+
+def test_in_place_join_reads_explicit_zeros_as_zero():
+    # builders that add explicit zero entries, on new rows of every column
+    # and in a new column, to every operator (each rhs included) read
+    # residual 0, as the honest operators do and as the pair grid does
+    for c in (wvx(2, 3), star_plus_arm()):
+        fock = build_fock(c, sigma_degeneracy_witness(c).rep, 3)
+        keys = fock.all_keys()
+
+        def padded(op):
+            cols = {k: {**col, **{kk: QI() for kk in (keys[0], keys[-1]) if kk not in col}}
+                    for k, col in op.cols.items()}
+            cols.setdefault(keys[0], {}).setdefault(keys[-1], QI())
+            return GradedOperator(fock, op.degree, cols)
+
+        rho_of = lambda f: padded(rho0(fock, f))  # noqa: E731
+        t_of = lambda x: padded(t0(fock, x))      # noqa: E731
+        honest = verify_isometric_rep(fock)
+        got = verify_isometric_rep(fock, rho_of=rho_of, t_of=t_of)
+        assert got == honest == dense_isometry_report(fock, rho_of=rho_of, t_of=t_of)
+        assert got.max_residual == 0
+
+
+def test_join_builds_no_operator_per_pair(monkeypatch):
+    # on a warm space every rho(f) and t(x) comes from the memo, so the
+    # only operators verify_isometric_rep constructs are the adjoints of
+    # the Toeplitz join's left side, and at most the two shared zero
+    # operators: each met pair is compared in place
+    c = wvx(2, 3)
+    fock = build_fock(c, sigma_degeneracy_witness(c).rep, 3)
+    report = verify_isometric_rep(fock)
+    built = []
+    real = fock_mod.GradedOperator
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fock_mod, "GradedOperator", counted)
+    assert verify_isometric_rep(fock) == report
+    n = len(generator_vectors(fock))
+    assert n <= len(built) <= n + 2
+    assert report.mult_joined + report.toeplitz_joined > len(built)
+
+
 # -- one operator per argument ------------------------------------------------------
 
 def full_loop_residual(a, b):
@@ -671,22 +736,28 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
     # 287 ideal generators over 900 edge classes.  Every f probes, with one
     # left_mul each, every copy ranging where f has a part (on an honest
     # map, exactly the copies the map names), and the class representatives
-    # outside those with one left_mul on their sum; each copy of a map is
-    # checked once as a probe and once as a creation operator, each class
-    # representative once for the whole check, and psi_t builds one t(e)
-    # per copy of a map
+    # outside those with one left_mul on their sum.  A probe enumerated
+    # from f is a valid copy by construction and is not checked again; each
+    # class representative is checked once for the whole check.  psi_t
+    # builds t(e) only for a copy whose source atom leads a basis key (any
+    # other t(e) is empty), and each such copy is checked once as a
+    # creation operator
     c = build_correspondence(load_instance(INPUTS / "discrete_300_omega.json"))
     j = katsura_ideal(c)
     fock = build_fock(c, sigma_degeneracy_witness(c).rep)
     m = build_witness_subspace(fock, j)
     named = 0  # sum over f of the copies whose range atom f does not vanish at
+    led = 0    # those of them whose source atom leads a basis key
     for f in ideal_generator_functions(fock, j):
         for g in c.generators:
             hits = sum(c.algebra.count_of(cls) for cls, _ in f.class_part if cls == g.dst)
             hits += sum(1 for a, _ in f.point_part if a.cls == g.dst)
             if hits:
                 named += hits * c.algebra.count_of(g.src) * g.mult
-    assert (len(c.generators), named) == (900, 6984)
+                sources = sum(1 for i in range(c.algebra.count_of(g.src))
+                              if Atom(g.src, i) in fock.by_lead)
+                led += hits * sources * g.mult
+    assert (len(c.generators), named, led) == (900, 6984, 639)
 
     calls = {"left_mul": 0, "check_copy": 0, "t0": 0}
 
@@ -703,8 +774,8 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
     assert check_cuntz_pimsner(fock, m, j) == 0
     fns = ideal_generator_functions(fock, j)
     assert calls["left_mul"] == named + len(fns) == 7_271
-    assert calls["check_copy"] <= len(c.generators) + 2 * named
-    assert calls["t0"] == named
+    assert calls["check_copy"] <= len(c.generators) + led
+    assert calls["t0"] == led
 
 
 def test_complement_of_creation_full_space():
