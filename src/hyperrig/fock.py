@@ -179,18 +179,17 @@ def _drop_zeros(cols: dict) -> dict:
 
 
 def operator_residual(a: GradedOperator, b: GradedOperator,
-                      source_keys: Optional[Iterable] = None) -> Rational:
+                      source_keys: Iterable) -> Rational:
     """Max squared modulus of any matrix entry of a - b, over the given
-    source columns (default: everywhere)."""
+    source columns."""
     if a.degree != b.degree:
         raise DomainError("comparing operators of different degrees")
-    src = None if source_keys is None else frozenset(source_keys)
-    return _cols_residual(a.cols, b.cols, src)
+    return _cols_residual(a.cols, b.cols, frozenset(source_keys))
 
 
-def _cols_residual(a: dict, b: dict, src: Optional[frozenset]) -> Rational:
+def _cols_residual(a: dict, b: dict, src: frozenset) -> Rational:
     """Max squared modulus of any entry of a - b, for two column maps
-    {column: {row: value}}, over the columns in src (None: every column).
+    {column: {row: value}}, over the columns in src.
 
     A column absent from both is zero in a - b.  A column equal in a and
     in b, as dicts of exact scalars, has every entry of a - b exactly 0
@@ -198,13 +197,13 @@ def _cols_residual(a: dict, b: dict, src: Optional[frozenset]) -> Rational:
     not equal to one that lacks the key, so it takes the entrywise loop."""
     worst = 0
     for k, ca in a.items():
-        if src is not None and k not in src:
+        if k not in src:
             continue
         cb = b.get(k, _EMPTY)
         if ca != cb:
             worst = max(worst, _column_residual(ca, cb))
     for k, cb in b.items():
-        if k in a or (src is not None and k not in src) or not cb:
+        if k in a or k not in src or not cb:
             continue
         worst = max(worst, _column_residual(_EMPTY, cb))
     return worst
@@ -493,13 +492,13 @@ def _pair_residual(got: dict, degree: int, rhs: GradedOperator, src: frozenset) 
 
 @dataclass(frozen=True, eq=False)
 class WitnessSubspace:
-    """Basis-key span per level.  m0 is the level-1 seed for subspaces built
-    by build_witness_subspace; the full space (used as a negative control
-    for covariance) carries m0 = ideal = None."""
+    """Basis-key span per level, as build_witness_subspace builds it from
+    the ideal J: m0 is its level-1 seed M0, the level-1 keys outside
+    phi(J)X, and ideal is J."""
 
     levels: tuple  # tuple[tuple[TensorKey, ...]] per level 0..N
-    m0: Optional[tuple]
-    ideal: Optional[IdealSpec]
+    m0: tuple      # tuple[TensorKey, ...]
+    ideal: IdealSpec
 
     def key_set(self) -> set:
         return {k for level in self.levels for k in level}
@@ -553,58 +552,56 @@ def ideal_generator_functions(fock: TruncatedFock, j: IdealSpec) -> list:
     return fns
 
 
-def verify_eq_use(fock: TruncatedFock, m0: tuple, j: IdealSpec) -> tuple:
-    """Two exact facts the construction rests on: the ideal annihilates M0,
-    and the coefficient algebra acts on M0 with full range (each basis key
-    is recovered by the point mass at its own leading atom)."""
+def verify_eq_use(fock: TruncatedFock, m: WitnessSubspace) -> tuple:
+    """Two exact facts the construction rests on: the ideal m.ideal
+    annihilates m.m0, and the coefficient algebra acts on m.m0 with full
+    range (each basis key is recovered by the point mass at its own
+    leading atom)."""
     c = fock.parent
     eq1 = 0
-    for f in ideal_generator_functions(fock, j):
+    for f in ideal_generator_functions(fock, m.ideal):
         op = rho0(fock, f)
-        for k in m0:
+        for k in m.m0:
             for z in op.col(k).values():
                 eq1 = max(eq1, z.abs2())
     eq2 = 0
-    for k in m0:
+    for k in m.m0:
         op = rho0(fock, CoefFn.delta_atom(leading_atom(c, k)))
         got = op.col(k).get(k, QI())
         eq2 = max(eq2, (got - QI_ONE).abs2())
     return eq1, eq2
 
 
-def complement_of_creation(fock: TruncatedFock, m: WitnessSubspace) -> tuple:
-    """Basis keys of M minus the creation image t(X)M, per level."""
+def complement_of_creation(fock: TruncatedFock, levels: tuple) -> tuple:
+    """Basis keys of the span of levels (one key tuple per level 0..N)
+    minus its creation image, per level."""
     c = fock.parent
-    reached = {k for n in range(fock.n_levels) for key in m.levels[n]
+    reached = {k for n in range(fock.n_levels) for key in levels[n]
                for k in successors(c, key)}
     return tuple(tuple(k for k in level if k not in reached)
-                 for level in m.levels)
+                 for level in levels)
 
 
-def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace,
-                        j: IdealSpec) -> Rational:
+def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace) -> Rational:
     """Covariance residual of the restriction to m: on the complement of
-    the creation image, the compact-operator route must reproduce the
-    diagonal action of the ideal exactly.
-
-    For a witness subspace the complement is asserted to be M0 sitting at
-    level 1 alone; for the full space the complement is the vacuum level,
-    where plain Fock famously fails covariance (expect a positive residual:
-    that negative control validates the check itself).
+    the creation image, the compact-operator route for the ideal m.ideal
+    must reproduce its diagonal action exactly.  The complement is
+    asserted to be m.m0 sitting at level 1 alone.
     """
-    comp = complement_of_creation(fock, m)
-    if m.m0 is not None:
-        expected = tuple(
-            m.m0 if n == 1 else () for n in range(fock.n_levels + 1))
-        if comp != expected:
-            raise InternalInconsistencyError(
-                "creation complement of the witness subspace is not M0")
-    comp_keys = frozenset(k for level in comp for k in level)
-    fns = ideal_generator_functions(fock, j)
+    expected = tuple(m.m0 if n == 1 else () for n in range(fock.n_levels + 1))
+    if complement_of_creation(fock, m.levels) != expected:
+        raise InternalInconsistencyError(
+            "creation complement of the witness subspace is not M0")
+    m0_keys = frozenset(m.m0)
+    fns = ideal_generator_functions(fock, m.ideal)
     resid = 0
-    for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, j)):
-        resid = max(resid, operator_residual(psi_t(fock, phi), rho0(fock, f), comp_keys))
+    for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, m.ideal)):
+        resid = max(resid, operator_residual(psi_t(fock, phi), rho0(fock, f), m0_keys))
     return resid
+
+
+# the certificate's residual names, in the order records write them
+RESIDUALS = ("invariance", "eq-use-1", "eq-use-2", "covariance")
 
 
 @dataclass(frozen=True)
@@ -625,14 +622,17 @@ class WitnessCertificate:
     residual_covariance: Rational
     non_reducing: tuple   # (vacuum TensorKey, EdgeCopy, Rational norm squared)
 
+    def residuals(self) -> tuple:
+        """The four residuals, in RESIDUALS order."""
+        return (self.residual_invariance, self.residual_eq_use1,
+                self.residual_eq_use2, self.residual_covariance)
+
 
 def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificate:
     """Certify that m is invariant but not reducing: the generated algebra
     maps m into itself exactly, while some creation operator pushes a
     vacuum vector (a member of the complement of m) into m with exactly
     positive projection norm."""
-    if m.ideal is None or m.m0 is None:
-        raise DomainError("subspace was not built as a witness subspace")
     c = fock.parent
     if m.levels[0]:
         raise InternalInconsistencyError("witness subspace meets the vacuum level")
@@ -647,8 +647,8 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
                 if kk not in mset:
                     inv = max(inv, z.abs2())
 
-    eq1, eq2 = verify_eq_use(fock, m.m0, m.ideal)
-    cov = check_cuntz_pimsner(fock, m, m.ideal)
+    eq1, eq2 = verify_eq_use(fock, m)
+    cov = check_cuntz_pimsner(fock, m)
 
     non_reducing = None
     for h in fock.bases[0]:
@@ -691,10 +691,7 @@ def witness_pipeline(w: SigmaWitness, n_levels: int = DEFAULT_FOCK_LEVEL,
             f"truncated representation violates its defining relations: {report}")
     m = build_witness_subspace(fock, w.ideal)
     cert = check_reducing(fock, m)
-    for name, value in (("invariance", cert.residual_invariance),
-                        ("eq-use-1", cert.residual_eq_use1),
-                        ("eq-use-2", cert.residual_eq_use2),
-                        ("covariance", cert.residual_covariance)):
+    for name, value in zip(RESIDUALS, cert.residuals()):
         if value != 0:
             raise InternalInconsistencyError(
                 f"witness certificate has a nonzero {name} residual: {value}")

@@ -33,8 +33,8 @@ from .errors import (
     WitnessRefusedError,
 )
 from .fock import (
-    DEFAULT_BASIS_BUDGET, WitnessCertificate, build_fock, build_witness_subspace,
-    check_reducing, verify_isometric_rep,
+    DEFAULT_BASIS_BUDGET, RESIDUALS, WitnessCertificate, build_fock,
+    build_witness_subspace, check_reducing, verify_isometric_rep,
 )
 from .graphs import (
     DiscreteGraphPresentation, IntervalGraphPresentation, Presentation,
@@ -414,15 +414,6 @@ def verdict_record(g: Presentation, verdict: Verdict) -> dict:
 
 # -- witness records ------------------------------------------------------------------
 
-_RESIDUALS = ("invariance", "eq-use-1", "eq-use-2", "covariance")
-
-
-def _residuals(cert: WitnessCertificate) -> tuple:
-    """The four residuals, in _RESIDUALS order."""
-    return (cert.residual_invariance, cert.residual_eq_use1,
-            cert.residual_eq_use2, cert.residual_covariance)
-
-
 def witness_record(g: Presentation, cert: WitnessCertificate) -> dict:
     """The certificate plus the digest of the instance it belongs to."""
     vacuum, creation, norm_sq = cert.non_reducing
@@ -437,7 +428,7 @@ def witness_record(g: Presentation, cert: WitnessCertificate) -> dict:
         "m_levels": [[_tensor_key_out(k) for k in level] for level in cert.m_levels],
         "m0_gram": [[_qi_out(z) for z in row] for row in cert.m0_gram],
         "residuals": {name: _rational_out(value)
-                      for name, value in zip(_RESIDUALS, _residuals(cert))},
+                      for name, value in zip(RESIDUALS, cert.residuals())},
         "non_reducing": {
             "vacuum": _tensor_key_out(vacuum),
             "creation": _edge_copy_out(creation),
@@ -459,7 +450,7 @@ def parse_witness_record(doc) -> Tuple[str, WitnessCertificate]:
     if not isinstance(doc["fock_levels"], int) or isinstance(doc["fock_levels"], bool):
         raise MalformedInputError("fock_levels must be an integer")
     res = doc["residuals"]
-    _expect_fields(res, set(_RESIDUALS), "residuals")
+    _expect_fields(res, set(RESIDUALS), "residuals")
     nr = doc["non_reducing"]
     _expect_fields(nr, {"vacuum", "creation", "projection_norm_sq"},
                    "non-reducing data")
@@ -475,7 +466,7 @@ def parse_witness_record(doc) -> Tuple[str, WitnessCertificate]:
         tuple(_tensor_key(k) for k in doc["m0"]),
         tuple(tuple(_tensor_key(k) for k in level) for level in doc["m_levels"]),
         tuple(tuple(_qi(z) for z in row) for row in doc["m0_gram"]),
-        *(_rational(res[name]) for name in _RESIDUALS),
+        *(_rational(res[name]) for name in RESIDUALS),
         (_tensor_key(nr["vacuum"]), _edge_copy(nr["creation"]),
          _rational(nr["projection_norm_sq"])))
 
@@ -520,7 +511,7 @@ def verify_witness_record(g: Presentation, digest: str, claimed: WitnessCertific
               ("m-levels", claimed.m_levels == fresh.m_levels),
               ("m0-gram", claimed.m0_gram == fresh.m0_gram)]
     checks += [(f"residual-{name}", claim == value == 0) for name, claim, value
-               in zip(_RESIDUALS, _residuals(claimed), _residuals(fresh))]
+               in zip(RESIDUALS, claimed.residuals(), fresh.residuals())]
     checks.append(("non-reducing-norm", claimed.non_reducing == fresh.non_reducing
                    and fresh.non_reducing[2] > 0))
     for name, ok in checks:
@@ -599,7 +590,7 @@ def _witness_text(doc) -> list:
             + ("; ".join(_fmt_key(k) for k in m0) or "(empty)"),
             "M dimensions by level: "
             + ", ".join(str(len(level)) for level in doc["m_levels"]),
-            *(f"residual {name}: {doc['residuals'][name]}" for name in _RESIDUALS),
+            *(f"residual {name}: {doc['residuals'][name]}" for name in RESIDUALS),
             f"non-reducing: creation {_fmt_copy(nr['creation'])} applied to "
             f"{_fmt_key(nr['vacuum'])}, projection norm^2 {nr['projection_norm_sq']}"]
 

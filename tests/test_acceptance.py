@@ -270,7 +270,7 @@ def _wrong_ideal_trial(seed: int):
         {c.range_atom(k.path[0]).cls for k in m.m0}))
     wrong = IdealSpec.of(c.algebra,
                          set(katsura_ideal(c).support) | {missed_class})
-    eq1, _ = verify_eq_use(fock, m.m0, wrong)
+    eq1, _ = verify_eq_use(fock, dataclasses.replace(m, ideal=wrong))
     if eq1 != 0:
         return True, "eq-use-1"
     return False, None

@@ -1,5 +1,6 @@
 """Truncated Fock spaces, relation checks, the witness pipeline."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from functools import cache
@@ -20,7 +21,7 @@ from hyperrig.errors import (
     SymbolicOnlyError, WitnessRefusedError,
 )
 from hyperrig.fock import (
-    GradedOperator, IsometryReport, WitnessSubspace, build_fock,
+    GradedOperator, IsometryReport, build_fock,
     build_witness_subspace, check_cuntz_pimsner, check_reducing,
     complement_of_creation,
     generator_functions, generator_vectors, ideal_generator_functions,
@@ -48,9 +49,14 @@ def two_loops():
         [EdgeClass("e", "v", "v", 1), EdgeClass("f", "v", "v", 1)])
 
 
-def full_subspace(fock):
-    # the whole truncated Fock space, a negative control for covariance
-    return WitnessSubspace(tuple(fock.bases), None, None)
+def vacuum_covariance_residual(fock, j):
+    """The covariance residual of the plain Fock representation on the
+    vacuum level, the creation complement of the whole truncated space:
+    the compact route phi(f) -> psi_t against rho(f) for every generator f
+    of the ideal j, a negative control for check_cuntz_pimsner."""
+    fns = ideal_generator_functions(fock, j)
+    return max(operator_residual(psi_t(fock, phi), rho0(fock, f), fock.bases[0])
+               for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, j)))
 
 
 # -- basis enumeration ----------------------------------------------------------
@@ -567,7 +573,7 @@ def test_equal_column_skip_is_exact():
         assert operator_residual(a, b, keys) == full_loop_residual(
             GradedOperator(fock, 0, {k: a.col(k) for k in keys}),
             GradedOperator(fock, 0, {k: b.col(k) for k in keys})) == 0
-    assert operator_residual(a, b) == full_loop_residual(a, b) == 5
+    assert operator_residual(a, b, fock.all_keys()) == full_loop_residual(a, b) == 5
     assert operator_residual(a, b, [k2]) == 5
 
 
@@ -631,7 +637,7 @@ def test_psi_t_examples():
     f_copy = ModuleVector.single(sa, EdgeCopy("F", 0, 0, 0))
     lhs = psi_t(fock, {EdgeCopy("F", 0, 0, 0): QI_ONE})
     rhs = t0(fock, f_copy).compose(t0(fock, f_copy).adjoint())
-    assert operator_residual(lhs, rhs) == 0
+    assert operator_residual(lhs, rhs, fock.all_keys()) == 0
 
     assert psi_t(fock, {}).cols == {}
 
@@ -645,7 +651,7 @@ def test_psi_t_examples():
     odd = QI(Fraction(1, 2), Fraction(-3, 4))
     lhs = psi_t(fock, {EdgeCopy("e", 0, 0, 0): odd})
     rhs = t0(fock, e.scale(odd)).compose(t0(fock, e).adjoint())
-    assert len(lhs.cols) == 3 and operator_residual(lhs, rhs) == 0
+    assert len(lhs.cols) == 3 and operator_residual(lhs, rhs, fock.all_keys()) == 0
 
 
 def op_sum(a, b):
@@ -670,9 +676,9 @@ def test_psi_t_decomposition_independence():
     u, w = e + f, e - f
     rotated = op_sum(t0(fock, u.scale(half)).compose(t0(fock, u).adjoint()),
                      t0(fock, w.scale(half)).compose(t0(fock, w).adjoint()))
-    assert operator_residual(psi_t(fock, plain), rotated) == 0
+    assert operator_residual(psi_t(fock, plain), rotated, fock.all_keys()) == 0
     doubled = {copy: z * QI(2) for copy, z in plain.items()}
-    assert operator_residual(psi_t(fock, doubled), rotated) > 0
+    assert operator_residual(psi_t(fock, doubled), rotated, fock.all_keys()) > 0
 
 
 # -- witness subspace -------------------------------------------------------------
@@ -704,12 +710,12 @@ def test_eq_use():
     sa = star_plus_arm()
     fock = build_fock(sa, sigma_at(sa, "W"), 3)
     m = build_witness_subspace(fock, katsura_ideal(sa))
-    eq1, eq2 = verify_eq_use(fock, m.m0, katsura_ideal(sa))
+    eq1, eq2 = verify_eq_use(fock, m)
     assert eq1 == 0 and eq2 == 0
     # misuse: the ideal generated by the infinitely-received class does not
     # annihilate M0, and the residual says so
     wrong = IdealSpec.of(sa.algebra, {"V"})
-    eq1, eq2 = verify_eq_use(fock, m.m0, wrong)
+    eq1, eq2 = verify_eq_use(fock, dataclasses.replace(m, ideal=wrong))
     assert eq1 == 1 and eq2 == 0
 
 
@@ -717,19 +723,18 @@ def test_cuntz_pimsner_on_witness_and_control():
     sa = star_plus_arm()
     fock = build_fock(sa, sigma_at(sa, "W"), 3)
     m = build_witness_subspace(fock, katsura_ideal(sa))
-    assert check_cuntz_pimsner(fock, m, katsura_ideal(sa)) == 0
+    assert check_cuntz_pimsner(fock, m) == 0
 
     om = omega_star()
     fock_om = build_fock(om, sigma_at(om, "W"), 3)
     m_om = build_witness_subspace(fock_om, katsura_ideal(om))
-    assert check_cuntz_pimsner(fock_om, m_om, katsura_ideal(om)) == 0
+    assert check_cuntz_pimsner(fock_om, m_om) == 0
 
     # the plain Fock representation is not covariant: on the vacuum the
     # compact route gives 0 while the diagonal action gives 1
     lo = loop_graph()
     fock_lo = build_fock(lo, sigma_at(lo, "v"), 3)
-    resid = check_cuntz_pimsner(fock_lo, full_subspace(fock_lo), katsura_ideal(lo))
-    assert resid == 1
+    assert vacuum_covariance_residual(fock_lo, katsura_ideal(lo)) == 1
 
 
 def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
@@ -771,7 +776,7 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
     monkeypatch.setattr(Correspondence, "check_copy",
                         counted("check_copy", Correspondence.check_copy))
     monkeypatch.setattr(fock_mod, "t0", counted("t0", fock_mod.t0))
-    assert check_cuntz_pimsner(fock, m, j) == 0
+    assert check_cuntz_pimsner(fock, m) == 0
     fns = ideal_generator_functions(fock, j)
     assert calls["left_mul"] == named + len(fns) == 7_271
     assert calls["check_copy"] <= len(c.generators) + led
@@ -781,9 +786,24 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
 def test_complement_of_creation_full_space():
     lo = loop_graph()
     fock = build_fock(lo, sigma_at(lo, "v"), 3)
-    comp = complement_of_creation(fock, full_subspace(fock))
+    comp = complement_of_creation(fock, fock.bases)
     assert comp[0] == fock.bases[0]
     assert all(not level for level in comp[1:])
+
+
+def test_witness_subspace_guards():
+    # an honest subspace with one M0 key dropped, or with a vacuum key
+    # added to level 0, is not the subspace the construction describes
+    om = omega_star()
+    fock = build_fock(om, sigma_at(om, "W"), 3)
+    m = build_witness_subspace(fock, katsura_ideal(om))
+    assert m.m0 and check_reducing(fock, m).residual_covariance == 0
+    short = dataclasses.replace(m, m0=m.m0[1:])
+    with pytest.raises(InternalInconsistencyError, match="not M0"):
+        check_reducing(fock, short)
+    vacuum = dataclasses.replace(m, levels=(fock.bases[0][:1],) + m.levels[1:])
+    with pytest.raises(InternalInconsistencyError, match="meets the vacuum level"):
+        check_reducing(fock, vacuum)
 
 
 # -- certificates ------------------------------------------------------------------
