@@ -61,8 +61,9 @@ def cmd_witness(args) -> int:
               "matrix certificate; see the decide record for the verdict",
               file=sys.stderr)
         return 3
+    w = verdict.certificate.witness
     try:
-        _, _, cert = witness_pipeline(verdict.certificate.witness,
+        _, _, cert = witness_pipeline(g.correspondence, w.rep, w.ideal,
                                       args.fock_level, args.basis_budget)
     except SymbolicOnlyError as exc:
         print(f"symbolic verdict only: {exc}", file=sys.stderr)

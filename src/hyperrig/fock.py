@@ -32,9 +32,8 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import Atom, CoefFn, EvaluationRep, IdealSpec
 from .correspondence import (
-    Correspondence, EdgeCopy, ModuleVector, SigmaWitness, TensorKey,
-    gram_matrix, inner, leading_atom, left_action_as_compacts, left_mul,
-    successors,
+    Correspondence, EdgeCopy, ModuleVector, TensorKey, gram_matrix, inner,
+    leading_atom, left_action_as_compacts, left_mul, successors,
 )
 from .errors import (
     BudgetExceededError, DomainError, InternalInconsistencyError,
@@ -672,24 +671,25 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
         inv, eq1, eq2, cov, non_reducing)
 
 
-def witness_pipeline(w: SigmaWitness, n_levels: int = DEFAULT_FOCK_LEVEL,
+def witness_pipeline(c: Correspondence, sigma: EvaluationRep, j: IdealSpec,
+                     n_levels: int = DEFAULT_FOCK_LEVEL,
                      basis_budget: int = DEFAULT_BASIS_BUDGET):
-    """End to end from a sigma-witness (sigma_degeneracy_witness, or the
-    one a negative discrete verdict carries): build the truncated Fock
-    space over its evaluation, check the representation relations, build
-    M against the Katsura ideal the witness was built against, certify.
+    """The certificate chain that `witness` and `verify` both run: build
+    the truncated Fock space of c over sigma, check the representation
+    relations, build M against the ideal j, certify.
 
     Returns (fock, subspace, certificate).  Raises SymbolicOnlyError /
     BudgetExceededError when the bases cannot be enumerated,
-    InternalInconsistencyError if any exact check that the construction
+    WitnessRefusedError when j reaches all of level 1, and
+    InternalInconsistencyError if an exact check that the construction
     guarantees fails.
     """
-    fock = build_fock(w.vector.parent, w.rep, n_levels, basis_budget)
+    fock = build_fock(c, sigma, n_levels, basis_budget)
     report = verify_isometric_rep(fock)
     if report.max_residual != 0:
         raise InternalInconsistencyError(
             f"truncated representation violates its defining relations: {report}")
-    m = build_witness_subspace(fock, w.ideal)
+    m = build_witness_subspace(fock, j)
     cert = check_reducing(fock, m)
     for name, value in zip(RESIDUALS, cert.residuals()):
         if value != 0:

@@ -344,15 +344,9 @@ class PiecewiseAffineMap:
         return ap.value(x)
 
 
-def image(f: PiecewiseAffineMap, s: Optional[IntervalSet] = None) -> IntervalSet:
-    """Exact image of s (default: the whole source) under f."""
-    if s is None:
-        return f.full_image
-    if not is_subset(s, f.source):
-        raise MalformedInputError(f"image: {s} is not contained in the source {f.source}")
-    doms = [ap.dom for ap in f.pieces]
-    return IntervalSet.of(AffinePiece(d, f.pieces[i].slope, f.pieces[i].offset).image()
-                          for i, d in _meet(doms, s.pieces))
+def image(f: PiecewiseAffineMap) -> IntervalSet:
+    """Exact image of f's whole source."""
+    return f.full_image
 
 
 def _pull_back(ap: AffinePiece, t: Interval) -> Interval:

@@ -195,7 +195,8 @@ def test_criterion_4_converse_pipeline():
     timings = []
     for c in DEGENERATE_CORPUS:
         start = time.monotonic()
-        fock, m, cert = witness_pipeline(sigma_degeneracy_witness(c), 3)
+        w = sigma_degeneracy_witness(c)
+        fock, m, cert = witness_pipeline(c, w.rep, w.ideal, 3)
         elapsed = time.monotonic() - start
         report = verify_isometric_rep(fock)
         assert report.multiplication == 0
@@ -281,7 +282,8 @@ def test_criterion_5_negative_controls():
     Every one must be detected with a named failing residual."""
     sa_certificates = []
     for c in DEGENERATE_CORPUS:
-        _, _, cert = witness_pipeline(sigma_degeneracy_witness(c), 3)
+        w = sigma_degeneracy_witness(c)
+        _, _, cert = witness_pipeline(c, w.rep, w.ideal, 3)
         sa_certificates.append((as_presentation(c), cert))
 
     outcomes = {}

@@ -257,12 +257,19 @@ def test_one_correspondence_build_per_command(tmp_path, monkeypatch, capsys):
 def test_one_katsura_derivation_per_command(monkeypatch):
     # decide derives J and phi(J)X once, in the sigma-witness search that
     # also answers its nondegeneracy route; witness starts from the
-    # verdict's witness and the ideal it carries; verify derives J once
+    # verdict's witness and the ideal it carries; verify derives J once.
+    # witness and verify both run the one certificate chain, each stage once
     import sys
     import hyperrig.correspondence as correspondence
+    import hyperrig.fock as fock
+    chain = ("witness_pipeline", "build_fock", "verify_isometric_rep",
+             "build_witness_subspace", "check_reducing")
     calls = {}
-    for name in ("katsura_ideal", "compacts_preimage", "sigma_degeneracy_witness"):
-        original = getattr(correspondence, name)
+    for module, name in (
+            *((correspondence, n) for n in ("katsura_ideal", "compacts_preimage",
+                                            "sigma_degeneracy_witness")),
+            *((fock, n) for n in chain)):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] = calls.get(_name, 0) + 1
@@ -289,6 +296,29 @@ def test_one_katsura_derivation_per_command(monkeypatch):
     # the compact preimage, so the preimage is derived once, inside J
     assert counts["witness"]["compacts_preimage"] == 1
     assert counts["verify"]["katsura_ideal"] == 1
+    for command in ("witness", "verify"):
+        assert {name: counts[command].get(name) for name in chain} \
+            == dict.fromkeys(chain, 1), command
+
+
+def test_a_broken_rebuild_exits_2_in_verify_as_in_witness(monkeypatch):
+    # a doubled creation operator breaks the representation relations: a
+    # toolkit defect, so verify of an honest record prints no verification
+    # record and exits 2 with the error line witness prints
+    import hyperrig.fock as fock
+    from hyperrig.scalars import QI
+    honest = fock.t0
+    monkeypatch.setattr(fock, "t0", lambda fk, x: honest(fk, x).scale(QI(2)))
+    instance = "{corpus}/omega_star.json"
+    w_code, w_out, w_err = run_cli(["witness", instance])
+    v_code, v_out, v_err = run_cli(
+        ["verify", "{golden}/witness_omega_star_json.out", instance])
+    assert w_code == v_code == 2
+    assert w_out == v_out == ""
+    first = w_err.splitlines()[0]
+    assert first.startswith(
+        "error: truncated representation violates its defining relations: ")
+    assert v_err.splitlines()[0] == first
 
 
 def test_verify_computes_the_instance_digest_once(monkeypatch, capsys):

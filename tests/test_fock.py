@@ -598,7 +598,8 @@ def test_witness_pipeline_builds_each_operator_once(monkeypatch):
 
         wrap(fock_mod.t0, fock_mod._build_t, lambda x: ("t", x.coeffs))
         wrap(fock_mod.rho0, fock_mod._build_rho, lambda f: ("rho", f))
-        cert = witness_pipeline(sigma_degeneracy_witness(c))[2]
+        w = sigma_degeneracy_witness(c)
+        cert = witness_pipeline(c, w.rep, w.ideal)[2]
         monkeypatch.undo()
         assert sorted(built, key=repr) == sorted(served, key=repr)
         assert all(op is ops[0] for ops in served.values() for op in ops)
@@ -814,7 +815,8 @@ def degenerate_corpus():
 
 def test_full_pipeline_on_degenerate_corpus():
     for c in degenerate_corpus():
-        fock, m, cert = witness_pipeline(sigma_degeneracy_witness(c), 3)
+        w = sigma_degeneracy_witness(c)
+        fock, m, cert = witness_pipeline(c, w.rep, w.ideal, 3)
         assert cert.residual_invariance == 0
         assert cert.residual_eq_use1 == 0
         assert cert.residual_eq_use2 == 0
@@ -842,7 +844,8 @@ def test_witness_path_stays_on_int_arithmetic():
     cs += [build_correspondence(load_instance(CORPUS / f"{stem}.json"))
            for stem in ("star_plus_arm", "omega_star")]
     for c in cs:
-        fock, m, cert = witness_pipeline(sigma_degeneracy_witness(c))
+        w = sigma_degeneracy_witness(c)
+        fock, m, cert = witness_pipeline(c, w.rep, w.ideal)
         assert all(op_ints(rho0(fock, f)) for f in generator_functions(fock))
         assert all(op_ints(t0(fock, x)) for x in generator_vectors(fock))
         fns = ideal_generator_functions(fock, m.ideal)
@@ -857,7 +860,8 @@ def test_witness_path_stays_on_int_arithmetic():
 
 def test_pipeline_details_star_plus_arm():
     sa = star_plus_arm()
-    fock, m, cert = witness_pipeline(sigma_degeneracy_witness(sa), 3)
+    w = sigma_degeneracy_witness(sa)
+    fock, m, cert = witness_pipeline(sa, w.rep, w.ideal, 3)
     assert cert.sigma_atoms == (Atom("W", 0),)
     h, x, norm = cert.non_reducing
     assert h == TensorKey((), Atom("W", 0))
@@ -876,7 +880,8 @@ def test_restriction_lemma_on_witness_subspaces():
     # the compression of the Fock representation to the co-invariant
     # subspace M is again an isometric representation
     for c in degenerate_corpus():
-        fock, m, _ = witness_pipeline(sigma_degeneracy_witness(c), 3)
+        w = sigma_degeneracy_witness(c)
+        fock, m, _ = witness_pipeline(c, w.rep, w.ideal, 3)
         keys = m.key_set()
         report = verify_isometric_rep(
             fock,
@@ -933,7 +938,7 @@ def test_pipeline_on_random_degenerate_graphs(seed):
     if w is None:
         return
     try:
-        fock, m, cert = witness_pipeline(w, 3, basis_budget=4000)
+        fock, m, cert = witness_pipeline(c, w.rep, w.ideal, 3, basis_budget=4000)
     except (SymbolicOnlyError, BudgetExceededError):
         return
     assert cert.residual_invariance == 0

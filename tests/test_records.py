@@ -10,7 +10,9 @@ import pytest
 
 from hyperrig.algebra import Atom, AtomSet
 from hyperrig.correspondence import Correspondence, EdgeClass, sigma_degeneracy_witness
-from hyperrig.errors import DomainError, MalformedInputError
+from hyperrig.errors import (
+    DomainError, InternalInconsistencyError, MalformedInputError,
+)
 import hyperrig.fock as fock
 from hyperrig.fock import witness_pipeline
 from hyperrig.graphs import (
@@ -37,7 +39,9 @@ def all_presentations():
 
 def sa_certificate():
     g = as_presentation(star_plus_arm())
-    _, _, cert = witness_pipeline(sigma_degeneracy_witness(build_correspondence(g)), 3)
+    c = build_correspondence(g)
+    w = sigma_degeneracy_witness(c)
+    _, _, cert = witness_pipeline(c, w.rep, w.ideal, 3)
     return g, cert
 
 
@@ -439,11 +443,12 @@ def test_verification_names_the_first_failing_check(monkeypatch):
     assert verify_witness_record(g, digest, bad_norm) == (False, "non-reducing-norm")
 
     # last, since it corrupts every later rebuild: an honest record against
-    # a doubled creation operator
+    # a doubled creation operator is a toolkit defect, not a failing record
     assert verify_witness_record(g, digest, cert) == (True, None)
     honest = fock.t0
     monkeypatch.setattr(fock, "t0", lambda fk, x: honest(fk, x).scale(QI(2)))
-    assert verify_witness_record(g, digest, cert) == (False, "isometric-relations")
+    with pytest.raises(InternalInconsistencyError, match="defining relations"):
+        verify_witness_record(g, digest, cert)
 
 
 
