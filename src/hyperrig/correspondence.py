@@ -313,20 +313,6 @@ class TensorVector:
                 keep[key] = z
         return TensorVector(parent, level, tuple(sorted(keep.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        if self.level != other.level:
-            raise DomainError("adding tensor vectors of different levels")
-        acc = dict(self.terms)
-        for k, z in other.terms:
-            acc[k] = acc.get(k, QI()) + z
-        return TensorVector.of(self.parent, self.level, acc)
-
-    def scale(self, z: QI) -> "TensorVector":
-        return TensorVector.of(self.parent, self.level, {k: z * v for k, v in self.terms})
-
 
 def _composable(c: Correspondence, key: TensorKey) -> bool:
     prev_src = None

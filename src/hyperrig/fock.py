@@ -25,12 +25,13 @@ operator_residual, without building an operator per pair.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from numbers import Rational
 from typing import Callable, Iterable, Mapping, Optional
 
-from .algebra import Atom, CoefFn, EvaluationRep, IdealSpec
+from .algebra import CoefFn, EvaluationRep, IdealSpec
 from .correspondence import (
     Correspondence, EdgeCopy, ModuleVector, TensorKey, gram_matrix, inner,
     leading_atom, left_action_as_compacts, left_mul, successors,
@@ -537,25 +538,33 @@ def build_witness_subspace(fock: TruncatedFock, j: IdealSpec) -> WitnessSubspace
 
 
 def ideal_generator_functions(fock: TruncatedFock, j: IdealSpec) -> list:
-    """Exact generators of the ideal as far as the enumerated bases see it:
-    class indicators over finite classes, point masses over infinite ones."""
-    c = fock.parent
-    fns = []
-    for cls in sorted(j.support):
-        cnt = c.algebra.count_of(cls)
-        if isinstance(cnt, int):
-            fns.append(CoefFn.delta_class(cls))
-        else:
-            idx = {0} | {a.index for a in fock.by_lead if a.cls == cls}
-            fns += [CoefFn.delta_atom(Atom(cls, i)) for i in sorted(idx)]
-    return fns
+    """delta_C for each class C of j, in sorted order, such that every atom
+    of C leads a basis key: the generators the truncated space reaches.
+
+    A class left out adds nothing to a residual read on this list.  Fibres
+    are complete bipartite (edges_from_atom), so if one atom of C leads a
+    key at a level n >= 1, every atom of C does; an infinite class leads
+    none there, since build_fock raises SymbolicOnlyError on its fiber
+    first.  So a class left out leads at most sigma's vacuum keys.  The
+    covariance and eq-use-1 residuals read this list on M0, at level 1,
+    where rho(delta_C) is zero (it scales each key by delta_C at its
+    leading atom) and so is psi_t(phi(delta_C)) = sum over r(e) in C of
+    t(e) t(e)*: t(e)* is nonzero only on keys whose first copy is e, which
+    r(e) leads.  Nor is this a structural shortcut: each kept generator
+    runs the whole generic chain (left_action_as_compacts with its theta
+    check, psi_t, rho0, operator_residual).  Only the theta check of a
+    class the space never reaches, at atoms no residual reads, is not run.
+    """
+    reached = Counter(a.cls for a in fock.by_lead)
+    return [CoefFn.delta_class(cls) for cls in sorted(j.support)
+            if reached[cls] == fock.parent.algebra.count_of(cls)]
 
 
 def verify_eq_use(fock: TruncatedFock, m: WitnessSubspace) -> tuple:
     """Two exact facts the construction rests on: the ideal m.ideal
-    annihilates m.m0, and the coefficient algebra acts on m.m0 with full
-    range (each basis key is recovered by the point mass at its own
-    leading atom)."""
+    annihilates m.m0, read over ideal_generator_functions(fock, m.ideal),
+    and the coefficient algebra acts on m.m0 with full range (each basis
+    key is recovered by the point mass at its own leading atom)."""
     c = fock.parent
     eq1 = 0
     for f in ideal_generator_functions(fock, m.ideal):
@@ -583,9 +592,9 @@ def complement_of_creation(fock: TruncatedFock, levels: tuple) -> tuple:
 
 def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace) -> Rational:
     """Covariance residual of the restriction to m: on the complement of
-    the creation image, the compact-operator route for the ideal m.ideal
-    must reproduce its diagonal action exactly.  The complement is
-    asserted to be m.m0 sitting at level 1 alone.
+    the creation image, the compact-operator route must reproduce the
+    diagonal action exactly for each f in ideal_generator_functions(fock,
+    m.ideal).  The complement is asserted to be m.m0 at level 1 alone.
     """
     expected = tuple(m.m0 if n == 1 else () for n in range(fock.n_levels + 1))
     if complement_of_creation(fock, m.levels) != expected:

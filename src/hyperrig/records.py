@@ -192,15 +192,22 @@ def _affine_map_out(f: PiecewiseAffineMap) -> dict:
                         "offset": _rational_out(p.offset)} for p in f.pieces]}
 
 
+def _check_schema(doc: dict) -> None:
+    """Refuse a document whose optional "schema" field is not the integer
+    SCHEMA_VERSION: true and 1.0 compare equal to 1 but are no integer,
+    while an int subclass from a caller in code is one."""
+    schema = doc.get("schema", SCHEMA_VERSION)
+    if not isinstance(schema, int) or isinstance(schema, bool) or schema != SCHEMA_VERSION:
+        raise MalformedInputError(f"unsupported schema version {schema!r}")
+
+
 # -- instances ---------------------------------------------------------------------
 
 def parse_instance(doc) -> Presentation:
     """Validate a decoded instance document and build the presentation."""
     if not isinstance(doc, dict):
         raise MalformedInputError("instance must be a JSON object")
-    schema = doc.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise MalformedInputError(f"unsupported schema version {schema!r}")
+    _check_schema(doc)
     kind = doc.get("kind")
     if kind == "discrete":
         return _parse_discrete(doc)
@@ -442,6 +449,7 @@ def parse_witness_record(doc) -> Tuple[str, WitnessCertificate]:
                          "sigma", "m0", "m_levels", "m0_gram", "residuals",
                          "non_reducing"},
                    "witness record", {"schema"})
+    _check_schema(doc)
     if doc["record"] != "witness":
         raise MalformedInputError(f"not a witness record: {doc['record']!r}")
     if doc["certificate"] != "sigma-witness":

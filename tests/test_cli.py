@@ -230,6 +230,18 @@ def test_verify_rejects_malformed_witness(tmp_path, capsys):
     assert main(["verify", str(bad), str(CORPUS / "loop.json")]) == 2
 
 
+def test_verify_refuses_an_unsupported_schema(tmp_path, capsys):
+    # a witness record is refused on its schema version as an instance is
+    doc = json.loads((GOLDEN / "witness_omega_star_json.out").read_text(encoding="utf-8"))
+    for schema in (2, "one", True, 1.0):
+        bad = tmp_path / "witness.json"
+        bad.write_text(json.dumps({**doc, "schema": schema}), encoding="utf-8")
+        assert main(["verify", str(bad), str(CORPUS / "omega_star.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unsupported schema version {schema!r}\n"
+
+
 def test_one_correspondence_build_per_command(tmp_path, monkeypatch, capsys):
     # each presentation builds its Correspondence once, at parse time, and
     # every later stage reads that object instead of rebuilding it

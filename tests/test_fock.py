@@ -28,7 +28,7 @@ from hyperrig.fock import (
     operator_residual, psi_t, rho0, t0, verify_eq_use, verify_isometric_rep,
     witness_pipeline,
 )
-from hyperrig.graphs import build_correspondence
+from hyperrig.graphs import DiscreteGraphPresentation, build_correspondence
 from hyperrig.records import load_instance
 from hyperrig.scalars import OMEGA, QI, QI_ONE
 
@@ -739,15 +739,15 @@ def test_cuntz_pimsner_on_witness_and_control():
 
 
 def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
-    # 287 ideal generators over 900 edge classes.  Every f probes, with one
-    # left_mul each, every copy ranging where f has a part (on an honest
-    # map, exactly the copies the map names), and the class representatives
-    # outside those with one left_mul on their sum.  A probe enumerated
-    # from f is a valid copy by construction and is not checked again; each
-    # class representative is checked once for the whole check.  psi_t
-    # builds t(e) only for a copy whose source atom leads a basis key (any
-    # other t(e) is empty), and each such copy is checked once as a
-    # creation operator
+    # 22 ideal generators, the classes of J the space reaches, over 900
+    # edge classes.  Every f probes, with one left_mul each, every copy
+    # ranging where f has a part (on an honest map, exactly the copies the
+    # map names), and the class representatives outside those with one
+    # left_mul on their sum.  A probe enumerated from f is a valid copy by
+    # construction and is not checked again; each class representative is
+    # checked once for the whole check.  psi_t builds t(e) only for a copy
+    # whose source atom leads a basis key (any other t(e) is empty), and
+    # each such copy is checked once as a creation operator
     c = build_correspondence(load_instance(INPUTS / "discrete_300_omega.json"))
     j = katsura_ideal(c)
     fock = build_fock(c, sigma_degeneracy_witness(c).rep)
@@ -763,7 +763,8 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
                 sources = sum(1 for i in range(c.algebra.count_of(g.src))
                               if Atom(g.src, i) in fock.by_lead)
                 led += hits * sources * g.mult
-    assert (len(c.generators), named, led) == (900, 6984, 639)
+    assert (len(c.generators), len(ideal_generator_functions(fock, j)), named, led) == (
+        900, 22, 760, 276)
 
     calls = {"left_mul": 0, "check_copy": 0, "t0": 0}
 
@@ -779,9 +780,112 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
     monkeypatch.setattr(fock_mod, "t0", counted("t0", fock_mod.t0))
     assert check_cuntz_pimsner(fock, m) == 0
     fns = ideal_generator_functions(fock, j)
-    assert calls["left_mul"] == named + len(fns) == 7_271
+    assert calls["left_mul"] == named + len(fns) == 782
     assert calls["check_copy"] <= len(c.generators) + led
     assert calls["t0"] == led
+
+
+def omega_star_and_far_arrow(n):
+    """omega_star beside an arrow Y -> X, X of count n: X lies in the
+    Katsura ideal (in-degree 1), and the space over W never reaches it."""
+    return Correspondence.of(
+        AtomSet.of([("V", 1), ("W", OMEGA), ("Y", 1), ("X", n)]),
+        [EdgeClass("E", "W", "V", 1), EdgeClass("F", "Y", "X", 1)])
+
+
+def test_unreached_ideal_class_costs_no_left_mul(monkeypatch):
+    # the witness pipeline's left_mul calls do not grow with a class of J
+    # the space never reaches; a generator list holding the indicator of X
+    # would probe every copy ranging in X, one left_mul per atom of X
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(corr_mod, "left_mul", counted(corr_mod.left_mul))
+    monkeypatch.setattr(fock_mod, "left_mul", counted(fock_mod.left_mul))
+    counts = []
+    for n in (10, 10_000):
+        c = omega_star_and_far_arrow(n)
+        w = sigma_degeneracy_witness(c)
+        assert w.ideal.support == {"X"}
+        calls[0] = 0
+        witness_pipeline(c, w.rep, w.ideal)
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+
+
+def generators_not_read_off_the_space(fock, j):
+    """The reference list of the ideal's generators, read off j alone where
+    it can be: the class indicator of every finite class of j, and for an
+    infinite class the point masses at copy 0 and at every atom of it that
+    leads a basis key."""
+    fns = []
+    for cls in sorted(j.support):
+        cnt = fock.parent.algebra.count_of(cls)
+        if isinstance(cnt, int):
+            fns.append(CoefFn.delta_class(cls))
+        else:
+            idx = {0} | {a.index for a in fock.by_lead if a.cls == cls}
+            fns += [CoefFn.delta_atom(Atom(cls, i)) for i in sorted(idx)]
+    return fns
+
+
+def discrete_negatives() -> list:
+    """Every discrete negative in corpus/ and tests/inputs/, wvx(2, 3),
+    omega_star beside a far arrow into a finite and into an infinite
+    class, and seeded random degenerate graphs."""
+    cs = []
+    for path in sorted(CORPUS.glob("*.json")) + sorted(INPUTS.glob("*.json")):
+        g = load_instance(path)
+        if isinstance(g, DiscreteGraphPresentation):
+            cs.append(g.correspondence)
+    cs += [wvx(2, 3), omega_star_and_far_arrow(3), omega_star_and_far_arrow(OMEGA)]
+    cs += [build_correspondence(random_discrete_graph(
+        random.Random(seed), max_classes=5, max_edges=8)) for seed in range(150)]
+    return [c for c in cs if sigma_degeneracy_witness(c) is not None]
+
+
+def test_generators_left_out_contribute_nothing():
+    # a generator of the ideal the space does not reach has no column of
+    # rho or of psi_t(phi(f)) above level 0, so the covariance and
+    # eq-use-1 residuals over the generators listed without reading the
+    # space equal the pipeline's; phi of every such generator still passes
+    # its theta-decomposition check, here on the test side
+    runs = left_out = points_left_out = 0
+    for c in discrete_negatives():
+        w = sigma_degeneracy_witness(c)
+        try:
+            fock, m, cert = witness_pipeline(c, w.rep, w.ideal, basis_budget=2000)
+        except (SymbolicOnlyError, BudgetExceededError):
+            continue
+        runs += 1
+        old = generators_not_read_off_the_space(fock, m.ideal)
+        new = ideal_generator_functions(fock, m.ideal)
+        assert set(new) <= set(old)
+        phis = left_action_as_compacts(c, old, m.ideal)
+        for f, phi in zip(old, phis):
+            if f in new:
+                continue
+            left_out += 1
+            points_left_out += bool(f.point_part)
+            for op in (rho0(fock, f), psi_t(fock, phi)):
+                assert all(fock.index[k] == 0 for k in op.cols), f
+        m0 = frozenset(m.m0)
+        cov = max((operator_residual(psi_t(fock, phi), rho0(fock, f), m0)
+                   for f, phi in zip(old, phis)), default=0)
+        assert cov == check_cuntz_pimsner(fock, m) == cert.residual_covariance
+        # eq-use-1 reads only rho, so the argument holds for any ideal: the
+        # whole algebra, which M0 does not lie under, gives a nonzero value
+        for ideal in (m.ideal, IdealSpec.of(c.algebra, c.algebra.names)):
+            eq1 = max((z.abs2() for f in generators_not_read_off_the_space(fock, ideal)
+                       for k in m.m0 for z in rho0(fock, f).col(k).values()), default=0)
+            assert eq1 == verify_eq_use(fock, dataclasses.replace(m, ideal=ideal))[0]
+            assert eq1 == (0 if ideal is m.ideal else 1)
+    assert runs >= 15 and left_out >= 10 and points_left_out >= 1
 
 
 def test_complement_of_creation_full_space():

@@ -195,6 +195,8 @@ def _interval_reaching(hi: str) -> str:
     '{"kind": "discrete", "vertices": [{"name": "v", "count": 1}],'
     ' "edges": [{"name": "e", "source": "v", "range": "w", "mult": 1}]}',
     '{"schema": 2, "kind": "discrete", "vertices": [], "edges": []}',
+    '{"schema": true, "kind": "discrete", "vertices": [], "edges": []}',
+    '{"schema": 1.0, "kind": "discrete", "vertices": [], "edges": []}',
     '{"kind": "interval", "G0": [["0", "1", "closed", "shut"]], "G1": [],'
     ' "r": {"pieces": []}, "s": {"pieces": []}}',
     '{"kind": "interval", "G0": [["0", "one", "closed", "closed"]], "G1": [],'
