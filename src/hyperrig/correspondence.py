@@ -14,18 +14,20 @@ compact decompositions expand the finitely many relevant copies explicitly.
 
 For f in the Katsura ideal, phi(f) is compact and diagonal in the copies:
     phi(f) = sum over single edge copies e of f(r(e)) theta_{e,e},
-a finite sum because f lives on atoms of finite in-degree.  It is kept as
-the map e -> f(r(e)) over the copies where that is nonzero, and each map is
-checked exactly against left_mul on every copy ranging at an atom where f
-has a part and on every copy it names, one left_mul each, and on copy 0 of
-every other edge class, one left_mul on their sum.
+a finite sum because f lives on atoms of finite in-degree.  In a
+truncated Fock space theta_{e,e} acts as t(e) t(e)*, zero unless the
+space creates with e, so phi(f) is kept compressed to a given set of
+copies, as the map e -> f(r(e)) over the copies of the set where that is
+nonzero.  Each map is checked exactly against left_mul on every copy of
+the set ranging where f has a part and on every copy it names, one
+left_mul each, and on the rest of the set, one left_mul on their sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Rational
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec, ideal_complement, ideal_intersect
 from .errors import DomainError, InternalInconsistencyError, MalformedInputError, SymbolicOnlyError
@@ -431,115 +433,87 @@ def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
 # -- compact operators --------------------------------------------------------
 
 def left_action_as_compacts(c: Correspondence, fns: Iterable[CoefFn],
-                            ideal: IdealSpec) -> list:
-    """phi(f) as a compact operator for each f in fns, in order: a map from
-    each single edge copy e to f(r(e)), one entry per copy whose range atom
-    f does not vanish at, so phi(f) = sum_e f(r(e)) theta_{e,e}.  Each map
-    is checked exactly against left_mul on every copy ranging where f has a
-    part, on every copy it names and on copy 0 of every edge class
-    (_verify_theta_sum); the range-class index and those representative
-    copies are built once per call.
+                            ideal: IdealSpec, copies: Sequence[EdgeCopy]) -> list:
+    """phi(f) compressed to the span of copies, for each f in fns, in
+    order: a map from each copy e of copies to f(r(e)), one entry per copy
+    whose range atom f does not vanish at, so the compression is the sum
+    of f(r(e)) theta_{e,e} over them.  f is read once per range atom of
+    copies, through an index built once per call, and each map is checked
+    exactly against left_mul (_verify_theta_sum).
 
-    ideal is an ideal inside the compact preimage that the caller already
-    holds: compacts_preimage(c) itself, or the Katsura ideal J, which
-    check_cuntz_pimsner passes.  Requires each f to be an actual algebra
-    element supported inside it: class-constant parts only over finite
-    classes that lie in the ideal, point masses over atoms of classes in
-    the ideal.
+    copies are valid copies of c: check_cuntz_pimsner passes the created
+    copies of its Fock space, where theta_{e,e} of any other copy acts as
+    zero (see fock's module docstring).  ideal is an ideal inside the
+    compact preimage that the caller already holds: compacts_preimage(c)
+    itself, or the Katsura ideal J, which check_cuntz_pimsner passes.
+    Requires each f to be an actual algebra element supported inside it:
+    class-constant parts only over finite classes that lie in the ideal,
+    point masses over atoms of classes in the ideal.
     """
-    into: dict = {}  # range class -> the edge classes ranging in it
-    for g in c.generators:
-        into.setdefault(g.dst, []).append(g)
-    reps = tuple(sorted(c.check_copy(EdgeCopy(g.name, 0, 0, 0)) for g in c.generators))
+    ranging: dict = {}  # range atom -> the copies ranging there
+    for e in copies:
+        ranging.setdefault(c.range_atom(e), []).append(e)
     maps = []
     for f in fns:
         if not f.supported_in(ideal):
             raise DomainError(
                 f"function supported on {sorted(f.support_classes() - ideal.support)} "
                 "outside the compact preimage")
-        point_masses: dict = {}
-        for cls, z in f.class_part:
-            n = c.algebra.count_of(cls)
-            if not is_finite(n):
+        for cls, _ in f.class_part:
+            if not is_finite(c.algebra.count_of(cls)):
                 raise DomainError(
                     f"class-constant value on infinite class {cls} is not an algebra element")
-            for j in range(n):
-                a = Atom(cls, j)
-                point_masses[a] = point_masses.get(a, QI()) + z
-        for a, z in f.point_part:
-            a = Atom(*a)
-            point_masses[a] = point_masses.get(a, QI()) + z
-
-        phi = {}
-        for a in sorted(point_masses):
-            z = point_masses[a]
-            if z.is_zero():
-                continue
-            for g in into.get(a.cls, ()):
-                src_count = c.algebra.count_of(g.src)
-                # finite because a.cls lies in the compact preimage
-                assert is_finite(src_count) and is_finite(g.mult)
-                for i in range(src_count):
-                    for k in range(g.mult):
-                        phi[EdgeCopy(g.name, i, a.index, k)] = z
-        _verify_theta_sum(c, f, phi, into, reps)
+        phi: dict = {}
+        for a, es in ranging.items():
+            z = f.value_at(a)
+            if not z.is_zero():
+                phi.update(dict.fromkeys(es, z))
+        _verify_theta_sum(c, f, phi, copies)
         maps.append(phi)
     return maps
 
 
 def _verify_theta_sum(c: Correspondence, f: CoefFn, phi: Mapping[EdgeCopy, QI],
-                      into: Mapping[str, list], reps: tuple) -> None:
+                      copies: Sequence[EdgeCopy]) -> None:
     """Check sum_e phi[e] theta_{e,e} == phi(f) exactly on every probe.
 
-    The probes are single edge copies, each probed once: every copy of
-    every edge class that into (range class -> edge classes) lists at an
-    atom where f has a part (each atom of the class of a class part, the
-    atom of a point mass), enumerated from f and into, not from phi; then
-    every copy phi names; then every representative copy in reps (valid
-    copies of c, copy 0 of each class, sorted).  On an honest map the
-    first two sets are equal, and a copy the map leaves out is still
-    probed.  theta_{e,e} z = e <e, z>, and inner pairs matching copies
-    only, so on the probe e the sum is phi[e] e, or zero when phi does
-    not name e.
+    The probes are single edge copies, each probed once, with its own
+    left_mul: every copy of copies (valid copies of c) ranging where f has
+    a part (at an atom of a class of its class part, or at the atom of a
+    point mass), found from f and copies, not from phi, so a copy the map
+    leaves out is still probed; then every copy phi names.  theta_{e,e} z
+    = e <e, z>, and inner pairs matching copies only, so on the probe e
+    the sum is phi[e] e, or zero when phi does not name e.  A copy of
+    copies is built unchecked; a copy only phi names goes through
+    ModuleVector.single, which checks it against c, and the atom of each
+    point mass is checked once.
 
-    A copy enumerated from f and into is a copy of an edge class of c,
-    with source index below its source count, multiplicity index below
-    its multiplicity and a range atom of c (a point mass's atom is checked
-    once), so its probe is built without a check; a copy only phi names
-    goes through ModuleVector.single, which checks it against c.
-
-    Each copy in the first two sets takes its own left_mul.  The
-    representatives outside them, where the sum is zero, take one
-    left_mul on their sum, the vector with coefficient 1 on each: left_mul
-    scales each copy on its own and the copies are distinct, so the image
-    is zero exactly when each representative's image is.  A nonzero image
-    names the first representative it keeps in generator order.
+    The rest of copies, where the sum is zero, take one left_mul on their
+    sum, the vector with coefficient 1 on each: left_mul scales each copy
+    on its own and the copies are distinct, so the image is zero exactly
+    when each copy's image is.  A nonzero image names the first copy it
+    keeps.
     """
-    atoms = [Atom(cls, j) for cls, _ in f.class_part
-             for j in range(c.algebra.count_of(cls))]
-    for a, _ in f.point_part:
-        a = Atom(*a)
-        if a.cls in into:
-            # a is the range atom of every copy probed at it
-            c.algebra.check_atom(a)
-        atoms.append(a)
-    # copy -> whether it is a valid copy of c by construction
-    named = dict.fromkeys(
-        (EdgeCopy(g.name, i, a.index, k) for a in atoms for g in into.get(a.cls, ())
-         for i in range(c.algebra.count_of(g.src)) for k in range(g.mult)), True)
+    classes = {cls for cls, _ in f.class_part}
+    atoms = {c.algebra.check_atom(Atom(*a)) for a, _ in f.point_part}
+    named: dict = {}  # copy -> whether it is a copy of copies
+    rest = []
+    for e in copies:
+        a = c.range_atom(e)
+        if a.cls in classes or a in atoms or e in phi:
+            named[e] = True
+        else:
+            rest.append((e, QI_ONE))
     for e in phi:
         named.setdefault(e, False)
-    for e, valid in named.items():
-        z = ModuleVector(c, ((e, QI_ONE),)) if valid else ModuleVector.single(c, e)
+    for e, listed in named.items():
+        z = ModuleVector(c, ((e, QI_ONE),)) if listed else ModuleVector.single(c, e)
         w = phi.get(e)
         got = left_mul(f, z)
         if not (got.is_zero() if w is None else got == z.scale(w)):
             raise InternalInconsistencyError(
                 f"theta decomposition disagrees with the left action on {e}")
-    got = left_mul(f, ModuleVector._of_sorted(
-        c, ((e, QI_ONE) for e in reps if e not in named)))
+    got = left_mul(f, ModuleVector._of_valid(c, rest))
     if not got.is_zero():
-        kept = {e.cls: e for e, _ in got.coeffs}
-        first = next(kept[g.name] for g in c.generators if g.name in kept)
         raise InternalInconsistencyError(
-            f"theta decomposition disagrees with the left action on {first}")
+            f"theta decomposition disagrees with the left action on {got.coeffs[0][0]}")

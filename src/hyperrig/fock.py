@@ -12,6 +12,29 @@ Gaussian rationals, and every residual is a max squared modulus that must
 come out exactly zero.  The generators the pipeline builds are Gaussian
 integers, so on the witness path every entry and residual is an int.
 
+One reach rule sizes every list the chain checks by the space.  An edge
+copy e acts on it only through t(e), which visits only the keys its
+source atom s(e) leads below the top level, and successors puts e (x) k
+in the next level for each such k.  So t(e) != 0 exactly when e lies in
+the created copies C(F) = {k.path[0] : k a basis key above level 0},
+which build_fock records once per space.  The generator vectors are the
+single copies of C(F); the generator functions are delta_C and (1 + i)
+delta_C for each class C with an atom in by_lead, and the point masses at
+the leading atoms; the covariance check compresses phi(f) =
+sum_e f(r(e)) theta_{e,e} to C(F) and probes it over C(F).  What is left
+out moves no residual:
+- a class C with no atom in by_lead has rho(delta_C) = rho((1 + i)
+  delta_C) = 0, and phi(delta_C) x keeps only copies ranging in C, none
+  of them created (r(e) would lead a key): such pairs compare 0 with 0;
+- a copy e outside C(F) has t(e) = 0, and s(e) leads no key below the
+  top level, so rho(<e, y>) is zero on the compared columns 0..N-1;
+- t(e) t(e)* = 0 for e outside C(F), so psi_t of phi(f) equals psi_t of
+  its compression to C(F): the covariance residual is the same on every
+  input.
+No structural shortcut is taken: every residual is still computed
+generically over every generator kept.  What no longer runs are pairs
+and probes whose both sides are the zero operator on the truncated space.
+
 Each space builds every operator of the pipeline once: t0 and rho0 read
 through a memo on the TruncatedFock keyed by their argument's value, and
 the generator lists and single-copy vectors are kept there too, so the
@@ -54,6 +77,7 @@ class TruncatedFock:
     bases: tuple   # tuple[tuple[TensorKey, ...]]
     index: dict    # TensorKey -> level
     by_lead: dict  # leading Atom -> tuple[TensorKey, ...], all levels, basis order
+    created: tuple  # C(F): the first factor of every key above level 0, sorted
     # built over this space once each and shared read-only: t(x) keyed by
     # x.coeffs, rho(f) by f, the single-copy vector of e by e, and the two
     # generator lists by their function's name
@@ -107,7 +131,8 @@ def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = DEFAULT_
             by_lead.setdefault(a, []).extend(keys)
     index = {k: n for n, level in enumerate(bases) for k in level}
     return TruncatedFock(c, sigma, n_levels, tuple(bases), index,
-                         {a: tuple(keys) for a, keys in by_lead.items()})
+                         {a: tuple(keys) for a, keys in by_lead.items()},
+                         tuple(sorted({k.path[0] for level in bases[1:] for k in level})))
 
 
 def _group_by_lead(c: Correspondence, keys: Iterable) -> dict:
@@ -294,16 +319,10 @@ def psi_t(fock: TruncatedFock, phi: Mapping[EdgeCopy, QI]) -> GradedOperator:
     column k, row i is the sum over basis keys j of t(e)[j][i] times
     conj(t(e)[j][k]), so each column j of t(e) pairs its own entries.
     Every copy accumulates into one column map, and zero entries are
-    dropped once at the end.  A copy whose source atom leads no basis key
-    is skipped: its t(e) is exactly the empty operator, since creation by
-    e only visits the keys its source atom leads, so it adds nothing and
-    is neither built nor kept in the space's memo.
+    dropped once at the end.
     """
-    by_lead, source_atom = fock.by_lead, fock.parent.source_atom
     cols: dict = {}
     for e, z in phi.items():
-        if source_atom(e) not in by_lead:
-            continue
         for col in t0(fock, _single_copy(fock, e)).cols.values():
             for k, y in col.items():
                 zy = z * y.conj()
@@ -335,8 +354,9 @@ class IsometryReport:
 
 
 def generator_functions(fock: TruncatedFock) -> tuple:
-    """Class indicators, point masses at every leading atom, and the probe
-    (1 + i) delta_C for every class C.
+    """Class indicators and the probes (1 + i) delta_C for every class C
+    with an atom in by_lead (the reach rule of the module docstring), and
+    the point masses at every leading atom.
 
     Indicators and point masses are real and take only the values 0 and 1,
     so a corruption of t or rho in how it treats a scalar (a conjugation,
@@ -348,7 +368,8 @@ def generator_functions(fock: TruncatedFock) -> tuple:
     """
     fns = fock._generators.get("functions")
     if fns is None:
-        names = fock.parent.algebra.names
+        led = {a.cls for a in fock.by_lead}
+        names = [nm for nm in fock.parent.algebra.names if nm in led]
         fns = fock._generators["functions"] = (
             tuple(CoefFn.delta_class(nm) for nm in names)
             + tuple(CoefFn.delta_atom(a) for a in sorted(fock.by_lead))
@@ -357,15 +378,13 @@ def generator_functions(fock: TruncatedFock) -> tuple:
 
 
 def generator_vectors(fock: TruncatedFock) -> tuple:
-    """One singleton per edge copy that can appear as a first tensor factor,
-    plus a representative copy of every class.  Built once per space, as a
+    """The single copies of the created copies C(F), in sorted order (the
+    reach rule of the module docstring).  Built once per space, as a
     tuple."""
     vecs = fock._generators.get("vectors")
     if vecs is None:
-        copies = {k.path[0] for k in fock.all_keys() if k.path}
-        copies |= {EdgeCopy(g.name, 0, 0, 0) for g in fock.parent.generators}
         vecs = fock._generators["vectors"] = tuple(
-            _single_copy(fock, e) for e in sorted(copies))
+            _single_copy(fock, e) for e in fock.created)
     return vecs
 
 
@@ -545,15 +564,12 @@ def ideal_generator_functions(fock: TruncatedFock, j: IdealSpec) -> list:
     are complete bipartite (edges_from_atom), so if one atom of C leads a
     key at a level n >= 1, every atom of C does; an infinite class leads
     none there, since build_fock raises SymbolicOnlyError on its fiber
-    first.  So a class left out leads at most sigma's vacuum keys.  The
-    covariance and eq-use-1 residuals read this list on M0, at level 1,
-    where rho(delta_C) is zero (it scales each key by delta_C at its
-    leading atom) and so is psi_t(phi(delta_C)) = sum over r(e) in C of
-    t(e) t(e)*: t(e)* is nonzero only on keys whose first copy is e, which
-    r(e) leads.  Nor is this a structural shortcut: each kept generator
+    first.  So a class left out leads at most sigma's vacuum keys: no
+    created copy ranges in C, so phi(delta_C) compressed to the created
+    copies is empty, and rho(delta_C) is zero on M0, at level 1, where the
+    covariance and eq-use-1 residuals read this list.  Each kept generator
     runs the whole generic chain (left_action_as_compacts with its theta
-    check, psi_t, rho0, operator_residual).  Only the theta check of a
-    class the space never reaches, at atoms no residual reads, is not run.
+    check, psi_t, rho0, operator_residual).
     """
     reached = Counter(a.cls for a in fock.by_lead)
     return [CoefFn.delta_class(cls) for cls in sorted(j.support)
@@ -594,7 +610,8 @@ def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace) -> Rational:
     """Covariance residual of the restriction to m: on the complement of
     the creation image, the compact-operator route must reproduce the
     diagonal action exactly for each f in ideal_generator_functions(fock,
-    m.ideal).  The complement is asserted to be m.m0 at level 1 alone.
+    m.ideal), with phi(f) compressed to the created copies.  The
+    complement is asserted to be m.m0 at level 1 alone.
     """
     expected = tuple(m.m0 if n == 1 else () for n in range(fock.n_levels + 1))
     if complement_of_creation(fock, m.levels) != expected:
@@ -603,7 +620,7 @@ def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace) -> Rational:
     m0_keys = frozenset(m.m0)
     fns = ideal_generator_functions(fock, m.ideal)
     resid = 0
-    for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, m.ideal)):
+    for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, m.ideal, fock.created)):
         resid = max(resid, operator_residual(psi_t(fock, phi), rho0(fock, f), m0_keys))
     return resid
 

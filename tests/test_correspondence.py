@@ -325,60 +325,75 @@ def test_tensor_power_reduction_examples():
 
 # -- compact decompositions -------------------------------------------------------
 
+def copy_zeros(c):
+    """Copy 0 of every edge class of c."""
+    return tuple(EdgeCopy(g.name, 0, 0, 0) for g in c.generators)
+
+
+def every_copy(c):
+    """Every edge copy of c, a correspondence over finite classes, sorted."""
+    return tuple(sorted(e for nm in c.algebra.names for i in range(c.algebra.count_of(nm))
+                        for e in c.edges_from_atom(Atom(nm, i))))
+
+
 def test_theta_decomposition_star_plus_arm():
     c = star_plus_arm()
-    assert left_action_as_compacts(c, [CoefFn.delta_class("U")], compacts_preimage(c)) \
+    fin = compacts_preimage(c)
+    assert left_action_as_compacts(c, [CoefFn.delta_class("U")], fin, copy_zeros(c)) \
         == [{EdgeCopy("F", 0, 0, 0): QI_ONE}]
+    # compressed to copies none of which ranges in U, phi(delta_U) is zero
+    assert left_action_as_compacts(c, [CoefFn.delta_class("U")], fin,
+                                   [EdgeCopy("E", 0, 0, 0)]) == [{}]
 
 
 def test_theta_decomposition_loop_and_zero():
     lo = loop_graph()
     fin = compacts_preimage(lo)
-    assert left_action_as_compacts(lo, [CoefFn.delta_class("v"), CoefFn.of()], fin) \
+    assert left_action_as_compacts(lo, [CoefFn.delta_class("v"), CoefFn.of()], fin,
+                                   every_copy(lo)) \
         == [{EdgeCopy("e", 0, 0, 0): QI_ONE}, {}]
-    assert left_action_as_compacts(lo, [], fin) == []
+    assert left_action_as_compacts(lo, [], fin, every_copy(lo)) == []
 
 
 def test_theta_rejects_outside_compacts():
     om = omega_star()
     fin = compacts_preimage(om)
+    copies = copy_zeros(om)
     with pytest.raises(DomainError, match="outside the compact preimage"):
-        left_action_as_compacts(om, [CoefFn.delta_class("V")], fin)
+        left_action_as_compacts(om, [CoefFn.delta_class("V")], fin, copies)
     # W lies in the compact preimage, but a class-constant value over an
     # infinite class is not an algebra element
-    with pytest.raises(DomainError):
-        left_action_as_compacts(om, [CoefFn.delta_class("W")], fin)
+    with pytest.raises(DomainError, match="infinite class W is not an algebra element"):
+        left_action_as_compacts(om, [CoefFn.delta_class("W")], fin, copies)
     # a point mass on one W copy is fine and decomposes to nothing (no edge
     # ranges at W)
-    assert left_action_as_compacts(om, [CoefFn.delta_atom(Atom("W", 3))], fin) == [{}]
+    assert left_action_as_compacts(om, [CoefFn.delta_atom(Atom("W", 3))], fin, copies) == [{}]
 
 
 def test_theta_point_mass_on_range():
     c = tower()
     assert left_action_as_compacts(c, [CoefFn.delta_atom(Atom("U", 0))],
-                                   compacts_preimage(c)) \
+                                   compacts_preimage(c), copy_zeros(c)) \
         == [{EdgeCopy("F", 0, 0, 0): QI_ONE}]
 
 
 def theta_probe_instance():
-    # X(3) -> U(2) with multiplicity 2 (12 copies of F), and X -> Y
+    # X(3) -> U(2) with multiplicity 2 (12 copies of F), and X -> Y (3
+    # copies of G); the probes range over all 15 copies
     c = Correspondence.of(AtomSet.of([("X", 3), ("U", 2), ("Y", 1)]),
                           [EdgeClass("F", "X", "U", 2), EdgeClass("G", "X", "Y", 1)])
-    into = {"U": [c.edge("F")], "Y": [c.edge("G")]}
-    reps = (EdgeCopy("F", 0, 0, 0), EdgeCopy("G", 0, 0, 0))
-    return c, into, reps
+    return c, every_copy(c)
 
 
 def test_theta_sum_check_catches_a_wrong_term():
-    c, into, reps = theta_probe_instance()
+    c, copies = theta_probe_instance()
     f = CoefFn.delta_class("U", QI(3))
-    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c))
+    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c), copies)
     assert phi == {EdgeCopy("F", i, j, k): QI(3)
                    for i in range(3) for j in range(2) for k in range(2)}
-    _verify_theta_sum(c, f, phi, into, reps)
+    _verify_theta_sum(c, f, phi, copies)
     doubled = dict(phi)
     doubled[EdgeCopy("F", 2, 1, 0)] = QI(6)
-    # copy 0 of its class, a representative
     missing = dict(phi)
     del missing[EdgeCopy("F", 0, 0, 0)]
     # G ranges at Y, outside supp f
@@ -386,64 +401,57 @@ def test_theta_sum_check_catches_a_wrong_term():
     for bad in (doubled, missing, extra):
         with pytest.raises(InternalInconsistencyError,
                            match="theta decomposition disagrees"):
-            _verify_theta_sum(c, f, bad, into, reps)
+            _verify_theta_sum(c, f, bad, copies)
+    # the extra term is caught too when it lies outside copies, as a copy
+    # only the map names
+    with pytest.raises(InternalInconsistencyError, match="theta decomposition disagrees"):
+        _verify_theta_sum(c, f, extra, [e for e in copies if e.cls == "F"])
 
 
 def test_theta_sum_check_probes_every_copy_where_f_has_a_part():
-    # a map that leaves out a copy other than copy 0 of its class: neither
-    # a copy the map names nor a representative probes it, so the probes
-    # are enumerated from f, over every copy ranging where f has a part
-    c, into, reps = theta_probe_instance()
+    # a map that leaves out a copy other than copy 0 of its class: no copy
+    # the map names probes it, so the probes are enumerated from f and
+    # copies, over every copy of copies ranging where f has a part
+    c, copies = theta_probe_instance()
     for f, left_out in ((CoefFn.delta_class("U"), EdgeCopy("F", 2, 1, 1)),
                         (CoefFn.delta_atom(Atom("U", 1)), EdgeCopy("F", 1, 1, 1))):
-        [phi] = left_action_as_compacts(c, [f], compacts_preimage(c))
-        _verify_theta_sum(c, f, phi, into, reps)
+        [phi] = left_action_as_compacts(c, [f], compacts_preimage(c), copies)
+        _verify_theta_sum(c, f, phi, copies)
         missing = dict(phi)
         del missing[left_out]
         assert len(missing) == len(phi) - 1
         with pytest.raises(InternalInconsistencyError,
                            match="theta decomposition disagrees .* on " + re.escape(str(left_out))):
-            _verify_theta_sum(c, f, missing, into, reps)
+            _verify_theta_sum(c, f, missing, copies)
 
 
 def test_theta_sum_check_refuses_a_copy_outside_the_correspondence():
-    # the probes enumerated from f and into are valid copies by
-    # construction and are built unchecked; a copy that only the map names
-    # is still checked against c, and so is the atom of a point mass
-    c, into, reps = theta_probe_instance()
+    # the probes of copies are valid copies by contract and are built
+    # unchecked; a copy that only the map names is still checked against
+    # c, and so is the atom of a point mass
+    c, copies = theta_probe_instance()
     f = CoefFn.delta_class("U")
-    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c))
+    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c), copies)
     for bad, msg in ((EdgeCopy("F", 0, 0, 2), "outside multiplicity 2"),
                      (EdgeCopy("F", 3, 0, 0), "outside class of count 3"),
                      (EdgeCopy("F", 0, 2, 0), "outside class of count 2"),
                      (EdgeCopy("H", 0, 0, 0), "unknown edge class")):
         with pytest.raises(DomainError, match=msg):
-            _verify_theta_sum(c, f, {**phi, bad: QI_ONE}, into, reps)
+            _verify_theta_sum(c, f, {**phi, bad: QI_ONE}, copies)
     with pytest.raises(DomainError, match="outside class of count 2"):
-        _verify_theta_sum(c, CoefFn.delta_atom(Atom("U", 2)), {}, into, reps)
+        _verify_theta_sum(c, CoefFn.delta_atom(Atom("U", 2)), {}, copies)
 
 
 def test_theta_sum_check_probes_the_representatives_together(monkeypatch):
-    # the representatives outside the copies f reaches take one left_mul on
-    # their sum.  An into that misses the classes ranging where f has a
-    # part leaves their representatives to that probe, and the error names
-    # the first offending one in generator order, not in copy order
-    c, _, reps = theta_probe_instance()
-    flipped = Correspondence.of(c.algebra, c.generators[::-1])
-    f = CoefFn.delta_class("U") + CoefFn.delta_class("Y")
-    for d, first in ((c, reps[0]), (flipped, reps[1])):
-        with pytest.raises(InternalInconsistencyError,
-                           match="disagrees .* on " + re.escape(str(first)) + "$"):
-            _verify_theta_sum(d, f, {}, {}, reps)
-        # only G's representative offends: the sum holds more than its
-        # first term
-        with pytest.raises(InternalInconsistencyError,
-                           match="disagrees .* on " + re.escape(str(reps[1])) + "$"):
-            _verify_theta_sum(d, CoefFn.delta_class("Y"), {}, {}, reps)
-
-    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c))
-    _verify_theta_sum(c, f, phi, {"U": [c.edge("F")], "Y": [c.edge("G")]}, reps)
-    on_f = {e: z for e, z in phi.items() if e.cls == "F"}
+    # the copies of copies that range outside supp f and that the map does
+    # not name take one left_mul on their sum, after one left_mul per copy
+    # ranging where f has a part.  A left_mul that scales some of them
+    # anyway is caught there, and the error names the first copy the sum's
+    # image keeps, in copy order
+    c, copies = theta_probe_instance()
+    f = CoefFn.delta_class("U")
+    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c), copies)
+    rest = [e for e in copies if e.cls == "G"]
     calls = []
 
     def counted(g, x):
@@ -451,12 +459,21 @@ def test_theta_sum_check_probes_the_representatives_together(monkeypatch):
         return left_mul(g, x)
 
     monkeypatch.setattr(corr_mod, "left_mul", counted)
+    _verify_theta_sum(c, f, phi, copies)
+    # one left_mul per copy of F, then one on the sum of the three copies of G
+    assert len(calls) == len(phi) + 1 == 13
+    assert calls[-1] == ModuleVector.of(c, dict.fromkeys(rest, QI_ONE))
+
+    scaled = rest[1:]  # G's copies at X1 and X2, not the one at X0
+
+    def scales_rest(g, x):
+        kept = {e: z for e, z in x.coeffs if e in scaled}
+        return left_mul(g, x) + ModuleVector.of(c, kept)
+
+    monkeypatch.setattr(corr_mod, "left_mul", scales_rest)
     with pytest.raises(InternalInconsistencyError,
-                       match="disagrees .* on " + re.escape(str(reps[1])) + "$"):
-        _verify_theta_sum(c, f, on_f, {"U": [c.edge("F")]}, reps)
-    # one left_mul per copy of F, then one on the sum of the rest: G's copy 0
-    assert len(calls) == len(on_f) + 1 == 13
-    assert calls[-1] == ModuleVector.single(c, reps[1])
+                       match="disagrees .* on " + re.escape(str(scaled[0])) + "$"):
+        _verify_theta_sum(c, f, phi, copies)
 
 
 # -- strategies -------------------------------------------------------------------
@@ -613,7 +630,7 @@ def test_theta_decomposition_matches_left_action(c):
     # each class representative
     fin = compacts_preimage(c)
     fns = [CoefFn.delta_class(nm) for nm in sorted(fin.support)]
-    for f, phi in zip(fns, left_action_as_compacts(c, fns, fin), strict=True):
+    for f, phi in zip(fns, left_action_as_compacts(c, fns, fin, every_copy(c)), strict=True):
         expected = {}
         for g in c.generators:
             for i in range(c.algebra.count_of(g.src)):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -56,7 +57,7 @@ def vacuum_covariance_residual(fock, j):
     of the ideal j, a negative control for check_cuntz_pimsner."""
     fns = ideal_generator_functions(fock, j)
     return max(operator_residual(psi_t(fock, phi), rho0(fock, f), fock.bases[0])
-               for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, j)))
+               for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, j, fock.created)))
 
 
 # -- basis enumeration ----------------------------------------------------------
@@ -294,13 +295,15 @@ def test_truncation_boundary_excluded():
     assert verify_isometric_rep(fock).max_residual == 0
 
 
-def dense_isometry_report(fock, rho_of=None, t_of=None) -> IsometryReport:
+def dense_isometry_report(fock, rho_of=None, t_of=None, fns=None, vecs=None) -> IsometryReport:
     """The relation checks as a pair grid: one composed operator per
     (function, vector) and per (vector, vector) pair, every pair compared
-    in full against its own rhs."""
+    in full against its own rhs.  fns / vecs default to the space's
+    generator lists."""
     rho_of = cache(rho_of or (lambda f: rho0(fock, f)))
     t_of = cache(t_of or (lambda x: t0(fock, x)))
-    fns, vecs = generator_functions(fock), generator_vectors(fock)
+    fns = generator_functions(fock) if fns is None else fns
+    vecs = generator_vectors(fock) if vecs is None else vecs
     src = [k for n in range(fock.n_levels) for k in fock.bases[n]]
     mult = 0
     for f in fns:
@@ -672,7 +675,8 @@ def test_psi_t_decomposition_independence():
     fock = build_fock(tl, sigma_at(tl, "v"), 2, basis_budget=100)
     e = ModuleVector.single(tl, EdgeCopy("e", 0, 0, 0))
     f = ModuleVector.single(tl, EdgeCopy("f", 0, 0, 0))
-    [plain] = left_action_as_compacts(tl, [CoefFn.delta_class("v")], katsura_ideal(tl))
+    [plain] = left_action_as_compacts(tl, [CoefFn.delta_class("v")], katsura_ideal(tl),
+                                      fock.created)
     half = QI(Fraction(1, 2))
     u, w = e + f, e - f
     rotated = op_sum(t0(fock, u.scale(half)).compose(t0(fock, u).adjoint()),
@@ -740,31 +744,24 @@ def test_cuntz_pimsner_on_witness_and_control():
 
 def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
     # 22 ideal generators, the classes of J the space reaches, over 900
-    # edge classes.  Every f probes, with one left_mul each, every copy
-    # ranging where f has a part (on an honest map, exactly the copies the
-    # map names), and the class representatives outside those with one
-    # left_mul on their sum.  A probe enumerated from f is a valid copy by
-    # construction and is not checked again; each class representative is
-    # checked once for the whole check.  psi_t builds t(e) only for a copy
-    # whose source atom leads a basis key (any other t(e) is empty), and
-    # each such copy is checked once as a creation operator
+    # edge classes.  phi(f) is compressed to the created copies, the first
+    # factors of the basis keys.  Every f probes, with one left_mul each,
+    # every created copy ranging where f has a part (on an honest map,
+    # exactly the copies the map names), and the rest of the created
+    # copies with one left_mul on their sum.  A created copy is valid by
+    # construction and is not checked again as a probe; psi_t builds one
+    # t(e) per copy the map names, and each such copy is checked once, as
+    # it first becomes a creation operator
     c = build_correspondence(load_instance(INPUTS / "discrete_300_omega.json"))
     j = katsura_ideal(c)
     fock = build_fock(c, sigma_degeneracy_witness(c).rep)
     m = build_witness_subspace(fock, j)
-    named = 0  # sum over f of the copies whose range atom f does not vanish at
-    led = 0    # those of them whose source atom leads a basis key
-    for f in ideal_generator_functions(fock, j):
-        for g in c.generators:
-            hits = sum(c.algebra.count_of(cls) for cls, _ in f.class_part if cls == g.dst)
-            hits += sum(1 for a, _ in f.point_part if a.cls == g.dst)
-            if hits:
-                named += hits * c.algebra.count_of(g.src) * g.mult
-                sources = sum(1 for i in range(c.algebra.count_of(g.src))
-                              if Atom(g.src, i) in fock.by_lead)
-                led += hits * sources * g.mult
-    assert (len(c.generators), len(ideal_generator_functions(fock, j)), named, led) == (
-        900, 22, 760, 276)
+    fns = ideal_generator_functions(fock, j)
+    created = sorted({k.path[0] for k in fock.all_keys() if k.path})
+    # per f, the created copies whose range atom f does not vanish at
+    named = [e for f in fns for e in created if not f.value_at(c.range_atom(e)).is_zero()]
+    assert (len(c.generators), len(fns), len(created), len(named), len(set(named))) == (
+        900, 22, 248, 244, 244)
 
     calls = {"left_mul": 0, "check_copy": 0, "t0": 0}
 
@@ -779,10 +776,9 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
                         counted("check_copy", Correspondence.check_copy))
     monkeypatch.setattr(fock_mod, "t0", counted("t0", fock_mod.t0))
     assert check_cuntz_pimsner(fock, m) == 0
-    fns = ideal_generator_functions(fock, j)
-    assert calls["left_mul"] == named + len(fns) == 782
-    assert calls["check_copy"] <= len(c.generators) + led
-    assert calls["t0"] == led
+    assert calls["left_mul"] == len(named) + len(fns) == 266
+    assert calls["check_copy"] == len(set(named)) == 244
+    assert calls["t0"] == len(named) == 244
 
 
 def omega_star_and_far_arrow(n):
@@ -793,10 +789,22 @@ def omega_star_and_far_arrow(n):
         [EdgeClass("E", "W", "V", 1), EdgeClass("F", "Y", "X", 1)])
 
 
+def tower_and_wide_arrow(n):
+    """tower beside an arrow Y -> U, Y of count n: U lies in the Katsura
+    ideal (in-degree n + 1), and the space over W reaches it through
+    V -> U alone, so it creates with no copy of Y -> U."""
+    return Correspondence.of(
+        AtomSet.of([("V", 1), ("W", OMEGA), ("U", 1), ("Y", n)]),
+        [EdgeClass("E", "W", "V", 1), EdgeClass("F", "V", "U", 1),
+         EdgeClass("G", "Y", "U", 1)])
+
+
 def test_unreached_ideal_class_costs_no_left_mul(monkeypatch):
     # the witness pipeline's left_mul calls do not grow with a class of J
-    # the space never reaches; a generator list holding the indicator of X
-    # would probe every copy ranging in X, one left_mul per atom of X
+    # the space never reaches, nor with the in-degree of a class it does
+    # reach from copies it never creates with: a generator list holding
+    # the indicator of X, or a phi(delta_U) expanded over every copy
+    # ranging in U, would probe one copy per atom of X or of Y
     calls = [0]
 
     def counted(fn):
@@ -807,15 +815,43 @@ def test_unreached_ideal_class_costs_no_left_mul(monkeypatch):
 
     monkeypatch.setattr(corr_mod, "left_mul", counted(corr_mod.left_mul))
     monkeypatch.setattr(fock_mod, "left_mul", counted(fock_mod.left_mul))
-    counts = []
-    for n in (10, 10_000):
-        c = omega_star_and_far_arrow(n)
-        w = sigma_degeneracy_witness(c)
-        assert w.ideal.support == {"X"}
-        calls[0] = 0
-        witness_pipeline(c, w.rep, w.ideal)
-        counts.append(calls[0])
-    assert counts[0] == counts[1]
+    for family, ideal in ((omega_star_and_far_arrow, {"X"}), (tower_and_wide_arrow, {"U"})):
+        counts = []
+        for n in (10, 10_000):
+            c = family(n)
+            w = sigma_degeneracy_witness(c)
+            assert w.ideal.support == ideal
+            calls[0] = 0
+            witness_pipeline(c, w.rep, w.ideal)
+            counts.append(calls[0])
+        assert counts[0] == counts[1], family.__name__
+
+
+def test_summed_probe_catches_a_created_copy_outside_supp_f(monkeypatch):
+    # on tower the space over W creates with E (W -> V) and F (V -> U), and
+    # J is {U}: phi(delta_U) names F, and E, ranging outside supp f, is
+    # left to the summed probe.  A left_mul that scales E anyway is caught
+    # there, and the error names E
+    c = tower()
+    w = sigma_degeneracy_witness(c)
+    fock = build_fock(c, w.rep)
+    m = build_witness_subspace(fock, w.ideal)
+    e = EdgeCopy("E", 0, 0, 0)
+    assert fock.created == (e, EdgeCopy("F", 0, 0, 0))
+    calls = []
+
+    def scales_e(f, x):
+        calls.append(x)
+        got = left_mul(f, x)
+        if any(copy == e for copy, _ in x.coeffs):
+            got = got + ModuleVector.single(c, e)
+        return got
+
+    monkeypatch.setattr(corr_mod, "left_mul", scales_e)
+    with pytest.raises(InternalInconsistencyError,
+                       match="disagrees .* on " + re.escape(str(e)) + "$"):
+        check_cuntz_pimsner(fock, m)
+    assert calls == [ModuleVector.single(c, EdgeCopy("F", 0, 0, 0)), ModuleVector.single(c, e)]
 
 
 def generators_not_read_off_the_space(fock, j):
@@ -849,13 +885,50 @@ def discrete_negatives() -> list:
     return [c for c in cs if sigma_degeneracy_witness(c) is not None]
 
 
+def generator_lists_sized_by_the_presentation(fock):
+    """The relation checks' generator lists read off the presentation where
+    they can be: delta_C and (1 + i) delta_C for every class C, the point
+    masses at the leading atoms, and the single copies of the created
+    copies and of copy 0 of every edge class."""
+    c = fock.parent
+    names = c.algebra.names
+    fns = ([CoefFn.delta_class(nm) for nm in names]
+           + [CoefFn.delta_atom(a) for a in sorted(fock.by_lead)]
+           + [CoefFn.delta_class(nm, QI(1, 1)) for nm in names])
+    copies = {k.path[0] for k in fock.all_keys() if k.path}
+    copies |= {EdgeCopy(g.name, 0, 0, 0) for g in c.generators}
+    return fns, [ModuleVector.single(c, e) for e in sorted(copies)]
+
+
+def phi_over_every_copy(c, f):
+    """phi(f) = sum_e f(r(e)) theta_{e,e} over every copy e of c whose range
+    atom f does not vanish at, not compressed to any space; finite for f
+    in the Katsura ideal."""
+    atoms = [Atom(cls, i) for cls, _ in f.class_part for i in range(c.algebra.count_of(cls))]
+    atoms += [a for a, _ in f.point_part]
+    out = {}
+    for a in atoms:
+        z = f.value_at(a)
+        for g in c.generators:
+            if g.dst == a.cls and not z.is_zero():
+                out.update(dict.fromkeys(
+                    (EdgeCopy(g.name, i, a.index, k)
+                     for i in range(c.algebra.count_of(g.src)) for k in range(g.mult)), z))
+    return out
+
+
 def test_generators_left_out_contribute_nothing():
     # a generator of the ideal the space does not reach has no column of
     # rho or of psi_t(phi(f)) above level 0, so the covariance and
     # eq-use-1 residuals over the generators listed without reading the
     # space equal the pipeline's; phi of every such generator still passes
-    # its theta-decomposition check, here on the test side
-    runs = left_out = points_left_out = 0
+    # its theta-decomposition check, here on the test side.  Likewise a
+    # function or vector the relation lists leave out has the empty rho or
+    # t, and the pair-grid and invariance residuals over the lists read
+    # off the presentation equal those over the space's lists; and phi(f)
+    # compressed to the created copies has the psi_t of phi(f) over every
+    # copy
+    runs = left_out = points_left_out = fns_left_out = vecs_left_out = expanded = dense = 0
     for c in discrete_negatives():
         w = sigma_degeneracy_witness(c)
         try:
@@ -863,11 +936,35 @@ def test_generators_left_out_contribute_nothing():
         except (SymbolicOnlyError, BudgetExceededError):
             continue
         runs += 1
+        all_fns, all_vecs = generator_lists_sized_by_the_presentation(fock)
+        fns, vecs = generator_functions(fock), generator_vectors(fock)
+        assert set(fns) <= set(all_fns) and set(vecs) <= set(all_vecs)
+        for f in set(all_fns) - set(fns):
+            fns_left_out += 1
+            assert not rho0(fock, f).cols, f
+        for x in set(all_vecs) - set(vecs):
+            vecs_left_out += 1
+            assert not t0(fock, x).cols, x
+        # the pair grid composes every pair, so it runs where it has at
+        # most 10**5 pairs: every space here but discrete_300_omega's
+        if len(all_vecs) * (len(all_fns) + len(all_vecs)) <= 10 ** 5:
+            dense += 1
+            assert dense_isometry_report(fock, fns=all_fns, vecs=all_vecs) \
+                == dense_isometry_report(fock) == verify_isometric_rep(fock)
+        mset = m.key_set()
+        inv = max((z.abs2() for op in [rho0(fock, f) for f in all_fns]
+                  + [t0(fock, x) for x in all_vecs]
+                  for k in op.cols.keys() & mset for kk, z in op.cols[k].items()
+                  if kk not in mset), default=0)
+        assert inv == cert.residual_invariance == 0
         old = generators_not_read_off_the_space(fock, m.ideal)
         new = ideal_generator_functions(fock, m.ideal)
         assert set(new) <= set(old)
-        phis = left_action_as_compacts(c, old, m.ideal)
+        phis = left_action_as_compacts(c, old, m.ideal, fock.created)
         for f, phi in zip(old, phis):
+            full = phi_over_every_copy(c, f)
+            expanded += len(full) > len(phi)
+            assert operator_residual(psi_t(fock, full), psi_t(fock, phi), fock.all_keys()) == 0
             if f in new:
                 continue
             left_out += 1
@@ -886,6 +983,7 @@ def test_generators_left_out_contribute_nothing():
             assert eq1 == verify_eq_use(fock, dataclasses.replace(m, ideal=ideal))[0]
             assert eq1 == (0 if ideal is m.ideal else 1)
     assert runs >= 15 and left_out >= 10 and points_left_out >= 1
+    assert fns_left_out >= 10 and vecs_left_out >= 10 and expanded >= 10 and dense >= 15
 
 
 def test_complement_of_creation_full_space():
@@ -953,7 +1051,8 @@ def test_witness_path_stays_on_int_arithmetic():
         assert all(op_ints(rho0(fock, f)) for f in generator_functions(fock))
         assert all(op_ints(t0(fock, x)) for x in generator_vectors(fock))
         fns = ideal_generator_functions(fock, m.ideal)
-        assert all(op_ints(psi_t(fock, phi)) for phi in left_action_as_compacts(c, fns, m.ideal))
+        assert all(op_ints(psi_t(fock, phi)) 
+                   for phi in left_action_as_compacts(c, fns, m.ideal, fock.created))
         report = verify_isometric_rep(fock)
         residuals = (report.multiplication, report.toeplitz, cert.residual_invariance,
                      cert.residual_eq_use1, cert.residual_eq_use2,
