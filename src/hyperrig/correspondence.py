@@ -199,16 +199,11 @@ class ModuleVector:
     def _of_valid(parent: Correspondence, items: Iterable) -> "ModuleVector":
         """From (copy, coefficient) pairs whose copies are already valid
         copies of parent, as they are inside every vector built from
-        vectors over parent: drops zeros and sorts, checks nothing."""
+        vectors over parent: drops zeros and sorts, checks nothing.  Pairs
+        already in sorted copy order, as a copy-wise map over a vector's
+        coeffs leaves them, sort in linear time."""
         return ModuleVector(parent, tuple(sorted(
             (e, z) for e, z in items if not z.is_zero())))
-
-    @staticmethod
-    def _of_sorted(parent: Correspondence, items: Iterable) -> "ModuleVector":
-        """From (copy, coefficient) pairs already in sorted copy order, as a
-        copy-wise map over a vector's coeffs leaves them: drops zeros,
-        checks and sorts nothing."""
-        return ModuleVector(parent, tuple((e, z) for e, z in items if not z.is_zero()))
 
     @staticmethod
     def single(parent: Correspondence, e: EdgeCopy) -> "ModuleVector":
@@ -226,7 +221,7 @@ class ModuleVector:
         return ModuleVector._of_valid(self.parent, acc.items())
 
     def scale(self, z: QI) -> "ModuleVector":
-        return ModuleVector._of_sorted(self.parent, ((e, z * v) for e, v in self.coeffs))
+        return ModuleVector._of_valid(self.parent, ((e, z * v) for e, v in self.coeffs))
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         return self + other.scale(QI() - QI_ONE)
@@ -252,7 +247,7 @@ def inner(x: ModuleVector, y: ModuleVector) -> CoefFn:
 def left_mul(f: CoefFn, x: ModuleVector) -> ModuleVector:
     """phi(f) x: scales each copy by f at its range atom."""
     c = x.parent
-    return ModuleVector._of_sorted(
+    return ModuleVector._of_valid(
         c, ((e, f.value_at(c.range_atom(e)) * z) for e, z in x.coeffs))
 
 

@@ -16,13 +16,12 @@ One reach rule sizes every list the chain checks by the space.  An edge
 copy e acts on it only through t(e), which visits only the keys its
 source atom s(e) leads below the top level, and successors puts e (x) k
 in the next level for each such k.  So t(e) != 0 exactly when e lies in
-the created copies C(F) = {k.path[0] : k a basis key above level 0},
-which build_fock records once per space.  The generator vectors are the
-single copies of C(F); the generator functions are delta_C and (1 + i)
-delta_C for each class C with an atom in by_lead, and the point masses at
-the leading atoms; the covariance check compresses phi(f) =
-sum_e f(r(e)) theta_{e,e} to C(F) and probes it over C(F).  What is left
-out moves no residual:
+the created copies C(F) = {k.path[0] : k a basis key above level 0}.
+The generator vectors are the single copies of C(F); the generator
+functions are delta_C and (1 + i) delta_C for each class C with an atom
+in by_lead, and the point masses at the leading atoms; the covariance
+check compresses phi(f) = sum_e f(r(e)) theta_{e,e} to C(F) and probes
+it over C(F).  What is left out moves no residual:
 - a class C with no atom in by_lead has rho(delta_C) = rho((1 + i)
   delta_C) = 0, and phi(delta_C) x keeps only copies ranging in C, none
   of them created (r(e) would lead a key): such pairs compare 0 with 0;
@@ -35,15 +34,16 @@ No structural shortcut is taken: every residual is still computed
 generically over every generator kept.  What no longer runs are pairs
 and probes whose both sides are the zero operator on the truncated space.
 
-Each space builds every operator of the pipeline once: t0 and rho0 read
-through a memo on the TruncatedFock keyed by their argument's value, and
-the generator lists and single-copy vectors are kept there too, so the
-relation checks, the invariance and covariance checks and the
-non-reducing search share one operator per argument.  Every residual is
-still computed in full from those operators.  The relation checks compare
-each joined pair in place, its accumulated columns against the rhs
-operator's, on the same columns and after the same degree check as
-operator_residual, without building an operator per pair.
+build_fock fills both generator lists once per space, and checks the
+single copy of each created copy against the correspondence once.  t0
+and rho0 read through a memo on the TruncatedFock keyed by their
+argument's value, so the relation checks, the invariance and covariance
+checks and the non-reducing search share one operator per argument.
+Every residual is still computed in full from those operators.  The
+relation checks compare each joined pair in place, its accumulated
+columns against the rhs operator's, on the same columns and after the
+same degree check as operator_residual, without building an operator
+per pair.
 """
 
 from __future__ import annotations
@@ -71,20 +71,33 @@ DEFAULT_BASIS_BUDGET = 10_000
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFock:
+    """The path bases of levels 0..N and the two generator lists of the
+    relation checks (the reach rule of the module docstring).
+
+    singles maps each created copy e of C(F), in sorted order, to its
+    single-copy vector; functions is delta_C for each class C with an atom
+    in by_lead, the point masses at the leading atoms, then the probes
+    (1 + i) delta_C.  Indicators and point masses are real and take only
+    the values 0 and 1, so a corruption of t or rho in how it treats a
+    scalar (a conjugation, a dropped imaginary part, a scalar ignored or
+    squared, a sign on one generator) passes them.  The probe is neither
+    real nor of modulus 1, so it sees those; and it is a Gaussian integer,
+    so every entry of every rho(f), t(x), psi_t(phi(f)), join product and
+    residual stays in int arithmetic.
+    """
+
     parent: Correspondence
     sigma: EvaluationRep
     n_levels: int  # N; bases cover levels 0..N inclusive
     bases: tuple   # tuple[tuple[TensorKey, ...]]
     index: dict    # TensorKey -> level
     by_lead: dict  # leading Atom -> tuple[TensorKey, ...], all levels, basis order
-    created: tuple  # C(F): the first factor of every key above level 0, sorted
+    singles: dict  # created EdgeCopy -> its single-copy ModuleVector, sorted
+    functions: tuple  # tuple[CoefFn, ...], in the order above
     # built over this space once each and shared read-only: t(x) keyed by
-    # x.coeffs, rho(f) by f, the single-copy vector of e by e, and the two
-    # generator lists by their function's name
+    # x.coeffs, rho(f) by f
     _t: dict = field(default_factory=dict, init=False, repr=False)
     _rho: dict = field(default_factory=dict, init=False, repr=False)
-    _single: dict = field(default_factory=dict, init=False, repr=False)
-    _generators: dict = field(default_factory=dict, init=False, repr=False)
 
     def all_keys(self) -> list:
         return [k for level in self.bases for k in level]
@@ -92,7 +105,7 @@ class TruncatedFock:
 def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = DEFAULT_FOCK_LEVEL,
                basis_budget: int = DEFAULT_BASIS_BUDGET) -> TruncatedFock:
     """Enumerate the path bases of levels 0..n_levels, indexed by leading
-    atom.
+    atom, and fill the generator lists read off them (see TruncatedFock).
 
     Each level is sized at class level before it is enumerated: level n+1
     has, for every leading atom of level n, (keys at that atom) x (fiber
@@ -130,9 +143,15 @@ def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = DEFAULT_
         for a, keys in lead.items():
             by_lead.setdefault(a, []).extend(keys)
     index = {k: n for n, level in enumerate(bases) for k in level}
+    created = sorted({k.path[0] for level in bases[1:] for k in level})
+    led = {a.cls for a in by_lead}
+    names = [nm for nm in c.algebra.names if nm in led]
+    functions = (tuple(CoefFn.delta_class(nm) for nm in names)
+                 + tuple(CoefFn.delta_atom(a) for a in sorted(by_lead))
+                 + tuple(CoefFn.delta_class(nm, QI(1, 1)) for nm in names))
     return TruncatedFock(c, sigma, n_levels, tuple(bases), index,
                          {a: tuple(keys) for a, keys in by_lead.items()},
-                         tuple(sorted({k.path[0] for level in bases[1:] for k in level})))
+                         {e: ModuleVector.single(c, e) for e in created}, functions)
 
 
 def _group_by_lead(c: Correspondence, keys: Iterable) -> dict:
@@ -302,18 +321,13 @@ def _build_t(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
     return GradedOperator(fock, 1, _drop_zeros(cols))
 
 
-def _single_copy(fock: TruncatedFock, e: EdgeCopy) -> ModuleVector:
-    """ModuleVector.single(fock.parent, e), built once per space."""
-    x = fock._single.get(e)
-    if x is None:
-        x = fock._single[e] = ModuleVector.single(fock.parent, e)
-    return x
-
-
 def psi_t(fock: TruncatedFock, phi: Mapping[EdgeCopy, QI]) -> GradedOperator:
     """Image of phi(f) = sum_e f(r(e)) theta_{e,e}, given as the map
     phi: e -> f(r(e)) over single edge copies that left_action_as_compacts
     returns: the sum of phi[e] t(e) t(e)*, with one t(e) per copy.
+
+    A created copy's vector is read from fock.singles; any other copy is
+    checked against the correspondence, and its t(e) is empty.
 
     Operators are indexed op[column][row].  The entry of t(e) t(e)* at
     column k, row i is the sum over basis keys j of t(e)[j][i] times
@@ -323,7 +337,8 @@ def psi_t(fock: TruncatedFock, phi: Mapping[EdgeCopy, QI]) -> GradedOperator:
     """
     cols: dict = {}
     for e, z in phi.items():
-        for col in t0(fock, _single_copy(fock, e)).cols.values():
+        x = fock.singles.get(e) or ModuleVector.single(fock.parent, e)
+        for col in t0(fock, x).cols.values():
             for k, y in col.items():
                 zy = z * y.conj()
                 tgt = cols.setdefault(k, {})
@@ -353,41 +368,6 @@ class IsometryReport:
         return max(self.multiplication, self.toeplitz)
 
 
-def generator_functions(fock: TruncatedFock) -> tuple:
-    """Class indicators and the probes (1 + i) delta_C for every class C
-    with an atom in by_lead (the reach rule of the module docstring), and
-    the point masses at every leading atom.
-
-    Indicators and point masses are real and take only the values 0 and 1,
-    so a corruption of t or rho in how it treats a scalar (a conjugation,
-    a dropped imaginary part, a scalar ignored or squared, a sign on one
-    generator) passes them.  The probe is neither real nor of modulus 1,
-    so it sees those; and it is a Gaussian integer, so every entry of
-    every rho(f), t(x), psi_t(phi(f)), join product and residual stays in
-    int arithmetic.  Built once per space, as a tuple.
-    """
-    fns = fock._generators.get("functions")
-    if fns is None:
-        led = {a.cls for a in fock.by_lead}
-        names = [nm for nm in fock.parent.algebra.names if nm in led]
-        fns = fock._generators["functions"] = (
-            tuple(CoefFn.delta_class(nm) for nm in names)
-            + tuple(CoefFn.delta_atom(a) for a in sorted(fock.by_lead))
-            + tuple(CoefFn.delta_class(nm, QI(1, 1)) for nm in names))
-    return fns
-
-
-def generator_vectors(fock: TruncatedFock) -> tuple:
-    """The single copies of the created copies C(F), in sorted order (the
-    reach rule of the module docstring).  Built once per space, as a
-    tuple."""
-    vecs = fock._generators.get("vectors")
-    if vecs is None:
-        vecs = fock._generators["vectors"] = tuple(
-            _single_copy(fock, e) for e in fock.created)
-    return vecs
-
-
 def verify_isometric_rep(fock: TruncatedFock,
                          rho_of: Optional[Callable] = None,
                          t_of: Optional[Callable] = None) -> IsometryReport:
@@ -405,17 +385,17 @@ def verify_isometric_rep(fock: TruncatedFock,
     sum.  Its rhs argument is then phi(f) x or <x, y>.  phi(f) x scales
     each copy of x by f at its range atom, so it is exactly the zero
     vector unless f has a class part or a point mass where some copy of x
-    ranges.  inner pairs matching copies only, so <x, y> is exactly the
-    zero function unless x and y share a copy.  Pairs that can have a
-    nonzero rhs are compared in full; every other pair compares the empty
-    lhs with t(0) or rho(0), one residual for all of them, built by the
-    same builder.
+    ranges.  inner pairs matching copies only, and the vectors are
+    distinct single copies, so <x, y> is exactly the zero function unless
+    x is y.  Pairs that can have a nonzero rhs are compared in full; every
+    other pair compares the empty lhs with t(0) or rho(0), one residual
+    for all of them, built by the same builder.
     """
     rho_at = (lambda f: rho0(fock, f)) if rho_of is None else cache(rho_of)
     t_at = (lambda x: t0(fock, x)) if t_of is None else cache(t_of)
     c = fock.parent
-    fns = generator_functions(fock)
-    vecs = generator_vectors(fock)
+    fns = fock.functions
+    copies, vecs = tuple(fock.singles), tuple(fock.singles.values())
     src = frozenset(k for n in range(fock.n_levels) for k in fock.bases[n])
     ts = [t_at(x) for x in vecs]
 
@@ -423,17 +403,10 @@ def verify_isometric_rep(fock: TruncatedFock,
     for i, f in enumerate(fns):
         for part, _ in f.class_part + f.point_part:
             nonzero_at.setdefault(part, set()).add(i)
-    by_copy: dict = {}     # edge copy -> vectors that have it
-    for i, x in enumerate(vecs):
-        for e, _ in x.coeffs:
-            by_copy.setdefault(e, set()).add(i)
 
     def ranged_by(r: int) -> set:
-        out: set = set()
-        for e, _ in vecs[r].coeffs:
-            a = c.range_atom(e)
-            out.update(nonzero_at.get(a.cls, ()), nonzero_at.get(a, ()))
-        return out
+        a = c.range_atom(copies[r])
+        return nonzero_at.get(a.cls, set()) | nonzero_at.get(a, set())
 
     mult, mult_joined = _join_residual(
         [rho_at(f) for f in fns], ts, src, ranged_by,
@@ -441,7 +414,7 @@ def verify_isometric_rep(fock: TruncatedFock,
         lambda: t_at(ModuleVector.of(c, {})))
     toep, toeplitz_joined = _join_residual(
         [tx.adjoint() for tx in ts], ts, src,
-        lambda r: set().union(*(by_copy[e] for e, _ in vecs[r].coeffs)),
+        lambda r: {r},
         lambda i, r: rho_at(inner(vecs[i], vecs[r])),
         lambda: rho_at(CoefFn.zero()))
     return IsometryReport(mult, toep, mult_joined, toeplitz_joined)
@@ -620,7 +593,8 @@ def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace) -> Rational:
     m0_keys = frozenset(m.m0)
     fns = ideal_generator_functions(fock, m.ideal)
     resid = 0
-    for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, m.ideal, fock.created)):
+    for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, m.ideal,
+                                                   tuple(fock.singles))):
         resid = max(resid, operator_residual(psi_t(fock, phi), rho0(fock, f), m0_keys))
     return resid
 
@@ -664,8 +638,8 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
     mset = m.key_set()
 
     inv = 0
-    ops = [rho0(fock, f) for f in generator_functions(fock)]
-    ops += [t0(fock, x) for x in generator_vectors(fock)]
+    ops = [rho0(fock, f) for f in fock.functions]
+    ops += [t0(fock, x) for x in fock.singles.values()]
     for op in ops:
         for k in op.cols.keys() & mset:
             for kk, z in op.cols[k].items():
@@ -676,15 +650,12 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
     cov = check_cuntz_pimsner(fock, m)
 
     non_reducing = None
-    for h in fock.bases[0]:
-        for up in successors(c, h):
-            e = up.path[0]
-            col = t0(fock, _single_copy(fock, e)).col(h)
-            norm = sum(z.abs2() for kk, z in col.items() if kk in mset)
-            if norm > 0:
-                non_reducing = (h, e, norm)
-                break
-        if non_reducing:
+    for up in fock.bases[1]:
+        h, e = TensorKey((), up.atom), up.path[0]
+        col = t0(fock, fock.singles[e]).col(h)
+        norm = sum(z.abs2() for kk, z in col.items() if kk in mset)
+        if norm > 0:
+            non_reducing = (h, e, norm)
             break
     if non_reducing is None:
         raise InternalInconsistencyError(

@@ -17,7 +17,7 @@ from hyperrig.correspondence import (
 )
 from hyperrig.errors import SymbolicOnlyError
 from hyperrig.fock import (
-    build_fock, build_witness_subspace, generator_vectors, t0, verify_eq_use,
+    build_fock, build_witness_subspace, t0, verify_eq_use,
     verify_isometric_rep, witness_pipeline,
 )
 from hyperrig.graphs import build_correspondence, decide_hyperrigid
@@ -230,7 +230,7 @@ def _flip_trial(seed: int):
     sigma = EvaluationRep.of(c.algebra,
                              [Atom(nm, 0) for nm in c.algebra.names])
     fock = build_fock(c, sigma, 2)
-    candidates = [v for v in generator_vectors(fock) if t0(fock, v).cols]
+    candidates = [v for v in fock.singles.values() if t0(fock, v).cols]
     target = rng.choice(candidates)
 
     def flipped(x):

@@ -24,8 +24,7 @@ from hyperrig.errors import (
 from hyperrig.fock import (
     GradedOperator, IsometryReport, build_fock,
     build_witness_subspace, check_cuntz_pimsner, check_reducing,
-    complement_of_creation,
-    generator_functions, generator_vectors, ideal_generator_functions,
+    complement_of_creation, ideal_generator_functions,
     operator_residual, psi_t, rho0, t0, verify_eq_use, verify_isometric_rep,
     witness_pipeline,
 )
@@ -57,7 +56,8 @@ def vacuum_covariance_residual(fock, j):
     of the ideal j, a negative control for check_cuntz_pimsner."""
     fns = ideal_generator_functions(fock, j)
     return max(operator_residual(psi_t(fock, phi), rho0(fock, f), fock.bases[0])
-               for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, j, fock.created)))
+               for f, phi in zip(fns, left_action_as_compacts(fock.parent, fns, j,
+                                                              tuple(fock.singles))))
 
 
 # -- basis enumeration ----------------------------------------------------------
@@ -302,8 +302,8 @@ def dense_isometry_report(fock, rho_of=None, t_of=None, fns=None, vecs=None) -> 
     generator lists."""
     rho_of = cache(rho_of or (lambda f: rho0(fock, f)))
     t_of = cache(t_of or (lambda x: t0(fock, x)))
-    fns = generator_functions(fock) if fns is None else fns
-    vecs = generator_vectors(fock) if vecs is None else vecs
+    fns = fock.functions if fns is None else fns
+    vecs = tuple(fock.singles.values()) if vecs is None else vecs
     src = [k for n in range(fock.n_levels) for k in fock.bases[n]]
     mult = 0
     for f in fns:
@@ -345,7 +345,7 @@ def relation_mutants(fock) -> dict:
     does not meet), and t of one copy leaking onto a sibling copy's
     rows."""
     c = fock.parent
-    vecs = generator_vectors(fock)
+    vecs = tuple(fock.singles.values())
     first = vecs[0]
     at_one_atom = inner(first, first)
     indicator = CoefFn.delta_class(c.algebra.names[0])
@@ -444,7 +444,7 @@ def test_pairs_covered_are_the_whole_grid():
         sigma = sigma_degeneracy_witness(c)
         sigma = sigma.rep if sigma else sigma_at(c, "v")
         fock = build_fock(c, sigma, 3)
-        fns, vecs = generator_functions(fock), generator_vectors(fock)
+        fns, vecs = fock.functions, tuple(fock.singles.values())
         report = verify_isometric_rep(fock)
         assert report.max_residual == 0
         mult_zero = sum(
@@ -493,7 +493,7 @@ def test_in_place_join_keeps_the_degree_check_on_met_pairs():
             return GradedOperator(fock, 2, op.cols)
         return op
 
-    assert t_of(left_mul(generator_functions(fock)[-1], generator_vectors(fock)[0])).degree == 2
+    assert t_of(left_mul(fock.functions[-1], tuple(fock.singles.values())[0])).degree == 2
     with pytest.raises(DomainError, match="different degrees"):
         dense_isometry_report(fock, t_of=t_of)
     with pytest.raises(DomainError, match="different degrees"):
@@ -539,7 +539,7 @@ def test_join_builds_no_operator_per_pair(monkeypatch):
 
     monkeypatch.setattr(fock_mod, "GradedOperator", counted)
     assert verify_isometric_rep(fock) == report
-    n = len(generator_vectors(fock))
+    n = len(fock.singles)
     assert n <= len(built) <= n + 2
     assert report.mult_joined + report.toeplitz_joined > len(built)
 
@@ -676,7 +676,7 @@ def test_psi_t_decomposition_independence():
     e = ModuleVector.single(tl, EdgeCopy("e", 0, 0, 0))
     f = ModuleVector.single(tl, EdgeCopy("f", 0, 0, 0))
     [plain] = left_action_as_compacts(tl, [CoefFn.delta_class("v")], katsura_ideal(tl),
-                                      fock.created)
+                                      tuple(fock.singles))
     half = QI(Fraction(1, 2))
     u, w = e + f, e - f
     rotated = op_sum(t0(fock, u.scale(half)).compose(t0(fock, u).adjoint()),
@@ -748,21 +748,10 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
     # factors of the basis keys.  Every f probes, with one left_mul each,
     # every created copy ranging where f has a part (on an honest map,
     # exactly the copies the map names), and the rest of the created
-    # copies with one left_mul on their sum.  A created copy is valid by
-    # construction and is not checked again as a probe; psi_t builds one
-    # t(e) per copy the map names, and each such copy is checked once, as
-    # it first becomes a creation operator
-    c = build_correspondence(load_instance(INPUTS / "discrete_300_omega.json"))
-    j = katsura_ideal(c)
-    fock = build_fock(c, sigma_degeneracy_witness(c).rep)
-    m = build_witness_subspace(fock, j)
-    fns = ideal_generator_functions(fock, j)
-    created = sorted({k.path[0] for k in fock.all_keys() if k.path})
-    # per f, the created copies whose range atom f does not vanish at
-    named = [e for f in fns for e in created if not f.value_at(c.range_atom(e)).is_zero()]
-    assert (len(c.generators), len(fns), len(created), len(named), len(set(named))) == (
-        900, 22, 248, 244, 244)
-
+    # copies with one left_mul on their sum.  build_fock checks each
+    # created copy once, as it builds the copy's single vector; a created
+    # copy is not checked again as a probe, nor as psi_t builds one t(e)
+    # per copy the map names
     calls = {"left_mul": 0, "check_copy": 0, "t0": 0}
 
     def counted(name, fn):
@@ -771,13 +760,30 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(corr_mod, "left_mul", counted("left_mul", corr_mod.left_mul))
     monkeypatch.setattr(Correspondence, "check_copy",
                         counted("check_copy", Correspondence.check_copy))
+    c = build_correspondence(load_instance(INPUTS / "discrete_300_omega.json"))
+    j = katsura_ideal(c)
+    sigma = sigma_degeneracy_witness(c).rep
+    calls["check_copy"] = 0
+    fock = build_fock(c, sigma)
+    built = calls["check_copy"]
+    m = build_witness_subspace(fock, j)
+    fns = ideal_generator_functions(fock, j)
+    created = sorted({k.path[0] for k in fock.all_keys() if k.path})
+    assert list(fock.singles) == created
+    # per f, the created copies whose range atom f does not vanish at
+    named = [e for f in fns for e in created if not f.value_at(c.range_atom(e)).is_zero()]
+    assert (len(c.generators), len(fns), len(created), len(named), len(set(named))) == (
+        900, 22, 248, 244, 244)
+    assert built == len(created) == 248
+
+    monkeypatch.setattr(corr_mod, "left_mul", counted("left_mul", corr_mod.left_mul))
     monkeypatch.setattr(fock_mod, "t0", counted("t0", fock_mod.t0))
+    calls.update(left_mul=0, check_copy=0, t0=0)
     assert check_cuntz_pimsner(fock, m) == 0
     assert calls["left_mul"] == len(named) + len(fns) == 266
-    assert calls["check_copy"] == len(set(named)) == 244
+    assert calls["check_copy"] == 0
     assert calls["t0"] == len(named) == 244
 
 
@@ -800,31 +806,34 @@ def tower_and_wide_arrow(n):
 
 
 def test_unreached_ideal_class_costs_no_left_mul(monkeypatch):
-    # the witness pipeline's left_mul calls do not grow with a class of J
-    # the space never reaches, nor with the in-degree of a class it does
-    # reach from copies it never creates with: a generator list holding
-    # the indicator of X, or a phi(delta_U) expanded over every copy
-    # ranging in U, would probe one copy per atom of X or of Y
-    calls = [0]
+    # the witness pipeline's left_mul and CoefFn.value_at calls do not
+    # grow with a class of J the space never reaches, nor with the
+    # in-degree of a class it does reach from copies it never creates
+    # with: a generator list holding the indicator of X, or a phi(delta_U)
+    # expanded over every copy ranging in U, would probe one copy per atom
+    # of X or of Y, and evaluate f at each
+    calls = {"left_mul": 0, "value_at": 0}
 
-    def counted(fn):
+    def counted(name, fn):
         def wrapper(*args):
-            calls[0] += 1
+            calls[name] += 1
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(corr_mod, "left_mul", counted(corr_mod.left_mul))
-    monkeypatch.setattr(fock_mod, "left_mul", counted(fock_mod.left_mul))
+    monkeypatch.setattr(corr_mod, "left_mul", counted("left_mul", corr_mod.left_mul))
+    monkeypatch.setattr(fock_mod, "left_mul", counted("left_mul", fock_mod.left_mul))
+    monkeypatch.setattr(CoefFn, "value_at", counted("value_at", CoefFn.value_at))
     for family, ideal in ((omega_star_and_far_arrow, {"X"}), (tower_and_wide_arrow, {"U"})):
         counts = []
         for n in (10, 10_000):
             c = family(n)
             w = sigma_degeneracy_witness(c)
             assert w.ideal.support == ideal
-            calls[0] = 0
+            calls.update(left_mul=0, value_at=0)
             witness_pipeline(c, w.rep, w.ideal)
-            counts.append(calls[0])
+            counts.append(dict(calls))
         assert counts[0] == counts[1], family.__name__
+        assert counts[0]["value_at"] > 0, family.__name__
 
 
 def test_summed_probe_catches_a_created_copy_outside_supp_f(monkeypatch):
@@ -837,7 +846,7 @@ def test_summed_probe_catches_a_created_copy_outside_supp_f(monkeypatch):
     fock = build_fock(c, w.rep)
     m = build_witness_subspace(fock, w.ideal)
     e = EdgeCopy("E", 0, 0, 0)
-    assert fock.created == (e, EdgeCopy("F", 0, 0, 0))
+    assert tuple(fock.singles) == (e, EdgeCopy("F", 0, 0, 0))
     calls = []
 
     def scales_e(f, x):
@@ -937,7 +946,7 @@ def test_generators_left_out_contribute_nothing():
             continue
         runs += 1
         all_fns, all_vecs = generator_lists_sized_by_the_presentation(fock)
-        fns, vecs = generator_functions(fock), generator_vectors(fock)
+        fns, vecs = fock.functions, tuple(fock.singles.values())
         assert set(fns) <= set(all_fns) and set(vecs) <= set(all_vecs)
         for f in set(all_fns) - set(fns):
             fns_left_out += 1
@@ -960,7 +969,7 @@ def test_generators_left_out_contribute_nothing():
         old = generators_not_read_off_the_space(fock, m.ideal)
         new = ideal_generator_functions(fock, m.ideal)
         assert set(new) <= set(old)
-        phis = left_action_as_compacts(c, old, m.ideal, fock.created)
+        phis = left_action_as_compacts(c, old, m.ideal, tuple(fock.singles))
         for f, phi in zip(old, phis):
             full = phi_over_every_copy(c, f)
             expanded += len(full) > len(phi)
@@ -1048,11 +1057,11 @@ def test_witness_path_stays_on_int_arithmetic():
     for c in cs:
         w = sigma_degeneracy_witness(c)
         fock, m, cert = witness_pipeline(c, w.rep, w.ideal)
-        assert all(op_ints(rho0(fock, f)) for f in generator_functions(fock))
-        assert all(op_ints(t0(fock, x)) for x in generator_vectors(fock))
+        assert all(op_ints(rho0(fock, f)) for f in fock.functions)
+        assert all(op_ints(t0(fock, x)) for x in fock.singles.values())
         fns = ideal_generator_functions(fock, m.ideal)
         assert all(op_ints(psi_t(fock, phi)) 
-                   for phi in left_action_as_compacts(c, fns, m.ideal, fock.created))
+                   for phi in left_action_as_compacts(c, fns, m.ideal, tuple(fock.singles)))
         report = verify_isometric_rep(fock)
         residuals = (report.multiplication, report.toeplitz, cert.residual_invariance,
                      cert.residual_eq_use1, cert.residual_eq_use2,
