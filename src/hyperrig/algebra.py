@@ -11,7 +11,6 @@ granularity, which keeps OMEGA-classes finitely representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, MalformedInputError
@@ -23,20 +22,26 @@ class Atom(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
 class AtomSet:
     """Vertex classes with their counts.  `of` is the boundary: it checks
     that the names are distinct and that every count is a positive integer
     or OMEGA.  The count index and the name tuple are built once, at
-    construction, and every reader uses them instead of rebuilding them."""
+    construction, and every reader uses them instead of rebuilding them.
+    Equal classes make equal sets; the index and the names are not
+    compared.  Read-only by convention."""
 
-    classes: tuple  # tuple[tuple[str, Count], ...]
-    _counts: dict = field(init=False, repr=False, compare=False)  # name -> Count
-    names: tuple = field(init=False, repr=False, compare=False)   # class names, in order
+    def __init__(self, classes: tuple):
+        self.classes = classes  # tuple[tuple[str, Count], ...]
+        self._counts = dict(classes)  # name -> Count
+        self.names = tuple(name for name, _ in classes)  # class names, in order
 
-    def __post_init__(self):
-        object.__setattr__(self, "_counts", dict(self.classes))
-        object.__setattr__(self, "names", tuple(name for name, _ in self.classes))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.classes == other.classes
+
+    def __hash__(self):
+        return hash((self.classes,))
 
     @staticmethod
     def of(classes: Iterable) -> "AtomSet":
@@ -62,8 +67,7 @@ class AtomSet:
         return atom
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(NamedTuple):
     parent: AtomSet
     support: frozenset
 
@@ -86,8 +90,7 @@ def ideal_intersect(a: IdealSpec, b: IdealSpec) -> IdealSpec:
     return IdealSpec(a.parent, a.support & b.support)
 
 
-@dataclass(frozen=True)
-class EvaluationRep:
+class EvaluationRep(NamedTuple):
     """Finite direct sum of evaluation representations, one per listed atom."""
 
     parent: AtomSet
@@ -103,8 +106,7 @@ class EvaluationRep:
         return EvaluationRep(parent, listed)
 
 
-@dataclass(frozen=True)
-class CoefFn:
+class CoefFn(NamedTuple):
     """Exact function on the vertex set: class-constant part + point masses.
 
     Closed under +, *, and conjugation, so evaluation homomorphisms can be
@@ -173,6 +175,10 @@ class CoefFn:
     def scale(self, z: QI) -> "CoefFn":
         return CoefFn.of({k: z * v for k, v in self.class_part},
                          {k: z * v for k, v in self.point_part})
+
+    def __rmul__(self, other):
+        # not the tuple repetition a NamedTuple inherits: 2 * f is refused
+        return NotImplemented
 
     def __mul__(self, other: "CoefFn") -> "CoefFn":
         # (c + p)(c' + p') pointwise; the point support stays finite

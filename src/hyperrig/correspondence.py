@@ -25,7 +25,6 @@ left_mul each, and on the rest of the set, one left_mul on their sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from numbers import Rational
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -48,7 +47,6 @@ class EdgeCopy(NamedTuple):
     k: int
 
 
-@dataclass(frozen=True)
 class Correspondence:
     """Edge classes over a vertex AtomSet.
 
@@ -57,30 +55,26 @@ class Correspondence:
     Construction, from EdgeClass values, refuses duplicate edge class names
     before any per-edge check, then walks the generators once, checking
     each (an unknown source class, then an unknown range class, then a bad
-    multiplicity) in the same loop that builds the class-level indexes."""
+    multiplicity) in the same loop that builds the class-level indexes.
+    Equal algebras and generators make equal correspondences; the indexes
+    are not compared.  Read-only by convention."""
 
-    algebra: AtomSet
-    generators: tuple  # tuple[EdgeClass, ...]
-    # class-level lookups, built once from the generators (not compared)
-    _edges: dict = field(init=False, repr=False, compare=False)      # name -> EdgeClass
-    _from: dict = field(init=False, repr=False, compare=False)       # src class -> [EdgeClass]
-    _in_degree: dict = field(init=False, repr=False, compare=False)  # dst class -> Count
-
-    def __post_init__(self):
-        gens = self.generators
-        edges = {g.name: g for g in gens}
-        if len(edges) != len(gens):
+    def __init__(self, algebra: AtomSet, generators: tuple):
+        self.algebra = algebra
+        self.generators = generators  # tuple[EdgeClass, ...]
+        edges = {g.name: g for g in generators}
+        if len(edges) != len(generators):
             raise MalformedInputError(
-                f"duplicate edge class names in {[g.name for g in gens]}")
-        counts = self.algebra._counts
+                f"duplicate edge class names in {[g.name for g in generators]}")
+        counts = algebra._counts
         out, deg = {}, {}
-        for g in gens:
+        for g in generators:
             name, src, dst, mult = g
             src_count = counts.get(src)
             if src_count is None or dst not in counts:
                 # raises the unknown-class error, source first
-                self.algebra.count_of(src)
-                self.algebra.count_of(dst)
+                algebra.count_of(src)
+                algebra.count_of(dst)
             # a positive plain int is a count; is_count decides the rest
             if not (type(mult) is int and mult >= 1 or is_count(mult)):
                 raise MalformedInputError(f"edge class {name} has bad multiplicity {mult!r}")
@@ -90,9 +84,18 @@ class Correspondence:
                 deg[dst] = d + src_count * mult
             else:
                 deg[dst] = count_add(d, count_mul(src_count, mult))
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_from", out)
-        object.__setattr__(self, "_in_degree", deg)
+        # class-level lookups, built once from the generators
+        self._edges = edges      # name -> EdgeClass
+        self._from = out         # src class -> [EdgeClass]
+        self._in_degree = deg    # dst class -> Count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.generators) == (other.algebra, other.generators)
+
+    def __hash__(self):
+        return hash((self.algebra, self.generators))
 
     @staticmethod
     def of(algebra: AtomSet, generators: Iterable[EdgeClass]) -> "Correspondence":
@@ -161,8 +164,7 @@ class Correspondence:
         return out
 
 
-@dataclass(frozen=True)
-class Submodule:
+class Submodule(NamedTuple):
     parent: Correspondence
     span: frozenset  # edge class names
 
@@ -180,8 +182,7 @@ class Submodule:
 
 # -- module vectors -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModuleVector:
+class ModuleVector(NamedTuple):
     """Finite QI-combination of explicit edge copies."""
 
     parent: Correspondence
@@ -222,6 +223,12 @@ class ModuleVector:
 
     def scale(self, z: QI) -> "ModuleVector":
         return ModuleVector._of_valid(self.parent, ((e, z * v) for e, v in self.coeffs))
+
+    def __mul__(self, other):
+        # not the tuple repetition a NamedTuple inherits: scale is the product
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         return self + other.scale(QI() - QI_ONE)
@@ -288,8 +295,7 @@ class TensorKey(NamedTuple):
     atom: Atom
 
 
-@dataclass(frozen=True)
-class TensorVector:
+class TensorVector(NamedTuple):
     """Element of the n-fold tensor power against an evaluation space,
     stored as a combination of composable elementary tensors."""
 

@@ -49,10 +49,9 @@ per pair.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from numbers import Rational
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .algebra import CoefFn, EvaluationRep, IdealSpec
 from .correspondence import (
@@ -69,7 +68,6 @@ DEFAULT_FOCK_LEVEL = 3
 DEFAULT_BASIS_BUDGET = 10_000
 
 
-@dataclass(frozen=True, eq=False)
 class TruncatedFock:
     """The path bases of levels 0..N and the two generator lists of the
     relation checks (the reach rule of the module docstring).
@@ -84,20 +82,26 @@ class TruncatedFock:
     real nor of modulus 1, so it sees those; and it is a Gaussian integer,
     so every entry of every rho(f), t(x), psi_t(phi(f)), join product and
     residual stays in int arithmetic.
+
+    A space is read-only by convention, nothing enforces it: only t0 and
+    rho0 write, each into its own memo.  Spaces compare by identity.
     """
 
-    parent: Correspondence
-    sigma: EvaluationRep
-    n_levels: int  # N; bases cover levels 0..N inclusive
-    bases: tuple   # tuple[tuple[TensorKey, ...]]
-    index: dict    # TensorKey -> level
-    by_lead: dict  # leading Atom -> tuple[TensorKey, ...], all levels, basis order
-    singles: dict  # created EdgeCopy -> its single-copy ModuleVector, sorted
-    functions: tuple  # tuple[CoefFn, ...], in the order above
-    # built over this space once each and shared read-only: t(x) keyed by
-    # x.coeffs, rho(f) by f
-    _t: dict = field(default_factory=dict, init=False, repr=False)
-    _rho: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, parent: Correspondence, sigma: EvaluationRep, n_levels: int,
+                 bases: tuple, index: dict, by_lead: dict, singles: dict,
+                 functions: tuple):
+        self.parent = parent
+        self.sigma = sigma
+        self.n_levels = n_levels    # N; bases cover levels 0..N inclusive
+        self.bases = bases          # tuple[tuple[TensorKey, ...]]
+        self.index = index          # TensorKey -> level
+        self.by_lead = by_lead      # leading Atom -> tuple[TensorKey, ...], all levels, basis order
+        self.singles = singles      # created EdgeCopy -> its single-copy ModuleVector, sorted
+        self.functions = functions  # tuple[CoefFn, ...], in the order above
+        # built over this space once each and shared read-only: t(x) keyed by
+        # x.coeffs, rho(f) by f
+        self._t: dict = {}
+        self._rho: dict = {}
 
     def all_keys(self) -> list:
         return [k for level in self.bases for k in level]
@@ -164,20 +168,21 @@ def _group_by_lead(c: Correspondence, keys: Iterable) -> dict:
 
 # -- graded operators ----------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class GradedOperator:
     """Column-sparse operator between Fock levels: cols maps a basis key at
     level n to its image, a vector supported at level n + degree.  A key
     without a column is sent to zero.
 
-    Operators are read-only.  t0 and rho0 hand every caller the one
-    operator their space's memo holds for an argument, so a caller that
-    wants a changed operator builds a new one (scale, compose, adjoint do)
-    and never writes into cols or a column."""
+    Operators are read-only by convention, nothing enforces it.  t0 and
+    rho0 hand every caller the one operator their space's memo holds for
+    an argument, so a caller that wants a changed operator builds a new
+    one (scale, compose, adjoint do) and never writes into cols or a
+    column.  Operators compare by identity."""
 
-    fock: TruncatedFock
-    degree: int
-    cols: dict  # TensorKey -> {TensorKey: QI}
+    def __init__(self, fock: TruncatedFock, degree: int, cols: dict):
+        self.fock = fock
+        self.degree = degree
+        self.cols = cols  # TensorKey -> {TensorKey: QI}
 
     def col(self, key: TensorKey) -> dict:
         return self.cols.get(key, {})
@@ -350,8 +355,7 @@ def psi_t(fock: TruncatedFock, phi: Mapping[EdgeCopy, QI]) -> GradedOperator:
 
 # -- relation checks -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsometryReport:
+class IsometryReport(NamedTuple):
     """Max squared-modulus deviations of the two defining relations,
     checked on levels 0..N-1 (the top level sits past the truncation
     boundary for the adjoint relation).  The joined counts record how
@@ -360,12 +364,24 @@ class IsometryReport:
 
     multiplication: Rational  # rho(f) t(x) vs t(phi(f) x)
     toeplitz: Rational        # t(x)* t(x') vs rho(<x, x'>)
-    mult_joined: int = field(compare=False)
-    toeplitz_joined: int = field(compare=False)
+    mult_joined: int
+    toeplitz_joined: int
 
     @property
     def max_residual(self) -> Rational:
         return max(self.multiplication, self.toeplitz)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other):
+        # tuple.__ne__ would compare the joined counts too
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
 def verify_isometric_rep(fock: TruncatedFock,
@@ -482,8 +498,7 @@ def _pair_residual(got: dict, degree: int, rhs: GradedOperator, src: frozenset) 
 
 # -- the witness subspace -------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class WitnessSubspace:
+class WitnessSubspace(NamedTuple):
     """Basis-key span per level, as build_witness_subspace builds it from
     the ideal J: m0 is its level-1 seed M0, the level-1 keys outside
     phi(J)X, and ideal is J."""
@@ -603,8 +618,7 @@ def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace) -> Rational:
 RESIDUALS = ("invariance", "eq-use-1", "eq-use-2", "covariance")
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     """Everything a verifier needs to re-check the counterexample: the
     subspace bases, its level-1 Gram, the four exact residuals, and the
     non-reducing vector data.  All residuals must be exactly zero and the

@@ -21,8 +21,7 @@ raises InternalInconsistencyError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .algebra import AtomSet, IdealSpec
 from .correspondence import (
@@ -37,30 +36,37 @@ from .intervals import (
 from .scalars import OMEGA
 
 
-@dataclass(frozen=True)
 class DiscreteGraphPresentation:
-    vertices: tuple  # tuple[(name, Count)]
-    edges: tuple     # tuple[EdgeClass, ...]
-    # built once at construction, which also runs all structural validation;
-    # every consumer reads this field instead of rebuilding it
-    correspondence: Correspondence = field(init=False, repr=False, compare=False)
+    """Vertex classes and edge classes.  Equal lists make equal
+    presentations; the correspondence is not compared."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "correspondence", build_correspondence(self))
+    def __init__(self, vertices: tuple, edges: tuple):
+        self.vertices = vertices  # tuple[(name, Count)]
+        self.edges = edges        # tuple[EdgeClass, ...]
+        # built once at construction, which also runs all structural
+        # validation; every consumer reads this field instead of rebuilding it
+        self.correspondence = build_correspondence(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     @staticmethod
     def of(vertices, edges) -> "DiscreteGraphPresentation":
         """The boundary for callers that build one in code: EdgeClass values
         are kept as they are; any other 4-tuple is read as EdgeClass
-        fields.  Constructing the dataclass directly takes a tuple of
-        (name, count) pairs and a tuple of EdgeClass values."""
+        fields.  The constructor itself takes a tuple of (name, count)
+        pairs and a tuple of EdgeClass values."""
         return DiscreteGraphPresentation(
             tuple((n, c) for n, c in vertices),
             tuple(e if isinstance(e, EdgeClass) else EdgeClass(*e) for e in edges))
 
 
-@dataclass(frozen=True)
-class IntervalGraphPresentation:
+class IntervalGraphPresentation(NamedTuple):
     g0: IntervalSet
     g1: IntervalSet
     r: PiecewiseAffineMap
@@ -89,8 +95,7 @@ def build_correspondence(g: DiscreteGraphPresentation) -> Correspondence:
     return Correspondence(AtomSet.of(g.vertices), g.edges)
 
 
-@dataclass(frozen=True)
-class VertexClassification:
+class VertexClassification(NamedTuple):
     """sce: vertices missed by every range; fin: vertices near which the
     range map stays compactly fibered; reg: fin minus the closure of sce."""
 
@@ -125,15 +130,13 @@ def classify_vertices(g: Presentation) -> VertexClassification:
     return VertexClassification(sce, fin, reg)
 
 
-@dataclass(frozen=True)
-class CertificateToken:
+class CertificateToken(NamedTuple):
     kind: str  # "theorem-3.1" for positives, "sigma-witness" for negatives
     detail: str
     witness: Optional[SigmaWitness] = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     hyperrigid: bool
     routes: tuple  # tuple[(route name, bool)]
     certificate: CertificateToken

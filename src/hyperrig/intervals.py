@@ -30,10 +30,9 @@ Everything here is exact: no floats, no tolerance parameters.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import MalformedInputError
 
@@ -81,31 +80,39 @@ def _fmt(x: Fraction) -> str:
     return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
-@dataclass(frozen=True)
 class Interval:
-    lo: End
-    hi: End
-    lo_closed: bool
-    hi_closed: bool
-    lo_cut: tuple = field(init=False, repr=False, compare=False)
-    hi_cut: tuple = field(init=False, repr=False, compare=False)
+    """One piece: its ends and their closedness, and the cuts they make.
+    The cuts follow from the ends and are not compared."""
 
-    def __post_init__(self):
-        if self.lo is None and self.lo_closed:
+    def __init__(self, lo: End, hi: End, lo_closed: bool, hi_closed: bool):
+        if lo is None and lo_closed:
             raise MalformedInputError("interval cannot be closed at -oo")
-        if self.hi is None and self.hi_closed:
+        if hi is None and hi_closed:
             raise MalformedInputError("interval cannot be closed at +oo")
-        lo_cut = _NEG if self.lo is None else _cut(self.lo, 0 if self.lo_closed else 1)
-        hi_cut = _POS if self.hi is None else _cut(self.hi, 1 if self.hi_closed else 0)
+        lo_cut = _NEG if lo is None else _cut(lo, 0 if lo_closed else 1)
+        hi_cut = _POS if hi is None else _cut(hi, 1 if hi_closed else 0)
         if lo_cut >= hi_cut:
-            if self.lo > self.hi:
+            if lo > hi:
                 raise MalformedInputError(
-                    f"reversed endpoints: lower {_fmt(self.lo)} > upper {_fmt(self.hi)}")
+                    f"reversed endpoints: lower {_fmt(lo)} > upper {_fmt(hi)}")
             raise MalformedInputError(
-                f"empty piece at {_fmt(self.lo)}: "
+                f"empty piece at {_fmt(lo)}: "
                 "a degenerate interval must be closed on both sides")
-        object.__setattr__(self, "lo_cut", lo_cut)
-        object.__setattr__(self, "hi_cut", hi_cut)
+        self.lo = lo
+        self.hi = hi
+        self.lo_closed = lo_closed
+        self.hi_closed = hi_closed
+        self.lo_cut = lo_cut
+        self.hi_cut = hi_cut
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.lo, self.hi, self.lo_closed, self.hi_closed)
+                == (other.lo, other.hi, other.lo_closed, other.hi_closed))
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.lo_closed, self.hi_closed))
 
     @property
     def degenerate(self) -> bool:
@@ -160,8 +167,7 @@ def _meet(xs: Sequence[Interval], ys: Sequence[Interval]):
             j += 1
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(NamedTuple):
     pieces: tuple  # tuple[Interval, ...], normalized
 
     @staticmethod
@@ -255,19 +261,26 @@ def interior(s: IntervalSet, ambient: IntervalSet = FULL_LINE) -> IntervalSet:
 
 # -- piecewise affine maps ---------------------------------------------------
 
-@dataclass(frozen=True)
 class AffinePiece:
-    dom: Interval
-    slope: Fraction
-    offset: Fraction
-    # slope 1 and offset 0, tested once: the identity gives back x itself,
-    # so an identity map's image and preimage endpoints are the very
-    # endpoint objects it was given, and a cut comparison between equal
-    # endpoints stops at the identity test
-    identity: bool = field(init=False, repr=False, compare=False)
+    """x -> slope * x + offset on dom.  identity is not compared."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "identity", self.slope == 1 and self.offset == 0)
+    def __init__(self, dom: Interval, slope: Fraction, offset: Fraction):
+        self.dom = dom
+        self.slope = slope
+        self.offset = offset
+        # slope 1 and offset 0, tested once: the identity gives back x itself,
+        # so an identity map's image and preimage endpoints are the very
+        # endpoint objects it was given, and a cut comparison between equal
+        # endpoints stops at the identity test
+        self.identity = slope == 1 and offset == 0
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dom, self.slope, self.offset) == (other.dom, other.slope, other.offset)
+
+    def __hash__(self):
+        return hash((self.dom, self.slope, self.offset))
 
     def value(self, x: Fraction) -> Fraction:
         if self.identity:
@@ -292,15 +305,15 @@ class AffinePiece:
         return Interval(hi_v, lo_v, d.hi_closed, d.lo_closed)
 
 
-@dataclass(frozen=True)
-class PiecewiseAffineMap:
+class PiecewiseAffineMap(NamedTuple):
     pieces: tuple  # tuple[AffinePiece, ...] sorted by domain
     source: IntervalSet
     target: IntervalSet
     # the image of each piece, in piece order, and their union; build
-    # computes them once for its target check
-    piece_images: tuple = field(repr=False, compare=False)
-    full_image: IntervalSet = field(repr=False, compare=False)
+    # computes them once for its target check.  They follow from pieces,
+    # so comparing them too leaves equality as it is on the first three
+    piece_images: tuple
+    full_image: IntervalSet
 
     @staticmethod
     def build(pieces: Sequence[AffinePiece], source: IntervalSet,

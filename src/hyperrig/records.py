@@ -58,6 +58,10 @@ def _rational(v) -> Fraction:
         if exp and len(mantissa) + abs(int(exp)) > MAX_DIGITS:
             raise MalformedInputError(
                 f"rational string {v[:40]!r} has more than {MAX_DIGITS} digits")
+        # Fraction reads "1_0" from Python 3.11 on only, and digits outside
+        # ASCII on every version: one grammar everywhere refuses both
+        if "_" in v or not v.isascii():
+            raise MalformedInputError(f"bad rational string {v!r}")
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad rational string {v!r}") from exc

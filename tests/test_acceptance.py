@@ -4,7 +4,6 @@ Run `python3 -m pytest tests/test_acceptance.py -v` for the per-criterion
 pass/fail lines; add -s to also see the printed measurement summaries.
 """
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -259,7 +258,7 @@ def _gram_trial(seed: int, certificates):
                        for j, z in enumerate(r))
                  for i, r in enumerate(cert.m0_gram))
     ok, failing = verify_witness_record(g, instance_digest(g),
-                                        dataclasses.replace(cert, m0_gram=gram))
+                                        cert._replace(m0_gram=gram))
     return (not ok and failing is not None), failing
 
 
@@ -271,7 +270,7 @@ def _wrong_ideal_trial(seed: int):
         {c.range_atom(k.path[0]).cls for k in m.m0}))
     wrong = IdealSpec.of(c.algebra,
                          set(katsura_ideal(c).support) | {missed_class})
-    eq1, _ = verify_eq_use(fock, dataclasses.replace(m, ideal=wrong))
+    eq1, _ = verify_eq_use(fock, m._replace(ideal=wrong))
     if eq1 != 0:
         return True, "eq-use-1"
     return False, None

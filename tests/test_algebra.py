@@ -189,7 +189,7 @@ def test_qi_of_keeps_integral_parts_as_int():
 
 
 def test_qi_equality_ignores_part_representation():
-    # records, dict keys and dataclass equality must not see int vs Fraction
+    # records, dict keys and value equality must not see int vs Fraction
     a, b = QI(3, 0), QI(Fraction(3), Fraction(0))
     assert a == b and hash(a) == hash(b)
     assert {a: "x"}[b] == "x"

@@ -1,6 +1,5 @@
 """Truncated Fock spaces, relation checks, the witness pipeline."""
 
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -720,7 +719,7 @@ def test_eq_use():
     # misuse: the ideal generated by the infinitely-received class does not
     # annihilate M0, and the residual says so
     wrong = IdealSpec.of(sa.algebra, {"V"})
-    eq1, eq2 = verify_eq_use(fock, dataclasses.replace(m, ideal=wrong))
+    eq1, eq2 = verify_eq_use(fock, m._replace(ideal=wrong))
     assert eq1 == 1 and eq2 == 0
 
 
@@ -989,7 +988,7 @@ def test_generators_left_out_contribute_nothing():
         for ideal in (m.ideal, IdealSpec.of(c.algebra, c.algebra.names)):
             eq1 = max((z.abs2() for f in generators_not_read_off_the_space(fock, ideal)
                        for k in m.m0 for z in rho0(fock, f).col(k).values()), default=0)
-            assert eq1 == verify_eq_use(fock, dataclasses.replace(m, ideal=ideal))[0]
+            assert eq1 == verify_eq_use(fock, m._replace(ideal=ideal))[0]
             assert eq1 == (0 if ideal is m.ideal else 1)
     assert runs >= 15 and left_out >= 10 and points_left_out >= 1
     assert fns_left_out >= 10 and vecs_left_out >= 10 and expanded >= 10 and dense >= 15
@@ -1010,10 +1009,10 @@ def test_witness_subspace_guards():
     fock = build_fock(om, sigma_at(om, "W"), 3)
     m = build_witness_subspace(fock, katsura_ideal(om))
     assert m.m0 and check_reducing(fock, m).residual_covariance == 0
-    short = dataclasses.replace(m, m0=m.m0[1:])
+    short = m._replace(m0=m.m0[1:])
     with pytest.raises(InternalInconsistencyError, match="not M0"):
         check_reducing(fock, short)
-    vacuum = dataclasses.replace(m, levels=(fock.bases[0][:1],) + m.levels[1:])
+    vacuum = m._replace(levels=(fock.bases[0][:1],) + m.levels[1:])
     with pytest.raises(InternalInconsistencyError, match="meets the vacuum level"):
         check_reducing(fock, vacuum)
 

@@ -1,6 +1,5 @@
 """Serialization round trips and certificate re-verification."""
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -225,6 +224,19 @@ def test_malformed_instances_rejected(text):
         parse_instance_text(text)
 
 
+# Fraction reads an underscore between digits from Python 3.11 on, and
+# digits outside ASCII on every version; the one grammar refuses both
+@pytest.mark.parametrize("rational", [
+    "1_0", "1/2_0", "1_0.5", "1e1_0",
+    # Arabic-Indic digits, a fullwidth one and a no-break space
+    "\u0661\u0660", "\u0661/\u0662", "\u0661e1", "\uff11", "1\u00a0",
+])
+def test_rationals_outside_ascii_digits_are_refused(rational):
+    with pytest.raises(MalformedInputError) as exc:
+        parse_instance_text(_interval_reaching(rational))
+    assert str(exc.value) == f"bad rational string {rational!r}"
+
+
 MALFORMED = Path(__file__).resolve().parent / "inputs" / "malformed"
 
 # the exact message each file under tests/inputs/malformed/ is rejected
@@ -408,40 +420,40 @@ def test_verification_names_the_first_failing_check(monkeypatch):
     assert verify_witness_record(i1, instance_digest(i1), cert) \
         == (False, "instance-kind")
 
-    bad_sigma = dataclasses.replace(cert, sigma_atoms=(Atom("Q", 0),))
+    bad_sigma = cert._replace(sigma_atoms=(Atom("Q", 0),))
     assert verify_witness_record(g, digest, bad_sigma) == (False, "sigma-atoms")
 
-    bad_fock = dataclasses.replace(cert, n_levels=0)
+    bad_fock = cert._replace(n_levels=0)
     assert verify_witness_record(g, digest, bad_fock) == (False, "fock-build")
     # star_plus_arm's levels past 2 are empty, but each still costs one unit
     # of the basis budget, so 3,000,000 levels are refused, not enumerated
-    huge = dataclasses.replace(cert, n_levels=3_000_000)
+    huge = cert._replace(n_levels=3_000_000)
     assert verify_witness_record(g, digest, huge) == (False, "fock-build")
 
-    refused = dataclasses.replace(cert, sigma_atoms=(Atom("v", 0),))
+    refused = cert._replace(sigma_atoms=(Atom("v", 0),))
     assert verify_witness_record(lo, instance_digest(lo), refused) \
         == (False, "witness-subspace")
 
-    assert verify_witness_record(g, digest, dataclasses.replace(cert, m0=())) \
+    assert verify_witness_record(g, digest, cert._replace(m0=())) \
         == (False, "m0-basis")
 
     swapped = cert.m_levels[1:] + cert.m_levels[:1]
     assert verify_witness_record(
-        g, digest, dataclasses.replace(cert, m_levels=swapped)) == (False, "m-levels")
+        g, digest, cert._replace(m_levels=swapped)) == (False, "m-levels")
 
     bad_gram = ((QI(Fraction(1, 2)),),)
     assert verify_witness_record(
-        g, digest, dataclasses.replace(cert, m0_gram=bad_gram)) == (False, "m0-gram")
+        g, digest, cert._replace(m0_gram=bad_gram)) == (False, "m0-gram")
 
     for field, name in (("residual_invariance", "residual-invariance"),
                         ("residual_eq_use1", "residual-eq-use-1"),
                         ("residual_eq_use2", "residual-eq-use-2"),
                         ("residual_covariance", "residual-covariance")):
-        bad = dataclasses.replace(cert, **{field: Fraction(1)})
+        bad = cert._replace(**{field: Fraction(1)})
         assert verify_witness_record(g, digest, bad) == (False, name)
 
     vacuum, creation, _ = cert.non_reducing
-    bad_norm = dataclasses.replace(cert, non_reducing=(vacuum, creation, Fraction(2)))
+    bad_norm = cert._replace(non_reducing=(vacuum, creation, Fraction(2)))
     assert verify_witness_record(g, digest, bad_norm) == (False, "non-reducing-norm")
 
     # last, since it corrupts every later rebuild: an honest record against
@@ -457,7 +469,7 @@ def test_verification_names_the_first_failing_check(monkeypatch):
 def test_tampered_records_still_round_trip():
     # serialization is faithful whether or not the content verifies
     g, cert = sa_certificate()
-    tampered = dataclasses.replace(cert, residual_covariance=Fraction(3, 7))
+    tampered = cert._replace(residual_covariance=Fraction(3, 7))
     assert parse_witness_record(witness_record(g, tampered)) \
         == (instance_digest(g), tampered)
 
