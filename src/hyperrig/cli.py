@@ -20,9 +20,11 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from errno import ELOOP, ENOENT, ENOTDIR
 from functools import cache
-from pathlib import Path
+from stat import S_ISDIR
 
 from .errors import BudgetExceededError, HyperrigError, SymbolicOnlyError
 from .fock import DEFAULT_BASIS_BUDGET, DEFAULT_FOCK_LEVEL, witness_pipeline
@@ -81,22 +83,35 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _batch_one(path: Path):
+def _batch_one(root: str, name: str):
     """Decide one file; never raises.  Returns (file name, verdict document
     or error message)."""
     try:
-        g = load_instance(path)
-        return path.name, verdict_record(g, decide_hyperrigid(g))
+        g = load_instance(name if root == "." else os.path.join(root, name))
+        return name, verdict_record(g, decide_hyperrigid(g))
     except (HyperrigError, OSError) as exc:
-        return path.name, f"{type(exc).__name__}: {exc}"
+        return name, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_batch(args) -> int:
-    root = Path(args.directory)
-    if not root.is_dir():
+    root = os.path.normpath(args.directory)
+    try:
+        is_dir = S_ISDIR(os.stat(root).st_mode)
+    except (OSError, ValueError) as exc:
+        # missing, looping or unnameable is no directory; other stat failures raise
+        if isinstance(exc, OSError) and exc.errno not in (ENOENT, ENOTDIR, ELOOP):
+            raise
+        is_dir = False
+    if not is_dir:
         print(f"not a directory: {root}", file=sys.stderr)
         return 2
-    _write(args, batch_record([_batch_one(p) for p in sorted(root.glob("*.json"))]))
+    try:
+        # dot-files and directories named *.json count; an unreadable
+        # directory lists nothing
+        names = sorted(n for n in os.listdir(root) if n.endswith(".json"))
+    except PermissionError:
+        names = []
+    _write(args, batch_record([_batch_one(root, n) for n in names]))
     return 0
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec, ideal_complement, ideal_intersect
 from .errors import DomainError, InternalInconsistencyError, MalformedInputError, SymbolicOnlyError
-from .scalars import OMEGA, QI, QI_ONE, Count, count_add, count_mul, is_count, is_finite
+from .scalars import OMEGA, QI, QI_ONE, Count, is_count, is_finite
 
 
 class EdgeClass(NamedTuple):
@@ -67,7 +67,7 @@ class Correspondence:
             raise MalformedInputError(
                 f"duplicate edge class names in {[g.name for g in generators]}")
         counts = algebra._counts
-        out, deg = {}, {}
+        out, infinite = {}, set()
         for g in generators:
             name, src, dst, mult = g
             src_count = counts.get(src)
@@ -79,15 +79,13 @@ class Correspondence:
             if not (type(mult) is int and mult >= 1 or is_count(mult)):
                 raise MalformedInputError(f"edge class {name} has bad multiplicity {mult!r}")
             out.setdefault(src, []).append(g)
-            d = deg.get(dst, 0)
-            if type(d) is int and type(src_count) is int and type(mult) is int:
-                deg[dst] = d + src_count * mult
-            else:
-                deg[dst] = count_add(d, count_mul(src_count, mult))
+            # counts are positive: one omega factor makes dst's in-degree omega
+            if mult is OMEGA or src_count is OMEGA:
+                infinite.add(dst)
         # class-level lookups, built once from the generators
         self._edges = edges      # name -> EdgeClass
         self._from = out         # src class -> [EdgeClass]
-        self._in_degree = deg    # dst class -> Count
+        self._infinite = frozenset(infinite)  # dst classes of in-degree OMEGA
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -123,13 +121,14 @@ class Correspondence:
         return Atom(self.edge(e.cls).dst, e.dst_i)
 
     def in_degree(self, cls: str) -> Count:
-        """Total incoming multiplicity of one copy of cls."""
-        return self._in_degree.get(cls, 0)
+        """Total incoming multiplicity of one copy of cls, summed on call."""
+        if cls in self._infinite:
+            return OMEGA
+        return sum(self.algebra._counts[g.src] * g.mult for g in self.generators if g.dst == cls)
 
-    def infinite_in_degree(self) -> set:
-        """The classes whose copies receive infinitely many edges: every cls
-        with in_degree(cls) OMEGA, read off the in-degree index in one pass."""
-        return {cls for cls, d in self._in_degree.items() if d is OMEGA}
+    def infinite_in_degree(self) -> frozenset:
+        """The classes whose copies receive infinitely many edges."""
+        return self._infinite
 
     def _finite_fiber(self, g: EdgeClass, cls: str) -> int:
         """Range count of g, checked finite together with its multiplicity."""

@@ -314,16 +314,14 @@ def _build_t(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
     cols: dict = {}
     for e, z in x.coeffs:
         for key in fock.by_lead.get(c.source_atom(e), ()):
-            if fock.index[key] == fock.n_levels:
+            if len(key.path) == fock.n_levels:
                 break
             nk = TensorKey((e,) + key.path, key.atom)
             if nk not in fock.index:
                 raise InternalInconsistencyError(
                     f"creation left the enumerated basis at {nk}")
-            col = cols.setdefault(key, {})
-            v = col.get(nk)
-            col[nk] = z if v is None else v + z
-    return GradedOperator(fock, 1, _drop_zeros(cols))
+            cols.setdefault(key, {})[nk] = z
+    return GradedOperator(fock, 1, cols)
 
 
 def psi_t(fock: TruncatedFock, phi: Mapping[EdgeCopy, QI]) -> GradedOperator:

@@ -199,8 +199,8 @@ def _decide_interval(g: IntervalGraphPresentation):
 
 def check_row_finite(g: DiscreteGraphPresentation) -> bool:
     """Row-finiteness counted from the raw vertex and edge lists: the
-    discrete range_condition route, sharing no code with the
-    Correspondence in-degree index the other two routes read.
+    discrete range_condition route, sharing no code with the set of
+    infinite-in-degree classes that the other two routes read.
 
     Counts and multiplicities are positive, so an edge class contributes
     infinitely many incoming edges to each copy of its range exactly when

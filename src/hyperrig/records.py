@@ -229,7 +229,8 @@ def _parse_discrete(doc) -> DiscreteGraphPresentation:
     """Check each field once, by shape and type, in file order, and build
     each EdgeClass once.  What needs the whole instance (distinct names,
     known source and range classes) is checked by the constructors, in the
-    loops that index the vertex and edge classes.
+    loops that index the vertex and edge classes; AtomSet.of and
+    Correspondence check counts and multiplicities again, for code callers.
 
     A vertex or edge that is a plain dict with exactly its fields, plain
     str names and a positive int count passes every check, so it is taken

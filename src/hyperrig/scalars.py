@@ -17,8 +17,7 @@ Two kinds of numbers appear in the core:
   interval endpoints or scalars a caller passes in.  No floating point is
   ever introduced, so "residual is zero" is a decidable statement.
 * ``Count`` -- cardinalities of vertex/edge classes: a non-negative integer
-  or the single infinite value ``OMEGA``.  Addition and multiplication
-  follow the usual absorption rules (n + omega = omega, 0 * omega = 0).
+  or the single infinite value ``OMEGA``.
 """
 
 from __future__ import annotations
@@ -151,20 +150,6 @@ Count = Union[int, _Omega]
 
 def is_finite(c: Count) -> bool:
     return isinstance(c, int)
-
-
-def count_add(a: Count, b: Count) -> Count:
-    if isinstance(a, int) and isinstance(b, int):
-        return a + b
-    return OMEGA
-
-
-def count_mul(a: Count, b: Count) -> Count:
-    if a == 0 or b == 0:
-        return 0
-    if isinstance(a, int) and isinstance(b, int):
-        return a * b
-    return OMEGA
 
 
 def is_count(value) -> bool:

@@ -471,6 +471,30 @@ def test_batch_empty_dir(tmp_path, capsys):
 
 def test_batch_rejects_non_directory(tmp_path, capsys):
     assert main(["batch", str(tmp_path / "nowhere")]) == 2
+    # a name os.stat refuses (ValueError) is no directory either
+    assert main(["batch", "a\0b"]) == 2
+    assert capsys.readouterr().err.endswith("not a directory: a\x00b\n")
+
+
+def test_batch_lists_and_names_files_as_pathlib_does(tmp_path, monkeypatch, capsys):
+    # every name ending in .json, dot-files and directories included, in
+    # sorted order; each path and the argument print as pathlib prints them
+    for name in (".h.json", ".json", "B.json", "a.json", "c.JSON", "x.json.bak"):
+        shutil.copy(CORPUS / "loop.json", tmp_path / name)
+    (tmp_path / "sub.json").mkdir()
+    expected = [p.name for p in sorted(tmp_path.glob("*.json"))]
+    assert expected == [".h.json", ".json", "B.json", "a.json", "sub.json"]
+    monkeypatch.chdir(tmp_path.parent)
+    for arg in (str(tmp_path), str(tmp_path) + "//./", ".//" + tmp_path.name + "/", "."):
+        if arg == ".":
+            monkeypatch.chdir(tmp_path)
+        assert main(["batch", arg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [f["file"] for f in doc["files"]] == expected
+        assert doc["files"][-1]["error"] \
+            == f"IsADirectoryError: [Errno 21] Is a directory: '{Path(arg) / 'sub.json'}'"
+        assert main(["batch", arg + "/nowhere/./"]) == 2
+        assert capsys.readouterr().err == f"not a directory: {Path(arg) / 'nowhere'}\n"
 
 
 def test_custom_fock_level(capsys):

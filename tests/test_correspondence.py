@@ -581,6 +581,42 @@ def test_ideal_oracles_agree(c):
     assert katsura_ideal(c).support == oracle_katsura(c)
 
 
+def check_in_degree(c):
+    # in_degree is an explicit enumeration of the incoming copies when
+    # finite and OMEGA otherwise; infinite_in_degree is the omega rule
+    # read straight off the generators and the counts
+    count = c.algebra.count_of
+    omega_rule = {g.dst for g in c.generators
+                  if g.mult is OMEGA or count(g.src) is OMEGA}
+    assert c.infinite_in_degree() == omega_rule
+    for v in c.algebra.names:
+        incoming = [g for g in c.generators if g.dst == v]
+        if v in omega_rule:
+            assert c.in_degree(v) is OMEGA
+            continue
+        explicit = [(g.name, i, k) for g in incoming
+                    for i in range(count(g.src)) for k in range(g.mult)]
+        assert c.in_degree(v) == len(explicit)
+
+
+def test_in_degree_of_a_class_reached_by_both_omega_factors():
+    c = Correspondence.of(
+        AtomSet.of([("U", OMEGA), ("V", 2), ("W", 3)]),
+        [EdgeClass("a", "U", "W", 1), EdgeClass("b", "V", "W", OMEGA),
+         EdgeClass("c", "V", "V", 2), EdgeClass("d", "W", "V", 1)])
+    check_in_degree(c)
+    assert c.infinite_in_degree() == {"W"}
+    assert c.in_degree("W") is OMEGA
+    assert c.in_degree("V") == 2 * 2 + 3 * 1
+    assert c.in_degree("U") == 0
+
+
+@given(graphs(allow_omega=True))
+@settings(max_examples=100, deadline=None)
+def test_in_degree_matches_enumeration(c):
+    check_in_degree(c)
+
+
 @given(graphs(max_classes=3, max_edges=4), st.integers(0, 2))
 @settings(max_examples=60, deadline=None)
 def test_gram_identity_two_ways(c, level):

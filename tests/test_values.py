@@ -77,7 +77,7 @@ def test_derived_fields_are_not_compared():
     g, h = load_instance(CORPUS / "loop.json"), load_instance(CORPUS / "loop.json")
     c, d = g.correspondence, h.correspondence
     d.algebra._counts = d.algebra.names = None
-    d._edges = d._from = d._in_degree = None
+    d._edges = d._from = d._infinite = None
     h.correspondence = None
     for x, y in ((c.algebra, d.algebra), (c, d), (g, h)):
         assert x == y and not x != y and hash(x) == hash(y)
@@ -128,11 +128,11 @@ def test_vectors_and_functions_are_not_tuples_to_repeat():
             product()
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_pathlib():
     # -S keeps site-packages and .pth files out, so sys.path holds the
     # standard library and src only
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import hyperrig.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
