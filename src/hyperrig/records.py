@@ -8,9 +8,14 @@ rendering, so text and JSON output are two renderings of one record.
 
 Everything on disk is UTF-8 JSON with exact rationals encoded as strings
 ("3/4", "-2", "0"), so parse followed by emit is the identity and records
-are byte-identical across runs.  Instances are keyed by a digest of their
-canonical serialization; a witness record names the instance it certifies
-through that digest.
+are byte-identical across runs.  A record is written as canonical JSON,
+by definition `json.dumps(doc, sort_keys=True, indent=2,
+ensure_ascii=False)` and a newline; `canonical_json` writes those bytes
+itself, since with `indent` set json.dumps runs its pure-Python encoder.
+Instances are keyed by a digest of their canonical serialization; a
+witness record names the instance it certifies through that digest.  A
+document whose keys or strings hold a lone surrogate (an escape such as
+"\\ud800") is malformed input, since neither can be written as UTF-8.
 
 A witness record is re-checked by running `fock.witness_pipeline`, the
 chain that built it, from the instance and the recorded evaluation atoms
@@ -68,7 +73,10 @@ def _rational(v) -> Fraction:
 
 
 def _rational_out(x) -> str:
-    return str(Fraction(x))
+    # str of an int or a Fraction is already str(Fraction(x)); a bool or a
+    # subclass, from a caller in code, may print otherwise
+    t = type(x)
+    return str(x) if t is int or t is Fraction else str(Fraction(x))
 
 
 def _count(v):
@@ -344,16 +352,112 @@ def _read(path) -> str:
 
 def _decode(text: str):
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # a JSONDecodeError, an integer past MAX_DIGITS, or nesting past
         # the decoder's recursion limit
         raise MalformedInputError(f"not valid JSON: {exc}") from exc
+    if "\\u" in text:
+        _refuse_lone_surrogates(doc)
+    return doc
+
+
+def _refuse_lone_surrogates(doc) -> None:
+    """Refuse a decoded document in which a key or a string holds a lone
+    surrogate.  json.loads joins an escaped pair such as "\\ud83d\\ude00"
+    into one character but keeps a lone "\\ud800", which no UTF-8 digest
+    or output can encode.  The walk keeps its own stack, so it reaches any
+    depth the decoder does; the message names the code point, never the
+    surrogate itself, which could not be written out either."""
+    stack = [doc]
+    while stack:
+        o = stack.pop()
+        t = type(o)
+        if t is dict:
+            stack.extend(o)
+            stack.extend(o.values())
+        elif t is list:
+            stack.extend(o)
+        elif t is str:
+            try:
+                o.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise MalformedInputError(
+                    f"a string holds the lone surrogate \\u{ord(o[exc.start]):04x}, "
+                    "which UTF-8 cannot encode") from exc
 
 
 def canonical_json(doc) -> str:
-    """One fixed rendering so identical records are identical bytes."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """One fixed rendering so identical records are identical bytes: by
+    definition `json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False)` and a newline.
+
+    With `indent` set, json.dumps runs CPython's pure-Python encoder, so
+    the document is written here instead, by `_write_json`.  A value that
+    writer does not cover (a float, a key that is not a str, a subclass of
+    a type it covers, a cycle) makes it fall back to json.dumps, which
+    gives the same bytes or raises what it always raised."""
+    out = []
+    try:
+        _write_json(doc, out, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, out: list, nl: str) -> None:
+    """Append the indented rendering of o to out, whose current line starts
+    with nl; raise TypeError on a value outside plain dicts with str keys,
+    lists, tuples, strs, ints, booleans and None."""
+    q = encode_basestring
+    t = type(o)
+    if t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            if type(k) is not str:
+                raise TypeError
+            v = o[k]
+            if type(v) is str:
+                out.append(f"{sep}{q(k)}: {q(v)}")
+            else:
+                out.append(f"{sep}{q(k)}: ")
+                _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            tv = type(v)
+            if tv is str:
+                out.append(sep + q(v))
+            elif tv is int:
+                out.append(sep + int.__repr__(v))
+            else:
+                out.append(sep)
+                _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is str:
+        out.append(q(o))
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif o is None:
+        out.append("null")
+    else:
+        raise TypeError
 
 
 def instance_digest(g: Presentation) -> str:

@@ -409,6 +409,72 @@ def test_non_utf8_file_is_malformed_input(tmp_path, capsys):
     assert by_name["latin1.json"]["error"].startswith("MalformedInputError: not valid UTF-8: ")
     assert by_name["loop.json"]["status"] == "hyperrigid"
 
+
+def lone_surrogate_message(escape: str) -> str:
+    return f"a string holds the lone surrogate {escape}, which UTF-8 cannot encode"
+
+
+def test_a_lone_surrogate_escape_is_malformed_input(tmp_path, capsys):
+    # "\ud800" is valid JSON text, but json.loads keeps it as a lone
+    # surrogate, which no digest and no UTF-8 output can encode: an input
+    # error (exit 2) that names the escape without holding the surrogate,
+    # not a traceback, and one error row in a batch
+    omega_star = (CORPUS / "omega_star.json").read_text(encoding="utf-8")
+    bad = {"name.json": (omega_star.replace('"W"', '"\\ud800"'), "\\ud800"),
+           "key.json": (omega_star.replace('"kind"', '"\\udc00": 1, "kind"', 1), "\\udc00"),
+           "reversed.json": (omega_star.replace('"W"', '"\\ude00\\ud83d"'), "\\ude00")}
+    main(["witness", str(CORPUS / "omega_star.json")])
+    record = capsys.readouterr().out
+    witness = tmp_path / "witness.out"  # not *.json, so batch skips it
+    witness.write_text(record, encoding="utf-8")
+    lone_witness = tmp_path / "lone_witness.out"
+    lone_witness.write_text(json.dumps({**json.loads(record), "instance_digest": "\udbff"}),
+                            encoding="utf-8")
+    cases = [(["verify", lone_witness, CORPUS / "omega_star.json"], "\\udbff")]
+    for name, (text, escape) in bad.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        cases += [(["decide", tmp_path / name], escape), (["witness", tmp_path / name], escape),
+                  (["verify", witness, tmp_path / name], escape)]
+    for argv, escape in cases:
+        assert main([str(a) for a in argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"error: {lone_surrogate_message(escape)}\n", argv
+
+    shutil.copy(CORPUS / "loop.json", tmp_path / "loop.json")
+    for fmt in ("json", "text"):
+        assert main(["batch", str(tmp_path), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        out.encode("utf-8")  # raises if the record holds a surrogate
+        if fmt == "json":
+            by_name = {f["file"]: f for f in json.loads(out)["files"]}
+            for name, (_, escape) in bad.items():
+                assert by_name[name]["error"] \
+                    == f"MalformedInputError: {lone_surrogate_message(escape)}"
+            assert by_name["loop.json"]["status"] == "hyperrigid"
+        else:
+            assert "summary: 1 hyperrigid, 0 not hyperrigid, 3 errors" in out
+
+
+def test_an_escaped_surrogate_pair_reads_as_its_character(tmp_path, capsys):
+    # a valid pair decodes to one character outside the BMP, and every
+    # command answers as it does for the file holding that character
+    omega_star = (CORPUS / "omega_star.json").read_text(encoding="utf-8")
+    escaped, literal = tmp_path / "escaped.json", tmp_path / "literal.json"
+    escaped.write_text(omega_star.replace('"W"', '"\\ud83d\\ude00"'), encoding="utf-8")
+    literal.write_text(omega_star.replace('"W"', '"\U0001f600"'), encoding="utf-8")
+    main(["witness", str(literal)])
+    witness = tmp_path / "witness.out"
+    witness.write_text(capsys.readouterr().out, encoding="utf-8")
+    for argv in (["decide", "{}"], ["witness", "{}"], ["verify", witness, "{}"]):
+        outcomes = []
+        for path in (escaped, literal):
+            code = main([str(path) if a == "{}" else str(a) for a in argv])
+            outcomes.append((code, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv
+        assert outcomes[0][0] in (0, 1) and outcomes[0][1].err == "", argv
+
+
 OVERSIZED_IMAGE = INPUTS / "malformed_interval" / "oversized_image_endpoint.json"
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperrig.algebra import Atom, AtomSet
 from hyperrig.correspondence import Correspondence, EdgeClass, sigma_degeneracy_witness
@@ -18,8 +19,8 @@ from hyperrig.graphs import (
     DiscreteGraphPresentation, build_correspondence, decide_hyperrigid,
 )
 from hyperrig.records import (
-    canonical_json, instance_digest, instance_payload, load_instance,
-    load_witness_record, parse_instance, parse_instance_text,
+    _rational_out, canonical_json, instance_digest, instance_payload,
+    load_instance, load_witness_record, parse_instance, parse_instance_text,
     parse_witness_record, verdict_record, verify_witness_record,
     witness_record,
 )
@@ -383,6 +384,68 @@ def test_canonical_json_is_stable():
     again = canonical_json(verdict_record(g, decide_hyperrigid(g)))
     assert once == again
     assert once.endswith("\n")
+
+
+def dumps_definition(doc) -> str:
+    """canonical_json by its definition."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def outcome(render, doc):
+    try:
+        return render(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# full Unicode, lone surrogates included, and every character json.dumps
+# treats specially drawn often
+json_strings = st.text(st.one_of(st.characters(exclude_categories=()),
+                                 st.sampled_from(ODD_CHARACTERS)), max_size=8)
+json_scalars = st.one_of(json_strings, st.integers(), st.integers(-2**80, 2**80),
+                         st.booleans(), st.none())
+json_trees = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(json_trees)
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_matches_its_definition(doc):
+    assert canonical_json(doc) == dumps_definition(doc)
+
+
+def test_canonical_json_falls_back_to_its_definition():
+    # values the writer does not cover render, or fail, as json.dumps does
+    cyclic = []
+    cyclic.append(cyclic)
+    docs = [1.5, {"a": [float("nan"), -0.0, 1e300]}, {1: "x", 2: [3]},
+            {True: 1, None: 2, 0.5: 3}, {"k": Name("v")}, [Name("a\n")],
+            {Name("k"): 1}, Obj(a=1, b={"c": []}), [Obj()], Count(7),
+            [{"x": [Count(12345678901234567890)]}], {"a": (1, [2.0])},
+            {"a": 1, 2: "b"}, {(1, 2): 3}, {1, 2}, {"s": frozenset({3})},
+            [b"bytes"], cyclic, [True, False, None, "", [], {}, ()]]
+    for doc in docs:
+        assert outcome(canonical_json, doc) == outcome(dumps_definition, doc), doc
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        canonical_json({"a": {1}})
+
+
+def test_rational_strings_match_their_definition():
+    class Big(int):
+        def __str__(self):
+            return "big"
+
+    class Ratio(Fraction):
+        def __str__(self):
+            return "ratio"
+
+    for x in (0, 7, -12345678901234567890, Fraction(-3, 4), Fraction(6, 3), True,
+              False, Big(5), Ratio(1, 2), Ratio(4, 2)):
+        assert _rational_out(x) == str(Fraction(x)), x
 
 
 # -- witness records ---------------------------------------------------------------
