@@ -163,22 +163,6 @@ class Correspondence:
         return out
 
 
-class Submodule(NamedTuple):
-    parent: Correspondence
-    span: frozenset  # edge class names
-
-    @staticmethod
-    def of(parent: Correspondence, span: Iterable[str]) -> "Submodule":
-        names = frozenset(span)
-        unknown = names.difference(parent._edges)
-        if unknown:
-            raise MalformedInputError(f"submodule span {sorted(unknown)} outside generators")
-        return Submodule(parent, names)
-
-    def is_full(self) -> bool:
-        return self.span == self.parent._edges.keys()
-
-
 # -- module vectors -----------------------------------------------------------
 
 class ModuleVector(NamedTuple):
@@ -276,15 +260,16 @@ def katsura_ideal(c: Correspondence) -> IdealSpec:
     return ideal_intersect(ideal_complement(kernel_of_left_action(c)), compacts_preimage(c))
 
 
-def ideal_act_submodule(c: Correspondence, j: IdealSpec) -> Submodule:
-    """The submodule phi(j) X: spanned by the edge classes ranging in j."""
+def ideal_act_submodule(c: Correspondence, j: IdealSpec) -> frozenset:
+    """phi(j) X, as the names of the edge classes spanning it: those ranging in j."""
     if j.parent != c.algebra:
         raise DomainError("ideal belongs to a different algebra")
-    return Submodule.of(c, {g.name for g in c.generators if g.dst in j.support})
+    return frozenset(g.name for g in c.generators if g.dst in j.support)
 
 
 def is_nondegenerate(c: Correspondence) -> bool:
-    return ideal_act_submodule(c, katsura_ideal(c)).is_full()
+    # edge class names are unique (Correspondence refuses duplicates)
+    return len(ideal_act_submodule(c, katsura_ideal(c))) == len(c.generators)
 
 
 # -- tensor vectors -----------------------------------------------------------
@@ -406,7 +391,7 @@ def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
     phi(J) X (x)_sigma H, and the loop visits only those.
     """
     j = katsura_ideal(c)
-    j_span = ideal_act_submodule(c, j).span
+    j_span = ideal_act_submodule(c, j)
     g = next((g for g in c.generators if g.name not in j_span), None)
     if g is None:
         return None

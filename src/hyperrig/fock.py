@@ -39,6 +39,7 @@ single copy of each created copy against the correspondence once.  t0
 and rho0 read through a memo on the TruncatedFock keyed by their
 argument's value, so the relation checks, the invariance and covariance
 checks and the non-reducing search share one operator per argument.
+A negative control patches _build_t / _build_rho on a fresh space.
 Every residual is still computed in full from those operators.  The
 relation checks compare each joined pair in place, its accumulated
 columns against the rhs operator's, on the same columns and after the
@@ -49,9 +50,8 @@ per pair.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
 from numbers import Rational
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .algebra import CoefFn, EvaluationRep, IdealSpec
 from .correspondence import (
@@ -103,8 +103,6 @@ class TruncatedFock:
         self._t: dict = {}
         self._rho: dict = {}
 
-    def all_keys(self) -> list:
-        return [k for level in self.bases for k in level]
 
 def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = DEFAULT_FOCK_LEVEL,
                basis_budget: int = DEFAULT_BASIS_BUDGET) -> TruncatedFock:
@@ -356,43 +354,22 @@ def psi_t(fock: TruncatedFock, phi: Mapping[EdgeCopy, QI]) -> GradedOperator:
 class IsometryReport(NamedTuple):
     """Max squared-modulus deviations of the two defining relations,
     checked on levels 0..N-1 (the top level sits past the truncation
-    boundary for the adjoint relation).  The joined counts record how
-    many pairs were compared against their own rhs, so they take no part
-    in equality."""
+    boundary for the adjoint relation)."""
 
     multiplication: Rational  # rho(f) t(x) vs t(phi(f) x)
     toeplitz: Rational        # t(x)* t(x') vs rho(<x, x'>)
-    mult_joined: int
-    toeplitz_joined: int
 
     @property
     def max_residual(self) -> Rational:
         return max(self.multiplication, self.toeplitz)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:2] == other[:2]
 
-    def __ne__(self, other):
-        # tuple.__ne__ would compare the joined counts too
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
-
-
-def verify_isometric_rep(fock: TruncatedFock,
-                         rho_of: Optional[Callable] = None,
-                         t_of: Optional[Callable] = None) -> IsometryReport:
+def verify_isometric_rep(fock: TruncatedFock) -> IsometryReport:
     """Check both defining relations exactly on every generator pair.
 
-    rho_of / t_of default to the honest truncated operators, read through
-    the space's memo; passing corrupted builders turns this into a
-    negative control.  A builder passed in is called once per distinct
-    argument, memoised by value in a cache of this call alone, so a
-    corrupted operator is what every residual sees and never enters the
-    space's memo.  Residuals compare columns at levels 0..N-1 only.
+    Every operator is read through t0 and rho0; a negative control patches
+    _build_t / _build_rho and builds a fresh space, so no honest space's
+    memo holds its operators.  Residuals compare levels 0..N-1 only.
 
     The pairs are covered by a sparse join (_join_residual), not a grid.
     A pair the join does not meet has an lhs that is exactly the empty
@@ -405,13 +382,11 @@ def verify_isometric_rep(fock: TruncatedFock,
     other pair compares the empty lhs with t(0) or rho(0), one residual
     for all of them, built by the same builder.
     """
-    rho_at = (lambda f: rho0(fock, f)) if rho_of is None else cache(rho_of)
-    t_at = (lambda x: t0(fock, x)) if t_of is None else cache(t_of)
     c = fock.parent
     fns = fock.functions
     copies, vecs = tuple(fock.singles), tuple(fock.singles.values())
     src = frozenset(k for n in range(fock.n_levels) for k in fock.bases[n])
-    ts = [t_at(x) for x in vecs]
+    ts = [t0(fock, x) for x in vecs]
 
     nonzero_at: dict = {}  # class or atom -> functions with a part there
     for i, f in enumerate(fns):
@@ -422,24 +397,23 @@ def verify_isometric_rep(fock: TruncatedFock,
         a = c.range_atom(copies[r])
         return nonzero_at.get(a.cls, set()) | nonzero_at.get(a, set())
 
-    mult, mult_joined = _join_residual(
-        [rho_at(f) for f in fns], ts, src, ranged_by,
-        lambda i, r: t_at(left_mul(fns[i], vecs[r])),
-        lambda: t_at(ModuleVector.of(c, {})))
-    toep, toeplitz_joined = _join_residual(
+    mult = _join_residual(
+        [rho0(fock, f) for f in fns], ts, src, ranged_by,
+        lambda i, r: t0(fock, left_mul(fns[i], vecs[r])),
+        lambda: t0(fock, ModuleVector.of(c, {})))
+    toep = _join_residual(
         [tx.adjoint() for tx in ts], ts, src,
         lambda r: {r},
-        lambda i, r: rho_at(inner(vecs[i], vecs[r])),
-        lambda: rho_at(CoefFn.zero()))
-    return IsometryReport(mult, toep, mult_joined, toeplitz_joined)
+        lambda i, r: rho0(fock, inner(vecs[i], vecs[r])),
+        lambda: rho0(fock, CoefFn.zero()))
+    return IsometryReport(mult, toep)
 
 
 def _join_residual(lefts: list, rights: list, src: frozenset,
                    nonzero_rhs: Callable, rhs_at: Callable,
-                   zero_rhs: Callable) -> tuple:
+                   zero_rhs: Callable) -> Rational:
     """Max residual of lefts[i] after rights[r] against rhs_at(i, r) over
-    every pair (i, r), on the columns in src, and the number of pairs
-    compared against their own rhs.
+    every pair (i, r), on the columns in src.
 
     With operators indexed op[column][row], the entry of L R at column j,
     row i is the sum over keys k of L[k][i] times R[j][k], and a term
@@ -483,7 +457,7 @@ def _join_residual(lefts: list, rights: list, src: frozenset,
     if joined < len(lefts) * len(rights):
         worst = max(worst, _pair_residual(
             _EMPTY, lefts[0].degree + rights[0].degree, zero_rhs(), src))
-    return worst, joined
+    return worst
 
 
 def _pair_residual(got: dict, degree: int, rhs: GradedOperator, src: frozenset) -> Rational:
@@ -517,17 +491,14 @@ def build_witness_subspace(fock: TruncatedFock, j: IdealSpec) -> WitnessSubspace
     c = fock.parent
     if j.parent != c.algebra:
         raise DomainError("ideal over a different algebra")
-    m0 = tuple(k for k in fock.bases[1]
-               if c.range_atom(k.path[0]).cls not in j.support)
+    kept = (tuple(k for k in fock.bases[n] if c.range_atom(k.path[-1]).cls not in j.support)
+            for n in range(1, fock.n_levels + 1))
+    m0 = next(kept)  # a level-1 key's one copy is its last: M0 is level 1 of M
     if not m0:
         raise WitnessRefusedError(
             "the ideal-reached submodule already covers level 1 over this "
             "evaluation; no degeneracy subspace exists")
-    levels = [()]
-    for n in range(1, fock.n_levels + 1):
-        levels.append(tuple(
-            k for k in fock.bases[n]
-            if c.range_atom(k.path[-1]).cls not in j.support))
+    levels = ((), m0, *kept)
 
     # second description: the span of all creation words applied to M0
     # (diagonal multiplications never leave a key span, so words reduce to
@@ -539,7 +510,7 @@ def build_witness_subspace(fock: TruncatedFock, j: IdealSpec) -> WitnessSubspace
         if set(levels[n]) != orbit.get(n, set()):
             raise InternalInconsistencyError(
                 f"witness subspace disagrees with its orbit description at level {n}")
-    return WitnessSubspace(tuple(levels), m0, j)
+    return WitnessSubspace(levels, m0, j)
 
 
 def ideal_generator_functions(fock: TruncatedFock, j: IdealSpec) -> list:

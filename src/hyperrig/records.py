@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Optional, Tuple
 
 from .algebra import Atom, EvaluationRep
@@ -663,12 +664,23 @@ def batch_record(results) -> dict:
 
 # -- text rendering --------------------------------------------------------------------
 
+# the C0 and C1 controls and U+2028/U+2029: every line break str.splitlines knows
+_CONTROLS = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
+def _s(v: str) -> str:
+    """A string of the document as the text rendering writes it: as its
+    ASCII JSON literal if it holds one of _CONTROLS, so that no name, file
+    name or message can start a line of its own; else as it is."""
+    return encode_basestring_ascii(v) if _CONTROLS.search(v) else v
+
+
 def _fmt_atom(a) -> str:
-    return f"{a[0]}[{a[1]}]"
+    return f"{_s(a[0])}[{a[1]}]"
 
 
 def _fmt_copy(e) -> str:
-    return f"{e[0]}[{e[1]},{e[2]},{e[3]}]"
+    return f"{_s(e[0])}[{e[1]},{e[2]},{e[3]}]"
 
 
 def _fmt_key(k) -> str:
@@ -679,45 +691,45 @@ def _fmt_key(k) -> str:
 
 def _verdict_text(doc) -> list:
     cert = doc["certificate"]
-    lines = [f"instance: {doc['instance_digest']}",
+    lines = [f"instance: {_s(doc['instance_digest'])}",
              f"verdict: {'hyperrigid' if doc['hyperrigid'] else 'not hyperrigid'}",
-             *(f"route {r['route']}: {'holds' if r['holds'] else 'fails'}"
+             *(f"route {_s(r['route'])}: {'holds' if r['holds'] else 'fails'}"
                for r in doc["routes"]),
-             f"certificate: {cert['kind']}", f"detail: {cert['detail']}"]
+             f"certificate: {_s(cert['kind'])}", f"detail: {_s(cert['detail'])}"]
     w = doc.get("sigma_witness")
     if w is not None:
         atoms = ", ".join(_fmt_atom(a) for a in w["atoms"])
-        vec = " + ".join(f"({re}+{im}i) {_fmt_key(k)}" for k, (re, im) in w["vector"])
+        vec = " + ".join(f"({_s(x)}+{_s(y)}i) {_fmt_key(k)}" for k, (x, y) in w["vector"])
         lines.append(f"sigma witness: evaluation at {atoms}, "
-                     f"class {w['edge_class']}, vector {vec}")
+                     f"class {_s(w['edge_class'])}, vector {vec}")
     return lines
 
 
 def _witness_text(doc) -> list:
     m0, nr = doc["m0"], doc["non_reducing"]
-    return [f"certificate: {doc['certificate']}",
-            f"instance: {doc['instance_digest']}",
+    return [f"certificate: {_s(doc['certificate'])}",
+            f"instance: {_s(doc['instance_digest'])}",
             f"fock levels: {doc['fock_levels']}",
             "sigma: " + ", ".join(_fmt_atom(a) for a in doc["sigma"]),
             f"M0 ({len(m0)} vectors): "
             + ("; ".join(_fmt_key(k) for k in m0) or "(empty)"),
             "M dimensions by level: "
             + ", ".join(str(len(level)) for level in doc["m_levels"]),
-            *(f"residual {name}: {doc['residuals'][name]}" for name in RESIDUALS),
+            *(f"residual {name}: {_s(doc['residuals'][name])}" for name in RESIDUALS),
             f"non-reducing: creation {_fmt_copy(nr['creation'])} applied to "
-            f"{_fmt_key(nr['vacuum'])}, projection norm^2 {nr['projection_norm_sq']}"]
+            f"{_fmt_key(nr['vacuum'])}, projection norm^2 {_s(nr['projection_norm_sq'])}"]
 
 
 def _verification_text(doc) -> list:
     lines = [f"verified: {'true' if doc['verified'] else 'false'}"]
     if doc["failing_check"] is not None:
-        lines.append(f"failing check: {doc['failing_check']}")
+        lines.append(f"failing check: {_s(doc['failing_check'])}")
     return lines
 
 
 def _batch_text(doc) -> list:
-    lines = [f"{f['file']}: {f['status']}"
-             + (f" ({f['error']})" if f["status"] == "error" else "")
+    lines = [f"{_s(f['file'])}: {_s(f['status'])}"
+             + (f" ({_s(f['error'])})" if f["status"] == "error" else "")
              for f in doc["files"]]
     s = doc["summary"]
     lines.append(f"summary: {s['hyperrigid']} hyperrigid, "

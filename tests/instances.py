@@ -4,9 +4,10 @@ modules."""
 from fractions import Fraction
 from typing import Optional
 
+import hyperrig.fock as fock_mod
 from hyperrig.algebra import AtomSet, EvaluationRep
 from hyperrig.correspondence import (
-    Correspondence, EdgeClass, EdgeCopy, ModuleVector, Submodule, inner,
+    Correspondence, EdgeClass, EdgeCopy, ModuleVector, inner,
 )
 from hyperrig.fock import build_fock
 from hyperrig.graphs import DiscreteGraphPresentation, IntervalGraphPresentation
@@ -58,13 +59,32 @@ def fock_bases(c: Correspondence, sigma: EvaluationRep, n: int) -> tuple:
     return build_fock(c, sigma, max(n, 1), basis_budget=10**6).bases
 
 
-def orthogonal_complement(s: Submodule) -> Submodule:
-    """The classes outside s, after checking with `inner` that each of them
-    is orthogonal to each class of s."""
-    c = s.parent
-    comp = Submodule.of(c, {g.name for g in c.generators} - s.span)
-    for a in s.span:
-        for b in comp.span:
+# the real builders of t(x) and rho(f), saved before any test patches them:
+# a corrupted builder wraps these, as t0 / rho0 would call the patch again
+BUILD_T, BUILD_RHO = fock_mod._build_t, fock_mod._build_rho
+
+
+def with_builders(fock, check, t=None, rho=None):
+    """check(space) on a fresh space built like fock, with fock._build_t
+    and fock._build_rho replaced by t and rho (where given) for the call.
+    A builder takes (space, argument), as the real ones do, so every
+    operator the check reads through t0 / rho0 is the corrupted one, and
+    it fills only the fresh space's memo, never fock's."""
+    fresh = build_fock(fock.parent, fock.sigma, fock.n_levels, basis_budget=10**6)
+    saved = fock_mod._build_t, fock_mod._build_rho
+    fock_mod._build_t, fock_mod._build_rho = t or BUILD_T, rho or BUILD_RHO
+    try:
+        return check(fresh)
+    finally:
+        fock_mod._build_t, fock_mod._build_rho = saved
+
+
+def orthogonal_complement(c: Correspondence, span: frozenset) -> frozenset:
+    """The edge classes of c outside span, after checking with `inner` that
+    each of them is orthogonal to each class of span."""
+    comp = frozenset(g.name for g in c.generators) - span
+    for a in span:
+        for b in comp:
             assert inner(ModuleVector.single(c, EdgeCopy(a, 0, 0, 0)),
                          ModuleVector.single(c, EdgeCopy(b, 0, 0, 0))).is_zero(), (a, b)
     return comp

@@ -582,3 +582,63 @@ def test_tight_budget_is_an_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "level 10000 is empty" in captured.err
+
+
+# line breaks to str.splitlines: each forges a line if written as it is
+FORGERS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+
+
+def forged_star(tmp_path, ch: str) -> Path:
+    """omega_star with its omega vertex, its edge and its file named to
+    forge a verdict line after ch, or plainly when ch is empty."""
+    w, e = f"W{ch}verdict: hyperrigid", f"E{ch}route range_condition: holds"
+    doc = {"kind": "discrete", "vertices": [{"name": "V", "count": 1},
+                                            {"name": w, "count": "omega"}],
+           "edges": [{"name": e, "source": w, "range": "V", "mult": 1}]}
+    folder = tmp_path / f"dir{len(list(tmp_path.iterdir()))}"
+    folder.mkdir()
+    path = folder / f"a{ch}verdict: hyperrigid.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def text_records(tmp_path, capsys, ch: str) -> dict:
+    """command -> the lines of its --format text record on forged_star."""
+    path = forged_star(tmp_path, ch)
+    out = {}
+    assert main(["decide", str(path), "--format", "text"]) == 1
+    out["decide"] = capsys.readouterr().out
+    assert main(["witness", str(path)]) == 0
+    record = path.parent / "witness.record"
+    record.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["witness", str(path), "--format", "text"]) == 0
+    out["witness"] = capsys.readouterr().out
+    assert main(["verify", str(record), str(path), "--format", "text"]) == 0
+    out["verify"] = capsys.readouterr().out
+    assert main(["batch", str(path.parent), "--format", "text"]) == 0
+    out["batch"] = capsys.readouterr().out
+    return {cmd: text.splitlines() for cmd, text in out.items()}
+
+
+def test_text_records_cannot_forge_lines(tmp_path, capsys):
+    # a class, edge or file name holding a line break is written as its
+    # JSON literal, so every line keeps its own label and no line is added
+    from json.encoder import encode_basestring_ascii
+    plain = text_records(tmp_path, capsys, "")
+    for ch in FORGERS:
+        forged = text_records(tmp_path, capsys, ch)
+        for cmd, lines in forged.items():
+            assert len(lines) == len(plain[cmd]), (cmd, ch)
+            for got, want in zip(lines, plain[cmd]):
+                label = want.split(":")[0]
+                if cmd == "batch" and not want.startswith("summary:"):
+                    label = encode_basestring_ascii(f"a{ch}verdict: hyperrigid.json")
+                assert got.startswith(label), (cmd, ch, got)
+        assert [line.split(":")[0] for line in forged["decide"]].count("verdict") == 1
+    # an error message is escaped the same way
+    doc = {"record": "batch", "files": [{"file": "x.json", "status": "error",
+                                         "error": "bad name 'a\u2028summary: 9'"}],
+           "summary": {"hyperrigid": 0, "not-hyperrigid": 0, "errors": 1}}
+    assert render_text(doc).splitlines() == [
+        'x.json: error ("bad name \'a\\u2028summary: 9\'")',
+        "summary: 0 hyperrigid, 0 not hyperrigid, 1 errors"]

@@ -2,8 +2,8 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
-from functools import cache
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -33,9 +33,13 @@ from hyperrig.scalars import OMEGA, QI, QI_ONE
 
 from golden_cli import CORPUS, INPUTS
 from instances import (
-    arrow_graph, loop_graph, omega_star, random_discrete_graph, star_plus_arm,
-    tower, wvx,
+    BUILD_RHO, BUILD_T, arrow_graph, loop_graph, omega_star,
+    random_discrete_graph, star_plus_arm, tower, with_builders, wvx,
 )
+
+
+def all_keys(fock) -> list:
+    return [k for level in fock.bases for k in level]
 
 
 def sigma_at(c, cls, idx=0):
@@ -154,7 +158,7 @@ def test_isometric_rep_corpus():
 def dense_rho0_cols(fock, f) -> dict:
     """rho(f) built the obvious way: every basis key, f at its leading atom."""
     cols = {}
-    for key in fock.all_keys():
+    for key in all_keys(fock):
         z = f.value_at(leading_atom(fock.parent, key))
         if not z.is_zero():
             cols[key] = {key: z}
@@ -162,7 +166,7 @@ def dense_rho0_cols(fock, f) -> dict:
 
 
 def dense_leading_atoms(fock) -> set:
-    return {leading_atom(fock.parent, k) for k in fock.all_keys()}
+    return {leading_atom(fock.parent, k) for k in all_keys(fock)}
 
 
 def rho0_test_functions(fock) -> list:
@@ -215,19 +219,19 @@ def test_corrupted_t_detected():
     lo = loop_graph()
     fock = build_fock(lo, sigma_at(lo, "v"), 3)
 
-    doubled = lambda x: t0(fock, x).scale(QI(Fraction(2)))
-    report = verify_isometric_rep(fock, t_of=doubled)
+    doubled = lambda space, x: BUILD_T(space, x).scale(QI(Fraction(2)))  # noqa: E731
+    report = with_builders(fock, verify_isometric_rep, t=doubled)
     assert report.toeplitz > 0
 
     # a sign flip on one generator's operator is invisible to indicator
     # functions (it is a gauge move) but a scaled function catches it
     flipped_edge = ModuleVector.single(lo, EdgeCopy("e", 0, 0, 0))
 
-    def sign_flip(x):
-        op = t0(fock, x)
+    def sign_flip(space, x):
+        op = BUILD_T(space, x)
         return op.scale(QI(Fraction(-1))) if x == flipped_edge else op
 
-    report = verify_isometric_rep(fock, t_of=sign_flip)
+    report = with_builders(fock, verify_isometric_rep, t=sign_flip)
     assert report.multiplication > 0
 
 
@@ -246,26 +250,26 @@ def test_probe_catches_scalar_corruptions():
     for c, cls in ((loop_graph(), "v"), (wvx(2, 3), "W")):
         fock = build_fock(c, sigma_at(c, cls), 3)
         for name, mutate in SCALAR_MUTANTS.items():
-            def t_of(x):
-                return t0(fock, ModuleVector._of_valid(
+            def build_t(space, x):
+                return BUILD_T(space, ModuleVector._of_valid(
                     c, ((e, mutate(z)) for e, z in x.coeffs)))
 
-            report = verify_isometric_rep(fock, t_of=t_of)
+            report = with_builders(fock, verify_isometric_rep, t=build_t)
             assert report.multiplication > 0, ("t", name)
         for name in ("conjugate", "drop the imaginary part"):
             mutate = SCALAR_MUTANTS[name]
 
-            def rho_of(f):
-                op = rho0(fock, f)
-                return GradedOperator(fock, 0, {k: {kk: mutate(z) for kk, z in col.items()}
-                                                for k, col in op.cols.items()})
+            def build_rho(space, f):
+                op = BUILD_RHO(space, f)
+                return GradedOperator(space, 0, {k: {kk: mutate(z) for kk, z in col.items()}
+                                                 for k, col in op.cols.items()})
 
-            report = verify_isometric_rep(fock, rho_of=rho_of)
+            report = with_builders(fock, verify_isometric_rep, rho=build_rho)
             assert report.multiplication > 0, ("rho", name)
 
 
 def test_corrupted_rho_detected():
-    # a rho_of wrong on a single function: delta at one source atom,
+    # a rho builder wrong on a single function: delta at one source atom,
     # which is exactly <e, e> for the loop
     lo = loop_graph()
     fock = build_fock(lo, sigma_at(lo, "v"), 3)
@@ -273,11 +277,11 @@ def test_corrupted_rho_detected():
     e = ModuleVector.single(lo, EdgeCopy("e", 0, 0, 0))
     assert inner(e, e) == bad
 
-    def doubled_at_one_atom(f):
-        op = rho0(fock, f)
+    def doubled_at_one_atom(space, f):
+        op = BUILD_RHO(space, f)
         return op.scale(QI(Fraction(2))) if f == bad else op
 
-    report = verify_isometric_rep(fock, rho_of=doubled_at_one_atom)
+    report = with_builders(fock, verify_isometric_rep, rho=doubled_at_one_atom)
     assert report.toeplitz > 0
 
 
@@ -294,70 +298,91 @@ def test_truncation_boundary_excluded():
     assert verify_isometric_rep(fock).max_residual == 0
 
 
-def dense_isometry_report(fock, rho_of=None, t_of=None, fns=None, vecs=None) -> IsometryReport:
+def dense_isometry_report(fock, fns=None, vecs=None) -> IsometryReport:
     """The relation checks as a pair grid: one composed operator per
     (function, vector) and per (vector, vector) pair, every pair compared
-    in full against its own rhs.  fns / vecs default to the space's
-    generator lists."""
-    rho_of = cache(rho_of or (lambda f: rho0(fock, f)))
-    t_of = cache(t_of or (lambda x: t0(fock, x)))
+    in full against its own rhs, every operator read through t0 / rho0.
+    fns / vecs default to the space's generator lists."""
     fns = fock.functions if fns is None else fns
     vecs = tuple(fock.singles.values()) if vecs is None else vecs
     src = [k for n in range(fock.n_levels) for k in fock.bases[n]]
     mult = 0
     for f in fns:
         for x in vecs:
-            lhs = rho_of(f).compose(t_of(x))
-            mult = max(mult, operator_residual(lhs, t_of(left_mul(f, x)), src))
+            lhs = rho0(fock, f).compose(t0(fock, x))
+            mult = max(mult, operator_residual(lhs, t0(fock, left_mul(f, x)), src))
     toep = 0
     for x in vecs:
         for y in vecs:
-            lhs = t_of(x).adjoint().compose(t_of(y))
-            toep = max(toep, operator_residual(lhs, rho_of(inner(x, y)), src))
-    return IsometryReport(mult, toep, len(fns) * len(vecs), len(vecs) ** 2)
+            lhs = t0(fock, x).adjoint().compose(t0(fock, y))
+            toep = max(toep, operator_residual(lhs, rho0(fock, inner(x, y)), src))
+    return IsometryReport(mult, toep)
 
 
-def leaky_t(fock, leaker, target, amount=QI(Fraction(1, 2))):
-    """t of the copy leaker, plus `amount` on every row that t of the copy
-    target writes: two copies with one source atom share their columns, so
-    t(leaker)* t(target) is no longer 0 = rho(<leaker, target>)."""
-    c = fock.parent
+def both_reports(space) -> tuple:
+    """verify_isometric_rep and the dense pair grid, on one space."""
+    return verify_isometric_rep(space), dense_isometry_report(space)
+
+
+def count_pair_residuals(monkeypatch, run) -> tuple:
+    """run(), and the number of pairs each join compared in place, counted
+    by calls of fock._pair_residual: the multiplication join's have degree
+    1, the Toeplitz join's degree 0.  Each count includes the one shared
+    zero residual, where a join meets fewer pairs than there are."""
+    calls = Counter()
+    real = fock_mod._pair_residual
+
+    def spy(got, degree, rhs, src):
+        calls[degree] += 1
+        return real(got, degree, rhs, src)
+
+    with monkeypatch.context() as m:
+        m.setattr(fock_mod, "_pair_residual", spy)
+        out = run()
+    return out, calls[1], calls[0]
+
+
+def leaky_t(c, leaker, target, amount=QI(Fraction(1, 2))):
+    """A t builder: t of the copy leaker, plus `amount` on every row that t
+    of the copy target writes.  Two copies with one source atom share
+    their columns, so t(leaker)* t(target) is no longer 0 = rho(<leaker,
+    target>)."""
     x = ModuleVector.single(c, leaker)
 
-    def t_of(v):
-        op = t0(fock, v)
+    def build_t(space, v):
+        op = BUILD_T(space, v)
         if v != x:
             return op
         cols = {k: dict(col) for k, col in op.cols.items()}
-        for k, col in t0(fock, ModuleVector.single(c, target)).cols.items():
+        for k, col in BUILD_T(space, ModuleVector.single(c, target)).cols.items():
             for kk in col:
                 cols.setdefault(k, {})[kk] = amount
-        return GradedOperator(fock, op.degree, cols)
+        return GradedOperator(space, op.degree, cols)
 
-    return t_of
+    return build_t
 
 
 def relation_mutants(fock) -> dict:
-    """Corrupted builders: t doubled, t of one vector negated, rho doubled
-    at the point mass <x, x> of the first vector, rho(f) plus a class
-    indicator, rho(0) and t(0) nonzero (seen only by the pairs the join
-    does not meet), and t of one copy leaking onto a sibling copy's
-    rows."""
+    """Corrupted builders, name -> (rho builder, t builder), for
+    with_builders: t doubled, t of one vector negated, rho doubled at the
+    point mass <x, x> of the first vector, rho(f) plus a class indicator,
+    rho(0) and t(0) nonzero (seen only by the pairs the join does not
+    meet), and t of one copy leaking onto a sibling copy's rows."""
     c = fock.parent
     vecs = tuple(fock.singles.values())
     first = vecs[0]
     at_one_atom = inner(first, first)
     indicator = CoefFn.delta_class(c.algebra.names[0])
     out = {
-        "doubled_t": (None, lambda x: t0(fock, x).scale(QI(Fraction(2)))),
-        "sign_flip": (None, lambda x: t0(fock, x).scale(QI(Fraction(-1)))
-                      if x == first else t0(fock, x)),
+        "doubled_t": (None, lambda s, x: BUILD_T(s, x).scale(QI(Fraction(2)))),
+        "sign_flip": (None, lambda s, x: BUILD_T(s, x).scale(QI(Fraction(-1)))
+                      if x == first else BUILD_T(s, x)),
         "doubled_rho_at_one_atom": (
-            lambda f: rho0(fock, f).scale(QI(Fraction(2)))
-            if f == at_one_atom else rho0(fock, f), None),
-        "rho_plus_class_indicator": (lambda f: rho0(fock, f + indicator), None),
-        "rho_of_zero": (lambda f: rho0(fock, indicator if f.is_zero() else f), None),
-        "t_of_zero": (None, lambda x: t0(fock, first if x.is_zero() else x)),
+            lambda s, f: BUILD_RHO(s, f).scale(QI(Fraction(2)))
+            if f == at_one_atom else BUILD_RHO(s, f), None),
+        "rho_plus_class_indicator": (lambda s, f: BUILD_RHO(s, f + indicator), None),
+        "rho_of_zero": (lambda s, f: BUILD_RHO(s, indicator if f.is_zero() else f), None),
+        "t_of_zero": (None, lambda s, x: BUILD_T(s, first if x.is_zero() else x)),
     }
     by_source: dict = {}
     for x in vecs:
@@ -365,7 +390,7 @@ def relation_mutants(fock) -> dict:
         by_source.setdefault(c.source_atom(e), []).append(e)
     siblings = [es for es in by_source.values() if len(es) > 1]
     if siblings:
-        out["leak"] = (None, leaky_t(fock, siblings[0][0], siblings[0][1]))
+        out["leak"] = (None, leaky_t(c, siblings[0][0], siblings[0][1]))
     return out
 
 
@@ -399,11 +424,9 @@ def test_join_matches_dense_pair_grid():
         want = dense_isometry_report(fock)
         assert want.max_residual == 0
         assert verify_isometric_rep(fock) == want
-        for name, (rho_of, t_of) in relation_mutants(fock).items():
-            got = verify_isometric_rep(fock, rho_of=rho_of, t_of=t_of)
-            want = dense_isometry_report(fock, rho_of=rho_of, t_of=t_of)
-            assert (got.multiplication, got.toeplitz) == (
-                want.multiplication, want.toeplitz), name
+        for name, (rho, t) in relation_mutants(fock).items():
+            got, want = with_builders(fock, both_reports, t=t, rho=rho)
+            assert got == want, name
             if got.max_residual > 0:
                 caught.add(name)
             leaks += name == "leak"
@@ -413,38 +436,43 @@ def test_join_matches_dense_pair_grid():
     assert leaks >= 3
 
 
-def test_leak_onto_a_sibling_copy_detected():
+def test_leak_onto_a_sibling_copy_detected(monkeypatch):
     # t of one V -> X copy also writes the rows of another: the pair of
     # the two copies meets in the join, and its residual is nonzero
     c = wvx(2, 3)
     fock = build_fock(c, sigma_degeneracy_witness(c).rep, 3)
     e, f = EdgeCopy("VX", 0, 0, 0), EdgeCopy("VX", 0, 1, 2)
-    t_of = leaky_t(fock, e, f)
-    report = verify_isometric_rep(fock, t_of=t_of)
+    build_t = leaky_t(c, e, f)
+    report, _, toeplitz_pairs = count_pair_residuals(
+        monkeypatch, lambda: with_builders(fock, verify_isometric_rep, t=build_t))
     assert report.toeplitz > 0
-    honest = verify_isometric_rep(fock)
+    honest, _, honest_pairs = count_pair_residuals(
+        monkeypatch, lambda: verify_isometric_rep(fock))
+    assert honest.max_residual == 0
     # both ordered pairs of the two copies join, beyond the diagonal
-    assert report.toeplitz_joined == honest.toeplitz_joined + 2
+    assert toeplitz_pairs == honest_pairs + 2
     x, y = ModuleVector.single(c, e), ModuleVector.single(c, f)
     src = [k for n in range(fock.n_levels) for k in fock.bases[n]]
-    cross = t_of(x).adjoint().compose(t_of(y))
+    cross = build_t(fock, x).adjoint().compose(build_t(fock, y))
     assert cross.cols
     assert operator_residual(cross, rho0(fock, inner(x, y)), src) > 0
 
 
-def test_pairs_covered_are_the_whole_grid():
+def test_pairs_covered_are_the_whole_grid(monkeypatch):
     # the pairs the join compares in full, plus the pairs whose composed
     # lhs and rhs argument are both zero (counted here from the pair grid),
     # are every pair; on honest operators a vector's outputs meet only its
     # own, and a function joins a vector only where it is nonzero at its
-    # range atom
+    # range atom.  Each join's count of compared pairs includes its one
+    # shared zero residual, run when some pair is left out
     zero = []
     for c in (wvx(2, 3), star_plus_arm(), two_loops()):
         sigma = sigma_degeneracy_witness(c)
         sigma = sigma.rep if sigma else sigma_at(c, "v")
         fock = build_fock(c, sigma, 3)
         fns, vecs = fock.functions, tuple(fock.singles.values())
-        report = verify_isometric_rep(fock)
+        report, mult_pairs, toep_pairs = count_pair_residuals(
+            monkeypatch, lambda: verify_isometric_rep(fock))
         assert report.max_residual == 0
         mult_zero = sum(
             1 for f in fns for x in vecs
@@ -454,9 +482,9 @@ def test_pairs_covered_are_the_whole_grid():
             1 for x in vecs for y in vecs
             if not t0(fock, x).adjoint().compose(t0(fock, y)).cols
             and inner(x, y).is_zero())
-        assert report.mult_joined + mult_zero == len(fns) * len(vecs)
-        assert report.toeplitz_joined + toep_zero == len(vecs) ** 2
-        assert report.toeplitz_joined == len(vecs)
+        assert mult_pairs - (mult_zero > 0) + mult_zero == len(fns) * len(vecs)
+        assert toep_pairs - (toep_zero > 0) + toep_zero == len(vecs) ** 2
+        assert toep_pairs - (toep_zero > 0) == len(vecs)
         zero.append((mult_zero, toep_zero))
     # wvx(2, 3): 10 functions x 21 vectors, 3 joined per vector
     assert zero[0] == (210 - 63, 21 * 21 - 21)
@@ -468,14 +496,14 @@ def test_shared_zero_residual_keeps_the_degree_check():
     c = wvx(2, 3)
     fock = build_fock(c, sigma_degeneracy_witness(c).rep, 3)
 
-    def rho_of(f):
-        op = rho0(fock, f)
-        return GradedOperator(fock, 1, op.cols) if f.is_zero() else op
+    def build_rho(space, f):
+        op = BUILD_RHO(space, f)
+        return GradedOperator(space, 1, op.cols) if f.is_zero() else op
 
     with pytest.raises(DomainError):
-        dense_isometry_report(fock, rho_of=rho_of)
+        with_builders(fock, dense_isometry_report, rho=build_rho)
     with pytest.raises(DomainError):
-        verify_isometric_rep(fock, rho_of=rho_of)
+        with_builders(fock, verify_isometric_rep, rho=build_rho)
 
 
 def test_in_place_join_keeps_the_degree_check_on_met_pairs():
@@ -486,17 +514,18 @@ def test_in_place_join_keeps_the_degree_check_on_met_pairs():
     c = wvx(2, 3)
     fock = build_fock(c, sigma_degeneracy_witness(c).rep, 3)
 
-    def t_of(x):
-        op = t0(fock, x)
+    def build_t(space, x):
+        op = BUILD_T(space, x)
         if any(z != QI_ONE for _, z in x.coeffs):
-            return GradedOperator(fock, 2, op.cols)
+            return GradedOperator(space, 2, op.cols)
         return op
 
-    assert t_of(left_mul(fock.functions[-1], tuple(fock.singles.values())[0])).degree == 2
+    probe = left_mul(fock.functions[-1], tuple(fock.singles.values())[0])
+    assert build_t(fock, probe).degree == 2
     with pytest.raises(DomainError, match="different degrees"):
-        dense_isometry_report(fock, t_of=t_of)
+        with_builders(fock, dense_isometry_report, t=build_t)
     with pytest.raises(DomainError, match="different degrees"):
-        verify_isometric_rep(fock, t_of=t_of)
+        with_builders(fock, verify_isometric_rep, t=build_t)
 
 
 def test_in_place_join_reads_explicit_zeros_as_zero():
@@ -505,19 +534,19 @@ def test_in_place_join_reads_explicit_zeros_as_zero():
     # residual 0, as the honest operators do and as the pair grid does
     for c in (wvx(2, 3), star_plus_arm()):
         fock = build_fock(c, sigma_degeneracy_witness(c).rep, 3)
-        keys = fock.all_keys()
+        keys = all_keys(fock)
 
         def padded(op):
             cols = {k: {**col, **{kk: QI() for kk in (keys[0], keys[-1]) if kk not in col}}
                     for k, col in op.cols.items()}
             cols.setdefault(keys[0], {}).setdefault(keys[-1], QI())
-            return GradedOperator(fock, op.degree, cols)
+            return GradedOperator(op.fock, op.degree, cols)
 
-        rho_of = lambda f: padded(rho0(fock, f))  # noqa: E731
-        t_of = lambda x: padded(t0(fock, x))      # noqa: E731
         honest = verify_isometric_rep(fock)
-        got = verify_isometric_rep(fock, rho_of=rho_of, t_of=t_of)
-        assert got == honest == dense_isometry_report(fock, rho_of=rho_of, t_of=t_of)
+        got, dense = with_builders(fock, both_reports,
+                                   t=lambda s, x: padded(BUILD_T(s, x)),
+                                   rho=lambda s, f: padded(BUILD_RHO(s, f)))
+        assert got == honest == dense
         assert got.max_residual == 0
 
 
@@ -537,10 +566,12 @@ def test_join_builds_no_operator_per_pair(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(fock_mod, "GradedOperator", counted)
-    assert verify_isometric_rep(fock) == report
+    again, mult_pairs, toep_pairs = count_pair_residuals(
+        monkeypatch, lambda: verify_isometric_rep(fock))
+    assert again == report
     n = len(fock.singles)
     assert n <= len(built) <= n + 2
-    assert report.mult_joined + report.toeplitz_joined > len(built)
+    assert mult_pairs + toep_pairs > len(built)
 
 
 # -- one operator per argument ------------------------------------------------------
@@ -575,7 +606,7 @@ def test_equal_column_skip_is_exact():
         assert operator_residual(a, b, keys) == full_loop_residual(
             GradedOperator(fock, 0, {k: a.col(k) for k in keys}),
             GradedOperator(fock, 0, {k: b.col(k) for k in keys})) == 0
-    assert operator_residual(a, b, fock.all_keys()) == full_loop_residual(a, b) == 5
+    assert operator_residual(a, b, all_keys(fock)) == full_loop_residual(a, b) == 5
     assert operator_residual(a, b, [k2]) == 5
 
 
@@ -611,17 +642,21 @@ def test_witness_pipeline_builds_each_operator_once(monkeypatch):
 
 
 def test_corrupted_builders_do_not_reach_the_shared_operators():
-    # a builder passed to verify_isometric_rep keeps its own cache: after
-    # every mutant has run on a space, the honest checks on that same space
+    # each mutant runs on a fresh space: after every mutant has run, the
+    # real builders are back, the memo of the space the mutants were built
+    # like holds the operators it held before, and the honest checks on it
     # still report 0 and certify what a fresh space certifies
     caught = set()
     for c in degenerate_corpus() + [wvx(2, 3)]:
         w = sigma_degeneracy_witness(c)
         fock = build_fock(c, w.rep, 3)
         assert verify_isometric_rep(fock).max_residual == 0
-        for name, (rho_of, t_of) in relation_mutants(fock).items():
-            if verify_isometric_rep(fock, rho_of=rho_of, t_of=t_of).max_residual > 0:
+        memo = dict(fock._t), dict(fock._rho)
+        for name, (rho, t) in relation_mutants(fock).items():
+            if with_builders(fock, verify_isometric_rep, t=t, rho=rho).max_residual > 0:
                 caught.add(name)
+        assert (fock_mod._build_t, fock_mod._build_rho) == (BUILD_T, BUILD_RHO)
+        assert (fock._t, fock._rho) == memo
         assert verify_isometric_rep(fock).max_residual == 0
         cert = check_reducing(fock, build_witness_subspace(fock, w.ideal))
         fresh = build_fock(c, w.rep, 3)
@@ -640,7 +675,7 @@ def test_psi_t_examples():
     f_copy = ModuleVector.single(sa, EdgeCopy("F", 0, 0, 0))
     lhs = psi_t(fock, {EdgeCopy("F", 0, 0, 0): QI_ONE})
     rhs = t0(fock, f_copy).compose(t0(fock, f_copy).adjoint())
-    assert operator_residual(lhs, rhs, fock.all_keys()) == 0
+    assert operator_residual(lhs, rhs, all_keys(fock)) == 0
 
     assert psi_t(fock, {}).cols == {}
 
@@ -654,7 +689,7 @@ def test_psi_t_examples():
     odd = QI(Fraction(1, 2), Fraction(-3, 4))
     lhs = psi_t(fock, {EdgeCopy("e", 0, 0, 0): odd})
     rhs = t0(fock, e.scale(odd)).compose(t0(fock, e).adjoint())
-    assert len(lhs.cols) == 3 and operator_residual(lhs, rhs, fock.all_keys()) == 0
+    assert len(lhs.cols) == 3 and operator_residual(lhs, rhs, all_keys(fock)) == 0
 
 
 def op_sum(a, b):
@@ -680,9 +715,9 @@ def test_psi_t_decomposition_independence():
     u, w = e + f, e - f
     rotated = op_sum(t0(fock, u.scale(half)).compose(t0(fock, u).adjoint()),
                      t0(fock, w.scale(half)).compose(t0(fock, w).adjoint()))
-    assert operator_residual(psi_t(fock, plain), rotated, fock.all_keys()) == 0
+    assert operator_residual(psi_t(fock, plain), rotated, all_keys(fock)) == 0
     doubled = {copy: z * QI(2) for copy, z in plain.items()}
-    assert operator_residual(psi_t(fock, doubled), rotated, fock.all_keys()) > 0
+    assert operator_residual(psi_t(fock, doubled), rotated, all_keys(fock)) > 0
 
 
 # -- witness subspace -------------------------------------------------------------
@@ -769,7 +804,7 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
     built = calls["check_copy"]
     m = build_witness_subspace(fock, j)
     fns = ideal_generator_functions(fock, j)
-    created = sorted({k.path[0] for k in fock.all_keys() if k.path})
+    created = sorted({k.path[0] for k in all_keys(fock) if k.path})
     assert list(fock.singles) == created
     # per f, the created copies whose range atom f does not vanish at
     named = [e for f in fns for e in created if not f.value_at(c.range_atom(e)).is_zero()]
@@ -903,7 +938,7 @@ def generator_lists_sized_by_the_presentation(fock):
     fns = ([CoefFn.delta_class(nm) for nm in names]
            + [CoefFn.delta_atom(a) for a in sorted(fock.by_lead)]
            + [CoefFn.delta_class(nm, QI(1, 1)) for nm in names])
-    copies = {k.path[0] for k in fock.all_keys() if k.path}
+    copies = {k.path[0] for k in all_keys(fock) if k.path}
     copies |= {EdgeCopy(g.name, 0, 0, 0) for g in c.generators}
     return fns, [ModuleVector.single(c, e) for e in sorted(copies)]
 
@@ -972,7 +1007,7 @@ def test_generators_left_out_contribute_nothing():
         for f, phi in zip(old, phis):
             full = phi_over_every_copy(c, f)
             expanded += len(full) > len(phi)
-            assert operator_residual(psi_t(fock, full), psi_t(fock, phi), fock.all_keys()) == 0
+            assert operator_residual(psi_t(fock, full), psi_t(fock, phi), all_keys(fock)) == 0
             if f in new:
                 continue
             left_out += 1
@@ -1094,10 +1129,10 @@ def test_restriction_lemma_on_witness_subspaces():
         w = sigma_degeneracy_witness(c)
         fock, m, _ = witness_pipeline(c, w.rep, w.ideal, 3)
         keys = m.key_set()
-        report = verify_isometric_rep(
-            fock,
-            rho_of=lambda f: compress(rho0(fock, f), keys),
-            t_of=lambda x: compress(t0(fock, x), keys))
+        report = with_builders(
+            fock, verify_isometric_rep,
+            rho=lambda s, f: compress(BUILD_RHO(s, f), keys),
+            t=lambda s, x: compress(BUILD_T(s, x), keys))
         assert report.max_residual == 0
 
 
