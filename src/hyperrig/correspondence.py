@@ -9,8 +9,10 @@ so distinct edge copies are orthonormal relative to their source atom, and
 the left action is multiplication by f(range(e)).
 
 Everything a verdict depends on is computed at class granularity (which
-keeps OMEGA-classes finite data), while witness vectors, tensor bases and
+keeps OMEGA-classes finite data), while the witness, tensor bases and
 compact decompositions expand the finitely many relevant copies explicitly.
+Tensor powers are handled through their basis keys, the elementary
+tensors, which pair by the Gram identity (pair_by_gram_identity).
 
 For f in the Katsura ideal, phi(f) is compact and diagonal in the copies:
     phi(f) = sum over single edge copies e of f(r(e)) theta_{e,e},
@@ -25,7 +27,6 @@ left_mul each, and on the rest of the set, one left_mul on their sum.
 
 from __future__ import annotations
 
-from numbers import Rational
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec, ideal_complement, ideal_intersect
@@ -272,45 +273,14 @@ def is_nondegenerate(c: Correspondence) -> bool:
     return len(ideal_act_submodule(c, katsura_ideal(c))) == len(c.generators)
 
 
-# -- tensor vectors -----------------------------------------------------------
+# -- tensor keys --------------------------------------------------------------
 
 class TensorKey(NamedTuple):
+    """The elementary tensor e_1 (x) ... (x) e_n (x) h of a path and an
+    evaluation atom: a basis vector of the n-fold interior tensor power."""
+
     path: tuple  # tuple[EdgeCopy, ...], leftmost factor first
     atom: Atom
-
-
-class TensorVector(NamedTuple):
-    """Element of the n-fold tensor power against an evaluation space,
-    stored as a combination of composable elementary tensors."""
-
-    parent: Correspondence
-    level: int
-    terms: tuple  # tuple[(TensorKey, QI)], sorted, nonzero
-
-    @staticmethod
-    def of(parent: Correspondence, level: int, terms: Mapping[TensorKey, QI]) -> "TensorVector":
-        keep = {}
-        for key, z in terms.items():
-            key = TensorKey(tuple(EdgeCopy(*e) for e in key.path), Atom(*key.atom))
-            if len(key.path) != level:
-                raise MalformedInputError(f"term {key} has length != level {level}")
-            if z.is_zero():
-                continue
-            if _composable(parent, key):
-                keep[key] = z
-        return TensorVector(parent, level, tuple(sorted(keep.items())))
-
-
-def _composable(c: Correspondence, key: TensorKey) -> bool:
-    prev_src = None
-    for e in key.path:
-        c.check_copy(e)
-        if prev_src is not None and c.range_atom(e) != prev_src:
-            return False
-        prev_src = c.source_atom(e)
-    if key.path:
-        return c.source_atom(key.path[-1]) == key.atom
-    return True
 
 
 def leading_atom(c: Correspondence, key: TensorKey) -> Atom:
@@ -325,21 +295,6 @@ def successors(c: Correspondence, key: TensorKey) -> list:
     SymbolicOnlyError on an infinite fiber."""
     return [TensorKey((e,) + key.path, key.atom)
             for e in c.edges_from_atom(leading_atom(c, key))]
-
-
-def pairing(u: TensorVector, v: TensorVector) -> QI:
-    """<u, v> in the interior tensor product: composable elementary tensors
-    form an orthonormal family, by iterating
-    <x (x) h, y (x) h'> = <h, sigma(<x, y>) h'>."""
-    if u.level != v.level:
-        raise DomainError("pairing of tensor vectors of different levels")
-    vd = dict(v.terms)
-    out = QI()
-    for k, zu in u.terms:
-        zv = vd.get(k)
-        if zv is not None:
-            out = out + zu.conj() * zv
-    return out
 
 
 def pair_by_gram_identity(c: Correspondence, k1: TensorKey, k2: TensorKey) -> QI:
@@ -362,18 +317,11 @@ def gram_matrix(c: Correspondence, keys: list) -> list:
     return [[pair_by_gram_identity(c, a, b) for b in keys] for a in keys]
 
 
-def norm_sq(u: TensorVector) -> Rational:
-    p = pairing(u, u)
-    if p.im != 0:
-        raise InternalInconsistencyError("norm squared has an imaginary part")
-    return p.re
-
-
 # -- sigma-degeneracy witness -------------------------------------------------
 
 class SigmaWitness(NamedTuple):
     rep: EvaluationRep
-    vector: TensorVector
+    key: TensorKey  # the unit vector e (x) h, one elementary tensor at level 1
     edge_class: str
     ideal: IdealSpec  # the Katsura ideal J the witness was built against
 
@@ -383,12 +331,14 @@ def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
     X (x)_sigma H exactly orthogonal to phi(J) X (x)_sigma H; None exactly
     when phi(J)X = X, so it also answers is_nondegenerate(c).
 
-    The vector is a single copy of the first edge class outside phi(J)X,
-    and sigma evaluates at copy 0 of its source class; unit norm and
-    orthogonality are checked by both pairings.  e (x) h has squared norm
-    <h, sigma(<e, e>) h>, zero unless e is sourced at sigma's atom, so the
-    classes of phi(J)X sourced at sigma's class span all of
-    phi(J) X (x)_sigma H, and the loop visits only those.
+    The vector is the elementary tensor e (x) h, kept as its basis key,
+    of copy 0 of the first edge class outside phi(J)X, and sigma evaluates
+    at copy 0 of its source class.  Unit norm and orthogonality are
+    checked by the Gram identity (pair_by_gram_identity), which checks the
+    copies against c and never assumes that keys are orthonormal.  e (x) h
+    has squared norm <h, sigma(<e, e>) h>, zero unless e is sourced at
+    sigma's atom, so the classes of phi(J)X sourced at sigma's class span
+    all of phi(J) X (x)_sigma H, and the loop visits only those.
     """
     j = katsura_ideal(c)
     j_span = ideal_act_submodule(c, j)
@@ -398,21 +348,16 @@ def sigma_degeneracy_witness(c: Correspondence) -> Optional[SigmaWitness]:
     atom = Atom(g.src, 0)
     sigma = EvaluationRep.of(c.algebra, [atom])
     key = TensorKey((EdgeCopy(g.name, 0, 0, 0),), atom)
-    vec = TensorVector.of(c, 1, {key: QI_ONE})
-    if norm_sq(vec) != 1:
-        raise InternalInconsistencyError("witness vector does not have unit norm")
     if pair_by_gram_identity(c, key, key) != QI_ONE:
-        raise InternalInconsistencyError("Gram identity disagrees on the witness")
+        raise InternalInconsistencyError("witness vector does not have unit norm")
     for h in c._from[g.src]:
         if h.name not in j_span:
             continue
         cross_key = TensorKey((EdgeCopy(h.name, 0, 0, 0),), atom)
-        by_identity = pair_by_gram_identity(c, cross_key, key)
-        cross = TensorVector.of(c, 1, {cross_key: QI_ONE})
-        if not by_identity.is_zero() or not pairing(cross, vec).is_zero():
+        if not pair_by_gram_identity(c, cross_key, key).is_zero():
             raise InternalInconsistencyError(
                 f"witness vector is not orthogonal to class {h.name}")
-    return SigmaWitness(sigma, vec, g.name, j)
+    return SigmaWitness(sigma, key, g.name, j)
 
 
 # -- compact operators --------------------------------------------------------

@@ -174,7 +174,7 @@ class GradedOperator:
     Operators are read-only by convention, nothing enforces it.  t0 and
     rho0 hand every caller the one operator their space's memo holds for
     an argument, so a caller that wants a changed operator builds a new
-    one (scale, compose, adjoint do) and never writes into cols or a
+    one (compose and adjoint do) and never writes into cols or a
     column.  Operators compare by identity."""
 
     def __init__(self, fock: TruncatedFock, degree: int, cols: dict):
@@ -184,10 +184,6 @@ class GradedOperator:
 
     def col(self, key: TensorKey) -> dict:
         return self.cols.get(key, {})
-
-    def scale(self, z: QI) -> "GradedOperator":
-        cols = {k: {kk: z * w for kk, w in c.items()} for k, c in self.cols.items()}
-        return GradedOperator(self.fock, self.degree, _drop_zeros(cols))
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
         """self after other."""
@@ -472,12 +468,15 @@ def _pair_residual(got: dict, degree: int, rhs: GradedOperator, src: frozenset) 
 
 class WitnessSubspace(NamedTuple):
     """Basis-key span per level, as build_witness_subspace builds it from
-    the ideal J: m0 is its level-1 seed M0, the level-1 keys outside
-    phi(J)X, and ideal is J."""
+    the ideal J, and J.  Its seed M0, the level-1 keys outside phi(J)X, is
+    its level 1, read as m0."""
 
     levels: tuple  # tuple[tuple[TensorKey, ...]] per level 0..N
-    m0: tuple      # tuple[TensorKey, ...]
     ideal: IdealSpec
+
+    @property
+    def m0(self) -> tuple:
+        return self.levels[1]
 
     def key_set(self) -> set:
         return {k for level in self.levels for k in level}
@@ -487,7 +486,9 @@ def build_witness_subspace(fock: TruncatedFock, j: IdealSpec) -> WitnessSubspace
     """The counterexample subspace: M0 is the orthogonal complement of the
     ideal-reached submodule inside level 1, and M stacks M0 under repeated
     creation.  Verifies the second description of M as the orbit of
-    0 + M0 + 0 + ... under the generated operator algebra."""
+    0 + M0 + 0 + ... under the generated operator algebra, level by level
+    and with level 0 empty, so the creation image of M is its levels
+    2..N and M0 is all of the complement (check_cuntz_pimsner)."""
     c = fock.parent
     if j.parent != c.algebra:
         raise DomainError("ideal over a different algebra")
@@ -510,7 +511,7 @@ def build_witness_subspace(fock: TruncatedFock, j: IdealSpec) -> WitnessSubspace
         if set(levels[n]) != orbit.get(n, set()):
             raise InternalInconsistencyError(
                 f"witness subspace disagrees with its orbit description at level {n}")
-    return WitnessSubspace(levels, m0, j)
+    return WitnessSubspace(levels, j)
 
 
 def ideal_generator_functions(fock: TruncatedFock, j: IdealSpec) -> list:
@@ -553,27 +554,15 @@ def verify_eq_use(fock: TruncatedFock, m: WitnessSubspace) -> tuple:
     return eq1, eq2
 
 
-def complement_of_creation(fock: TruncatedFock, levels: tuple) -> tuple:
-    """Basis keys of the span of levels (one key tuple per level 0..N)
-    minus its creation image, per level."""
-    c = fock.parent
-    reached = {k for n in range(fock.n_levels) for key in levels[n]
-               for k in successors(c, key)}
-    return tuple(tuple(k for k in level if k not in reached)
-                 for level in levels)
-
-
 def check_cuntz_pimsner(fock: TruncatedFock, m: WitnessSubspace) -> Rational:
     """Covariance residual of the restriction to m: on the complement of
     the creation image, the compact-operator route must reproduce the
     diagonal action exactly for each f in ideal_generator_functions(fock,
-    m.ideal), with phi(f) compressed to the created copies.  The
-    complement is asserted to be m.m0 at level 1 alone.
+    m.ideal), with phi(f) compressed to the created copies.  That
+    complement is m.m0 at level 1 alone: build_witness_subspace checked
+    that m is the creation orbit of M0 with level 0 empty, and m holds
+    M0 only as its level 1.
     """
-    expected = tuple(m.m0 if n == 1 else () for n in range(fock.n_levels + 1))
-    if complement_of_creation(fock, m.levels) != expected:
-        raise InternalInconsistencyError(
-            "creation complement of the witness subspace is not M0")
     m0_keys = frozenset(m.m0)
     fns = ideal_generator_functions(fock, m.ideal)
     resid = 0

@@ -46,7 +46,7 @@ from .graphs import (
     Verdict,
 )
 from .intervals import MAX_DIGITS, AffinePiece, Interval, IntervalSet, PiecewiseAffineMap
-from .scalars import OMEGA, QI, exact_part, is_count
+from .scalars import OMEGA, QI, QI_ONE, exact_part, is_count
 
 SCHEMA_VERSION = 1
 
@@ -523,7 +523,7 @@ def verdict_record(g: Presentation, verdict: Verdict) -> dict:
         doc["sigma_witness"] = {
             "atoms": [_atom_out(a) for a in w.rep.atoms],
             "edge_class": w.edge_class,
-            "vector": [[_tensor_key_out(k), _qi_out(z)] for k, z in w.vector.terms],
+            "vector": [[_tensor_key_out(w.key), _qi_out(QI_ONE)]],
         }
     return doc
 

@@ -9,7 +9,7 @@ from hyperrig.algebra import AtomSet, EvaluationRep
 from hyperrig.correspondence import (
     Correspondence, EdgeClass, EdgeCopy, ModuleVector, inner,
 )
-from hyperrig.fock import build_fock
+from hyperrig.fock import GradedOperator, build_fock
 from hyperrig.graphs import DiscreteGraphPresentation, IntervalGraphPresentation
 from hyperrig.intervals import (
     AffinePiece, Interval, IntervalSet, PiecewiseAffineMap, closure, image,
@@ -77,6 +77,14 @@ def with_builders(fock, check, t=None, rho=None):
         return check(fresh)
     finally:
         fock_mod._build_t, fock_mod._build_rho = saved
+
+
+def scaled(op: GradedOperator, z) -> GradedOperator:
+    """A new operator, z times op, over op's space: how a negative control
+    corrupts an honest operator without writing into the one a memo holds.
+    z is a nonzero QI, so no entry becomes zero."""
+    return GradedOperator(op.fock, op.degree, {
+        k: {kk: z * w for kk, w in col.items()} for k, col in op.cols.items()})
 
 
 def orthogonal_complement(c: Correspondence, span: frozenset) -> frozenset:

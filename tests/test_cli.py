@@ -319,8 +319,9 @@ def test_a_broken_rebuild_exits_2_in_verify_as_in_witness(monkeypatch):
     # record and exits 2 with the error line witness prints
     import hyperrig.fock as fock
     from hyperrig.scalars import QI
+    from instances import scaled
     honest = fock.t0
-    monkeypatch.setattr(fock, "t0", lambda fk, x: honest(fk, x).scale(QI(2)))
+    monkeypatch.setattr(fock, "t0", lambda fk, x: scaled(honest(fk, x), QI(2)))
     instance = "{corpus}/omega_star.json"
     w_code, w_out, w_err = run_cli(["witness", instance])
     v_code, v_out, v_err = run_cli(

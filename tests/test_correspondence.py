@@ -14,9 +14,9 @@ import hyperrig.correspondence as corr_mod
 from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep
 from hyperrig.correspondence import (
     Correspondence, EdgeClass, EdgeCopy, ModuleVector, TensorKey,
-    TensorVector, compacts_preimage, gram_matrix, ideal_act_submodule, inner,
+    compacts_preimage, gram_matrix, ideal_act_submodule, inner,
     is_nondegenerate, katsura_ideal, kernel_of_left_action, leading_atom,
-    left_action_as_compacts, left_mul, norm_sq, pair_by_gram_identity, pairing,
+    left_action_as_compacts, left_mul, pair_by_gram_identity,
     sigma_degeneracy_witness, _verify_theta_sum,
 )
 from hyperrig.errors import (
@@ -185,11 +185,13 @@ def test_witness_absent_on_nondegenerate():
 
 
 def test_witness_omega_star():
-    w = sigma_degeneracy_witness(omega_star())
+    c = omega_star()
+    w = sigma_degeneracy_witness(c)
     assert w is not None
     assert w.rep.atoms == (Atom("W", 0),)
     assert w.edge_class == "E"
-    assert norm_sq(w.vector) == 1
+    assert w.key == TensorKey((EdgeCopy("E", 0, 0, 0),), Atom("W", 0))
+    assert pair_by_gram_identity(c, w.key, w.key) == QI_ONE
 
 
 def test_witness_star_plus_arm():
@@ -246,14 +248,18 @@ def test_witness_orthogonality_failures_name_the_class(monkeypatch):
         lambda c_, k1, k2: QI_ONE if f_against_g([k1, k2]) else real_gram(c_, k1, k2))
     with pytest.raises(InternalInconsistencyError, match="orthogonal to class F$"):
         sigma_degeneracy_witness(c)
-    monkeypatch.undo()
 
-    real_pairing = corr_mod.pairing
+
+def test_witness_without_unit_norm_is_refused(monkeypatch):
+    # the Gram identity is the one check of the witness's norm: a pairing
+    # that sends the witness key to norm 0 against itself is caught there
+    c = crowded_witness_instance()
+    witness = TensorKey((EdgeCopy("G", 0, 0, 0),), Atom("X", 0))
+    real_gram = corr_mod.pair_by_gram_identity
     monkeypatch.setattr(
-        corr_mod, "pairing",
-        lambda u, v: QI_ONE if f_against_g([k for k, _ in u.terms + v.terms])
-        else real_pairing(u, v))
-    with pytest.raises(InternalInconsistencyError, match="orthogonal to class F$"):
+        corr_mod, "pair_by_gram_identity",
+        lambda c_, k1, k2: QI() if k1 == k2 == witness else real_gram(c_, k1, k2))
+    with pytest.raises(InternalInconsistencyError, match="does not have unit norm$"):
         sigma_degeneracy_witness(c)
 
 
@@ -569,7 +575,7 @@ def test_witness_exists_iff_degenerate(c):
     w = sigma_degeneracy_witness(c)
     assert (w is None) == is_nondegenerate(c)
     if w is not None:
-        assert norm_sq(w.vector) > 0
+        assert pair_by_gram_identity(c, w.key, w.key) == QI_ONE
         assert w.edge_class not in ideal_act_submodule(c, katsura_ideal(c))
 
 
@@ -620,16 +626,12 @@ def test_in_degree_matches_enumeration(c):
 @given(graphs(max_classes=3, max_edges=4), st.integers(0, 2))
 @settings(max_examples=60, deadline=None)
 def test_gram_identity_two_ways(c, level):
-    # evaluate sigma at copy 0 of every class
+    # the Gram identity against the orthonormal literal, with sigma
+    # evaluating at copy 0 of every class
     sigma = EvaluationRep.of(c.algebra, [Atom(nm, 0) for nm in c.algebra.names])
     keys = list(fock_bases(c, sigma, level)[level][:12])
-    g = gram_matrix(c, keys)
-    for i, a in enumerate(keys):
-        for j, b in enumerate(keys):
-            direct = pairing(TensorVector.of(c, level, {a: QI_ONE}),
-                             TensorVector.of(c, level, {b: QI_ONE}))
-            assert g[i][j] == direct
-            assert g[i][j] == (QI_ONE if i == j else QI())
+    assert gram_matrix(c, keys) == [[QI_ONE if i == j else QI() for j in range(len(keys))]
+                                    for i in range(len(keys))]
 
 
 @given(graphs(max_classes=3, max_edges=3), st.integers(1, 3))

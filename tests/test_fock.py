@@ -23,7 +23,7 @@ from hyperrig.errors import (
 from hyperrig.fock import (
     GradedOperator, IsometryReport, build_fock,
     build_witness_subspace, check_cuntz_pimsner, check_reducing,
-    complement_of_creation, ideal_generator_functions,
+    ideal_generator_functions,
     operator_residual, psi_t, rho0, t0, verify_eq_use, verify_isometric_rep,
     witness_pipeline,
 )
@@ -34,7 +34,7 @@ from hyperrig.scalars import OMEGA, QI, QI_ONE
 from golden_cli import CORPUS, INPUTS
 from instances import (
     BUILD_RHO, BUILD_T, arrow_graph, loop_graph, omega_star,
-    random_discrete_graph, star_plus_arm, tower, with_builders, wvx,
+    random_discrete_graph, scaled, star_plus_arm, tower, with_builders, wvx,
 )
 
 
@@ -219,7 +219,7 @@ def test_corrupted_t_detected():
     lo = loop_graph()
     fock = build_fock(lo, sigma_at(lo, "v"), 3)
 
-    doubled = lambda space, x: BUILD_T(space, x).scale(QI(Fraction(2)))  # noqa: E731
+    doubled = lambda space, x: scaled(BUILD_T(space, x), QI(Fraction(2)))  # noqa: E731
     report = with_builders(fock, verify_isometric_rep, t=doubled)
     assert report.toeplitz > 0
 
@@ -229,7 +229,7 @@ def test_corrupted_t_detected():
 
     def sign_flip(space, x):
         op = BUILD_T(space, x)
-        return op.scale(QI(Fraction(-1))) if x == flipped_edge else op
+        return scaled(op, QI(Fraction(-1))) if x == flipped_edge else op
 
     report = with_builders(fock, verify_isometric_rep, t=sign_flip)
     assert report.multiplication > 0
@@ -279,7 +279,7 @@ def test_corrupted_rho_detected():
 
     def doubled_at_one_atom(space, f):
         op = BUILD_RHO(space, f)
-        return op.scale(QI(Fraction(2))) if f == bad else op
+        return scaled(op, QI(Fraction(2))) if f == bad else op
 
     report = with_builders(fock, verify_isometric_rep, rho=doubled_at_one_atom)
     assert report.toeplitz > 0
@@ -374,11 +374,11 @@ def relation_mutants(fock) -> dict:
     at_one_atom = inner(first, first)
     indicator = CoefFn.delta_class(c.algebra.names[0])
     out = {
-        "doubled_t": (None, lambda s, x: BUILD_T(s, x).scale(QI(Fraction(2)))),
-        "sign_flip": (None, lambda s, x: BUILD_T(s, x).scale(QI(Fraction(-1)))
+        "doubled_t": (None, lambda s, x: scaled(BUILD_T(s, x), QI(Fraction(2)))),
+        "sign_flip": (None, lambda s, x: scaled(BUILD_T(s, x), QI(Fraction(-1)))
                       if x == first else BUILD_T(s, x)),
         "doubled_rho_at_one_atom": (
-            lambda s, f: BUILD_RHO(s, f).scale(QI(Fraction(2)))
+            lambda s, f: scaled(BUILD_RHO(s, f), QI(Fraction(2)))
             if f == at_one_atom else BUILD_RHO(s, f), None),
         "rho_plus_class_indicator": (lambda s, f: BUILD_RHO(s, f + indicator), None),
         "rho_of_zero": (lambda s, f: BUILD_RHO(s, indicator if f.is_zero() else f), None),
@@ -1029,24 +1029,48 @@ def test_generators_left_out_contribute_nothing():
     assert fns_left_out >= 10 and vecs_left_out >= 10 and expanded >= 10 and dense >= 15
 
 
+def complement_of_creation(fock, levels: tuple) -> tuple:
+    """Basis keys of the span of levels (one key tuple per level 0..N)
+    minus its creation image, per level."""
+    reached = {k for n in range(fock.n_levels) for key in levels[n]
+               for k in fock_mod.successors(fock.parent, key)}
+    return tuple(tuple(k for k in level if k not in reached) for level in levels)
+
+
 def test_complement_of_creation_full_space():
     lo = loop_graph()
     fock = build_fock(lo, sigma_at(lo, "v"), 3)
     comp = complement_of_creation(fock, fock.bases)
     assert comp[0] == fock.bases[0]
     assert all(not level for level in comp[1:])
+    # the orbit check of build_witness_subspace leaves M0 at level 1 as the
+    # whole creation complement of M, which check_cuntz_pimsner reads
+    for c in degenerate_corpus():
+        w = sigma_degeneracy_witness(c)
+        fock = build_fock(c, w.rep, 3)
+        m = build_witness_subspace(fock, w.ideal)
+        assert complement_of_creation(fock, m.levels) == ((), m.m0, (), ())
+
+
+def test_witness_subspace_disagreeing_with_its_orbit_is_refused(monkeypatch):
+    # successors missing one key: the orbit of M0 no longer reaches the one
+    # level-2 key of tower's M, and the second description catches it
+    tw = tower()
+    fock = build_fock(tw, sigma_at(tw, "W"), 3)
+    honest = fock_mod.successors
+    monkeypatch.setattr(fock_mod, "successors", lambda c, key: honest(c, key)[1:])
+    with pytest.raises(InternalInconsistencyError,
+                       match="disagrees with its orbit description at level 2$"):
+        build_witness_subspace(fock, katsura_ideal(tw))
 
 
 def test_witness_subspace_guards():
-    # an honest subspace with one M0 key dropped, or with a vacuum key
-    # added to level 0, is not the subspace the construction describes
+    # an honest subspace with a vacuum key added to level 0 is not the
+    # subspace the construction describes
     om = omega_star()
     fock = build_fock(om, sigma_at(om, "W"), 3)
     m = build_witness_subspace(fock, katsura_ideal(om))
     assert m.m0 and check_reducing(fock, m).residual_covariance == 0
-    short = m._replace(m0=m.m0[1:])
-    with pytest.raises(InternalInconsistencyError, match="not M0"):
-        check_reducing(fock, short)
     vacuum = m._replace(levels=(fock.bases[0][:1],) + m.levels[1:])
     with pytest.raises(InternalInconsistencyError, match="meets the vacuum level"):
         check_reducing(fock, vacuum)

@@ -28,7 +28,7 @@ from hyperrig.scalars import OMEGA, QI
 
 from instances import (
     arrow_graph, as_presentation, i1_graph, i2_graph, loop_graph, omega_star,
-    ray_graph, star_plus_arm, tower,
+    ray_graph, scaled, star_plus_arm, tower,
 )
 
 
@@ -523,7 +523,7 @@ def test_verification_names_the_first_failing_check(monkeypatch):
     # a doubled creation operator is a toolkit defect, not a failing record
     assert verify_witness_record(g, digest, cert) == (True, None)
     honest = fock.t0
-    monkeypatch.setattr(fock, "t0", lambda fk, x: honest(fk, x).scale(QI(2)))
+    monkeypatch.setattr(fock, "t0", lambda fk, x: scaled(honest(fk, x), QI(2)))
     with pytest.raises(InternalInconsistencyError, match="defining relations"):
         verify_witness_record(g, digest, cert)
 

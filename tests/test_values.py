@@ -16,7 +16,7 @@ import pytest
 from hyperrig.algebra import CoefFn
 from hyperrig.correspondence import EdgeCopy, ModuleVector
 from hyperrig.fock import (
-    GradedOperator, build_fock, rho0, verify_isometric_rep,
+    GradedOperator, WitnessSubspace, build_fock, rho0, verify_isometric_rep,
     witness_pipeline,
 )
 from hyperrig.graphs import classify_vertices, decide_hyperrigid
@@ -28,7 +28,7 @@ CORPUS = ROOT / "corpus"
 
 VALUE_TYPES = {
     "AtomSet", "IdealSpec", "EvaluationRep", "CoefFn", "Correspondence",
-    "ModuleVector", "TensorVector", "DiscreteGraphPresentation",
+    "ModuleVector", "TensorKey", "DiscreteGraphPresentation",
     "IntervalGraphPresentation", "VertexClassification", "CertificateToken",
     "Verdict", "IsometryReport", "WitnessSubspace", "WitnessCertificate",
     "Interval", "IntervalSet", "AffinePiece", "PiecewiseAffineMap",
@@ -43,7 +43,7 @@ def discrete_values() -> list:
     verdict = decide_hyperrigid(g)
     w = verdict.certificate.witness
     fock, m, cert = witness_pipeline(c, w.rep, w.ideal)
-    return [g, c, c.algebra, verdict, verdict.certificate, w.rep, w.vector,
+    return [g, c, c.algebra, verdict, verdict.certificate, w.rep, w.key,
             w.ideal, classify_vertices(g), verify_isometric_rep(fock), m, cert,
             fock.functions[-1], next(iter(fock.singles.values()))]
 
@@ -110,6 +110,16 @@ def test_fock_spaces_and_operators_compare_by_identity():
     assert op1.cols == op2.cols and op1 != op2
     assert rho0(f1, fn) == op1
     assert GradedOperator(f1, 0, {}) != GradedOperator(f1, 0, {})
+
+
+def test_each_witness_object_has_one_form():
+    # the sigma-witness is its basis key, and M0 is level 1 of M
+    g = load_instance(CORPUS / "omega_star.json")
+    w = decide_hyperrigid(g).certificate.witness
+    assert w._fields == ("rep", "key", "edge_class", "ideal")
+    _, m, cert = witness_pipeline(g.correspondence, w.rep, w.ideal)
+    assert WitnessSubspace._fields == ("levels", "ideal")
+    assert m.m0 is m.levels[1] and cert.m0 == m.m0
 
 
 def test_vectors_and_functions_are_not_tuples_to_repeat():
