@@ -71,24 +71,6 @@ class IdealSpec(NamedTuple):
     parent: AtomSet
     support: frozenset
 
-    @staticmethod
-    def of(parent: AtomSet, support: Iterable[str]) -> "IdealSpec":
-        supp = frozenset(support)
-        unknown = supp.difference(parent._counts)
-        if unknown:
-            raise MalformedInputError(f"ideal support {sorted(unknown)} outside the algebra")
-        return IdealSpec(parent, supp)
-
-
-def ideal_complement(i: IdealSpec) -> IdealSpec:
-    return IdealSpec(i.parent, frozenset(i.parent.names) - i.support)
-
-
-def ideal_intersect(a: IdealSpec, b: IdealSpec) -> IdealSpec:
-    if a.parent != b.parent:
-        raise DomainError("ideal_intersect: ideals live over different algebras")
-    return IdealSpec(a.parent, a.support & b.support)
-
 
 class EvaluationRep(NamedTuple):
     """Finite direct sum of evaluation representations, one per listed atom."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec, ideal_complement, ideal_intersect
+from .algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec
 from .errors import DomainError, InternalInconsistencyError, MalformedInputError, SymbolicOnlyError
 from .scalars import OMEGA, QI, QI_ONE, Count, is_count, is_finite
 
@@ -244,21 +244,15 @@ def left_mul(f: CoefFn, x: ModuleVector) -> ModuleVector:
 
 # -- ideal pipeline -----------------------------------------------------------
 
-def kernel_of_left_action(c: Correspondence) -> IdealSpec:
-    """Classes on which every left multiplication vanishes: the vertex
-    classes that no edge class ranges in."""
-    ranged = {g.dst for g in c.generators}
-    return IdealSpec.of(c.algebra, set(c.algebra.names) - ranged)
-
-
-def compacts_preimage(c: Correspondence) -> IdealSpec:
-    """Classes whose copies have finite total incoming multiplicity, so the
-    left action there decomposes into finitely many rank-one operators."""
-    return IdealSpec.of(c.algebra, set(c.algebra.names) - c.infinite_in_degree())
-
-
 def katsura_ideal(c: Correspondence) -> IdealSpec:
-    return ideal_intersect(ideal_complement(kernel_of_left_action(c)), compacts_preimage(c))
+    """J = phi^-1(K(X)) meet (ker phi)^perp, which for a graph is the
+    regular vertex set E0_rg = E0_fin minus E0_sce (Katsura 2004).
+
+    ker phi is the set of classes that no edge class ranges in, so
+    (ker phi)^perp is the set of ranged classes; phi^-1(K(X)) is the set
+    of classes of finite in-degree.  So J is the ranged classes less those
+    of infinite in-degree."""
+    return IdealSpec(c.algebra, frozenset(g.dst for g in c.generators) - c.infinite_in_degree())
 
 
 def ideal_act_submodule(c: Correspondence, j: IdealSpec) -> frozenset:
@@ -374,8 +368,8 @@ def left_action_as_compacts(c: Correspondence, fns: Iterable[CoefFn],
     copies are valid copies of c: check_cuntz_pimsner passes the created
     copies of its Fock space, where theta_{e,e} of any other copy acts as
     zero (see fock's module docstring).  ideal is an ideal inside the
-    compact preimage that the caller already holds: compacts_preimage(c)
-    itself, or the Katsura ideal J, which check_cuntz_pimsner passes.
+    compact preimage, the classes of finite in-degree, that the caller
+    already holds: check_cuntz_pimsner passes the Katsura ideal J.
     Requires each f to be an actual algebra element supported inside it:
     class-constant parts only over finite classes that lie in the ideal,
     point masses over atoms of classes in the ideal.

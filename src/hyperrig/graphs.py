@@ -14,6 +14,8 @@ demands that they agree:
                   sits inside the interior of its closure (discrete:
                   check_row_finite, counted from the raw edges)
   reg_preimage    the range map lands in the regular vertex set
+                  (discrete: no ranged class has infinite in-degree, read
+                  from the correspondence's infinite-in-degree index)
 
 A disagreement is a toolkit defect, never a property of the input, and
 raises InternalInconsistencyError.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .algebra import AtomSet, IdealSpec
+from .algebra import AtomSet
 from .correspondence import (
     Correspondence, EdgeClass, SigmaWitness, sigma_degeneracy_witness,
 )
@@ -104,22 +106,11 @@ class VertexClassification(NamedTuple):
     reg: object
 
 
-def classify_vertices(g: Presentation) -> VertexClassification:
-    """Ideal specs over the vertex classes for a discrete presentation;
-    for an interval presentation, plain subsets of G0, with every closure
-    taken in the subspace topology of G0."""
-    if isinstance(g, DiscreteGraphPresentation):
-        c = g.correspondence
-        names = set(c.algebra.names)
-        ranged = {e.dst for e in g.edges}
-        sce = names - ranged
-        fin = names - c.infinite_in_degree()
-        # discrete closure is trivial
-        reg = fin - sce
-        a = c.algebra
-        return VertexClassification(
-            IdealSpec.of(a, sce), IdealSpec.of(a, fin), IdealSpec.of(a, reg))
-
+def classify_vertices(g: IntervalGraphPresentation) -> VertexClassification:
+    """Subsets of G0, with every closure taken in the subspace topology of
+    G0.  Interval presentations only: for a discrete one the regular set
+    is the Katsura ideal (correspondence.katsura_ideal), and its
+    reg_preimage route reads the infinite-in-degree index directly."""
     img = image(g.r)
     sce = difference(g.g0, closure(img, g.g0))
     # a vertex fails the compact-fiber condition exactly when some escaping
@@ -177,16 +168,17 @@ def decide_hyperrigid(g: Presentation) -> Verdict:
 
 
 def _decide_discrete(g: DiscreteGraphPresentation):
-    cls = classify_vertices(g)
     witness = sigma_degeneracy_witness(g.correspondence)
+    # E0_rg is the ranged classes less those of infinite in-degree, so
+    # r^-1(E0_rg) = E1 exactly when no ranged class has infinite in-degree
+    ranged = {e.dst for e in g.edges}
     # discrete route via the range map: proper over the image means every
     # reached class keeps finite in-degree, which for positive counts is
     # row-finiteness; the range condition is automatic because every
     # subset of a discrete space is clopen
-    ranged = {e.dst for e in g.edges}
     return (("nondegeneracy", witness is None),
             ("range_condition", check_row_finite(g)),
-            ("reg_preimage", ranged <= cls.reg.support)), witness
+            ("reg_preimage", ranged.isdisjoint(g.correspondence.infinite_in_degree()))), witness
 
 
 def _decide_interval(g: IntervalGraphPresentation):

@@ -8,9 +8,10 @@ spaces the corpus does not, and the generated omega input (listed in
 WITNESSED) reaches a covariance check the corpus does not; each is run
 through `witness` and its record through `verify` against the same input.  The interval inputs under
 tests/inputs/ (listed in INTERVAL) and the generated discrete inputs
-(listed in LARGE) are run through `decide`, and the whole corpus
-directory, tests/inputs/malformed/ and tests/inputs/malformed_interval/
-through `batch`.  The stdout of
+(listed in LARGE) are run through `decide`, the inputs whose witness
+is symbolic only (listed in SYMBOLIC) through `decide` and `witness`,
+and the whole corpus directory, tests/inputs/malformed/ and
+tests/inputs/malformed_interval/ through `batch`.  The stdout of
 each case is kept as tests/golden/<case>.out, and
 tests/golden/MANIFEST.json holds each case's argv, exit code and stderr.
 `tests/test_cli.py` replays the manifest.
@@ -62,6 +63,10 @@ LARGE = ("discrete_300_hyperrigid", "discrete_300_omega")
 # input whose covariance check runs hundreds of ideal generators (287)
 # over hundreds of edge classes (900)
 WITNESSED = MULTI_COPY + ("discrete_300_omega",)
+# W(omega) -> V(1) -> U(omega), multiplicities 1/1: not hyperrigid, and the
+# Fock space over the witness's evaluation at W meets F's infinite fiber
+# over V at level 2, so `witness` exits 3 with a symbolic verdict only
+SYMBOLIC = ("omega_fiber",)
 
 
 def run_cli(argv):
@@ -122,6 +127,12 @@ def regenerate():
             _write(f"decide_{stem}_{fmt}",
                    ["decide", f"{{inputs}}/{stem}.json", "--format", fmt],
                    manifest)
+    for stem in SYMBOLIC:
+        for command in ("decide", "witness"):
+            for fmt in FORMATS:
+                _write(f"{command}_{stem}_{fmt}",
+                       [command, f"{{inputs}}/{stem}.json", "--format", fmt],
+                       manifest)
     for fmt in FORMATS:
         _write(f"batch_corpus_{fmt}",
                ["batch", "{corpus}", "--format", fmt], manifest)

@@ -5,9 +5,9 @@ from fractions import Fraction
 from typing import Optional
 
 import hyperrig.fock as fock_mod
-from hyperrig.algebra import AtomSet, EvaluationRep
+from hyperrig.algebra import AtomSet, CoefFn, EvaluationRep
 from hyperrig.correspondence import (
-    Correspondence, EdgeClass, EdgeCopy, ModuleVector, inner,
+    Correspondence, EdgeClass, EdgeCopy, ModuleVector, inner, left_mul,
 )
 from hyperrig.fock import GradedOperator, build_fock
 from hyperrig.graphs import DiscreteGraphPresentation, IntervalGraphPresentation
@@ -96,6 +96,14 @@ def orthogonal_complement(c: Correspondence, span: frozenset) -> frozenset:
             assert inner(ModuleVector.single(c, EdgeCopy(a, 0, 0, 0)),
                          ModuleVector.single(c, EdgeCopy(b, 0, 0, 0))).is_zero(), (a, b)
     return comp
+
+
+def oracle_kernel(c: Correspondence) -> set:
+    """Classes killed by the left action, found by probing copy 0 of every
+    edge class with left_mul rather than by reading the ranges."""
+    probes = [ModuleVector.single(c, EdgeCopy(g.name, 0, 0, 0)) for g in c.generators]
+    return {v for v in c.algebra.names
+            if all(left_mul(CoefFn.delta_class(v), x).is_zero() for x in probes)}
 
 
 def oracle_fin(c: Correspondence) -> set:

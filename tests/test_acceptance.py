@@ -269,8 +269,7 @@ def _wrong_ideal_trial(seed: int):
     m = build_witness_subspace(fock, katsura_ideal(c))
     missed_class = next(iter(
         {c.range_atom(k.path[0]).cls for k in m.m0}))
-    wrong = IdealSpec.of(c.algebra,
-                         set(katsura_ideal(c).support) | {missed_class})
+    wrong = IdealSpec(c.algebra, katsura_ideal(c).support | {missed_class})
     eq1, _ = verify_eq_use(fock, m._replace(ideal=wrong))
     if eq1 != 0:
         return True, "eq-use-1"

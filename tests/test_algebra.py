@@ -1,4 +1,4 @@
-"""Coefficient algebra: ideals, evaluation representations, function arithmetic."""
+"""Coefficient algebra: atom sets, evaluation representations, function arithmetic."""
 
 from __future__ import annotations
 
@@ -13,9 +13,6 @@ from hyperrig.algebra import (
     AtomSet,
     CoefFn,
     EvaluationRep,
-    IdealSpec,
-    ideal_complement,
-    ideal_intersect,
 )
 from hyperrig.errors import DomainError, MalformedInputError
 from hyperrig.scalars import OMEGA, QI, QI_ONE
@@ -51,24 +48,6 @@ def test_atom_bounds():
         VW.check_atom(Atom("V", 1))
     with pytest.raises(DomainError):
         VW.check_atom(Atom("X", 0))
-
-
-def test_ideal_complement_involution():
-    i = IdealSpec.of(VW, {"V"})
-    assert ideal_complement(i).support == {"W"}
-    assert ideal_complement(ideal_complement(i)) == i
-    assert ideal_intersect(i, ideal_complement(i)).support == frozenset()
-
-
-def test_ideal_complement_extremes():
-    assert ideal_complement(IdealSpec.of(VW, set())).support == {"V", "W"}
-    assert ideal_complement(IdealSpec.of(VW, {"V", "W"})).support == frozenset()
-
-
-def test_ideal_intersect_requires_same_parent():
-    other = AtomSet.of([("V", 1)])
-    with pytest.raises(DomainError):
-        ideal_intersect(IdealSpec.of(VW, {"V"}), IdealSpec.of(other, {"V"}))
 
 
 def test_evaluate_deltas():
@@ -140,14 +119,6 @@ def test_prop_evaluate_additive(f, g):
 def test_prop_evaluate_star(f):
     rep = EvaluationRep.of(VW, [Atom("V", 0), Atom("W", 0)])
     assert evaluate(rep, f.conj()) == [z.conj() for z in evaluate(rep, f)]
-
-
-@given(st.sets(st.sampled_from(["V", "W"])), st.sets(st.sampled_from(["V", "W"])))
-def test_prop_ideal_lattice(a, b):
-    ia, ib = IdealSpec.of(VW, a), IdealSpec.of(VW, b)
-    assert ideal_intersect(ia, ib) == ideal_intersect(ib, ia)
-    assert ideal_complement(ideal_complement(ia)) == ia
-    assert ideal_intersect(ia, ia) == ia
 
 
 # -- QI parts: int when integral, Fraction otherwise, never float or bool ----------

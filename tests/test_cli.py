@@ -7,7 +7,7 @@ from pathlib import Path
 from hyperrig.cli import main
 from hyperrig.records import parse_witness_record, render_text
 
-from golden_cli import GOLDEN, INPUTS, INTERVAL, LARGE, MANIFEST, run_cli
+from golden_cli import GOLDEN, INPUTS, INTERVAL, LARGE, MANIFEST, SYMBOLIC, run_cli
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -102,7 +102,7 @@ def test_cli_matches_golden_outputs():
     decided = {case["argv"][1] for case in manifest.values()
                if case["argv"][0] == "decide"}
     assert decided == ({f"{{corpus}}/{p.name}" for p in CORPUS.glob("*.json")}
-                       | {f"{{inputs}}/{stem}.json" for stem in INTERVAL + LARGE})
+                       | {f"{{inputs}}/{stem}.json" for stem in INTERVAL + LARGE + SYMBOLIC})
     for name, case in sorted(manifest.items()):
         code, out, err = run_cli(case["argv"])
         assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
@@ -270,17 +270,19 @@ def test_one_katsura_derivation_per_command(monkeypatch):
     # decide derives J and phi(J)X once, in the sigma-witness search that
     # also answers its nondegeneracy route; witness starts from the
     # verdict's witness and the ideal it carries; verify derives J once.
+    # No discrete command classifies vertices, which would derive the
+    # regular set E0_rg = J a second time; an interval decide does, once.
     # witness and verify both run the one certificate chain, each stage once
     import sys
     import hyperrig.correspondence as correspondence
     import hyperrig.fock as fock
+    import hyperrig.graphs as graphs
     chain = ("witness_pipeline", "build_fock", "verify_isometric_rep",
              "build_witness_subspace", "check_reducing")
     calls = {}
     for module, name in (
-            *((correspondence, n) for n in ("katsura_ideal", "compacts_preimage",
-                                            "sigma_degeneracy_witness")),
-            *((fock, n) for n in chain)):
+            *((correspondence, n) for n in ("katsura_ideal", "sigma_degeneracy_witness")),
+            (graphs, "classify_vertices"), *((fock, n) for n in chain)):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -301,13 +303,14 @@ def test_one_katsura_derivation_per_command(monkeypatch):
         calls.clear()
         assert run_cli(argv)[0] == code
         counts[argv[0]] = dict(calls)
+        assert "classify_vertices" not in calls, argv[0]
     assert counts["decide"]["katsura_ideal"] == 1
     assert counts["witness"]["katsura_ideal"] == 1
     assert counts["witness"]["sigma_degeneracy_witness"] == 1
-    # the covariance check decomposes phi(f) against that J, a subset of
-    # the compact preimage, so the preimage is derived once, inside J
-    assert counts["witness"]["compacts_preimage"] == 1
     assert counts["verify"]["katsura_ideal"] == 1
+    calls.clear()
+    assert run_cli(["decide", "{corpus}/half_interval.json"])[0] == 1
+    assert calls == {"classify_vertices": 1}
     for command in ("witness", "verify"):
         assert {name: counts[command].get(name) for name in chain} \
             == dict.fromkeys(chain, 1), command

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperrig.correspondence as corr_mod
-from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep
+from hyperrig.algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec
 from hyperrig.correspondence import (
     Correspondence, EdgeClass, EdgeCopy, ModuleVector, TensorKey,
-    compacts_preimage, gram_matrix, ideal_act_submodule, inner,
-    is_nondegenerate, katsura_ideal, kernel_of_left_action, leading_atom,
-    left_action_as_compacts, left_mul, pair_by_gram_identity,
+    gram_matrix, ideal_act_submodule, inner, is_nondegenerate, katsura_ideal,
+    leading_atom, left_action_as_compacts, left_mul, pair_by_gram_identity,
     sigma_degeneracy_witness, _verify_theta_sum,
 )
 from hyperrig.errors import (
@@ -26,26 +25,12 @@ from hyperrig.fock import build_fock
 from hyperrig.scalars import OMEGA, QI, QI_ONE, is_finite
 
 from instances import (
-    arrow_graph, fock_bases, loop_graph, omega_star, oracle_fin,
+    arrow_graph, fock_bases, loop_graph, omega_star, oracle_fin, oracle_kernel,
     orthogonal_complement, star_plus_arm, tower,
 )
 
 
 # -- independent oracles -------------------------------------------------------
-
-def probe_copies(c):
-    return [ModuleVector.single(c, EdgeCopy(g.name, 0, 0, 0)) for g in c.generators]
-
-
-def oracle_kernel(c):
-    """Classes killed by the left action: probe every generator copy."""
-    dead = set()
-    for v in c.algebra.names:
-        f = CoefFn.delta_class(v)
-        if all(left_mul(f, x).is_zero() for x in probe_copies(c)):
-            dead.add(v)
-    return dead
-
 
 def right_mul(x, f):
     """x . f, the right module action: scales each copy by f at its source
@@ -58,26 +43,26 @@ def oracle_katsura(c):
     return (set(c.algebra.names) - oracle_kernel(c)) & oracle_fin(c)
 
 
+def fin_ideal(c):
+    """The compact preimage, the classes of finite in-degree, as an ideal
+    of c's algebra, built from the enumeration oracle."""
+    return IdealSpec(c.algebra, frozenset(oracle_fin(c)))
+
+
 # -- ideal pipeline on the corpus ----------------------------------------------
 
 def test_kernel_examples():
     assert oracle_kernel(loop_graph()) == set()
     assert oracle_kernel(arrow_graph()) == {"u"}
     assert oracle_kernel(omega_star()) == {"W"}
-    assert kernel_of_left_action(loop_graph()).support == frozenset()
-    assert kernel_of_left_action(arrow_graph()).support == {"u"}
-    assert kernel_of_left_action(omega_star()).support == {"W"}
-    assert kernel_of_left_action(star_plus_arm()).support == {"W", "Z"}
+    assert oracle_kernel(star_plus_arm()) == {"W", "Z"}
 
 
 def test_compacts_preimage_examples():
     assert oracle_fin(loop_graph()) == {"v"}
     assert oracle_fin(omega_star()) == {"W"}
     assert oracle_fin(star_plus_arm()) == {"W", "U", "Z"}
-    assert compacts_preimage(loop_graph()).support == {"v"}
-    assert compacts_preimage(omega_star()).support == {"W"}
-    assert compacts_preimage(star_plus_arm()).support == {"W", "U", "Z"}
-    assert compacts_preimage(tower()).support == {"W", "U"}
+    assert oracle_fin(tower()) == {"W", "U"}
 
 
 def test_katsura_examples():
@@ -100,10 +85,9 @@ def test_ideal_act_submodule_examples():
 
 
 def test_ideal_act_submodule_rejects_foreign_ideal():
-    from hyperrig.algebra import IdealSpec
     other = AtomSet.of([("x", 1)])
     with pytest.raises(DomainError):
-        ideal_act_submodule(loop_graph(), IdealSpec.of(other, {"x"}))
+        ideal_act_submodule(loop_graph(), IdealSpec(other, frozenset({"x"})))
 
 
 def test_is_nondegenerate_examples():
@@ -344,7 +328,7 @@ def every_copy(c):
 
 def test_theta_decomposition_star_plus_arm():
     c = star_plus_arm()
-    fin = compacts_preimage(c)
+    fin = fin_ideal(c)
     assert left_action_as_compacts(c, [CoefFn.delta_class("U")], fin, copy_zeros(c)) \
         == [{EdgeCopy("F", 0, 0, 0): QI_ONE}]
     # compressed to copies none of which ranges in U, phi(delta_U) is zero
@@ -354,7 +338,7 @@ def test_theta_decomposition_star_plus_arm():
 
 def test_theta_decomposition_loop_and_zero():
     lo = loop_graph()
-    fin = compacts_preimage(lo)
+    fin = fin_ideal(lo)
     assert left_action_as_compacts(lo, [CoefFn.delta_class("v"), CoefFn.of()], fin,
                                    every_copy(lo)) \
         == [{EdgeCopy("e", 0, 0, 0): QI_ONE}, {}]
@@ -363,7 +347,7 @@ def test_theta_decomposition_loop_and_zero():
 
 def test_theta_rejects_outside_compacts():
     om = omega_star()
-    fin = compacts_preimage(om)
+    fin = fin_ideal(om)
     copies = copy_zeros(om)
     with pytest.raises(DomainError, match="outside the compact preimage"):
         left_action_as_compacts(om, [CoefFn.delta_class("V")], fin, copies)
@@ -379,7 +363,7 @@ def test_theta_rejects_outside_compacts():
 def test_theta_point_mass_on_range():
     c = tower()
     assert left_action_as_compacts(c, [CoefFn.delta_atom(Atom("U", 0))],
-                                   compacts_preimage(c), copy_zeros(c)) \
+                                   fin_ideal(c), copy_zeros(c)) \
         == [{EdgeCopy("F", 0, 0, 0): QI_ONE}]
 
 
@@ -394,7 +378,7 @@ def theta_probe_instance():
 def test_theta_sum_check_catches_a_wrong_term():
     c, copies = theta_probe_instance()
     f = CoefFn.delta_class("U", QI(3))
-    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c), copies)
+    [phi] = left_action_as_compacts(c, [f], fin_ideal(c), copies)
     assert phi == {EdgeCopy("F", i, j, k): QI(3)
                    for i in range(3) for j in range(2) for k in range(2)}
     _verify_theta_sum(c, f, phi, copies)
@@ -421,7 +405,7 @@ def test_theta_sum_check_probes_every_copy_where_f_has_a_part():
     c, copies = theta_probe_instance()
     for f, left_out in ((CoefFn.delta_class("U"), EdgeCopy("F", 2, 1, 1)),
                         (CoefFn.delta_atom(Atom("U", 1)), EdgeCopy("F", 1, 1, 1))):
-        [phi] = left_action_as_compacts(c, [f], compacts_preimage(c), copies)
+        [phi] = left_action_as_compacts(c, [f], fin_ideal(c), copies)
         _verify_theta_sum(c, f, phi, copies)
         missing = dict(phi)
         del missing[left_out]
@@ -437,7 +421,7 @@ def test_theta_sum_check_refuses_a_copy_outside_the_correspondence():
     # c, and so is the atom of a point mass
     c, copies = theta_probe_instance()
     f = CoefFn.delta_class("U")
-    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c), copies)
+    [phi] = left_action_as_compacts(c, [f], fin_ideal(c), copies)
     for bad, msg in ((EdgeCopy("F", 0, 0, 2), "outside multiplicity 2"),
                      (EdgeCopy("F", 3, 0, 0), "outside class of count 3"),
                      (EdgeCopy("F", 0, 2, 0), "outside class of count 2"),
@@ -456,7 +440,7 @@ def test_theta_sum_check_probes_the_representatives_together(monkeypatch):
     # image keeps, in copy order
     c, copies = theta_probe_instance()
     f = CoefFn.delta_class("U")
-    [phi] = left_action_as_compacts(c, [f], compacts_preimage(c), copies)
+    [phi] = left_action_as_compacts(c, [f], fin_ideal(c), copies)
     rest = [e for e in copies if e.cls == "G"]
     calls = []
 
@@ -582,8 +566,6 @@ def test_witness_exists_iff_degenerate(c):
 @given(graphs(allow_omega=True))
 @settings(max_examples=100, deadline=None)
 def test_ideal_oracles_agree(c):
-    assert kernel_of_left_action(c).support == oracle_kernel(c)
-    assert compacts_preimage(c).support == oracle_fin(c)
     assert katsura_ideal(c).support == oracle_katsura(c)
 
 
@@ -666,7 +648,7 @@ def test_theta_decomposition_matches_left_action(c):
     # each map is f(r(e)) on every copy where that is nonzero, found by
     # enumerating every copy of every class, and phi[e] e is phi(f) e on
     # each class representative
-    fin = compacts_preimage(c)
+    fin = fin_ideal(c)
     fns = [CoefFn.delta_class(nm) for nm in sorted(fin.support)]
     for f, phi in zip(fns, left_action_as_compacts(c, fns, fin, every_copy(c)), strict=True):
         expected = {}

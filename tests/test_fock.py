@@ -753,7 +753,7 @@ def test_eq_use():
     assert eq1 == 0 and eq2 == 0
     # misuse: the ideal generated by the infinitely-received class does not
     # annihilate M0, and the residual says so
-    wrong = IdealSpec.of(sa.algebra, {"V"})
+    wrong = IdealSpec(sa.algebra, frozenset({"V"}))
     eq1, eq2 = verify_eq_use(fock, m._replace(ideal=wrong))
     assert eq1 == 1 and eq2 == 0
 
@@ -1020,7 +1020,7 @@ def test_generators_left_out_contribute_nothing():
         assert cov == check_cuntz_pimsner(fock, m) == cert.residual_covariance
         # eq-use-1 reads only rho, so the argument holds for any ideal: the
         # whole algebra, which M0 does not lie under, gives a nonzero value
-        for ideal in (m.ideal, IdealSpec.of(c.algebra, c.algebra.names)):
+        for ideal in (m.ideal, IdealSpec(c.algebra, frozenset(c.algebra.names))):
             eq1 = max((z.abs2() for f in generators_not_read_off_the_space(fock, ideal)
                        for k in m.m0 for z in rho0(fock, f).col(k).values()), default=0)
             assert eq1 == verify_eq_use(fock, m._replace(ideal=ideal))[0]
@@ -1075,6 +1075,50 @@ def test_witness_subspace_guards():
     with pytest.raises(InternalInconsistencyError, match="meets the vacuum level"):
         check_reducing(fock, vacuum)
 
+
+
+def wvx_2_3_subspace():
+    """The truncated Fock space of tests/inputs/wvx_2_3.json over its
+    witness's evaluation, and the honest M, of level sizes 0, 1, 6, 42."""
+    c = build_correspondence(load_instance(INPUTS / "wvx_2_3.json"))
+    w = sigma_degeneracy_witness(c)
+    fock = build_fock(c, w.rep, 3)
+    m = build_witness_subspace(fock, w.ideal)
+    assert [len(level) for level in m.levels] == [0, 1, 6, 42]
+    return fock, m
+
+
+def without_a_top_key(m):
+    """m with the first key of its top level dropped."""
+    return m._replace(levels=m.levels[:-1] + (m.levels[-1][1:],))
+
+
+def test_invariance_residual_sees_a_key_missing_from_m():
+    # the creation operator that makes the dropped level-3 key from level 2
+    # pushes a unit entry out of M
+    fock, m = wvx_2_3_subspace()
+    assert check_reducing(fock, m).residual_invariance == 0
+    assert check_reducing(fock, without_a_top_key(m)).residual_invariance == 1
+
+
+def test_witness_pipeline_refuses_a_nonzero_invariance_residual(monkeypatch):
+    honest = fock_mod.build_witness_subspace
+    monkeypatch.setattr(fock_mod, "build_witness_subspace",
+                        lambda fock, j: without_a_top_key(honest(fock, j)))
+    c = build_correspondence(load_instance(INPUTS / "wvx_2_3.json"))
+    w = sigma_degeneracy_witness(c)
+    with pytest.raises(InternalInconsistencyError,
+                       match="nonzero invariance residual: 1$"):
+        witness_pipeline(c, w.rep, w.ideal)
+
+
+def test_check_reducing_refuses_m_that_no_vacuum_vector_escapes_into():
+    # with level 1 emptied, every creation operator takes the vacuum level
+    # to keys outside M
+    fock, m = wvx_2_3_subspace()
+    hollow = m._replace(levels=(m.levels[0], ()) + m.levels[2:])
+    with pytest.raises(InternalInconsistencyError, match="no vacuum vector escapes"):
+        check_reducing(fock, hollow)
 
 # -- certificates ------------------------------------------------------------------
 

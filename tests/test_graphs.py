@@ -21,25 +21,28 @@ from hyperrig.intervals import (
 from instances import (
     arrow_graph, as_presentation, compact_base_shortcut, i1_graph, i2_graph,
     identity_map, ival, loop_graph, omega_star, open_core_graph, oracle_fin,
-    random_discrete_graph, random_interval_graph, ray_graph, star_plus_arm,
-    tower,
+    oracle_kernel, random_discrete_graph, random_interval_graph, ray_graph,
+    star_plus_arm, tower,
 )
 
 
 # -- classification -------------------------------------------------------------
 
+# a discrete presentation has no classify_vertices: sce is the kernel of
+# the left action, fin the compact preimage and reg the Katsura ideal
+
 def test_classify_arrow():
-    cls = classify_vertices(as_presentation(arrow_graph()))
-    assert cls.sce.support == {"u"}
-    assert cls.fin.support == {"u", "v"}
-    assert cls.reg.support == {"v"}
+    c = arrow_graph()
+    assert oracle_kernel(c) == {"u"}
+    assert oracle_fin(c) == {"u", "v"}
+    assert katsura_ideal(c).support == {"v"}
 
 
 def test_classify_omega_star():
-    cls = classify_vertices(as_presentation(omega_star()))
-    assert cls.sce.support == {"W"}
-    assert cls.fin.support == {"W"}
-    assert cls.reg.support == frozenset()
+    c = omega_star()
+    assert oracle_kernel(c) == {"W"}
+    assert oracle_fin(c) == {"W"}
+    assert katsura_ideal(c).support == frozenset()
 
 
 def test_classify_interval_inclusion():

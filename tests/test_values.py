@@ -44,7 +44,7 @@ def discrete_values() -> list:
     w = verdict.certificate.witness
     fock, m, cert = witness_pipeline(c, w.rep, w.ideal)
     return [g, c, c.algebra, verdict, verdict.certificate, w.rep, w.key,
-            w.ideal, classify_vertices(g), verify_isometric_rep(fock), m, cert,
+            w.ideal, verify_isometric_rep(fock), m, cert,
             fock.functions[-1], next(iter(fock.singles.values()))]
 
 
