@@ -192,6 +192,23 @@ def test_range_route_counts_in_degree_from_the_raw_edges(monkeypatch):
                "'reg_preimage': True" in str(err.value)
 
 
+@pytest.mark.parametrize("forged, value, routes", [
+    ("sigma_degeneracy_witness", None,
+     "'nondegeneracy': True, 'range_condition': False, 'reg_preimage': False"),
+    ("check_row_finite", True,
+     "'nondegeneracy': False, 'range_condition': True, 'reg_preimage': False"),
+], ids=["witness_search", "row_finite"])
+def test_reg_preimage_route_reads_neither_other_route(monkeypatch, forged, value, routes):
+    # reg_preimage reads the in-degree index alone: forging the witness
+    # search or the raw-edge count leaves it reporting the truth
+    import hyperrig.graphs as graphs
+    monkeypatch.setattr(graphs, forged, lambda *a: value)
+    for c in (omega_star(), star_plus_arm()):
+        with pytest.raises(InternalInconsistencyError) as err:
+            decide_hyperrigid(as_presentation(c))
+        assert routes in str(err.value)
+
+
 # -- seeded fuzz properties -------------------------------------------------------
 
 @given(st.integers(0, 10_000))
