@@ -89,11 +89,7 @@ class EvaluationRep(NamedTuple):
 
 
 class CoefFn(NamedTuple):
-    """Exact function on the vertex set: class-constant part + point masses.
-
-    Closed under +, *, and conjugation, so evaluation homomorphisms can be
-    property-tested without ever leaving exact arithmetic.
-    """
+    """Exact function on the vertex set: class-constant part + point masses."""
 
     class_part: tuple = ()  # tuple[(str, QI)], sorted, nonzero values
     point_part: tuple = ()  # tuple[(Atom, QI)], sorted, nonzero values
@@ -116,15 +112,6 @@ class CoefFn(NamedTuple):
     def zero() -> "CoefFn":
         return CoefFn()
 
-    def is_zero(self) -> bool:
-        return not self.class_part and not self.point_part
-
-    def _cp(self) -> dict:
-        return dict(self.class_part)
-
-    def _pp(self) -> dict:
-        return dict(self.point_part)
-
     def value_at(self, atom: Atom) -> QI:
         # both parts are short sorted tuples; a scan beats building dicts
         v = QI()
@@ -142,48 +129,12 @@ class CoefFn(NamedTuple):
         classes |= {a.cls for a, _ in self.point_part}
         return frozenset(classes)
 
-    def __add__(self, other: "CoefFn") -> "CoefFn":
-        cp = self._cp()
-        for k, v in other.class_part:
-            cp[k] = cp.get(k, QI()) + v
-        pp = self._pp()
-        for k, v in other.point_part:
-            pp[k] = pp.get(k, QI()) + v
-        return CoefFn.of(cp, pp)
-
-    def __sub__(self, other: "CoefFn") -> "CoefFn":
-        return self + other.scale(QI() - QI_ONE)
-
-    def scale(self, z: QI) -> "CoefFn":
-        return CoefFn.of({k: z * v for k, v in self.class_part},
-                         {k: z * v for k, v in self.point_part})
-
-    def __rmul__(self, other):
-        # not the tuple repetition a NamedTuple inherits: 2 * f is refused
+    def __mul__(self, other):
+        # not the tuple concatenation and repetition a NamedTuple inherits:
+        # f + g, f * 2 and 2 * f are refused
         return NotImplemented
 
-    def __mul__(self, other: "CoefFn") -> "CoefFn":
-        # (c + p)(c' + p') pointwise; the point support stays finite
-        cp: dict = {}
-        for k, v in self.class_part:
-            for k2, v2 in other.class_part:
-                if k == k2:
-                    cp[k] = cp.get(k, QI()) + v * v2
-        pp: dict = {}
-        sc, oc = dict(self.class_part), dict(other.class_part)
-        for a, v in self.point_part:
-            pp[a] = pp.get(a, QI()) + v * oc.get(a.cls, QI())
-        for a, v in other.point_part:
-            pp[a] = pp.get(a, QI()) + v * sc.get(a.cls, QI())
-        sp = dict(self.point_part)
-        for a, v in other.point_part:
-            if a in sp:
-                pp[a] = pp.get(a, QI()) + sp[a] * v
-        return CoefFn.of(cp, pp)
-
-    def conj(self) -> "CoefFn":
-        return CoefFn.of({k: v.conj() for k, v in self.class_part},
-                         {k: v.conj() for k, v in self.point_part})
+    __add__ = __rmul__ = __mul__
 
     def supported_in(self, ideal: IdealSpec) -> bool:
         return self.support_classes() <= ideal.support

@@ -197,25 +197,15 @@ class ModuleVector(NamedTuple):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        if other.parent != self.parent:
-            raise DomainError("adding vectors over different correspondences")
-        acc = dict(self.coeffs)
-        for e, z in other.coeffs:
-            acc[e] = acc.get(e, QI()) + z
-        return ModuleVector._of_valid(self.parent, acc.items())
-
     def scale(self, z: QI) -> "ModuleVector":
         return ModuleVector._of_valid(self.parent, ((e, z * v) for e, v in self.coeffs))
 
     def __mul__(self, other):
-        # not the tuple repetition a NamedTuple inherits: scale is the product
+        # not the tuple concatenation and repetition a NamedTuple inherits:
+        # x + y, x * 2 and 2 * x are refused, and scale is the product
         return NotImplemented
 
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scale(QI() - QI_ONE)
+    __add__ = __rmul__ = __mul__
 
 
 def inner(x: ModuleVector, y: ModuleVector) -> CoefFn:

@@ -174,8 +174,8 @@ class GradedOperator:
     Operators are read-only by convention, nothing enforces it.  t0 and
     rho0 hand every caller the one operator their space's memo holds for
     an argument, so a caller that wants a changed operator builds a new
-    one (compose and adjoint do) and never writes into cols or a
-    column.  Operators compare by identity."""
+    one (adjoint does) and never writes into cols or a column.  Operators
+    compare by identity."""
 
     def __init__(self, fock: TruncatedFock, degree: int, cols: dict):
         self.fock = fock
@@ -184,25 +184,6 @@ class GradedOperator:
 
     def col(self, key: TensorKey) -> dict:
         return self.cols.get(key, {})
-
-    def compose(self, other: "GradedOperator") -> "GradedOperator":
-        """self after other."""
-        if self.fock is not other.fock:
-            raise DomainError("composing operators over different Fock spaces")
-        cols: dict = {}
-        mine = self.cols
-        for j, through in other.cols.items():
-            out: dict = {}
-            for k, z in through.items():
-                col = mine.get(k)
-                if col is None:
-                    continue
-                for i, w in col.items():
-                    out[i] = out.get(i, QI()) + w * z
-            out = {i: v for i, v in out.items() if not v.is_zero()}
-            if out:
-                cols[j] = out
-        return GradedOperator(self.fock, self.degree + other.degree, cols)
 
     def adjoint(self) -> "GradedOperator":
         cols: dict = {}

@@ -7,13 +7,12 @@ Two kinds of numbers appear in the core:
   part is a Python ``int`` when it is integral and a ``Fraction``
   otherwise; never a ``float`` and never a ``bool``.  Python's numeric
   tower keeps the mix exact (int with int stays int, int with Fraction
-  gives Fraction), and only division has to build a Fraction itself.  On
-  the witness path every entry is a Gaussian integer: discrete instances
-  carry no scalars, and every generator function and vector the pipeline
-  builds, the (1 + i) probe included, has Gaussian integer coefficients,
-  so every operator entry, inner product and residual the pipeline
-  computes, in `witness` and in the replay of `verify`, runs on int
-  arithmetic.  Fractions arise only from inputs that carry them, such as
+  gives Fraction).  On the witness path every entry is a Gaussian
+  integer: discrete instances carry no scalars, and every generator
+  function and vector the pipeline builds, the (1 + i) probe included,
+  has Gaussian integer coefficients, so every operator entry, inner
+  product and residual the pipeline computes, in `witness` and in the
+  replay of `verify`, runs on int arithmetic.  Fractions arise only from inputs that carry them, such as
   interval endpoints or scalars a caller passes in.  No floating point is
   ever introduced, so "residual is zero" is a decidable statement.
 * ``Count`` -- cardinalities of vertex/edge classes: a non-negative integer
@@ -82,20 +81,6 @@ class QI(NamedTuple):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "QILike") -> "QI":
-        a, b = self
-        c, d = QI.of(other)
-        n = c * c + d * d
-        if n == 0:
-            raise ZeroDivisionError("division by zero in QI")
-        # int / int would be a float: build the quotient as a Fraction
-        return _new(QI, (exact_part(Fraction(a * c + b * d, n)),
-                         exact_part(Fraction(b * c - a * d, n))))
-
-    def __neg__(self) -> "QI":
-        a, b = self
-        return _new(QI, (-a, -b))
-
     def conj(self) -> "QI":
         a, b = self
         return _new(QI, (a, -b))
@@ -111,14 +96,6 @@ class QI(NamedTuple):
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
 
 
 QILike = Union[QI, int, Fraction]

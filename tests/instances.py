@@ -15,7 +15,7 @@ from hyperrig.intervals import (
     AffinePiece, Interval, IntervalSet, PiecewiseAffineMap, closure, image,
     interior, sets_equal,
 )
-from hyperrig.scalars import OMEGA, is_finite
+from hyperrig.scalars import OMEGA, QI, is_finite
 
 
 # -- interval helpers ---------------------------------------------------------
@@ -87,6 +87,47 @@ def scaled(op: GradedOperator, z) -> GradedOperator:
         k: {kk: z * w for kk, w in col.items()} for k, col in op.cols.items()})
 
 
+def add_fns(f: CoefFn, g: CoefFn) -> CoefFn:
+    """f + g, part by part: the class parts and the point masses add."""
+    cp, pp = dict(f.class_part), dict(f.point_part)
+    for cls, z in g.class_part:
+        cp[cls] = cp.get(cls, QI()) + z
+    for a, z in g.point_part:
+        pp[a] = pp.get(a, QI()) + z
+    return CoefFn.of(cp, pp)
+
+
+def conj_fn(f: CoefFn) -> CoefFn:
+    """The pointwise conjugate of f."""
+    return CoefFn.of({cls: z.conj() for cls, z in f.class_part},
+                     {a: z.conj() for a, z in f.point_part})
+
+
+def add_vectors(x: ModuleVector, y: ModuleVector) -> ModuleVector:
+    """x + y, copy by copy, over their one correspondence."""
+    assert x.parent == y.parent, "adding vectors over different correspondences"
+    acc = dict(x.coeffs)
+    for e, z in y.coeffs:
+        acc[e] = acc.get(e, QI()) + z
+    return ModuleVector.of(x.parent, acc)
+
+
+def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
+    """a after b, entry by entry over b's columns: the reference product
+    the tests check the relation join and the theta identities against."""
+    assert a.fock is b.fock, "composing operators over different Fock spaces"
+    cols: dict = {}
+    for j, through in b.cols.items():
+        out: dict = {}
+        for k, z in through.items():
+            for i, w in a.col(k).items():
+                out[i] = out.get(i, QI()) + w * z
+        out = {i: v for i, v in out.items() if not v.is_zero()}
+        if out:
+            cols[j] = out
+    return GradedOperator(a.fock, a.degree + b.degree, cols)
+
+
 def orthogonal_complement(c: Correspondence, span: frozenset) -> frozenset:
     """The edge classes of c outside span, after checking with `inner` that
     each of them is orthogonal to each class of span."""
@@ -94,7 +135,7 @@ def orthogonal_complement(c: Correspondence, span: frozenset) -> frozenset:
     for a in span:
         for b in comp:
             assert inner(ModuleVector.single(c, EdgeCopy(a, 0, 0, 0)),
-                         ModuleVector.single(c, EdgeCopy(b, 0, 0, 0))).is_zero(), (a, b)
+                         ModuleVector.single(c, EdgeCopy(b, 0, 0, 0))) == CoefFn(), (a, b)
     return comp
 
 

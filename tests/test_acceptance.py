@@ -101,9 +101,17 @@ def _all_copies(c: Correspondence, cls: EdgeClass):
                 yield EdgeCopy(cls.name, src_i, dst_i, k)
 
 
+def _quotient(z: QI, w: QI) -> QI:
+    """z / w for a nonzero w, over pairs of Fractions: (a + bi) / (c + di)
+    is ((ac + bd) + (bc - ad)i) / (c^2 + d^2)."""
+    a, b, c, d = (Fraction(p) for p in (*z, *w))
+    n = c * c + d * d
+    return QI((a * c + b * d) / n, (b * c - a * d) / n)
+
+
 def _sparse_rank(rows, stop_at=None):
     """Exact Gaussian elimination over the Gaussian rationals on sparse rows
-    (dict coordinate -> QI)."""
+    (dict coordinate -> QI), dividing by each pivot with _quotient."""
     pivots = {}
     for row in rows:
         row = dict(row)
@@ -112,7 +120,7 @@ def _sparse_rank(rows, stop_at=None):
             pivot = pivots.get(lead)
             if pivot is None:
                 scale = row[lead]
-                pivots[lead] = {j: z / scale for j, z in row.items()}
+                pivots[lead] = {j: _quotient(z, scale) for j, z in row.items()}
                 break
             factor = row[lead]
             for j, z in pivot.items():

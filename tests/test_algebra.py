@@ -1,4 +1,4 @@
-"""Coefficient algebra: atom sets, evaluation representations, function arithmetic."""
+"""Coefficient algebra: atom sets, evaluation representations, exact scalars."""
 
 from __future__ import annotations
 
@@ -81,46 +81,6 @@ def test_rep_rejects_repeats():
         EvaluationRep.of(VW, [Atom("V", 0), Atom("V", 0)])
 
 
-# -- property tests -----------------------------------------------------------
-
-qi_st = st.builds(
-    QI,
-    st.fractions(min_value=-4, max_value=4, max_denominator=8),
-    st.fractions(min_value=-4, max_value=4, max_denominator=8),
-)
-
-atoms_st = st.sampled_from([Atom("V", 0), Atom("W", 0), Atom("W", 1), Atom("W", 5)])
-
-
-@st.composite
-def fns(draw) -> CoefFn:
-    cp = draw(st.dictionaries(st.sampled_from(["V", "W"]), qi_st, max_size=2))
-    pp = draw(st.dictionaries(atoms_st, qi_st, max_size=3))
-    return CoefFn.of(cp, pp)
-
-
-@given(fns(), fns())
-def test_prop_evaluate_multiplicative(f, g):
-    rep = EvaluationRep.of(VW, [Atom("V", 0), Atom("W", 0), Atom("W", 3)])
-    lhs = evaluate(rep, f * g)
-    rhs = [a * b for a, b in zip(evaluate(rep, f), evaluate(rep, g))]
-    assert lhs == rhs
-
-
-@given(fns(), fns())
-def test_prop_evaluate_additive(f, g):
-    rep = EvaluationRep.of(VW, [Atom("V", 0), Atom("W", 2)])
-    lhs = evaluate(rep, f + g)
-    rhs = [a + b for a, b in zip(evaluate(rep, f), evaluate(rep, g))]
-    assert lhs == rhs
-
-
-@given(fns())
-def test_prop_evaluate_star(f):
-    rep = EvaluationRep.of(VW, [Atom("V", 0), Atom("W", 0)])
-    assert evaluate(rep, f.conj()) == [z.conj() for z in evaluate(rep, f)]
-
-
 # -- QI parts: int when integral, Fraction otherwise, never float or bool ----------
 
 def test_qi_of_rejects_bool_and_float():
@@ -145,8 +105,6 @@ def test_qi_equality_ignores_part_representation():
     a, b = QI(3, 0), QI(Fraction(3), Fraction(0))
     assert a == b and hash(a) == hash(b)
     assert {a: "x"}[b] == "x"
-    assert str(a) == str(b) == "3"
-    assert str(QI(0, -2)) == str(QI(Fraction(0), Fraction(-2))) == "-2i"
 
 
 part_st = st.one_of(
@@ -178,15 +136,8 @@ def test_prop_qi_matches_fraction_reference(x, y):
     _assert_exact(y - x, (c - a, d - b))
     _assert_exact(x * y, (a * c - b * d, a * d + b * c))
     _assert_exact(y * x, (a * c - b * d, a * d + b * c))
-    _assert_exact(-x, (-a, -b))
     _assert_exact(x.conj(), (a, -b))
     _assert_exact(x.abs2(), a * a + b * b)
-    n = c * c + d * d
-    if n:
-        _assert_exact(x / y, ((a * c + b * d) / n, (b * c - a * d) / n))
-    else:
-        with pytest.raises(ZeroDivisionError):
-            x / y
 
 
 def _seeded_part(rng):
@@ -215,18 +166,8 @@ def test_qi_matches_pair_of_fractions_on_seeded_values():
         _assert_exact(x * y, (a * c - b * d, a * d + b * c))
         _assert_exact(y * x, (a * c - b * d, a * d + b * c))
         _assert_exact(x.conj(), (a, -b))
-        _assert_exact(-x, (-a, -b))
         _assert_exact(x.abs2(), a * a + b * b)
         assert x.is_zero() == (a == b == 0) == (not x)
-        n = c * c + d * d
-        if n:
-            q = x / y
-            _assert_exact(q, ((a * c + b * d) / n, (b * c - a * d) / n))
-            # a quotient part is an int exactly when it is integral
-            assert all(type(p) is int or p.denominator != 1 for p in (q.re, q.im))
-        else:
-            with pytest.raises(ZeroDivisionError):
-                x / y
         # equal values hash equal, whatever their parts' types
         same = QI(Fraction(x.re), Fraction(x.im))
         assert same == x and hash(same) == hash(x)
@@ -234,7 +175,7 @@ def test_qi_matches_pair_of_fractions_on_seeded_values():
 
 def test_qi_is_an_immutable_pair_with_its_old_faces():
     # a QI is a pair: it unpacks to (re, im) and equals that plain tuple
-    # (nothing in the package compares the two); its str, repr, truth and
+    # (nothing in the package compares the two); its repr, truth and
     # coercion refusals are the ones the dataclass had
     z = QI(Fraction(1, 2), -3)
     assert tuple(z) == (Fraction(1, 2), -3) and z == (Fraction(1, 2), -3)
@@ -242,8 +183,6 @@ def test_qi_is_an_immutable_pair_with_its_old_faces():
         z.re = 1
     assert repr(z) == "QI(re=Fraction(1, 2), im=-3)"
     assert repr(QI()) == "QI(re=0, im=0)" and repr(QI_ONE) == "QI(re=1, im=0)"
-    assert [str(w) for w in (z, QI(), QI(0, 1), QI(2, -1), QI(Fraction(-1, 3)))] == [
-        "1/2-3i", "0", "1i", "2-1i", "-1/3"]
     assert bool(QI()) is False and bool(QI(0, 1)) is True
     for bad in (True, 1.0, "1"):
         with pytest.raises(TypeError):

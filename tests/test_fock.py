@@ -33,8 +33,9 @@ from hyperrig.scalars import OMEGA, QI, QI_ONE
 
 from golden_cli import CORPUS, INPUTS
 from instances import (
-    BUILD_RHO, BUILD_T, arrow_graph, loop_graph, omega_star,
-    random_discrete_graph, scaled, star_plus_arm, tower, with_builders, wvx,
+    BUILD_RHO, BUILD_T, add_fns, add_vectors, arrow_graph, compose, loop_graph,
+    omega_star, random_discrete_graph, scaled, star_plus_arm, tower,
+    with_builders, wvx,
 )
 
 
@@ -292,7 +293,7 @@ def test_truncation_boundary_excluded():
     fock = build_fock(lo, sigma_at(lo, "v"), 2)
     e = ModuleVector.single(lo, EdgeCopy("e", 0, 0, 0))
     top = fock.bases[2][0]
-    lhs = t0(fock, e).adjoint().compose(t0(fock, e))
+    lhs = compose(t0(fock, e).adjoint(), t0(fock, e))
     rhs = rho0(fock, inner(e, e))
     assert operator_residual(lhs, rhs, [top]) > 0
     assert verify_isometric_rep(fock).max_residual == 0
@@ -309,12 +310,12 @@ def dense_isometry_report(fock, fns=None, vecs=None) -> IsometryReport:
     mult = 0
     for f in fns:
         for x in vecs:
-            lhs = rho0(fock, f).compose(t0(fock, x))
+            lhs = compose(rho0(fock, f), t0(fock, x))
             mult = max(mult, operator_residual(lhs, t0(fock, left_mul(f, x)), src))
     toep = 0
     for x in vecs:
         for y in vecs:
-            lhs = t0(fock, x).adjoint().compose(t0(fock, y))
+            lhs = compose(t0(fock, x).adjoint(), t0(fock, y))
             toep = max(toep, operator_residual(lhs, rho0(fock, inner(x, y)), src))
     return IsometryReport(mult, toep)
 
@@ -380,8 +381,8 @@ def relation_mutants(fock) -> dict:
         "doubled_rho_at_one_atom": (
             lambda s, f: scaled(BUILD_RHO(s, f), QI(Fraction(2)))
             if f == at_one_atom else BUILD_RHO(s, f), None),
-        "rho_plus_class_indicator": (lambda s, f: BUILD_RHO(s, f + indicator), None),
-        "rho_of_zero": (lambda s, f: BUILD_RHO(s, indicator if f.is_zero() else f), None),
+        "rho_plus_class_indicator": (lambda s, f: BUILD_RHO(s, add_fns(f, indicator)), None),
+        "rho_of_zero": (lambda s, f: BUILD_RHO(s, indicator if f == CoefFn() else f), None),
         "t_of_zero": (None, lambda s, x: BUILD_T(s, first if x.is_zero() else x)),
     }
     by_source: dict = {}
@@ -453,7 +454,7 @@ def test_leak_onto_a_sibling_copy_detected(monkeypatch):
     assert toeplitz_pairs == honest_pairs + 2
     x, y = ModuleVector.single(c, e), ModuleVector.single(c, f)
     src = [k for n in range(fock.n_levels) for k in fock.bases[n]]
-    cross = build_t(fock, x).adjoint().compose(build_t(fock, y))
+    cross = compose(build_t(fock, x).adjoint(), build_t(fock, y))
     assert cross.cols
     assert operator_residual(cross, rho0(fock, inner(x, y)), src) > 0
 
@@ -476,12 +477,12 @@ def test_pairs_covered_are_the_whole_grid(monkeypatch):
         assert report.max_residual == 0
         mult_zero = sum(
             1 for f in fns for x in vecs
-            if not rho0(fock, f).compose(t0(fock, x)).cols
+            if not compose(rho0(fock, f), t0(fock, x)).cols
             and left_mul(f, x).is_zero())
         toep_zero = sum(
             1 for x in vecs for y in vecs
-            if not t0(fock, x).adjoint().compose(t0(fock, y)).cols
-            and inner(x, y).is_zero())
+            if not compose(t0(fock, x).adjoint(), t0(fock, y)).cols
+            and inner(x, y) == CoefFn())
         assert mult_pairs - (mult_zero > 0) + mult_zero == len(fns) * len(vecs)
         assert toep_pairs - (toep_zero > 0) + toep_zero == len(vecs) ** 2
         assert toep_pairs - (toep_zero > 0) == len(vecs)
@@ -498,7 +499,7 @@ def test_shared_zero_residual_keeps_the_degree_check():
 
     def build_rho(space, f):
         op = BUILD_RHO(space, f)
-        return GradedOperator(space, 1, op.cols) if f.is_zero() else op
+        return GradedOperator(space, 1, op.cols) if f == CoefFn() else op
 
     with pytest.raises(DomainError):
         with_builders(fock, dense_isometry_report, rho=build_rho)
@@ -674,7 +675,7 @@ def test_psi_t_examples():
     fock = build_fock(sa, sigma_at(sa, "W"), 3)
     f_copy = ModuleVector.single(sa, EdgeCopy("F", 0, 0, 0))
     lhs = psi_t(fock, {EdgeCopy("F", 0, 0, 0): QI_ONE})
-    rhs = t0(fock, f_copy).compose(t0(fock, f_copy).adjoint())
+    rhs = compose(t0(fock, f_copy), t0(fock, f_copy).adjoint())
     assert operator_residual(lhs, rhs, all_keys(fock)) == 0
 
     assert psi_t(fock, {}).cols == {}
@@ -688,7 +689,7 @@ def test_psi_t_examples():
     e = ModuleVector.single(lo, EdgeCopy("e", 0, 0, 0))
     odd = QI(Fraction(1, 2), Fraction(-3, 4))
     lhs = psi_t(fock, {EdgeCopy("e", 0, 0, 0): odd})
-    rhs = t0(fock, e.scale(odd)).compose(t0(fock, e).adjoint())
+    rhs = compose(t0(fock, e.scale(odd)), t0(fock, e).adjoint())
     assert len(lhs.cols) == 3 and operator_residual(lhs, rhs, all_keys(fock)) == 0
 
 
@@ -712,9 +713,9 @@ def test_psi_t_decomposition_independence():
     [plain] = left_action_as_compacts(tl, [CoefFn.delta_class("v")], katsura_ideal(tl),
                                       tuple(fock.singles))
     half = QI(Fraction(1, 2))
-    u, w = e + f, e - f
-    rotated = op_sum(t0(fock, u.scale(half)).compose(t0(fock, u).adjoint()),
-                     t0(fock, w.scale(half)).compose(t0(fock, w).adjoint()))
+    u, w = add_vectors(e, f), add_vectors(e, f.scale(QI(-1)))
+    rotated = op_sum(compose(t0(fock, u.scale(half)), t0(fock, u).adjoint()),
+                     compose(t0(fock, w.scale(half)), t0(fock, w).adjoint()))
     assert operator_residual(psi_t(fock, plain), rotated, all_keys(fock)) == 0
     doubled = {copy: z * QI(2) for copy, z in plain.items()}
     assert operator_residual(psi_t(fock, doubled), rotated, all_keys(fock)) > 0
@@ -887,7 +888,7 @@ def test_summed_probe_catches_a_created_copy_outside_supp_f(monkeypatch):
         calls.append(x)
         got = left_mul(f, x)
         if any(copy == e for copy, _ in x.coeffs):
-            got = got + ModuleVector.single(c, e)
+            got = add_vectors(got, ModuleVector.single(c, e))
         return got
 
     monkeypatch.setattr(corr_mod, "left_mul", scales_e)
@@ -1236,7 +1237,7 @@ def test_toeplitz_relation_random_vectors(seed):
     src = [k for n in range(fock.n_levels) for k in fock.bases[n]]
     for _ in range(4):
         x, y = rand_vec(), rand_vec()
-        lhs = t0(fock, x).adjoint().compose(t0(fock, y))
+        lhs = compose(t0(fock, x).adjoint(), t0(fock, y))
         rhs = rho0(fock, inner(x, y))
         assert operator_residual(lhs, rhs, src) == 0
 

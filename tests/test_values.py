@@ -123,10 +123,12 @@ def test_each_witness_object_has_one_form():
 
 
 def test_vectors_and_functions_are_not_tuples_to_repeat():
+    # nor tuples to concatenate: f + g would be a 4-tuple, not a function
     c = load_instance(CORPUS / "loop.json").correspondence
     f = CoefFn.delta_class("v")
     x = ModuleVector.single(c, EdgeCopy("e", 0, 0, 0))
-    for product in (lambda: 2 * f, lambda: 2 * x, lambda: x * 2):
+    for product in (lambda: 2 * f, lambda: f * 2, lambda: f + f,
+                    lambda: 2 * x, lambda: x * 2, lambda: x + x):
         with pytest.raises(TypeError):
             product()
 
