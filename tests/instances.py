@@ -97,6 +97,19 @@ def add_fns(f: CoefFn, g: CoefFn) -> CoefFn:
     return CoefFn.of(cp, pp)
 
 
+def mul_fns(f: CoefFn, g: CoefFn) -> CoefFn:
+    """f * g, part by part: class parts multiply, and a point mass meets the
+    other function's class part and point mass at its atom."""
+    fc, gc, fp, gp = (dict(p) for p in (f.class_part, g.class_part,
+                                         f.point_part, g.point_part))
+    cp = {cls: z * gc[cls] for cls, z in fc.items() if cls in gc}
+    pp = {}
+    for a in fp.keys() | gp.keys():
+        x, y = fp.get(a, QI()), gp.get(a, QI())
+        pp[a] = fc.get(a.cls, QI()) * y + x * gc.get(a.cls, QI()) + x * y
+    return CoefFn.of(cp, pp)
+
+
 def conj_fn(f: CoefFn) -> CoefFn:
     """The pointwise conjugate of f."""
     return CoefFn.of({cls: z.conj() for cls, z in f.class_part},

@@ -16,6 +16,7 @@ from hyperrig.algebra import (
 )
 from hyperrig.errors import DomainError, MalformedInputError
 from hyperrig.scalars import OMEGA, QI, QI_ONE
+from instances import add_fns, conj_fn, mul_fns
 
 
 VW = AtomSet.of([("V", 1), ("W", OMEGA)])
@@ -79,6 +80,46 @@ def test_evaluate_checks_membership():
 def test_rep_rejects_repeats():
     with pytest.raises(MalformedInputError):
         EvaluationRep.of(VW, [Atom("V", 0), Atom("V", 0)])
+
+
+# -- property tests: evaluation against the tests' part-by-part arithmetic -----
+
+qi_st = st.builds(
+    QI,
+    st.fractions(min_value=-4, max_value=4, max_denominator=8),
+    st.fractions(min_value=-4, max_value=4, max_denominator=8),
+)
+
+atoms_st = st.sampled_from([Atom("V", 0), Atom("W", 0), Atom("W", 1), Atom("W", 5)])
+
+
+@st.composite
+def fns(draw) -> CoefFn:
+    cp = draw(st.dictionaries(st.sampled_from(["V", "W"]), qi_st, max_size=2))
+    pp = draw(st.dictionaries(atoms_st, qi_st, max_size=3))
+    return CoefFn.of(cp, pp)
+
+
+@given(fns(), fns())
+def test_prop_evaluate_multiplicative(f, g):
+    rep = EvaluationRep.of(VW, [Atom("V", 0), Atom("W", 0), Atom("W", 3)])
+    lhs = evaluate(rep, mul_fns(f, g))
+    rhs = [a * b for a, b in zip(evaluate(rep, f), evaluate(rep, g))]
+    assert lhs == rhs
+
+
+@given(fns(), fns())
+def test_prop_evaluate_additive(f, g):
+    rep = EvaluationRep.of(VW, [Atom("V", 0), Atom("W", 2)])
+    lhs = evaluate(rep, add_fns(f, g))
+    rhs = [a + b for a, b in zip(evaluate(rep, f), evaluate(rep, g))]
+    assert lhs == rhs
+
+
+@given(fns())
+def test_prop_evaluate_star(f):
+    rep = EvaluationRep.of(VW, [Atom("V", 0), Atom("W", 0)])
+    assert evaluate(rep, conj_fn(f)) == [z.conj() for z in evaluate(rep, f)]
 
 
 # -- QI parts: int when integral, Fraction otherwise, never float or bool ----------
