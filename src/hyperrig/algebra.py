@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, MalformedInputError
-from .scalars import QI, Count, QI_ONE, is_count, is_finite
+from .scalars import QI, Count, QI_ONE, is_finite
 
 
 class Atom(NamedTuple):
@@ -23,10 +23,10 @@ class Atom(NamedTuple):
 
 
 class AtomSet:
-    """Vertex classes with their counts.  `of` is the boundary: it checks
-    that the names are distinct and that every count is a positive integer
-    or OMEGA.  The count index and the name tuple are built once, at
-    construction, and every reader uses them instead of rebuilding them.
+    """Vertex classes with their counts.  `of` checks that the names are
+    distinct; the parser has checked every count.  The count index and the
+    name tuple are built once, at construction, and every reader uses them
+    instead of rebuilding them.
     Equal classes make equal sets; the index and the names are not
     compared.  Read-only by convention."""
 
@@ -48,10 +48,6 @@ class AtomSet:
         a = AtomSet(tuple((name, count) for name, count in classes))
         if len(a._counts) != len(a.names):
             raise MalformedInputError(f"duplicate class names in {list(a.names)}")
-        for name, count in a.classes:
-            # a positive plain int is a count; is_count decides the rest
-            if not (type(count) is int and count >= 1 or is_count(count)):
-                raise MalformedInputError(f"class {name} has non-positive count {count!r}")
         return a
 
     def count_of(self, cls: str) -> Count:

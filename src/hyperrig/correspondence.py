@@ -30,8 +30,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Atom, AtomSet, CoefFn, EvaluationRep, IdealSpec
-from .errors import DomainError, InternalInconsistencyError, MalformedInputError, SymbolicOnlyError
-from .scalars import OMEGA, QI, QI_ONE, Count, is_count, is_finite
+from .errors import InternalInconsistencyError, MalformedInputError, SymbolicOnlyError
+from .scalars import OMEGA, QI, QI_ONE, Count, is_finite
 
 
 class EdgeClass(NamedTuple):
@@ -51,12 +51,11 @@ class EdgeCopy(NamedTuple):
 class Correspondence:
     """Edge classes over a vertex AtomSet.
 
-    `of` is the boundary for callers that build one in code: it takes
-    EdgeClass values as they are and any other 4-tuple as EdgeClass fields.
     Construction, from EdgeClass values, refuses duplicate edge class names
     before any per-edge check, then walks the generators once, checking
-    each (an unknown source class, then an unknown range class, then a bad
-    multiplicity) in the same loop that builds the class-level indexes.
+    each (an unknown source class, then an unknown range class) in the same
+    loop that builds the class-level indexes; the parser has checked every
+    multiplicity.
     Equal algebras and generators make equal correspondences; the indexes
     are not compared.  Read-only by convention."""
 
@@ -70,15 +69,12 @@ class Correspondence:
         counts = algebra._counts
         out, infinite = {}, set()
         for g in generators:
-            name, src, dst, mult = g
+            _, src, dst, mult = g
             src_count = counts.get(src)
             if src_count is None or dst not in counts:
                 # raises the unknown-class error, source first
                 algebra.count_of(src)
                 algebra.count_of(dst)
-            # a positive plain int is a count; is_count decides the rest
-            if not (type(mult) is int and mult >= 1 or is_count(mult)):
-                raise MalformedInputError(f"edge class {name} has bad multiplicity {mult!r}")
             out.setdefault(src, []).append(g)
             # counts are positive: one omega factor makes dst's in-degree omega
             if mult is OMEGA or src_count is OMEGA:
@@ -96,15 +92,10 @@ class Correspondence:
     def __hash__(self):
         return hash((self.algebra, self.generators))
 
-    @staticmethod
-    def of(algebra: AtomSet, generators: Iterable[EdgeClass]) -> "Correspondence":
-        return Correspondence(algebra, tuple(
-            g if isinstance(g, EdgeClass) else EdgeClass(*g) for g in generators))
-
     def edge(self, name: str) -> EdgeClass:
         g = self._edges.get(name)
         if g is None:
-            raise DomainError(f"unknown edge class {name!r}")
+            raise InternalInconsistencyError(f"unknown edge class {name!r}")
         return g
 
     def check_copy(self, e: EdgeCopy) -> EdgeCopy:
@@ -112,7 +103,7 @@ class Correspondence:
         self.algebra.check_atom(Atom(g.src, e.src_i))
         self.algebra.check_atom(Atom(g.dst, e.dst_i))
         if e.k < 0 or (is_finite(g.mult) and e.k >= g.mult):
-            raise DomainError(f"copy {e} outside multiplicity {g.mult}")
+            raise InternalInconsistencyError(f"copy {e} outside multiplicity {g.mult}")
         return e
 
     def source_atom(self, e: EdgeCopy) -> Atom:
@@ -248,7 +239,7 @@ def katsura_ideal(c: Correspondence) -> IdealSpec:
 def ideal_act_submodule(c: Correspondence, j: IdealSpec) -> frozenset:
     """phi(j) X, as the names of the edge classes spanning it: those ranging in j."""
     if j.parent != c.algebra:
-        raise DomainError("ideal belongs to a different algebra")
+        raise InternalInconsistencyError("ideal belongs to a different algebra")
     return frozenset(g.name for g in c.generators if g.dst in j.support)
 
 
@@ -287,7 +278,7 @@ def pair_by_gram_identity(c: Correspondence, k1: TensorKey, k2: TensorKey) -> QI
     phi(g) scales w by g at its leading atom.  Handles non-composable keys
     (they pair to zero) and keys of equal length only."""
     if len(k1.path) != len(k2.path):
-        raise DomainError("pairing keys of different levels")
+        raise InternalInconsistencyError("pairing keys of different levels")
     if not k1.path:
         return QI_ONE if k1.atom == k2.atom else QI()
     g = inner(ModuleVector.single(c, k1.path[0]), ModuleVector.single(c, k2.path[0]))
@@ -362,7 +353,8 @@ def left_action_as_compacts(c: Correspondence, fns: Iterable[CoefFn],
     already holds: check_cuntz_pimsner passes the Katsura ideal J.
     Requires each f to be an actual algebra element supported inside it:
     class-constant parts only over finite classes that lie in the ideal,
-    point masses over atoms of classes in the ideal.
+    point masses over atoms of classes in the ideal; ideal_generator_functions
+    passes nothing else, so any other f is a toolkit defect.
     """
     ranging: dict = {}  # range atom -> the copies ranging there
     for e in copies:
@@ -370,12 +362,12 @@ def left_action_as_compacts(c: Correspondence, fns: Iterable[CoefFn],
     maps = []
     for f in fns:
         if not f.supported_in(ideal):
-            raise DomainError(
+            raise InternalInconsistencyError(
                 f"function supported on {sorted(f.support_classes() - ideal.support)} "
                 "outside the compact preimage")
         for cls, _ in f.class_part:
             if not is_finite(c.algebra.count_of(cls)):
-                raise DomainError(
+                raise InternalInconsistencyError(
                     f"class-constant value on infinite class {cls} is not an algebra element")
         phi: dict = {}
         for a, es in ranging.items():

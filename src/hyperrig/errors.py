@@ -16,8 +16,8 @@ class MalformedInputError(HyperrigError):
 
 
 class DomainError(HyperrigError):
-    """Operands belong to different parent structures, or a precondition on
-    membership fails (e.g. a function not supported in the compact preimage)."""
+    """A value names what its structure lacks (an unknown class, an atom
+    outside its class), or a truncation level is below 1."""
 
 
 class SymbolicOnlyError(HyperrigError):
@@ -34,5 +34,7 @@ class WitnessRefusedError(HyperrigError):
 
 
 class InternalInconsistencyError(HyperrigError):
-    """Two independently computed routes disagree.  This is a defect in the
-    toolkit, never a property of the input."""
+    """Two independently computed routes disagree, or a check fails that
+    only the toolkit's own values can fail (operands over different
+    parents, a copy or function outside what the chain built).  This is a
+    defect in the toolkit, never a property of the input."""

@@ -121,7 +121,7 @@ def build_fock(c: Correspondence, sigma: EvaluationRep, n_levels: int = DEFAULT_
     if n_levels < 1:
         raise DomainError("truncation level must be at least 1")
     if sigma.parent != c.algebra:
-        raise DomainError("evaluation representation over a different algebra")
+        raise InternalInconsistencyError("evaluation representation over a different algebra")
     bases = [tuple(TensorKey((), a) for a in sigma.atoms)]
     lead = _group_by_lead(c, bases[0])
     by_lead = {a: list(keys) for a, keys in lead.items()}
@@ -207,7 +207,7 @@ def operator_residual(a: GradedOperator, b: GradedOperator,
     """Max squared modulus of any matrix entry of a - b, over the given
     source columns."""
     if a.degree != b.degree:
-        raise DomainError("comparing operators of different degrees")
+        raise InternalInconsistencyError("comparing operators of different degrees")
     return _cols_residual(a.cols, b.cols, frozenset(source_keys))
 
 
@@ -218,23 +218,18 @@ def _cols_residual(a: dict, b: dict, src: frozenset) -> Rational:
     A column absent from both is zero in a - b.  A column equal in a and
     in b, as dicts of exact scalars, has every entry of a - b exactly 0
     there and is skipped.  A column that holds an explicit zero entry is
-    not equal to one that lacks the key, so it takes the entrywise loop."""
-    worst = 0
-    for k, ca in a.items():
-        if k not in src:
-            continue
-        cb = b.get(k, _EMPTY)
-        if ca != cb:
-            worst = max(worst, _column_residual(ca, cb))
-    for k, cb in b.items():
-        if k in a or k not in src or not cb:
-            continue
-        worst = max(worst, _column_residual(_EMPTY, cb))
-    return worst
+    not equal to one that lacks the key, so it is compared entrywise."""
+    differ = [(ca, cb) for k, ca in a.items()
+              if k in src and ca != (cb := b.get(k, _EMPTY))]
+    differ += [(_EMPTY, cb) for k, cb in b.items() if cb and k in src and k not in a]
+    return _column_residual(differ) if differ else 0
 
 
-def _column_residual(ca: dict, cb: dict) -> Rational:
-    return max((ca.get(kk, QI()) - cb.get(kk, QI())).abs2() for kk in ca.keys() | cb.keys())
+def _column_residual(differ: list) -> Rational:
+    """Max squared modulus of any entry of ca - cb over the (ca, cb) pairs
+    of columns in differ."""
+    return max((ca.get(kk, QI()) - cb.get(kk, QI())).abs2()
+               for ca, cb in differ for kk in ca.keys() | cb.keys())
 
 
 _EMPTY: dict = {}  # read-only: the column of a key an operator lacks, an empty lhs
@@ -277,7 +272,7 @@ def t0(fock: TruncatedFock, x: ModuleVector) -> GradedOperator:
     keys are a suffix.  Built once per space and x (see TruncatedFock).
     """
     if x.parent is not fock.parent and x.parent != fock.parent:
-        raise DomainError("vector over a different correspondence")
+        raise InternalInconsistencyError("vector over a different correspondence")
     op = fock._t.get(x.coeffs)
     if op is None:
         op = fock._t[x.coeffs] = _build_t(fock, x)
@@ -390,7 +385,8 @@ def _join_residual(lefts: list, rights: list, src: frozenset,
                    nonzero_rhs: Callable, rhs_at: Callable,
                    zero_rhs: Callable) -> Rational:
     """Max residual of lefts[i] after rights[r] against rhs_at(i, r) over
-    every pair (i, r), on the columns in src.
+    every pair (i, r), on the columns in src, which hold every column of
+    every right operand (each is a t(x), and t(x) annihilates the top level).
 
     With operators indexed op[column][row], the entry of L R at column j,
     row i is the sum over keys k of L[k][i] times R[j][k], and a term
@@ -414,8 +410,6 @@ def _join_residual(lefts: list, rights: list, src: frozenset,
     for r, right in enumerate(rights):
         lhs: dict = {}  # left operand -> {column: {row: value}}
         for j, col in right.cols.items():
-            if j not in src:
-                continue
             for k, z in col.items():
                 for i, row, w in index.get(k, ()):
                     cols = lhs.get(i)
@@ -441,7 +435,7 @@ def _pair_residual(got: dict, degree: int, rhs: GradedOperator, src: frozenset) 
     """operator_residual of an lhs of this degree with these columns, all
     in src, against rhs on src, without building the lhs operator."""
     if rhs.degree != degree:
-        raise DomainError("comparing operators of different degrees")
+        raise InternalInconsistencyError("comparing operators of different degrees")
     return _cols_residual(got, rhs.cols, src)
 
 
@@ -472,7 +466,7 @@ def build_witness_subspace(fock: TruncatedFock, j: IdealSpec) -> WitnessSubspace
     2..N and M0 is all of the complement (check_cuntz_pimsner)."""
     c = fock.parent
     if j.parent != c.algebra:
-        raise DomainError("ideal over a different algebra")
+        raise InternalInconsistencyError("ideal over a different algebra")
     kept = (tuple(k for k in fock.bases[n] if c.range_atom(k.path[-1]).cls not in j.support)
             for n in range(1, fock.n_levels + 1))
     m0 = next(kept)  # a level-1 key's one copy is its last: M0 is level 1 of M
@@ -521,12 +515,9 @@ def verify_eq_use(fock: TruncatedFock, m: WitnessSubspace) -> tuple:
     and the coefficient algebra acts on m.m0 with full range (each basis
     key is recovered by the point mass at its own leading atom)."""
     c = fock.parent
-    eq1 = 0
-    for f in ideal_generator_functions(fock, m.ideal):
-        op = rho0(fock, f)
-        for k in m.m0:
-            for z in op.col(k).values():
-                eq1 = max(eq1, z.abs2())
+    ops = [rho0(fock, f) for f in ideal_generator_functions(fock, m.ideal)]
+    eq1 = max((z.abs2() for op in ops for k in m.m0 for z in op.col(k).values()),
+              default=0)
     eq2 = 0
     for k in m.m0:
         op = rho0(fock, CoefFn.delta_atom(leading_atom(c, k)))
@@ -590,14 +581,10 @@ def check_reducing(fock: TruncatedFock, m: WitnessSubspace) -> WitnessCertificat
         raise InternalInconsistencyError("witness subspace meets the vacuum level")
     mset = m.key_set()
 
-    inv = 0
     ops = [rho0(fock, f) for f in fock.functions]
     ops += [t0(fock, x) for x in fock.singles.values()]
-    for op in ops:
-        for k in op.cols.keys() & mset:
-            for kk, z in op.cols[k].items():
-                if kk not in mset:
-                    inv = max(inv, z.abs2())
+    inv = max((z.abs2() for op in ops for k in op.cols.keys() & mset
+               for kk, z in op.cols[k].items() if kk not in mset), default=0)
 
     eq1, eq2 = verify_eq_use(fock, m)
     cov = check_cuntz_pimsner(fock, m)

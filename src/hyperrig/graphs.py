@@ -27,13 +27,13 @@ from typing import NamedTuple, Optional, Union
 
 from .algebra import AtomSet
 from .correspondence import (
-    Correspondence, EdgeClass, SigmaWitness, sigma_degeneracy_witness,
+    Correspondence, SigmaWitness, sigma_degeneracy_witness,
 )
 from .errors import InternalInconsistencyError, MalformedInputError
 from .intervals import (
     IntervalSet, PiecewiseAffineMap, closure, difference, finite_end_limits,
-    image, is_local_homeomorphism, is_proper_into, is_subset, points,
-    preimage, range_condition, sets_equal,
+    image, is_local_homeomorphism, is_proper_into, points, preimage,
+    range_condition, sets_equal,
 )
 from .scalars import OMEGA
 
@@ -57,16 +57,6 @@ class DiscreteGraphPresentation:
     def __hash__(self):
         return hash((self.vertices, self.edges))
 
-    @staticmethod
-    def of(vertices, edges) -> "DiscreteGraphPresentation":
-        """The boundary for callers that build one in code: EdgeClass values
-        are kept as they are; any other 4-tuple is read as EdgeClass
-        fields.  The constructor itself takes a tuple of (name, count)
-        pairs and a tuple of EdgeClass values."""
-        return DiscreteGraphPresentation(
-            tuple((n, c) for n, c in vertices),
-            tuple(e if isinstance(e, EdgeClass) else EdgeClass(*e) for e in edges))
-
 
 class IntervalGraphPresentation(NamedTuple):
     g0: IntervalSet
@@ -77,12 +67,9 @@ class IntervalGraphPresentation(NamedTuple):
     @staticmethod
     def of(g0: IntervalSet, g1: IntervalSet, r: PiecewiseAffineMap,
            s: PiecewiseAffineMap) -> "IntervalGraphPresentation":
-        for name, f in (("range", r), ("source", s)):
-            if not sets_equal(f.source, g1):
-                raise MalformedInputError(f"{name} map is not defined on the edge space")
-            # build already put every piece image inside the map's target
-            if not sets_equal(f.target, g0) and not is_subset(image(f), g0):
-                raise MalformedInputError(f"{name} map does not land in the vertex space")
+        """The presentation of two maps from g1 into g0, which the parser
+        builds (PiecewiseAffineMap.build checks each map's source and
+        target); refuses a source map that is no local homeomorphism."""
         if not is_local_homeomorphism(s):
             raise MalformedInputError("source map is not a local homeomorphism")
         return IntervalGraphPresentation(g0, g1, r, s)
@@ -182,7 +169,7 @@ def _decide_discrete(g: DiscreteGraphPresentation):
 
 
 def _decide_interval(g: IntervalGraphPresentation):
-    route_iii = is_proper_into(g.r, image(g.r)) and range_condition(g.r, g.g0)
+    route_iii = is_proper_into(g.r, image(g.r)) and range_condition(g.r)
     cls = classify_vertices(g)
     route_reg = sets_equal(preimage(g.r, cls.reg), g.g1)
     return (("range_condition", route_iii),

@@ -34,7 +34,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import MalformedInputError
+from .errors import InternalInconsistencyError, MalformedInputError
 
 # Endpoint value None means an unbounded end (-oo for lo, +oo for hi).
 End = Optional[Fraction]
@@ -61,7 +61,7 @@ def _beside(x: Fraction, side: str) -> tuple:
         return _cut(x, -1)
     if side == "right":
         return _cut(x, 1)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    raise InternalInconsistencyError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _int_text(n: int) -> str:
@@ -237,7 +237,8 @@ def approaches(s: IntervalSet, x: Fraction, side: str) -> bool:
 
 def _require_in_ambient(s: IntervalSet, ambient: IntervalSet, op: str) -> None:
     if not is_subset(s, ambient):
-        raise MalformedInputError(f"{op}: set {s} is not contained in its ambient {ambient}")
+        raise InternalInconsistencyError(
+            f"{op}: set {s} is not contained in its ambient {ambient}")
 
 
 def _closure_in_line(s: IntervalSet) -> IntervalSet:
@@ -290,14 +291,7 @@ class AffinePiece:
     def image(self) -> Interval:
         d = self.dom
         if self.slope == 0:
-            if d.lo is None and d.hi is None:
-                anchor = Fraction(0)
-            elif d.lo is not None:
-                anchor = d.lo
-            else:
-                anchor = d.hi
-            v = self.value(anchor)
-            return Interval(v, v, True, True)
+            return Interval(self.offset, self.offset, True, True)
         lo_v = None if d.lo is None else self.value(d.lo)
         hi_v = None if d.hi is None else self.value(d.hi)
         if self.slope > 0:
@@ -353,7 +347,7 @@ class PiecewiseAffineMap(NamedTuple):
     def value_at(self, x: Fraction) -> Fraction:
         ap = _holding(self.pieces, _cut(x, 0), _dom)
         if ap is None:
-            raise MalformedInputError(f"{_fmt(x)} is not in the source")
+            raise InternalInconsistencyError(f"{_fmt(x)} is not in the source")
         return ap.value(x)
 
 
@@ -395,8 +389,9 @@ def _piece_beside(f: PiecewiseAffineMap, x: Fraction, side: str) -> AffinePiece:
     or (x, x+eps) for side 'right'."""
     ap = _holding(f.pieces, _beside(x, side), _dom)
     if ap is None:
-        word = "below" if side == "left" else "above"
-        raise MalformedInputError(f"no affine piece covers points just {word} {_fmt(x)}")
+        raise InternalInconsistencyError(
+            f"no affine piece covers points just {'below' if side == 'left' else 'above'} "
+            f"{_fmt(x)}")
     return ap
 
 
@@ -482,11 +477,8 @@ def is_local_homeomorphism(f: PiecewiseAffineMap) -> bool:
     return True
 
 
-def range_condition(f: PiecewiseAffineMap, ambient: Optional[IntervalSet] = None) -> bool:
+def range_condition(f: PiecewiseAffineMap) -> bool:
     """True iff image(f) is contained in the interior of its closure, both
-    taken relative to ambient (default: the target of f), which must hold
-    image(f)."""
-    if ambient is None:
-        ambient = f.target
+    taken relative to the target of f (for a presentation's r, G0)."""
     img = image(f)
-    return is_subset(img, interior(closure(img, ambient), ambient))
+    return is_subset(img, interior(closure(img, f.target), f.target))

@@ -35,8 +35,8 @@ from typing import Optional, Tuple
 from .algebra import Atom, EvaluationRep
 from .correspondence import EdgeClass, EdgeCopy, TensorKey, katsura_ideal
 from .errors import (
-    BudgetExceededError, DomainError, MalformedInputError, SymbolicOnlyError,
-    WitnessRefusedError,
+    BudgetExceededError, DomainError, InternalInconsistencyError,
+    MalformedInputError, SymbolicOnlyError, WitnessRefusedError,
 )
 from .fock import (
     DEFAULT_BASIS_BUDGET, RESIDUALS, WitnessCertificate, witness_pipeline,
@@ -46,7 +46,7 @@ from .graphs import (
     Verdict,
 )
 from .intervals import MAX_DIGITS, AffinePiece, Interval, IntervalSet, PiecewiseAffineMap
-from .scalars import OMEGA, QI, QI_ONE, exact_part, is_count
+from .scalars import OMEGA, QI, QI_ONE, exact_part
 
 SCHEMA_VERSION = 1
 
@@ -73,16 +73,8 @@ def _rational(v) -> Fraction:
         raise MalformedInputError(f"bad rational string {v!r}") from exc
 
 
-def _rational_out(x) -> str:
-    # str of an int or a Fraction is already str(Fraction(x)); a bool or a
-    # subclass, from a caller in code, may print otherwise
-    t = type(x)
-    return str(x) if t is int or t is Fraction else str(Fraction(x))
-
-
 def _count(v):
-    if is_count(v):
-        return v
+    # the parser takes a positive int count as it is: "omega" or a fault gets here
     if v == "omega":
         return OMEGA
     raise MalformedInputError(f"count must be a positive integer or \"omega\", got {v!r}")
@@ -95,7 +87,7 @@ def _qi(v) -> QI:
 
 
 def _qi_out(z: QI) -> list:
-    return [_rational_out(z.re), _rational_out(z.im)]
+    return [str(z.re), str(z.im)]
 
 
 def _atom(v) -> Atom:
@@ -170,8 +162,8 @@ def _interval(v, rational) -> Interval:
 
 
 def _interval_out(p: Interval) -> list:
-    return ["-inf" if p.lo is None else _rational_out(p.lo),
-            "inf" if p.hi is None else _rational_out(p.hi),
+    return ["-inf" if p.lo is None else str(p.lo),
+            "inf" if p.hi is None else str(p.hi),
             "closed" if p.lo_closed else "open",
             "closed" if p.hi_closed else "open"]
 
@@ -201,14 +193,13 @@ def _affine_map(v, source: IntervalSet, target: IntervalSet, what: str,
 
 def _affine_map_out(f: PiecewiseAffineMap) -> dict:
     return {"pieces": [{"dom": _interval_out(p.dom),
-                        "slope": _rational_out(p.slope),
-                        "offset": _rational_out(p.offset)} for p in f.pieces]}
+                        "slope": str(p.slope),
+                        "offset": str(p.offset)} for p in f.pieces]}
 
 
 def _check_schema(doc: dict) -> None:
     """Refuse a document whose optional "schema" field is not the integer
-    SCHEMA_VERSION: true and 1.0 compare equal to 1 but are no integer,
-    while an int subclass from a caller in code is one."""
+    SCHEMA_VERSION: true and 1.0 compare equal to 1 but are no integer."""
     schema = doc.get("schema", SCHEMA_VERSION)
     if not isinstance(schema, int) or isinstance(schema, bool) or schema != SCHEMA_VERSION:
         raise MalformedInputError(f"unsupported schema version {schema!r}")
@@ -238,15 +229,14 @@ def _parse_discrete(doc) -> DiscreteGraphPresentation:
     """Check each field once, by shape and type, in file order, and build
     each EdgeClass once.  What needs the whole instance (distinct names,
     known source and range classes) is checked by the constructors, in the
-    loops that index the vertex and edge classes; AtomSet.of and
-    Correspondence check counts and multiplicities again, for code callers.
+    loops that index the vertex and edge classes.
 
-    A vertex or edge that is a plain dict with exactly its fields, plain
-    str names and a positive int count passes every check, so it is taken
-    as it is.  Anything else (an "omega" count, a str or dict subclass
-    from a caller in code, a fault) goes through the checks one by one,
-    `_vertex` and `_edge`, so it is accepted or refused, with the same
-    message, as if no vertex or edge had been taken as it is."""
+    A vertex or edge that is an object with exactly its fields, string
+    names and a positive integer count passes every check, so it is taken
+    as it is.  Anything else (an "omega" count, a fault) goes through the
+    checks one by one, `_vertex` and `_edge`, so it is accepted or refused,
+    with the same message, as if no vertex or edge had been taken as it
+    is."""
     _expect_fields(doc, {"kind", "vertices", "edges"}, "discrete instance", {"schema"})
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise MalformedInputError("vertices and edges must be lists")
@@ -394,34 +384,26 @@ def canonical_json(doc) -> str:
     ensure_ascii=False)` and a newline.
 
     With `indent` set, json.dumps runs CPython's pure-Python encoder, so
-    the document is written here instead, by `_write_json`.  A value that
-    writer does not cover (a float, a key that is not a str, a subclass of
-    a type it covers, a cycle) makes it fall back to json.dumps, which
-    gives the same bytes or raises what it always raised."""
+    the document is written here instead, by `_write_json`.  The documents
+    are the ones this module builds, from the types that writer covers."""
     out = []
-    try:
-        _write_json(doc, out, "\n")
-    except (TypeError, RecursionError):
-        return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    _write_json(doc, out, "\n")
     out.append("\n")
     return "".join(out)
 
 
 def _write_json(o, out: list, nl: str) -> None:
-    """Append the indented rendering of o to out, whose current line starts
-    with nl; raise TypeError on a value outside plain dicts with str keys,
-    lists, tuples, strs, ints, booleans and None."""
+    """Append the indented rendering of o, a dict or a value inside one, to
+    out, whose current line starts with nl.  The values are dicts with str
+    keys, lists, tuples, strs, ints, booleans and None; anything else is a
+    toolkit defect.  An opening bracket goes out with the first item, so
+    an empty dict or list closes on the same line."""
     q = encode_basestring
     t = type(o)
     if t is dict:
-        if not o:
-            out.append("{}")
-            return
         inner = nl + "  "
         sep = "{" + inner
         for k in sorted(o):
-            if type(k) is not str:
-                raise TypeError
             v = o[k]
             if type(v) is str:
                 out.append(f"{sep}{q(k)}: {q(v)}")
@@ -429,11 +411,8 @@ def _write_json(o, out: list, nl: str) -> None:
                 out.append(f"{sep}{q(k)}: ")
                 _write_json(v, out, inner)
             sep = "," + inner
-        out.append(nl + "}")
+        out.append(nl + "}" if o else "{}")
     elif t is list or t is tuple:
-        if not o:
-            out.append("[]")
-            return
         inner = nl + "  "
         sep = "[" + inner
         for v in o:
@@ -446,9 +425,7 @@ def _write_json(o, out: list, nl: str) -> None:
                 out.append(sep)
                 _write_json(v, out, inner)
             sep = "," + inner
-        out.append(nl + "]")
-    elif t is str:
-        out.append(q(o))
+        out.append(nl + "]" if o else "[]")
     elif o is True:
         out.append("true")
     elif o is False:
@@ -458,7 +435,7 @@ def _write_json(o, out: list, nl: str) -> None:
     elif o is None:
         out.append("null")
     else:
-        raise TypeError
+        raise InternalInconsistencyError(f"no JSON rendering for a {t.__name__} in a record")
 
 
 def instance_digest(g: Presentation) -> str:
@@ -468,35 +445,28 @@ def instance_digest(g: Presentation) -> str:
 
     A discrete presentation's document is written directly, one string per
     vertex and per edge, with each name escaped by the string encoder that
-    json.dumps uses; that is the same string without the payload dicts.
-    A name that is not a str makes the writer fall back to json.dumps of
-    the payload, and interval presentations always take that route."""
-    compact = None
+    json.dumps uses; that is the same string without the payload dicts,
+    whose discrete branch stays the definition the tests compare it with.
+    An interval presentation's document is json.dumps of its payload."""
     if isinstance(g, DiscreteGraphPresentation):
-        try:
-            compact = _discrete_document(g)
-        except TypeError:  # a name that is not a str
-            pass
-    if compact is None:
+        compact = _discrete_document(g)
+    else:
         compact = json.dumps(instance_payload(g), sort_keys=True,
                              separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 
-def _count_json(c) -> str:
-    # json.dumps writes any int, a subclass included, with int.__repr__
-    return '"omega"' if c is OMEGA else int.__repr__(c)
+_OMEGA_JSON = '"omega"'  # a count or multiplicity of OMEGA; any other is an int
 
 
 def _discrete_document(g: DiscreteGraphPresentation) -> str:
-    """instance_payload(g) as compact, key-sorted JSON; raises TypeError on
-    a name that is not a str."""
+    """instance_payload(g) as compact, key-sorted JSON."""
     q = encode_basestring
     vertices = ",".join([
-        f'{{"count":{c if type(c) is int else _count_json(c)},"name":{q(n)}}}'
+        f'{{"count":{c if type(c) is int else _OMEGA_JSON},"name":{q(n)}}}'
         for n, c in g.vertices])
     edges = ",".join([
-        f'{{"mult":{m if type(m) is int else _count_json(m)},"name":{q(n)},'
+        f'{{"mult":{m if type(m) is int else _OMEGA_JSON},"name":{q(n)},'
         f'"range":{q(dst)},"source":{q(src)}}}'
         for n, src, dst, m in g.edges])
     return (f'{{"edges":[{edges}],"kind":"discrete","schema":{SCHEMA_VERSION},'
@@ -543,12 +513,12 @@ def witness_record(g: Presentation, cert: WitnessCertificate) -> dict:
         "m0": [_tensor_key_out(k) for k in cert.m0],
         "m_levels": [[_tensor_key_out(k) for k in level] for level in cert.m_levels],
         "m0_gram": [[_qi_out(z) for z in row] for row in cert.m0_gram],
-        "residuals": {name: _rational_out(value)
+        "residuals": {name: str(value)
                       for name, value in zip(RESIDUALS, cert.residuals())},
         "non_reducing": {
             "vacuum": _tensor_key_out(vacuum),
             "creation": _edge_copy_out(creation),
-            "projection_norm_sq": _rational_out(norm_sq),
+            "projection_norm_sq": str(norm_sq),
         },
     }
 

@@ -12,9 +12,10 @@ Two kinds of numbers appear in the core:
   function and vector the pipeline builds, the (1 + i) probe included,
   has Gaussian integer coefficients, so every operator entry, inner
   product and residual the pipeline computes, in `witness` and in the
-  replay of `verify`, runs on int arithmetic.  Fractions arise only from inputs that carry them, such as
-  interval endpoints or scalars a caller passes in.  No floating point is
-  ever introduced, so "residual is zero" is a decidable statement.
+  replay of `verify`, runs on int arithmetic.  A Fraction part arises
+  only where a witness record carries one, in its Gram entries.  Both
+  operands of every operation are QI.  No floating point is ever
+  introduced, so "residual is zero" is a decidable statement.
 * ``Count`` -- cardinalities of vertex/edge classes: a non-negative integer
   or the single infinite value ``OMEGA``.
 """
@@ -28,14 +29,9 @@ from typing import NamedTuple, Union
 _new = tuple.__new__
 
 
-def exact_part(value: Union[int, Fraction]) -> Rational:
-    """value as a QI part: an integral Fraction becomes its int numerator.
-    Anything but an int or a Fraction, a bool included, is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise TypeError(f"cannot coerce {value!r} to QI")
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
+def exact_part(value: Fraction) -> Rational:
+    """value as a QI part: an integral Fraction becomes its int numerator."""
+    return value.numerator if value.denominator == 1 else value
 
 
 class QI(NamedTuple):
@@ -43,43 +39,31 @@ class QI(NamedTuple):
 
     An immutable pair: a QI equals, and hashes as, the plain tuple
     (re, im), so a QI compared with a tuple could be equal to it.  Nothing
-    in the package compares a QI with anything but a QI; arithmetic takes
-    QI, int and Fraction operands only (see QI.of).  Each operation unpacks
-    the two parts and builds its result with tuple.__new__, coercing an
-    operand through QI.of only when it is not a QI."""
+    in the package compares a QI with anything but a QI, and arithmetic
+    takes QI operands only.  Each operation unpacks the two parts and
+    builds its result with tuple.__new__."""
 
     re: Rational = 0
     im: Rational = 0
 
-    @staticmethod
-    def of(value: "QILike") -> "QI":
-        if isinstance(value, QI):
-            return value
-        return _new(QI, (exact_part(value), 0))
-
-    def __add__(self, other: "QILike") -> "QI":
+    def __add__(self, other: "QI") -> "QI":
         a, b = self
-        c, d = other if type(other) is QI else QI.of(other)
+        c, d = other
         return _new(QI, (a + c, b + d))
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "QILike") -> "QI":
+    def __sub__(self, other: "QI") -> "QI":
         a, b = self
-        c, d = other if type(other) is QI else QI.of(other)
+        c, d = other
         return _new(QI, (a - c, b - d))
 
-    def __rsub__(self, other: "QILike") -> "QI":
+    def __mul__(self, other: "QI") -> "QI":
         a, b = self
-        c, d = QI.of(other)
-        return _new(QI, (c - a, d - b))
-
-    def __mul__(self, other: "QILike") -> "QI":
-        a, b = self
-        c, d = other if type(other) is QI else QI.of(other)
+        c, d = other
         return _new(QI, (a * c - b * d, a * d + b * c))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # not the repetition a tuple does: n * z is refused
+        return NotImplemented
 
     def conj(self) -> "QI":
         a, b = self
@@ -97,8 +81,6 @@ class QI(NamedTuple):
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-
-QILike = Union[QI, int, Fraction]
 
 QI_ONE = QI(1)
 
@@ -127,10 +109,3 @@ Count = Union[int, _Omega]
 
 def is_finite(c: Count) -> bool:
     return isinstance(c, int)
-
-
-def is_count(value) -> bool:
-    """A valid class count or edge multiplicity: a positive integer (not a
-    bool) or OMEGA."""
-    return value is OMEGA or (
-        isinstance(value, int) and not isinstance(value, bool) and value >= 1)

@@ -10,9 +10,12 @@ through `witness` and its record through `verify` against the same input.  The i
 tests/inputs/ (listed in INTERVAL) and the generated discrete inputs
 (listed in LARGE) are run through `decide`, the inputs whose witness
 is symbolic only (listed in SYMBOLIC) through `decide` and `witness`,
-and the whole corpus directory, tests/inputs/malformed/ and
-tests/inputs/malformed_interval/ through `batch`.  The stdout of
-each case is kept as tests/golden/<case>.out, and
+the input listed in SHARED_SOURCE through `decide`, `witness` and
+`verify`, each witness record under tests/inputs/malformed_record/
+(listed in MALFORMED_RECORD) through `verify` against its instance, and
+the whole corpus directory and each malformed directory (MALFORMED_DIRS)
+through `batch`.  The stdout of each case is kept as
+tests/golden/<case>.out, and
 tests/golden/MANIFEST.json holds each case's argv, exit code and stderr.
 `tests/test_cli.py` replays the manifest.
 
@@ -45,12 +48,18 @@ MULTI_COPY = ("wvx_2_3",)
 #   open_core        G1 = (0,1) in G0 = [0,1], r = id: hyperrigid
 #   ray_tail         G1 = [1,oo) in G0 = [0,oo), r = id: not hyperrigid
 #   ray_constant     G0 = G1 = [0,oo), r = 0: not hyperrigid
+#   ray_constant_below  G0 = G1 = (-oo,0], r = 0: not hyperrigid
+#   isolated_edge    G0 = G1 = [0,1] u {2}, r = id: hyperrigid
+# and one with a piecewise source map:
+#   two_sheets_sloped  G0 = [0,1], G1 = [0,1] u [2,3], s = x and x - 2,
+#                      r = x/2 and -x/2 + 3/2: not hyperrigid
 # and two 200-piece families from instances.unit_pieces_doc, large enough
 # that a pass pairing every piece with every piece shows:
 #   interval_200_hyperrigid  G0 = G1 = union of [3i, 3i+1], r = id: hyperrigid
 #   interval_200_half        G1 = union of [3i, 3i+1/2] in G0, r = id:
 #                            not hyperrigid
 INTERVAL = ("isolated_vertex", "open_core", "ray_tail", "ray_constant",
+            "ray_constant_below", "isolated_edge", "two_sheets_sloped",
             "interval_200_hyperrigid", "interval_200_half")
 # 300 vertex classes and 900 edge classes each, large enough that the
 # digest and the sigma witness depend on the whole parse and build:
@@ -67,6 +76,39 @@ WITNESSED = MULTI_COPY + ("discrete_300_omega",)
 # Fock space over the witness's evaluation at W meets F's infinite fiber
 # over V at level 2, so `witness` exits 3 with a symbolic verdict only
 SYMBOLIC = ("omega_fiber",)
+# S(1) -> V(1) <- W(omega) and S -> T(1), with S -> V listed first: the
+# sigma witness sits at S, which also sources S -> T, a class the Katsura
+# ideal reaches, so decide checks the witness orthogonal to it
+SHARED_SOURCE = ("shared_source",)
+# witness records verify refuses (exit 2) or answers false on (exit 1):
+# copies of the omega_star and star_plus_arm goldens with one field
+# changed, each with the instance it is verified against
+MALFORMED_RECORD = {
+    "atom_not_a_pair": "{corpus}/omega_star.json",
+    "digest_of_another_instance": "{corpus}/omega_star.json",
+    "edge_copy_not_four_fields": "{corpus}/omega_star.json",
+    "fock_levels_not_an_integer": "{corpus}/omega_star.json",
+    "fock_levels_zero": "{corpus}/omega_star.json",
+    "gram_entry_mismatch": "{corpus}/omega_star.json",
+    "gram_entry_not_a_pair": "{corpus}/omega_star.json",
+    # it carries half_interval's digest
+    "interval_instance": "{corpus}/half_interval.json",
+    "m0_not_a_list": "{corpus}/omega_star.json",
+    "m_levels_entry_not_a_list": "{corpus}/omega_star.json",
+    "not_a_witness_record": "{corpus}/omega_star.json",
+    "sigma_atom_outside_its_class": "{corpus}/omega_star.json",
+    "sigma_atoms_repeated": "{corpus}/omega_star.json",
+    # evaluation at Z[0]: its one edge ranges in U, inside the Katsura ideal
+    "sigma_inside_the_ideal": "{corpus}/star_plus_arm.json",
+    "tensor_key_path_not_a_list": "{corpus}/omega_star.json",
+    "unknown_certificate": "{corpus}/omega_star.json",
+}
+# one instance per fault or pair of faults, each batch row pinning the
+# message and which fault wins: discrete presentations, interval
+# presentations, documents refused before a presentation is built, and
+# source maps that are no local homeomorphism (one per branch of the check)
+MALFORMED_DIRS = ("malformed", "malformed_interval", "malformed_document",
+                  "malformed_source_map")
 
 
 def run_cli(argv):
@@ -127,22 +169,30 @@ def regenerate():
             _write(f"decide_{stem}_{fmt}",
                    ["decide", f"{{inputs}}/{stem}.json", "--format", fmt],
                    manifest)
-    for stem in SYMBOLIC:
+    for stem in SYMBOLIC + SHARED_SOURCE:
         for command in ("decide", "witness"):
             for fmt in FORMATS:
                 _write(f"{command}_{stem}_{fmt}",
                        [command, f"{{inputs}}/{stem}.json", "--format", fmt],
                        manifest)
+    for stem in SHARED_SOURCE:
+        for fmt in FORMATS:
+            _write(f"verify_{stem}_on_{stem}_{fmt}",
+                   ["verify", f"{{golden}}/witness_{stem}_json.out",
+                    f"{{inputs}}/{stem}.json", "--format", fmt],
+                   manifest)
+    for stem, instance in MALFORMED_RECORD.items():
+        for fmt in FORMATS:
+            _write(f"verify_record_{stem}_{fmt}",
+                   ["verify", f"{{inputs}}/malformed_record/{stem}.json", instance,
+                    "--format", fmt],
+                   manifest)
     for fmt in FORMATS:
         _write(f"batch_corpus_{fmt}",
                ["batch", "{corpus}", "--format", fmt], manifest)
-        # one discrete instance per fault or pair of faults: each error row
-        # pins the message and which fault wins
-        _write(f"batch_malformed_{fmt}",
-               ["batch", "{inputs}/malformed", "--format", fmt], manifest)
-        # one interval instance per fault or pair of faults, the same way
-        _write(f"batch_malformed_interval_{fmt}",
-               ["batch", "{inputs}/malformed_interval", "--format", fmt], manifest)
+        for d in MALFORMED_DIRS:
+            _write(f"batch_{d}_{fmt}", ["batch", f"{{inputs}}/{d}", "--format", fmt],
+                   manifest)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
 

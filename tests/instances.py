@@ -51,6 +51,21 @@ def compact_base_shortcut(g: IntervalGraphPresentation) -> Optional[bool]:
             and sets_equal(interior(img, g.g0), img))
 
 
+# -- discrete builders ----------------------------------------------------------
+
+def correspondence(algebra: AtomSet, generators) -> Correspondence:
+    """The correspondence of edge classes over algebra, each an EdgeClass or
+    its four fields, as the parser builds one from a file."""
+    return Correspondence(algebra, tuple(EdgeClass(*g) for g in generators))
+
+
+def presentation(vertices, edges) -> DiscreteGraphPresentation:
+    """The presentation of (name, count) pairs and edge classes, each an
+    EdgeClass or its four fields, as the parser builds one from a file."""
+    return DiscreteGraphPresentation(tuple((n, c) for n, c in vertices),
+                                     tuple(EdgeClass(*e) for e in edges))
+
+
 # -- discrete oracles -----------------------------------------------------------
 
 def fock_bases(c: Correspondence, sigma: EvaluationRep, n: int) -> tuple:
@@ -180,35 +195,35 @@ def oracle_fin(c: Correspondence) -> set:
 
 def loop_graph() -> Correspondence:
     # one vertex, one loop
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("v", 1)]),
         [EdgeClass("e", "v", "v", 1)])
 
 
 def arrow_graph() -> Correspondence:
     # u --e--> v
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("u", 1), ("v", 1)]),
         [EdgeClass("e", "u", "v", 1)])
 
 
 def omega_star() -> Correspondence:
     # infinitely many copies of W all pointing at the single V
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("V", 1), ("W", OMEGA)]),
         [EdgeClass("E", "W", "V", 1)])
 
 
 def star_plus_arm() -> Correspondence:
     # the omega star together with a disjoint single arrow Z -> U
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("V", 1), ("W", OMEGA), ("U", 1), ("Z", 1)]),
         [EdgeClass("E", "W", "V", 1), EdgeClass("F", "Z", "U", 1)])
 
 
 def tower() -> Correspondence:
     # omega star feeding a second stage: W -> V -> U
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("V", 1), ("W", OMEGA), ("U", 1)]),
         [EdgeClass("E", "W", "V", 1), EdgeClass("F", "V", "U", 1)])
 
@@ -217,14 +232,14 @@ def wvx(n: int, m: int) -> Correspondence:
     # W(omega) -> V(1) -> X(n), X -> X and X -> V, multiplicities 1/m/m/1:
     # several copies per edge class, and a Fock space of 2 + nm(nm + 2)
     # vectors at level 3 (tests/inputs/wvx_2_3.json is wvx(2, 3))
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("W", OMEGA), ("V", 1), ("X", n)]),
         [EdgeClass("WV", "W", "V", 1), EdgeClass("VX", "V", "X", m),
          EdgeClass("XX", "X", "X", m), EdgeClass("XV", "X", "V", 1)])
 
 
 def as_presentation(c: Correspondence) -> DiscreteGraphPresentation:
-    return DiscreteGraphPresentation.of(c.algebra.classes, c.generators)
+    return presentation(c.algebra.classes, c.generators)
 
 
 # -- interval instances -------------------------------------------------------
@@ -340,7 +355,7 @@ def random_discrete_graph(rng, max_classes: int = 8, max_edges: int = 20,
     vertices = [(nm, count()) for nm in names]
     edges = [EdgeClass(f"E{j}", rng.choice(names), rng.choice(names), count())
              for j in range(rng.randint(0, max_edges))]
-    return DiscreteGraphPresentation.of(vertices, edges)
+    return presentation(vertices, edges)
 
 
 def unit_pieces_doc(n: int, half: bool = False) -> dict:

@@ -24,7 +24,8 @@ from hyperrig.records import instance_digest, verify_witness_record
 from hyperrig.scalars import QI, QI_ONE
 
 from instances import (
-    BUILD_T, arrow_graph, as_presentation, compact_base_shortcut, fock_bases,
+    BUILD_T, arrow_graph, as_presentation, compact_base_shortcut, correspondence,
+    fock_bases,
     i1_graph, i2_graph, loop_graph, omega_star, oracle_fin,
     orthogonal_complement, random_discrete_graph, random_interval_graph,
     scaled, star_plus_arm, tower, with_builders,
@@ -224,7 +225,7 @@ def test_criterion_4_converse_pipeline():
 # -- criterion 5 -----------------------------------------------------------------
 
 def two_loops() -> Correspondence:
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("v", 1)]),
         [EdgeClass("e", "v", "v", 1), EdgeClass("f", "v", "v", 1)])
 
@@ -380,7 +381,7 @@ def branched_tower() -> Correspondence:
     # an infinitely received middle stage with a loop, so the degeneracy
     # survives to higher tensor powers
     from hyperrig.scalars import OMEGA
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("V1", 1), ("V2", 1), ("V3", 1), ("W", OMEGA)]),
         [EdgeClass("a", "V1", "V2", 1), EdgeClass("b", "V2", "V3", 1),
          EdgeClass("c", "V2", "V2", 1), EdgeClass("E", "W", "V2", 1)])

@@ -4,10 +4,15 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from hyperrig.cli import main
 from hyperrig.records import parse_witness_record, render_text
 
-from golden_cli import GOLDEN, INPUTS, INTERVAL, LARGE, MANIFEST, SYMBOLIC, run_cli
+from golden_cli import (
+    GOLDEN, INPUTS, INTERVAL, LARGE, MALFORMED_RECORD, MANIFEST, SHARED_SOURCE, SYMBOLIC,
+    run_cli,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -102,7 +107,8 @@ def test_cli_matches_golden_outputs():
     decided = {case["argv"][1] for case in manifest.values()
                if case["argv"][0] == "decide"}
     assert decided == ({f"{{corpus}}/{p.name}" for p in CORPUS.glob("*.json")}
-                       | {f"{{inputs}}/{stem}.json" for stem in INTERVAL + LARGE + SYMBOLIC})
+                       | {f"{{inputs}}/{stem}.json"
+                          for stem in INTERVAL + LARGE + SYMBOLIC + SHARED_SOURCE})
     for name, case in sorted(manifest.items()):
         code, out, err = run_cli(case["argv"])
         assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
@@ -222,6 +228,47 @@ def test_verify_instance_mismatch(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verified: false" in out
     assert "failing check: instance-digest" in out
+
+
+# each record of tests/inputs/malformed_record/ -> the check verify names
+# (exit 1), or the error it refuses the record with (exit 2)
+RECORD_OUTCOMES = {
+    "digest_of_another_instance": "instance-digest",
+    "interval_instance": "instance-kind",
+    "sigma_atom_outside_its_class": "sigma-atoms",
+    "sigma_atoms_repeated": "sigma-atoms",
+    "fock_levels_zero": "fock-build",
+    "sigma_inside_the_ideal": "witness-subspace",
+    "gram_entry_mismatch": "m0-gram",
+    "not_a_witness_record": "error: not a witness record: 'verdict'",
+    "unknown_certificate": "error: unknown certificate kind 'sigma-matrix'",
+    "fock_levels_not_an_integer": "error: fock_levels must be an integer",
+    "m0_not_a_list": "error: m0 must be a list",
+    "m_levels_entry_not_a_list": "error: each entry of m_levels must be a list",
+    "gram_entry_not_a_pair": "error: complex entry must be [re, im], got ['1']",
+    "atom_not_a_pair": "error: atom must be [class, copy], got ['W']",
+    "edge_copy_not_four_fields":
+        "error: edge copy must be [class, src, dst, mult-index], got ['E', 0, 0]",
+    "tensor_key_path_not_a_list": "error: tensor key path must be a list",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(RECORD_OUTCOMES))
+def test_verify_names_what_a_record_fails(stem):
+    code, out, err = run_cli(["verify", f"{{inputs}}/malformed_record/{stem}.json",
+                              MALFORMED_RECORD[stem]])
+    outcome = RECORD_OUTCOMES[stem]
+    if outcome.startswith("error: "):
+        assert (code, out, err) == (2, "", outcome + "\n")
+    else:
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert (doc["verified"], doc["failing_check"]) == (False, outcome)
+
+
+def test_every_malformed_record_has_an_outcome():
+    assert {p.stem for p in (INPUTS / "malformed_record").glob("*.json")} \
+        == set(MALFORMED_RECORD) == set(RECORD_OUTCOMES)
 
 
 def test_verify_rejects_malformed_witness(tmp_path, capsys):
@@ -503,33 +550,26 @@ def test_oversized_computed_endpoint_is_malformed_input(tmp_path, capsys):
 
 def test_interval_decide_computes_each_piece_image_once(monkeypatch, capsys):
     # build computes the image of every piece of r and s for its target
-    # check and keeps them; nothing later recomputes one, and the
-    # presentation does not re-check images its maps' target already bounds
-    import hyperrig.graphs as graphs
+    # check and keeps them; nothing later recomputes one
     from hyperrig.intervals import AffinePiece
     from hyperrig.records import load_instance
-    calls = {"image": 0, "is_subset": 0}
-    image, is_subset = AffinePiece.image, graphs.is_subset
+    calls = {"image": 0}
+    image = AffinePiece.image
 
     def counted_image(ap):
         calls["image"] += 1
         return image(ap)
-
-    def counted_is_subset(a, b):
-        calls["is_subset"] += 1
-        return is_subset(a, b)
 
     for path, pieces in ((CORPUS / "half_interval.json", 2),
                          (INPUTS / "interval_200_half.json", 400)):
         g = load_instance(path)
         assert len(g.r.pieces) + len(g.s.pieces) == pieces
         monkeypatch.setattr(AffinePiece, "image", counted_image)
-        monkeypatch.setattr(graphs, "is_subset", counted_is_subset)
-        calls.update(image=0, is_subset=0)
+        calls.update(image=0)
         assert main(["decide", str(path)]) == 1
         monkeypatch.undo()
         capsys.readouterr()
-        assert calls == {"image": pieces, "is_subset": 0}, path.name
+        assert calls == {"image": pieces}, path.name
 
 
 def test_batch_empty_dir(tmp_path, capsys):
@@ -544,6 +584,13 @@ def test_batch_rejects_non_directory(tmp_path, capsys):
     # a name os.stat refuses (ValueError) is no directory either
     assert main(["batch", "a\0b"]) == 2
     assert capsys.readouterr().err.endswith("not a directory: a\x00b\n")
+    # a regular file is no directory
+    assert main(["batch", str(CORPUS / "loop.json")]) == 2
+    assert capsys.readouterr().err == f"not a directory: {CORPUS / 'loop.json'}\n"
+    # any other stat failure, such as a name too long, is an error
+    assert main(["batch", str(tmp_path / ("x" * 300))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: [Errno ")
 
 
 def test_batch_lists_and_names_files_as_pathlib_does(tmp_path, monkeypatch, capsys):

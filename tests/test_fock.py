@@ -33,7 +33,8 @@ from hyperrig.scalars import OMEGA, QI, QI_ONE
 
 from golden_cli import CORPUS, INPUTS
 from instances import (
-    BUILD_RHO, BUILD_T, add_fns, add_vectors, arrow_graph, compose, loop_graph,
+    BUILD_RHO, BUILD_T, add_fns, add_vectors, arrow_graph, compose, correspondence,
+    loop_graph,
     omega_star, random_discrete_graph, scaled, star_plus_arm, tower,
     with_builders, wvx,
 )
@@ -48,7 +49,7 @@ def sigma_at(c, cls, idx=0):
 
 
 def two_loops():
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("v", 1)]),
         [EdgeClass("e", "v", "v", 1), EdgeClass("f", "v", "v", 1)])
 
@@ -97,7 +98,7 @@ def test_build_fock_guards(monkeypatch):
         return real(c, key)
 
     monkeypatch.setattr(fock_mod, "successors", counted)
-    big = Correspondence.of(AtomSet.of([("W", OMEGA), ("V", 20000)]),
+    big = correspondence(AtomSet.of([("W", OMEGA), ("V", 20000)]),
                             [EdgeClass("E", "W", "V", 1)])
     with pytest.raises(BudgetExceededError) as info:
         build_fock(big, sigma_at(big, "W"), 3, basis_budget=100)
@@ -118,7 +119,7 @@ def test_build_fock_level_size_identity(monkeypatch):
 
 
 def test_build_fock_symbolic_only():
-    c = Correspondence.of(AtomSet.of([("V", 1), ("W", OMEGA)]),
+    c = correspondence(AtomSet.of([("V", 1), ("W", OMEGA)]),
                           [EdgeClass("E", "V", "W", 1)])
     with pytest.raises(SymbolicOnlyError):
         build_fock(c, sigma_at(c, "V"), 2)
@@ -126,7 +127,7 @@ def test_build_fock_symbolic_only():
     # part alone already exceeds
     with pytest.raises(SymbolicOnlyError, match="edge class E has an infinite fiber over V"):
         build_fock(c, sigma_at(c, "V"), 2, basis_budget=1)
-    mixed = Correspondence.of(
+    mixed = correspondence(
         AtomSet.of([("A", 1), ("B", 50), ("V", 1), ("W", OMEGA)]),
         [EdgeClass("F", "A", "B", 1), EdgeClass("E", "V", "W", 1)])
     sigma = EvaluationRep.of(mixed.algebra, [Atom("A", 0), Atom("V", 0)])
@@ -491,6 +492,37 @@ def test_pairs_covered_are_the_whole_grid(monkeypatch):
     assert zero[0] == (210 - 63, 21 * 21 - 21)
 
 
+def _defect_cases():
+    """(call, message) pairs: each call passes an operand the chain never
+    builds, one over another parent or of another level or degree."""
+    c, other = star_plus_arm(), loop_graph()
+    w = sigma_degeneracy_witness(c)
+    fock = build_fock(c, w.rep, 3)
+    x = ModuleVector.single(other, EdgeCopy("e", 0, 0, 0))
+    level0, level1 = fock.bases[0][0], fock.bases[1][0]
+    t = t0(fock, fock.singles[level1.path[0]])
+    return [
+        (lambda: build_fock(c, EvaluationRep.of(other.algebra, [Atom("v", 0)]), 3),
+         "evaluation representation over a different algebra"),
+        (lambda: t0(fock, x), "vector over a different correspondence"),
+        (lambda: build_witness_subspace(fock, IdealSpec(other.algebra, frozenset({"v"}))),
+         "ideal over a different algebra"),
+        (lambda: operator_residual(t, rho0(fock, CoefFn.delta_atom(level0.atom)), [level0]),
+         "comparing operators of different degrees"),
+        (lambda: corr_mod.pair_by_gram_identity(c, level1, level0),
+         "pairing keys of different levels"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_a_check_only_a_defect_fails_raises_internal_inconsistency(case):
+    # the chain builds every operand of these checks itself, so a failure
+    # is a toolkit defect, not a property of the input
+    call, message = _defect_cases()[case]
+    with pytest.raises(InternalInconsistencyError, match=message):
+        call()
+
+
 def test_shared_zero_residual_keeps_the_degree_check():
     # the pairs the join does not meet are compared at the degree of the
     # pair grid, so a builder whose rho(0) has the wrong degree is refused
@@ -501,9 +533,9 @@ def test_shared_zero_residual_keeps_the_degree_check():
         op = BUILD_RHO(space, f)
         return GradedOperator(space, 1, op.cols) if f == CoefFn() else op
 
-    with pytest.raises(DomainError):
+    with pytest.raises(InternalInconsistencyError, match="different degrees"):
         with_builders(fock, dense_isometry_report, rho=build_rho)
-    with pytest.raises(DomainError):
+    with pytest.raises(InternalInconsistencyError, match="different degrees"):
         with_builders(fock, verify_isometric_rep, rho=build_rho)
 
 
@@ -523,9 +555,9 @@ def test_in_place_join_keeps_the_degree_check_on_met_pairs():
 
     probe = left_mul(fock.functions[-1], tuple(fock.singles.values())[0])
     assert build_t(fock, probe).degree == 2
-    with pytest.raises(DomainError, match="different degrees"):
+    with pytest.raises(InternalInconsistencyError, match="different degrees"):
         with_builders(fock, dense_isometry_report, t=build_t)
-    with pytest.raises(DomainError, match="different degrees"):
+    with pytest.raises(InternalInconsistencyError, match="different degrees"):
         with_builders(fock, verify_isometric_rep, t=build_t)
 
 
@@ -825,7 +857,7 @@ def test_cuntz_pimsner_call_counts_on_a_large_instance(monkeypatch):
 def omega_star_and_far_arrow(n):
     """omega_star beside an arrow Y -> X, X of count n: X lies in the
     Katsura ideal (in-degree 1), and the space over W never reaches it."""
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("V", 1), ("W", OMEGA), ("Y", 1), ("X", n)]),
         [EdgeClass("E", "W", "V", 1), EdgeClass("F", "Y", "X", 1)])
 
@@ -834,7 +866,7 @@ def tower_and_wide_arrow(n):
     """tower beside an arrow Y -> U, Y of count n: U lies in the Katsura
     ideal (in-degree n + 1), and the space over W reaches it through
     V -> U alone, so it creates with no copy of Y -> U."""
-    return Correspondence.of(
+    return correspondence(
         AtomSet.of([("V", 1), ("W", OMEGA), ("U", 1), ("Y", n)]),
         [EdgeClass("E", "W", "V", 1), EdgeClass("F", "V", "U", 1),
          EdgeClass("G", "Y", "U", 1)])

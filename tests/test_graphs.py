@@ -105,33 +105,8 @@ def test_presentation_validation():
         [AffinePiece(ival(0, Fraction(1, 2), True, False), Fraction(1), Fraction(0)),
          AffinePiece(ival(Fraction(1, 2), 1), Fraction(-1), Fraction(1))],
         g1, g0)
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError, match="source map is not a local homeomorphism"):
         IntervalGraphPresentation.of(g0, g1, identity_map(g1, g0), fold)
-
-    half = IntervalSet.of([ival(0, Fraction(1, 2))])
-    with pytest.raises(MalformedInputError):
-        IntervalGraphPresentation.of(g0, g1, identity_map(half, g0), identity_map(g1, g0))
-
-
-def test_map_built_against_another_target_must_land_in_the_vertex_space():
-    # build checks each piece against the map's own target, so a map whose
-    # target is not G0 is checked against G0 here
-    g0 = IntervalSet.of([ival(0, 1)])
-    g1 = IntervalSet.of([ival(0, 2)])
-    wide = IntervalSet.of([ival(0, 2)])
-    ident = identity_map(g1, wide)
-    halve = PiecewiseAffineMap.build(
-        [AffinePiece(ival(0, 2), Fraction(1, 2), Fraction(0))], g1, wide)
-    with pytest.raises(MalformedInputError, match="range map does not land in the vertex space"):
-        IntervalGraphPresentation.of(g0, g1, ident, halve)
-    with pytest.raises(MalformedInputError, match="source map does not land in the vertex space"):
-        IntervalGraphPresentation.of(g0, g1, halve, ident)
-    # a map into a wider target whose image lies in G0 is accepted, and its
-    # range condition is taken in G0, where the image [0, 1] is clopen
-    g = IntervalGraphPresentation.of(g0, g1, halve, halve)
-    assert dict(decide_hyperrigid(g).routes) == {"range_condition": True,
-                                                 "reg_preimage": True}
-    assert not range_condition(halve)  # in its own target [0, 2] it is not
 
 
 def test_shortcut_examples():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperrig import intervals as iv
-from hyperrig.errors import MalformedInputError
+from hyperrig.errors import InternalInconsistencyError, MalformedInputError
 from hyperrig.intervals import (
     EMPTY,
     FULL_LINE,
@@ -187,12 +187,25 @@ def test_closure_interior_empty():
     assert sets_equal(interior(closure(EMPTY, amb), amb), EMPTY)
 
 
+def test_a_side_or_a_point_the_decision_never_asks_for_is_a_defect():
+    # the decision asks for the side "left" or "right" of a point, and for
+    # the piece just beside an end of the source only
+    f = identity_map(iset(ival(0, 1)))
+    with pytest.raises(InternalInconsistencyError, match="side must be 'left' or 'right'"):
+        approaches(f.source, Fraction(0), "up")
+    with pytest.raises(InternalInconsistencyError, match="no affine piece covers points just "
+                                                         "above 1"):
+        iv._piece_beside(f, Fraction(1), "right")
+
+
 def test_closure_requires_containment():
+    # the decision only closes subsets of their ambient: any other set is a
+    # toolkit defect
     amb = iset(ival(0, 1))
     s = iset(ival(0, 2))
-    with pytest.raises(MalformedInputError, match="not contained in its ambient"):
+    with pytest.raises(InternalInconsistencyError, match="not contained in its ambient"):
         closure(s, amb)
-    with pytest.raises(MalformedInputError, match="not contained in its ambient"):
+    with pytest.raises(InternalInconsistencyError, match="not contained in its ambient"):
         interior(s, amb)
 
 
@@ -535,7 +548,8 @@ def test_prop_point_queries_match_case_analysis(s, coeffs):
             assert approaches(s, x, side) == approaches_by_cases(s, x, side), (x, side)
         expected = value_at_by_cases(f, x)
         if expected is None:
-            with pytest.raises(MalformedInputError, match="is not in the source"):
+            # the decision reads a map only on its source
+            with pytest.raises(InternalInconsistencyError, match="is not in the source"):
                 f.value_at(x)
         else:
             assert f.value_at(x) == expected, x

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperrig.algebra import Atom, AtomSet
-from hyperrig.correspondence import Correspondence, EdgeClass, sigma_degeneracy_witness
+from hyperrig.correspondence import EdgeClass, sigma_degeneracy_witness
 from hyperrig.errors import (
     DomainError, InternalInconsistencyError, MalformedInputError,
 )
@@ -19,7 +19,7 @@ from hyperrig.graphs import (
     DiscreteGraphPresentation, build_correspondence, decide_hyperrigid,
 )
 from hyperrig.records import (
-    _rational_out, canonical_json, instance_digest, instance_payload,
+    canonical_json, instance_digest, instance_payload,
     load_instance, load_witness_record, parse_instance, parse_instance_text,
     parse_witness_record, verdict_record, verify_witness_record,
     witness_record,
@@ -27,7 +27,8 @@ from hyperrig.records import (
 from hyperrig.scalars import OMEGA, QI
 
 from instances import (
-    arrow_graph, as_presentation, i1_graph, i2_graph, loop_graph, omega_star,
+    arrow_graph, as_presentation, correspondence, i1_graph, i2_graph, loop_graph,
+    omega_star, presentation,
     ray_graph, scaled, star_plus_arm, tower,
 )
 
@@ -92,22 +93,17 @@ def test_digest_writer_matches_its_definition():
              if isinstance(g, DiscreteGraphPresentation)]
     assert len(files) >= 8
     # omega and multi-digit counts and multiplicities around names with
-    # each character; a str and an int subclass and names that are not
-    # strings, as callers in code may pass them
-    odd = [DiscreteGraphPresentation.of(
+    # each character
+    odd = [presentation(
         [(f"v{ch}", OMEGA), ("w", 12345678901234567890), (ch, 10)],
         [EdgeClass(f"e{ch}x", f"v{ch}", ch, OMEGA), EdgeClass(ch * 2, ch, "w", 100)])
         for ch in ODD_CHARACTERS]
-    odd.append(DiscreteGraphPresentation.of(
-        [(Name("u\n"), Count(3)), ("v", 1)], [(Name("e"), "u\n", Name("v"), Count(22))]))
-    odd.append(DiscreteGraphPresentation.of([(7, 1), (("a", 1), OMEGA)],
-                                            [("e", 7, ("a", 1), 2)]))
     for g in files + odd:
         assert instance_digest(g) == payload_digest(g)
 
 
 def test_digest_of_a_lone_surrogate_raises_as_its_definition_does():
-    g = DiscreteGraphPresentation.of([("\ud800", 1)], [("e", "\ud800", "\ud800", 1)])
+    g = presentation([("\ud800", 1)], [("e", "\ud800", "\ud800", 1)])
 
     def raised(digest):
         with pytest.raises(Exception) as info:
@@ -119,47 +115,6 @@ def test_digest_of_a_lone_surrogate_raises_as_its_definition_does():
 
 class Obj(dict):
     pass
-
-
-def subclassed(doc):
-    """doc with every object an Obj, every string a Name and every int a
-    Count, as a caller in code might build it."""
-    if isinstance(doc, dict):
-        return Obj({Name(k): subclassed(v) for k, v in doc.items()})
-    if isinstance(doc, list):
-        return [subclassed(v) for v in doc]
-    if isinstance(doc, str):
-        return Name(doc)
-    if isinstance(doc, int) and not isinstance(doc, bool):
-        return Count(doc)
-    return doc
-
-
-def parse_outcome(doc):
-    try:
-        g = parse_instance(doc)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return g, instance_digest(g)
-
-
-def test_parser_fast_paths_fall_back_on_subclasses():
-    # the parser takes plain dicts, strs and ints as they are; a subclass
-    # from a caller in code must go through the per-field checks and come
-    # out as its plain twin does, not be refused
-    paths = sorted((ROOT / "corpus").glob("*.json"))
-    paths += sorted((ROOT / "tests" / "inputs" / "malformed").glob("*.json"))
-    docs = [json.loads(p.read_text(encoding="utf-8")) for p in paths]
-    docs.append({"kind": "discrete", "vertices": [{"name": "u", "count": "omega"}],
-                 "edges": [{"name": "e", "source": "u", "range": "u", "mult": 1}]})
-    docs.append({"kind": "discrete", "vertices": [{"name": "u", "count": 1.0}],
-                 "edges": []})
-    accepted = 0
-    for doc in docs:
-        plain, sub = parse_outcome(doc), parse_outcome(subclassed(doc))
-        assert sub == plain, doc
-        accepted += isinstance(plain[0], DiscreteGraphPresentation)
-    assert accepted >= 5
 
 
 def test_exact_rationals_and_unbounded_ends_survive():
@@ -276,48 +231,75 @@ def test_malformed_instance_messages():
         assert str(info.value) == message, stem
 
 
+INPUTS = Path(__file__).resolve().parent / "inputs"
+
+# the message each file of tests/inputs/malformed_document/ (documents
+# refused before a presentation is built) and of malformed_source_map/
+# (one file per branch of the local homeomorphism check) is refused with
+REFUSED = {
+    "malformed_document/interval_end_not_closed_or_open":
+        "interval ends must be closed or open, got 'half'",
+    "malformed_document/interval_not_four_fields":
+        "interval must be [lo, hi, lo-end, hi-end], got ['0', '1', 'closed']",
+    "malformed_document/interval_set_not_a_list": "interval set must be a list, got '[0, 1]'",
+    "malformed_document/map_pieces_not_a_list": "range map pieces must be a list",
+    "malformed_document/not_an_object": "instance must be a JSON object",
+    "malformed_document/not_json": "not valid JSON: Expecting property name enclosed in "
+                                   "double quotes: line 1 column 2 (char 1)",
+    "malformed_document/not_utf8": "not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                   "in position 45: invalid start byte",
+    "malformed_document/rational_exponent_too_long":
+        "rational string '1e5000' has more than 4300 digits",
+    "malformed_document/rational_not_a_string": "expected a rational string, got 1",
+    "malformed_document/rational_with_underscore": "bad rational string '1_0'",
+    "malformed_document/rational_zero_denominator": "bad rational string '1/0'",
+    "malformed_document/unknown_kind": "instance kind must be discrete or interval, got 'graph'",
+    "malformed_document/unsupported_schema": "unsupported schema version 2",
+    "malformed_document/vertices_not_a_list": "vertices and edges must be lists",
+    **{f"malformed_source_map/{stem}": "source map is not a local homeomorphism"
+       for stem in ("closed_lower_end_inside_image", "closed_upper_end_inside_image",
+                    "constant_piece", "isolated_point_inside_image")},
+}
+
+
+def test_every_refused_file_is_listed():
+    assert {f"{p.parent.name}/{p.stem}" for d in ("malformed_document", "malformed_source_map")
+            for p in (INPUTS / d).glob("*.json")} == set(REFUSED)
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_file_messages(name):
+    with pytest.raises(MalformedInputError) as info:
+        load_instance(INPUTS / f"{name}.json")
+    assert str(info.value) == REFUSED[name]
+
+
 UV = [("u", 1), ("v", 2)]
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: AtomSet.of([("u", 0)]),
-     MalformedInputError, "class u has non-positive count 0"),
-    (lambda: AtomSet.of([("u", True)]),
-     MalformedInputError, "class u has non-positive count True"),
-    (lambda: AtomSet.of([("u", "omega")]),
-     MalformedInputError, "class u has non-positive count 'omega'"),
     (lambda: AtomSet.of([("u", 1), ("v", -1), ("u", 0)]),
      MalformedInputError, "duplicate class names in ['u', 'v', 'u']"),
-    (lambda: Correspondence.of(AtomSet.of(UV), [("e", "u", "v", 0)]),
-     MalformedInputError, "edge class e has bad multiplicity 0"),
-    (lambda: Correspondence.of(AtomSet.of(UV), [EdgeClass("e", "u", "v", 1.5)]),
-     MalformedInputError, "edge class e has bad multiplicity 1.5"),
-    (lambda: Correspondence.of(AtomSet.of(UV), [("e", "x", "v", 0)]),
+    (lambda: correspondence(AtomSet.of(UV), [("e", "x", "v", 0)]),
      DomainError, "unknown class 'x'"),
-    (lambda: Correspondence.of(AtomSet.of(UV), [EdgeClass("e", "u", "y", 1)]),
+    (lambda: correspondence(AtomSet.of(UV), [EdgeClass("e", "u", "y", 1)]),
      DomainError, "unknown class 'y'"),
-    (lambda: Correspondence.of(AtomSet.of(UV),
+    (lambda: correspondence(AtomSet.of(UV),
                                [("e", "u", "y", 0), ("e", "u", "v", 1)]),
      MalformedInputError, "duplicate edge class names in ['e', 'e']"),
-    (lambda: DiscreteGraphPresentation.of([("u", 0)], []),
-     MalformedInputError, "class u has non-positive count 0"),
-    (lambda: DiscreteGraphPresentation.of(UV, [("e", "u", "v", False)]),
-     MalformedInputError, "edge class e has bad multiplicity False"),
-    (lambda: DiscreteGraphPresentation.of(UV, [EdgeClass("e", "u", "v", True)]),
-     MalformedInputError, "edge class e has bad multiplicity True"),
-    (lambda: DiscreteGraphPresentation.of(UV, [("e", "x", "v", 1)]),
+    (lambda: presentation(UV, [("e", "x", "v", 1)]),
      DomainError, "unknown class 'x'"),
-    (lambda: DiscreteGraphPresentation.of(UV, [EdgeClass("e", "u", "y", "omega")]),
+    (lambda: presentation(UV, [EdgeClass("e", "u", "y", "omega")]),
      DomainError, "unknown class 'y'"),
-    (lambda: DiscreteGraphPresentation.of(UV + [("u", 3)], [("e", "x", "v", 1)]),
+    (lambda: presentation(UV + [("u", 3)], [("e", "x", "v", 1)]),
      MalformedInputError, "duplicate class names in ['u', 'v', 'u']"),
-    (lambda: DiscreteGraphPresentation.of(
+    (lambda: presentation(
         UV, [("e", "u", "v", OMEGA), EdgeClass("e", "v", "u", 0)]),
      MalformedInputError, "duplicate edge class names in ['e', 'e']"),
 ])
 def test_constructors_reject_bad_classes(build, error, message):
-    # instances built in code are checked by the constructors, not by the
-    # parser: bad counts, multiplicities and class references still raise
+    # what needs the whole instance is checked by the constructors, not by
+    # the parser: duplicate names and unknown class references raise
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error
@@ -412,40 +394,24 @@ json_trees = st.recursive(
     max_leaves=30)
 
 
-@given(json_trees)
+@given(json_trees.map(lambda tree: {"record": tree}))
 @settings(max_examples=300, deadline=None)
 def test_canonical_json_matches_its_definition(doc):
+    # a record is a dict; its values are any tree of the covered types
     assert canonical_json(doc) == dumps_definition(doc)
 
 
-def test_canonical_json_falls_back_to_its_definition():
-    # values the writer does not cover render, or fail, as json.dumps does
-    cyclic = []
-    cyclic.append(cyclic)
-    docs = [1.5, {"a": [float("nan"), -0.0, 1e300]}, {1: "x", 2: [3]},
-            {True: 1, None: 2, 0.5: 3}, {"k": Name("v")}, [Name("a\n")],
-            {Name("k"): 1}, Obj(a=1, b={"c": []}), [Obj()], Count(7),
-            [{"x": [Count(12345678901234567890)]}], {"a": (1, [2.0])},
-            {"a": 1, 2: "b"}, {(1, 2): 3}, {1, 2}, {"s": frozenset({3})},
-            [b"bytes"], cyclic, [True, False, None, "", [], {}, ()]]
-    for doc in docs:
-        assert outcome(canonical_json, doc) == outcome(dumps_definition, doc), doc
-    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
-        canonical_json({"a": {1}})
-
-
-def test_rational_strings_match_their_definition():
-    class Big(int):
-        def __str__(self):
-            return "big"
-
-    class Ratio(Fraction):
-        def __str__(self):
-            return "ratio"
-
-    for x in (0, 7, -12345678901234567890, Fraction(-3, 4), Fraction(6, 3), True,
-              False, Big(5), Ratio(1, 2), Ratio(4, 2)):
-        assert _rational_out(x) == str(Fraction(x)), x
+def test_canonical_json_refuses_a_value_no_record_holds():
+    # records hold plain dicts, lists, strs, ints, booleans and None; any
+    # other value is a toolkit defect, not a document to render another way
+    for doc in ({"a": 1.5}, {"a": [float("nan")]}, {"a": {1}}, {"a": b"bytes"},
+                {"k": Name("v")}, {"a": [Count(7)]}, {"a": Obj(b=1)}, "a string"):
+        with pytest.raises(InternalInconsistencyError, match="no JSON rendering"):
+            canonical_json(doc)
+    with pytest.raises(TypeError):
+        canonical_json({1: "x"})
+    assert canonical_json({"a": [], "b": {}, "c": ()}) == dumps_definition(
+        {"a": [], "b": {}, "c": ()})
 
 
 # -- witness records ---------------------------------------------------------------
